@@ -20,18 +20,23 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .datamodel import (
     Annotation,
     Detection,
     PROVENANCE_CORRECTED,
     PROVENANCE_MINED,
 )
-from .geometry import (
+# ``iou`` is not called here; it stays bound because bench/spans.py counts
+# scalar IoU calls through each module's own name
+from .geometry import (  # noqa: F401
     Box,
-    center_distance_normalized,
-    giou_distance,
+    box_array,
+    center_distance_matrix,
+    giou_matrix,
     iou,
-    iou_distance,
+    iou_matrix,
     nms,
 )
 
@@ -119,17 +124,27 @@ class CorrectionConfig:
         if self.fixed_size is not None and self.fixed_size <= 0.0:
             raise ConfigError(f"fixed_size must be positive, got {self.fixed_size}")
 
-    def distance_fn(self) -> Callable[[Box, Box], float]:
+    def distance_matrix(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """Pairwise distance: ``(N, 4)`` and ``(M, 4)`` corner arrays to ``(N, M)``.
+
+        Entries equal the scalar ``iou_distance``, ``giou_distance`` or
+        ``center_distance_normalized`` of the same pair.
+        """
         if self.distance == DISTANCE_IOU:
-            return iou_distance
+            return lambda a, b: _complement(iou_matrix(a, b))
         if self.distance == DISTANCE_GIOU:
-            return giou_distance
+            return lambda a, b: _complement(giou_matrix(a, b))
         norm = self.center_norm
         if norm is None or norm <= 0.0:
             raise ConfigError(
                 "center-normalized distance requires a positive center_norm"
             )
-        return lambda a, b: center_distance_normalized(a, b, norm)
+        return lambda a, b: center_distance_matrix(a, b, norm)
+
+
+def _complement(m: np.ndarray) -> np.ndarray:
+    """1 - m, in place."""
+    return np.subtract(1.0, m, out=m)
 
 
 @dataclass
@@ -147,89 +162,55 @@ class CorrectionReport:
 
 
 def _softmax(xs: Sequence[float]) -> list[float]:
+    # math.exp, not np.exp: the two round differently on a few percent of inputs
     m = max(xs)
     exps = [math.exp(x - m) for x in xs]
     total = sum(exps)
     return [e / total for e in exps]
 
 
-def _square_about(center: tuple[float, float], side: float) -> Box:
-    cx, cy = center
+def _square_about(cx: float, cy: float, side: float) -> list[float]:
     half = side / 2.0
-    return Box(cx - half, cy - half, cx + half, cy + half)
+    return [cx - half, cy - half, cx + half, cy + half]
 
 
-def _correct_class(
-    originals: list[Box],
-    preds: list[Detection],
-    delta: Callable[[Box, Box], float],
+def _center(box: Sequence[float]) -> tuple[float, float]:
+    return ((box[0] + box[2]) / 2.0, (box[1] + box[3]) / 2.0)
+
+
+def _update_class(
+    current: list[list[float]],
+    picks: list[int],
+    pred_ids: list[int],
+    preds: Sequence[Detection],
+    coords: list[list[float]],
     cfg: CorrectionConfig,
-) -> tuple[list[Box], list[int], int, bool]:
-    """Run assignment/update rounds for one class.
+) -> float:
+    """Move each picked target to the softmax-weighted average of its predictions.
 
-    Returns (final boxes, per-target assignment sizes, update rounds used,
-    converged flag).
+    ``picks[k]`` is the target assigned to prediction ``pred_ids[k]``, or -1.
+    Updates ``current`` in place and returns the largest coordinate change.
     """
-    if cfg.fixed_size is not None:
-        current = [_square_about(b.center, cfg.fixed_size) for b in originals]
-    else:
-        current = list(originals)
-    # eligibility is pinned to the input boxes, not the moving working boxes
-    eligible = [
-        [delta(orig, p.box) <= cfg.distance_limit for orig in originals]
-        for p in preds
-    ]
-    prev_assign: list[list[int]] | None = None
-    iterations = 0
-    converged = False
-    while True:
-        assign: list[list[int]] = [[] for _ in originals]
-        for pi, p in enumerate(preds):
-            best = min(
-                range(len(current)), key=lambda t: (delta(current[t], p.box), t)
-            )
-            if eligible[pi][best]:
-                assign[best].append(pi)
-        if assign == prev_assign:
-            converged = True
-            break
-        if iterations >= cfg.max_iterations:
-            break
-        moved = 0.0
-        new_boxes: list[Box] = []
-        for t, box in enumerate(current):
-            members = assign[t]
-            if not members:
-                new_boxes.append(box)
-                continue
-            weights = _softmax([preds[pi].logit / cfg.temperature for pi in members])
-            if cfg.fixed_size is not None:
-                cx = sum(w * preds[pi].box.center[0] for w, pi in zip(weights, members))
-                cy = sum(w * preds[pi].box.center[1] for w, pi in zip(weights, members))
-                nb = _square_about((cx, cy), cfg.fixed_size)
-            else:
-                nb = Box(
-                    sum(w * preds[pi].box.x1 for w, pi in zip(weights, members)),
-                    sum(w * preds[pi].box.y1 for w, pi in zip(weights, members)),
-                    sum(w * preds[pi].box.x2 for w, pi in zip(weights, members)),
-                    sum(w * preds[pi].box.y2 for w, pi in zip(weights, members)),
-                )
-            moved = max(
-                moved,
-                abs(nb.x1 - box.x1),
-                abs(nb.y1 - box.y1),
-                abs(nb.x2 - box.x2),
-                abs(nb.y2 - box.y2),
-            )
-            new_boxes.append(nb)
-        iterations += 1
-        prev_assign = assign
-        current = new_boxes
-        if moved < cfg.convergence_eps:
-            converged = True
-            break
-    sizes = [len(members) for members in assign]
-    return current, sizes, iterations, converged
+    members: dict[int, list[int]] = {}
+    for pi, t in zip(pred_ids, picks):
+        if t >= 0:
+            members.setdefault(t, []).append(pi)
+    moved = 0.0
+    for t, group in members.items():
+        weights = _softmax([preds[pi].logit / cfg.temperature for pi in group])
+        if cfg.fixed_size is not None:
+            centers = [_center(coords[pi]) for pi in group]
+            cx = sum(w * c[0] for w, c in zip(weights, centers))
+            cy = sum(w * c[1] for w, c in zip(weights, centers))
+            nb = _square_about(cx, cy, cfg.fixed_size)
+        else:
+            nb = [
+                sum(w * coords[pi][k] for w, pi in zip(weights, group))
+                for k in range(4)
+            ]
+        moved = max(moved, *(abs(n - o) for n, o in zip(nb, current[t])))
+        current[t] = nb
+    return moved
 
 
 def correct_boxes(
@@ -254,25 +235,62 @@ def correct_boxes(
     )
     if not targets or not preds:
         return list(targets), report
-    delta = cfg.distance_fn()
-    out_boxes: list[Box] = [t.box for t in targets]
+    distance = cfg.distance_matrix()
+    target_boxes = box_array(t.box for t in targets)
+    pred_boxes = box_array(p.box for p in preds)
+    coords = pred_boxes.tolist()
+    # Classes are corrected together, one distance matrix per round for the
+    # whole image: a prediction only ever looks at targets of its own class.
+    same_class = np.equal.outer([t.label for t in targets], [p.label for p in preds])
+    dist: np.ndarray | None = distance(target_boxes, pred_boxes)
+    # eligibility is pinned to the input boxes, not the moving working boxes
+    eligible = dist <= cfg.distance_limit
+    eligible &= same_class
     if cfg.fixed_size is not None:
-        out_boxes = [_square_about(b.center, cfg.fixed_size) for b in out_boxes]
-    for label in sorted({t.label for t in targets}):
-        idx = [i for i, t in enumerate(targets) if t.label == label]
-        cls_preds = [p for p in preds if p.label == label]
-        if not cls_preds:
-            continue
-        boxes, sizes, iters, conv = _correct_class(
-            [targets[i].box for i in idx], cls_preds, delta, cfg
-        )
-        for j, i in enumerate(idx):
-            out_boxes[i] = boxes[j]
-            report.assignment_sizes[i] = sizes[j]
-        report.iterations = max(report.iterations, iters)
-        report.converged = report.converged and conv
+        current = [_square_about(*_center(b), cfg.fixed_size) for b in target_boxes.tolist()]
+        dist = None
+    else:
+        current = target_boxes.tolist()
+    running: dict[int, list[int]] = {}
+    target_labels = {t.label for t in targets}
+    for j, p in enumerate(preds):
+        if p.label in target_labels:
+            running.setdefault(p.label, []).append(j)
+    rounds = dict.fromkeys(running, 0)
+    prev_picks: dict[int, list[int]] = {}
+    columns = np.arange(len(preds))
+    while running:
+        if dist is None:
+            dist = distance(np.array(current), pred_boxes)
+        # argmin takes the first minimum: distance ties go to the lower target index
+        nearest = np.where(same_class, dist, np.inf).argmin(axis=0)
+        assign = np.where(eligible[nearest, columns], nearest, -1).tolist()
+        changed = False
+        for label, pred_ids in list(running.items()):
+            picks = [assign[j] for j in pred_ids]
+            if picks == prev_picks.get(label):
+                converged = True
+            elif rounds[label] >= cfg.max_iterations:
+                converged = False
+            else:
+                moved = _update_class(current, picks, pred_ids, preds, coords, cfg)
+                rounds[label] += 1
+                prev_picks[label] = picks
+                changed = changed or moved > 0.0
+                if moved >= cfg.convergence_eps:
+                    continue
+                converged = True
+            del running[label]
+            for t in picks:
+                if t >= 0:
+                    report.assignment_sizes[t] += 1
+            report.iterations = max(report.iterations, rounds[label])
+            report.converged = report.converged and converged
+        if changed:
+            dist = None
     out: list[Annotation] = []
-    for t, b in zip(targets, out_boxes):
+    for t, corners in zip(targets, current):
+        b = Box(*corners)
         if b == t.box:
             out.append(t)
         else:
@@ -300,12 +318,21 @@ def mine_labels(
         raise ConfigError("label mining requires a mining_threshold")
     confident = [p for p in preds if p.prob >= cfg.mining_threshold]
     survivors = nms(confident, cfg.mining_nms_iou)
+    duplicates: set[int] = set()
+    if survivors and targets:
+        rows, cols = np.nonzero(
+            iou_matrix(box_array(p.box for p in survivors), box_array(t.box for t in targets))
+            > cfg.dedup_iou
+        )
+        duplicates = {
+            k
+            for k, t in zip(rows.tolist(), cols.tolist())
+            if survivors[k].label == targets[t].label
+        }
     mined = [
         Annotation(box=p.box, label=p.label, provenance=PROVENANCE_MINED)
-        for p in survivors
-        if not any(
-            t.label == p.label and iou(p.box, t.box) > cfg.dedup_iou for t in targets
-        )
+        for k, p in enumerate(survivors)
+        if k not in duplicates
     ]
     return list(targets) + mined
 

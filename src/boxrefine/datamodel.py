@@ -190,37 +190,57 @@ class Dataset:
 
 
 def _require(cond: bool, path: Path, msg: str) -> None:
+    # for one-off checks only: the message is formatted even when ``cond``
+    # holds, so per-entry checks raise directly
     if not cond:
         raise DatasetFormatError(f"{path}: {msg}")
+
+
+def _finite(
+    values: Sequence[object], path: Path, entry: str, key: object, field: str
+) -> list[float]:
+    """``values`` as floats, unless one is not a finite number.
+
+    The error names the file, the entry (``entry`` ``key``, such as
+    ``annotation 7``) and the field. Non-finite values are refused at load:
+    NaN compares false with everything, so it would slip past every later
+    range check.
+    """
+    try:
+        numbers = [float(v) for v in values]
+        if all(map(math.isfinite, numbers)):
+            return numbers
+    except (TypeError, ValueError):
+        pass
+    shown = values[0] if len(values) == 1 else list(values)
+    raise DatasetFormatError(
+        f"{path}: {entry} {key}: {field!r} must be a finite number, got {shown!r}"
+    )
 
 
 def _read_box(entry: Mapping, path: Path, ann_id: object) -> Box:
     corners = entry.get("bbox_xyxy")
     if corners is not None:
-        _require(
-            isinstance(corners, list) and len(corners) == 4,
-            path,
-            f"annotation {ann_id}: bbox_xyxy must be a list of 4 numbers",
-        )
-        x1, y1, x2, y2 = (float(v) for v in corners)
-        _require(
-            x1 <= x2 and y1 <= y2,
-            path,
-            f"annotation {ann_id}: bbox_xyxy corners not canonical",
-        )
+        if not (isinstance(corners, list) and len(corners) == 4):
+            raise DatasetFormatError(
+                f"{path}: annotation {ann_id}: bbox_xyxy must be a list of 4 numbers"
+            )
+        x1, y1, x2, y2 = _finite(corners, path, "annotation", ann_id, "bbox_xyxy")
+        if not (x1 <= x2 and y1 <= y2):
+            raise DatasetFormatError(
+                f"{path}: annotation {ann_id}: bbox_xyxy corners not canonical"
+            )
         return Box(x1, y1, x2, y2)
     bbox = entry.get("bbox")
-    _require(
-        isinstance(bbox, list) and len(bbox) == 4,
-        path,
-        f"annotation {ann_id}: bbox must be a list of 4 numbers",
-    )
-    x, y, w, h = (float(v) for v in bbox)
-    _require(
-        w >= 0.0 and h >= 0.0,
-        path,
-        f"annotation {ann_id}: negative bbox size {w}x{h}",
-    )
+    if not (isinstance(bbox, list) and len(bbox) == 4):
+        raise DatasetFormatError(
+            f"{path}: annotation {ann_id}: bbox must be a list of 4 numbers"
+        )
+    x, y, w, h = _finite(bbox, path, "annotation", ann_id, "bbox")
+    if not (w >= 0.0 and h >= 0.0):
+        raise DatasetFormatError(
+            f"{path}: annotation {ann_id}: negative bbox size {w}x{h}"
+        )
     return Box(x, y, x + w, y + h)
 
 
@@ -236,33 +256,37 @@ def _load_coco(path: Path) -> Dataset:
         _require(key in raw, path, f"missing required key {key!r}")
         _require(isinstance(raw[key], list), path, f"{key!r} must be a list")
 
-    categories = sorted(raw["categories"], key=lambda c: c.get("id", 0))
+    for idx, cat in enumerate(raw["categories"], start=1):
+        _require(
+            isinstance(cat, dict),
+            path,
+            f"category entry {idx} must be an object, got {type(cat).__name__}",
+        )
+        _require("id" in cat, path, f"category entry {idx} missing 'id'")
+    try:
+        categories = sorted(raw["categories"], key=lambda c: c["id"])
+    except TypeError:
+        raise DatasetFormatError(
+            f"{path}: category ids are not mutually comparable"
+        ) from None
     _require(bool(categories), path, "categories list is empty")
     label_of: dict[object, int] = {}
     class_names: list[str] = []
     for idx, cat in enumerate(categories, start=1):
-        _require(
-            isinstance(cat, dict) and "id" in cat,
-            path,
-            f"category entry {idx} missing 'id'",
-        )
         label_of[cat["id"]] = idx
         class_names.append(str(cat.get("name", f"class_{idx}")))
 
     records: list[ImageRecord] = []
     by_id: dict[object, ImageRecord] = {}
     for img in raw["images"]:
-        _require(
-            isinstance(img, dict) and "id" in img,
-            path,
-            "image entry missing 'id'",
-        )
+        if not (isinstance(img, dict) and "id" in img):
+            raise DatasetFormatError(f"{path}: image entry missing 'id'")
         for fld in ("width", "height"):
-            _require(
-                isinstance(img.get(fld), (int, float)) and img[fld] > 0,
-                path,
-                f"image {img['id']}: missing or non-positive {fld!r}",
-            )
+            if not (isinstance(img.get(fld), (int, float)) and img[fld] > 0):
+                raise DatasetFormatError(
+                    f"{path}: image {img['id']}: missing or non-positive {fld!r}"
+                )
+            _finite((img[fld],), path, "image", img["id"], fld)
         rec = ImageRecord(
             image_id=str(img["id"]),
             width=int(img["width"]),
@@ -270,54 +294,52 @@ def _load_coco(path: Path) -> Dataset:
             annotations=[],
             detections=None,
         )
-        _require(img["id"] not in by_id, path, f"duplicate image id {img['id']}")
+        if img["id"] in by_id:
+            raise DatasetFormatError(f"{path}: duplicate image id {img['id']}")
         by_id[img["id"]] = rec
         records.append(rec)
 
     for k, entry in enumerate(raw["annotations"]):
+        if not isinstance(entry, dict):
+            raise DatasetFormatError(
+                f"{path}: annotation #{k} must be an object, got {type(entry).__name__}"
+            )
         ann_id = entry.get("id", f"#{k}")
-        _require(
-            isinstance(entry, dict) and "image_id" in entry,
-            path,
-            f"annotation {ann_id}: missing 'image_id'",
-        )
+        if "image_id" not in entry:
+            raise DatasetFormatError(f"{path}: annotation {ann_id}: missing 'image_id'")
         rec = by_id.get(entry["image_id"])
-        _require(
-            rec is not None,
-            path,
-            f"annotation {ann_id}: unknown image_id {entry['image_id']!r}",
-        )
-        _require(
-            "category_id" in entry,
-            path,
-            f"annotation {ann_id}: missing 'category_id'",
-        )
+        if rec is None:
+            raise DatasetFormatError(
+                f"{path}: annotation {ann_id}: unknown image_id {entry['image_id']!r}"
+            )
+        if "category_id" not in entry:
+            raise DatasetFormatError(f"{path}: annotation {ann_id}: missing 'category_id'")
         label = label_of.get(entry["category_id"])
-        _require(
-            label is not None,
-            path,
-            f"annotation {ann_id}: unknown category_id {entry['category_id']!r}",
-        )
+        if label is None:
+            raise DatasetFormatError(
+                f"{path}: annotation {ann_id}: unknown category_id {entry['category_id']!r}"
+            )
         box = _read_box(entry, path, ann_id).clip(rec.width, rec.height)
         if "score" in entry:
-            score = float(entry["score"])
-            _require(
-                0.0 <= score <= 1.0,
-                path,
-                f"annotation {ann_id}: score {score} outside [0, 1]",
-            )
-            logit = float(entry["logit"]) if "logit" in entry else prob_to_logit(score)
+            (score,) = _finite((entry["score"],), path, "annotation", ann_id, "score")
+            if not 0.0 <= score <= 1.0:
+                raise DatasetFormatError(
+                    f"{path}: annotation {ann_id}: score {score} outside [0, 1]"
+                )
+            if "logit" in entry:
+                (logit,) = _finite((entry["logit"],), path, "annotation", ann_id, "logit")
+            else:
+                logit = prob_to_logit(score)
             det = Detection(box=box, label=label, prob=score, logit=logit)
             if rec.detections is None:
                 rec.detections = []
             rec.detections.append(det)
         else:
             provenance = entry.get("provenance", PROVENANCE_ORIGINAL)
-            _require(
-                provenance in PROVENANCES,
-                path,
-                f"annotation {ann_id}: unknown provenance {provenance!r}",
-            )
+            if provenance not in PROVENANCES:
+                raise DatasetFormatError(
+                    f"{path}: annotation {ann_id}: unknown provenance {provenance!r}"
+                )
             rec.annotations.append(
                 Annotation(box=box, label=label, provenance=provenance)
             )

@@ -10,10 +10,14 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .datamodel import Annotation, Dataset, Detection
-from .geometry import Box, iou
+# ``iou`` is not called here; it stays bound because bench/spans.py counts
+# scalar IoU calls through each module's own name
+from .geometry import Box, grouped_iou, iou  # noqa: F401
 
 __all__ = [
     "TP_IOU",
@@ -23,6 +27,7 @@ __all__ = [
     "QualityStats",
     "ErrorBreakdown",
     "evaluate_ap50",
+    "mean_best_iou",
     "quality_stats",
     "error_breakdown",
 ]
@@ -80,6 +85,11 @@ class ErrorBreakdown:
     above BACKGROUND_IOU with any ground truth), or classification (well
     localized, wrong class). ``missed`` counts ground-truth boxes never
     claimed by a true positive.
+
+    With ``score_floor=0`` the true positives equal the ``tp`` counts of
+    :func:`evaluate_ap50` summed over classes, except where an IoU is exactly
+    TP_IOU: AP matches at IoU >= TP_IOU, the breakdown requires IoU >
+    TP_IOU. The difference is deliberate and kept.
     """
 
     true_positives: int = 0
@@ -122,6 +132,30 @@ def _average_precision(tp_flags: Sequence[bool], n_gt: int) -> float:
     return ap
 
 
+def _same_class_hits(
+    dets: Sequence[Detection],
+    gts: Sequence[Annotation],
+    pairs: Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    above: Callable[[np.ndarray, float], np.ndarray],
+    best: np.ndarray | None = None,
+) -> list[list[tuple[int, float]]]:
+    """Per detection, the ``(ground truth, IoU)`` pairs of its class passing ``above(IoU, TP_IOU)``.
+
+    ``dets`` and ``gts`` are the concatenations that ``pairs`` indexes; hits
+    come in ground-truth order. When ``best`` is given, ``best[k]`` is raised
+    to detection k's highest IoU with any ground truth of its image.
+    """
+    hits: list[list[tuple[int, float]]] = [[] for _ in dets]
+    for i, j, overlap in pairs:
+        if best is not None:
+            np.maximum.at(best, i, overlap)
+        sel = np.flatnonzero(above(overlap, TP_IOU))
+        for k, g, ov in zip(i[sel].tolist(), j[sel].tolist(), overlap[sel].tolist()):
+            if dets[k].label == gts[g].label:
+                hits[k].append((g, ov))
+    return hits
+
+
 def evaluate_ap50(
     ground_truth: Dataset, predictions: Mapping[str, Sequence[Detection]]
 ) -> EvalResult:
@@ -137,45 +171,39 @@ def evaluate_ap50(
             ``ground_truth``, listing the offenders.
     """
     _check_image_ids(ground_truth, predictions)
-    gt_boxes: dict[tuple[str, int], list[Box]] = defaultdict(list)
+    per_image = [list(predictions.get(rec.image_id, ())) for rec in ground_truth.images]
+    dets = [d for image_dets in per_image for d in image_dets]
+    gts = [a for rec in ground_truth.images for a in rec.annotations]
     gt_total: dict[int, int] = defaultdict(int)
-    for rec in ground_truth.images:
-        for ann in rec.annotations:
-            gt_boxes[(rec.image_id, ann.label)].append(ann.box)
-            gt_total[ann.label] += 1
+    for ann in gts:
+        gt_total[ann.label] += 1
+    # only overlaps >= TP_IOU can win a match, so the rest are never looked at
+    hits = _same_class_hits(
+        dets,
+        gts,
+        grouped_iou(
+            [[d.box for d in image_dets] for image_dets in per_image],
+            [[a.box for a in rec.annotations] for rec in ground_truth.images],
+        ),
+        np.greater_equal,
+    )
+    ranked: dict[int, list[tuple[float, int]]] = defaultdict(list)
+    for k, det in enumerate(dets):
+        ranked[det.label].append((det.prob, k))
 
-    ranked: dict[int, list[tuple[float, int, str, Box]]] = defaultdict(list)
-    order = 0
-    for rec in ground_truth.images:
-        for det in predictions.get(rec.image_id, ()):
-            ranked[det.label].append((det.prob, order, rec.image_id, det.box))
-            order += 1
-
+    matched = [False] * len(gts)
     per_class_ap: dict[int, float] = {}
     counts: dict[int, ClassCounts] = {}
     for label in sorted(set(gt_total) | set(ranked)):
-        preds = sorted(ranked.get(label, []), key=lambda r: (-r[0], r[1]))
-        matched: dict[str, list[bool]] = {
-            img: [False] * len(boxes)
-            for (img, lbl), boxes in gt_boxes.items()
-            if lbl == label
-        }
         tp_flags: list[bool] = []
-        for _, _, image_id, box in preds:
-            candidates = gt_boxes.get((image_id, label), [])
-            flags = matched.get(image_id, [])
-            best_iou, best_idx = 0.0, -1
-            for gi, gt_box in enumerate(candidates):
-                if flags[gi]:
-                    continue
-                overlap = iou(box, gt_box)
-                if overlap > best_iou:
-                    best_iou, best_idx = overlap, gi
-            if best_idx >= 0 and best_iou >= TP_IOU:
-                flags[best_idx] = True
-                tp_flags.append(True)
-            else:
-                tp_flags.append(False)
+        for _, k in sorted(ranked.get(label, []), key=lambda r: (-r[0], r[1])):
+            best_iou, best_gt = 0.0, -1
+            for g, overlap in hits[k]:
+                if overlap > best_iou and not matched[g]:
+                    best_iou, best_gt = overlap, g
+            if best_gt >= 0:
+                matched[best_gt] = True
+            tp_flags.append(best_gt >= 0)
         n_gt = gt_total.get(label, 0)
         tp = sum(tp_flags)
         counts[label] = ClassCounts(tp=tp, fp=len(tp_flags) - tp, fn=n_gt - tp)
@@ -188,15 +216,38 @@ def evaluate_ap50(
     return EvalResult(per_class_ap=per_class_ap, map50=map50, counts=counts)
 
 
-def _mean_best_iou(
-    sources: Mapping[str, list[Box]], references: Mapping[str, list[Box]]
-) -> float:
-    best: list[float] = []
-    for image_id, boxes in sources.items():
-        refs = references.get(image_id, [])
-        for box in boxes:
-            best.append(max((iou(box, r) for r in refs), default=0.0))
-    return sum(best) / len(best) if best else 0.0
+def mean_best_iou(
+    sources: Mapping[str, Sequence[Box]], references: Mapping[str, Sequence[Box]]
+) -> tuple[float, float]:
+    """Mean best-match IoU between two per-image box sets, in both directions.
+
+    The first value averages, over every source box in mapping order, its
+    highest IoU with a reference box of the same image (0.0 if there is
+    none); the second does the same from the references' side. Each image's
+    pairs are scored once and reduced both ways. A side without boxes has
+    mean 0.0.
+    """
+    image_ids = list(dict.fromkeys([*sources, *references]))
+    src = [sources.get(image_id, ()) for image_id in image_ids]
+    ref = [references.get(image_id, ()) for image_id in image_ids]
+    forward = np.zeros(sum(len(boxes) for boxes in src))
+    backward = np.zeros(sum(len(boxes) for boxes in ref))
+    for i, j, overlap in grouped_iou(src, ref):
+        np.maximum.at(forward, i, overlap)
+        np.maximum.at(backward, j, overlap)
+
+    def mean(best: np.ndarray, per_image: list[Sequence[Box]], order: Iterable[str]) -> float:
+        values = best.tolist()
+        by_image: dict[str, list[float]] = {}
+        start = 0
+        for image_id, boxes in zip(image_ids, per_image):
+            by_image[image_id] = values[start:start + len(boxes)]
+            start += len(boxes)
+        # summed in mapping order, one box at a time, as a plain sum
+        flat = [v for image_id in order for v in by_image[image_id]]
+        return sum(flat) / len(flat) if flat else 0.0
+
+    return mean(forward, src, sources), mean(backward, ref, references)
 
 
 def quality_stats(ground_truth: Dataset, annotations: Dataset) -> QualityStats:
@@ -225,9 +276,10 @@ def quality_stats(ground_truth: Dataset, annotations: Dataset) -> QualityStats:
     }
     n_gt = sum(len(b) for b in gt.values())
     n_ann = sum(len(b) for b in ann.values())
+    gt_to_annotations, annotations_to_gt = mean_best_iou(gt, ann)
     return QualityStats(
-        gt_to_annotations=_mean_best_iou(gt, ann),
-        annotations_to_gt=_mean_best_iou(ann, gt),
+        gt_to_annotations=gt_to_annotations,
+        annotations_to_gt=annotations_to_gt,
         gt_empty=n_gt == 0,
         annotations_empty=n_ann == 0,
     )
@@ -248,37 +300,41 @@ def error_breakdown(
         ValueError: if ``predictions`` references unknown image ids.
     """
     _check_image_ids(ground_truth, predictions)
-    result = ErrorBreakdown()
-    total_gt = 0
+    per_image = []
     for rec in ground_truth.images:
-        gts = rec.annotations
-        total_gt += len(gts)
-        claimed = [False] * len(gts)
-        dets = [d for d in predictions.get(rec.image_id, ()) if d.prob >= score_floor]
-        dets.sort(key=lambda d: -d.prob)
-        for det in dets:
-            overlaps = [iou(det.box, g.box) for g in gts]
-            same_class = [
-                (ov, gi)
-                for gi, ov in enumerate(overlaps)
-                if gts[gi].label == det.label
-            ]
-            hit = [(ov, gi) for ov, gi in same_class if ov > TP_IOU]
-            if hit:
-                open_hits = [(ov, gi) for ov, gi in hit if not claimed[gi]]
-                if open_hits:
-                    _, best = max(open_hits, key=lambda p: (p[0], -p[1]))
-                    claimed[best] = True
-                    result.true_positives += 1
-                else:
-                    result.duplicate += 1
-                continue
-            best_any = max(overlaps, default=0.0)
-            if best_any > TP_IOU:
-                result.classification += 1
-            elif best_any > BACKGROUND_IOU:
-                result.localization += 1
+        image_dets = [d for d in predictions.get(rec.image_id, ()) if d.prob >= score_floor]
+        image_dets.sort(key=lambda d: -d.prob)
+        per_image.append(image_dets)
+    dets = [d for image_dets in per_image for d in image_dets]
+    gts = [a for rec in ground_truth.images for a in rec.annotations]
+    best_any = np.zeros(len(dets))
+    hits = _same_class_hits(
+        dets,
+        gts,
+        grouped_iou(
+            [[d.box for d in image_dets] for image_dets in per_image],
+            [[a.box for a in rec.annotations] for rec in ground_truth.images],
+        ),
+        np.greater,
+        best_any,
+    )
+    result = ErrorBreakdown()
+    claimed = [False] * len(gts)
+    for hit, best in zip(hits, best_any.tolist()):
+        if hit:
+            open_hits = [(ov, g) for g, ov in hit if not claimed[g]]
+            if open_hits:
+                _, g = max(open_hits, key=lambda p: (p[0], -p[1]))
+                claimed[g] = True
+                result.true_positives += 1
             else:
-                result.background += 1
-    result.missed = total_gt - result.true_positives
+                result.duplicate += 1
+            continue
+        if best > TP_IOU:
+            result.classification += 1
+        elif best > BACKGROUND_IOU:
+            result.localization += 1
+        else:
+            result.background += 1
+    result.missed = len(gts) - result.true_positives
     return result

@@ -4,13 +4,23 @@ Boxes live in continuous pixel coordinates with the origin at the top-left
 corner, x growing right and y growing down. A box is the closed rectangle
 [x1, x2] x [y1, y2]; zero-width or zero-height boxes are legal and have zero
 area.
+
+The pairwise functions (``iou_matrix``, ``giou_matrix``,
+``center_distance_matrix``) take boxes as ``(N, 4)`` float64 arrays of
+corners (x1, y1, x2, y2); ``Box`` objects are converted once at the edge with
+``box_array``. ``grouped_iou`` scores the pairs within each image of a whole
+dataset at once. Each evaluates its scalar counterpart's formula elementwise
+in the same operation order, so on finite input every entry equals the
+scalar result bit for bit, and the scalar functions remain the reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+
+import numpy as np
 
 if TYPE_CHECKING:
     from .datamodel import Detection
@@ -22,6 +32,11 @@ __all__ = [
     "iou_distance",
     "giou_distance",
     "center_distance_normalized",
+    "box_array",
+    "iou_matrix",
+    "grouped_iou",
+    "giou_matrix",
+    "center_distance_matrix",
     "nms",
     "apply_transform",
     "apply_transforms",
@@ -132,6 +147,171 @@ def center_distance_normalized(a: Box, b: Box, norm: float) -> float:
     return math.hypot(ax - bx, ay - by) / norm
 
 
+# rows of the first operand per step of a pairwise function: temporaries stay
+# at 64 x M entries however many boxes an image holds
+_ROW_BLOCK = 64
+# pairs per step of grouped_iou, for the same reason
+_PAIR_BLOCK = 1 << 14
+
+
+def box_array(boxes: Iterable[Box]) -> np.ndarray:
+    """``(N, 4)`` float64 array of the boxes' corners (x1, y1, x2, y2)."""
+    return np.array(
+        [(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64
+    ).reshape(-1, 4)
+
+
+def _row_blocks(a: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    for start in range(0, len(a), _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        yield rows, a[rows]
+
+
+def _planes(boxes: np.ndarray) -> np.ndarray:
+    """Corners as four contiguous rows x1, y1, x2, y2: shape ``(4, N)``."""
+    return np.ascontiguousarray(boxes.T)
+
+
+def _area(p: np.ndarray) -> np.ndarray:
+    return (p[2] - p[0]) * (p[3] - p[1])
+
+
+def _overlap(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signed intersection width and height of corner planes ``a`` and ``b``.
+
+    ``a[k]`` and ``b[k]`` (x1, y1, x2, y2 for k = 0..3) broadcast together.
+    """
+    iw = np.minimum(a[2], b[2])
+    iw -= np.maximum(a[0], b[0])
+    ih = np.minimum(a[3], b[3])
+    ih -= np.maximum(a[1], b[1])
+    return iw, ih
+
+
+def _iou_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """Write into the zeroed ``out`` the IoU of corner planes ``a`` and ``b``.
+
+    The steps follow :func:`iou`, so every entry equals its scalar value.
+    """
+    iw, ih = _overlap(a, b)
+    keep = np.minimum(iw, ih) > 0.0
+    inter = np.multiply(iw, ih, out=iw)
+    union = _area(a) + _area(b)
+    union -= inter
+    keep &= union > 0.0
+    np.divide(inter, union, out=out, where=keep)
+
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise :func:`iou`: entry (i, j) is the IoU of box ``a[i]`` and box ``b[j]``.
+
+    Args:
+        a, b: ``(N, 4)`` and ``(M, 4)`` float64 corner arrays.
+
+    Returns:
+        ``(N, M)`` float64 array; ``1.0 - iou_matrix(a, b)`` is the pairwise
+        :func:`iou_distance`.
+    """
+    out = np.zeros((len(a), len(b)))
+    b_planes = _planes(b)
+    for rows, blk in _row_blocks(a):
+        _iou_into(_planes(blk)[:, :, None], b_planes, out[rows])
+    return out
+
+
+def grouped_iou(
+    a_groups: Sequence[Sequence[Box]], b_groups: Sequence[Sequence[Box]]
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """IoU of every pair of boxes in the same group, many groups per numpy call.
+
+    Group g pairs each box of ``a_groups[g]`` with each box of
+    ``b_groups[g]``: the entries of their ``iou_matrix``. A group is
+    typically an image of a dataset. Pairs are visited by ``a`` box, then by
+    ``b`` box, in blocks of about ``_PAIR_BLOCK`` pairs, so an image with a
+    handful of boxes costs no numpy call of its own. Yields ``(i, j,
+    overlap)`` per block: the positions of the two boxes in the
+    concatenation of all groups, and their IoU, equal to :func:`iou` bit for
+    bit.
+    """
+    a_counts = np.array([len(g) for g in a_groups], dtype=np.intp)
+    b_counts = np.array([len(g) for g in b_groups], dtype=np.intp)
+    a_planes = _planes(box_array(box for g in a_groups for box in g))
+    b_planes = _planes(box_array(box for g in b_groups for box in g))
+    row_group = np.repeat(np.arange(len(a_counts)), a_counts)
+    width = b_counts[row_group]  # pairs of each a box
+    ends = np.cumsum(width)
+    # per a box: position of the first b box of its group
+    b_first = (np.cumsum(b_counts) - b_counts)[row_group]
+    start = 0
+    while start < len(row_group):
+        done = int(ends[start - 1]) if start else 0
+        stop = max(int(np.searchsorted(ends, done + _PAIR_BLOCK, side="right")), start + 1)
+        w = width[start:stop]
+        i = np.repeat(np.arange(start, stop), w)
+        # each pair's b position: its row's first b box plus its place in the row
+        first_pair = ends[start:stop] - w - done
+        j = np.arange(len(i)) + np.repeat(b_first[start:stop] - first_pair, w)
+        overlap = np.zeros(len(i))
+        _iou_into(a_planes[:, i], b_planes[:, j], overlap)
+        yield i, j, overlap
+        start = stop
+
+
+def giou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise generalized IoU, in [-1, 1].
+
+    ``1.0 - giou_matrix(a, b)`` is the pairwise :func:`giou_distance`; pairs
+    where the union or the hull has no area get 0.0 (distance 1.0).
+    """
+    out = np.zeros((len(a), len(b)))
+    bp = _planes(b)
+    for rows, blk in _row_blocks(a):
+        ap = _planes(blk)[:, :, None]
+        iw, ih = _overlap(ap, bp)
+        inter = np.multiply(iw, ih, out=np.zeros_like(iw), where=np.minimum(iw, ih) > 0.0)
+        union = _area(ap) + _area(bp)
+        union -= inter
+        hull = np.maximum(ap[2], bp[2])
+        hull -= np.minimum(ap[0], bp[0])
+        hull_h = np.maximum(ap[3], bp[3])
+        hull_h -= np.minimum(ap[1], bp[1])
+        hull *= hull_h
+        keep = (union > 0.0) & (hull > 0.0)
+        # inter / union - (hull - union) / hull, in the scalar order
+        ratio = np.divide(inter, union, out=inter, where=keep)
+        uncovered = np.subtract(hull, union, out=union)
+        np.divide(uncovered, hull, out=uncovered, where=keep)
+        np.subtract(ratio, uncovered, out=out[rows], where=keep)
+    return out
+
+
+def center_distance_matrix(a: np.ndarray, b: np.ndarray, norm: float) -> np.ndarray:
+    """Pairwise :func:`center_distance_normalized`.
+
+    The Euclidean norm is ``math.hypot`` per entry: ``np.hypot`` rounds
+    differently on a fraction of inputs, and the result must equal the scalar
+    function exactly.
+
+    Raises:
+        ValueError: if ``norm`` is not strictly positive.
+    """
+    if norm <= 0.0:
+        raise ValueError(f"norm must be positive, got {norm}")
+    out = np.empty((len(a), len(b)))
+    bx = (b[:, 0] + b[:, 2]) / 2.0
+    by = (b[:, 1] + b[:, 3]) / 2.0
+    for rows, blk in _row_blocks(a):
+        dx = ((blk[:, 0] + blk[:, 2]) / 2.0)[:, None] - bx
+        dy = ((blk[:, 1] + blk[:, 3]) / 2.0)[:, None] - by
+        hyp = np.fromiter(
+            map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist()),
+            dtype=np.float64,
+            count=dx.size,
+        )
+        np.divide(hyp.reshape(dx.shape), norm, out=out[rows])
+    return out
+
+
 def nms(dets: Sequence["Detection"], iou_threshold: float) -> list["Detection"]:
     """Class-wise greedy non-maximum suppression.
 
@@ -142,14 +322,22 @@ def nms(dets: Sequence["Detection"], iou_threshold: float) -> list["Detection"]:
     """
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
-    order = sorted(range(len(dets)), key=lambda i: -dets[i].prob)
+    visit = sorted(dets, key=lambda d: -d.prob)
+    if len(visit) < 2:
+        return visit  # nothing to suppress
+    boxes = box_array(d.box for d in visit)
+    rows, cols = np.nonzero(iou_matrix(boxes, boxes) > iou_threshold)
+    # for each detection, the later ones of its class it suppresses if kept
+    clashes: dict[int, list[int]] = {}
+    for k, j in zip(rows.tolist(), cols.tolist()):
+        if k < j and visit[k].label == visit[j].label:
+            clashes.setdefault(k, []).append(j)
     kept: list["Detection"] = []
-    for i in order:
-        d = dets[i]
-        if all(
-            k.label != d.label or iou(k.box, d.box) <= iou_threshold for k in kept
-        ):
+    suppressed: set[int] = set()
+    for k, d in enumerate(visit):
+        if k not in suppressed:
             kept.append(d)
+            suppressed.update(clashes.get(k, ()))
     return kept
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -239,6 +240,34 @@ class TestCorrect:
         )
         assert rc == 1
         assert "ghost" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("logit", math.nan), ("score", math.nan), ("bbox_xyxy", math.inf), ("width", math.inf)],
+    )
+    def test_non_finite_input_exits_cleanly(self, tmp_path, capsys, field, value):
+        targets = tmp_path / "targets.json"
+        two_image_dataset(targets)
+        dets = tmp_path / "dets.json"
+        detections_dataset(
+            dets, {"a": [Detection.from_prob(box=Box(12, 8, 62, 64), label=1, prob=0.9)]}
+        )
+        payload = read_json(dets)
+        if field == "width":
+            payload["images"][0][field] = value
+        elif field == "bbox_xyxy":
+            payload["annotations"][0][field][2] = value
+        else:
+            payload["annotations"][0][field] = value
+        # json.dumps writes the NaN and Infinity literals that other producers emit
+        dets.write_text(json.dumps(payload), encoding="utf-8")
+        rc = main(
+            ["correct", "--targets", str(targets), "--detections", str(dets),
+             "--out", str(tmp_path / "out"), "--profile", "nb40-ex"]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert str(dets) in err and field in err
 
     def test_workers_do_not_change_output(self, tmp_path):
         targets = tmp_path / "targets.json"

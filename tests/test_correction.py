@@ -185,6 +185,18 @@ class TestCorrectBoxesStructure:
         assert out[0].box == preds[0].box
         assert out[1] is targets[1]
 
+    @pytest.mark.parametrize("distance", ["iou", "giou", "center-normalized"])
+    def test_equidistant_distinct_targets_tie_to_lower_index(self, distance):
+        # the prediction sits exactly halfway between two different targets
+        targets = [ann(0, 0, 20, 10), ann(10, 0, 30, 10)]
+        preds = [det(5, 0, 25, 10, logit=1.0)]
+        cfg = CorrectionConfig(distance=distance, center_norm=60.0, distance_limit=0.9)
+        for order in (targets, targets[::-1]):
+            out, report = correct_boxes(order, preds, cfg)
+            assert report.assignment_sizes == [1, 0]
+            assert out[0].box == preds[0].box
+            assert out[1] is order[1]
+
     def test_multi_iteration_reassignment(self):
         # the middle prediction is exactly equidistant from both targets, so
         # the tie sends it to target A first; A's box is then dragged left by

@@ -167,6 +167,71 @@ class TestCocoLoad:
             load_annotations(path, fmt="yaml")
 
 
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+def coco_with_detection() -> dict:
+    payload = json.loads(json.dumps(MINIMAL))
+    payload["annotations"].append(
+        {"id": 2, "image_id": "a", "category_id": 2, "bbox": [0, 0, 10, 10],
+         "bbox_xyxy": [0, 0, 10, 10], "score": 0.75, "logit": 1.1}
+    )
+    return payload
+
+
+class TestMalformedInput:
+    def test_non_finite_numbers_rejected_naming_entry_and_field(self, tmp_path):
+        # every numeric field, every non-finite value, at a seeded position
+        rng = np.random.default_rng(31)
+        for case in range(60):
+            payload = coco_with_detection()
+            bad = NON_FINITE[int(rng.integers(len(NON_FINITE)))]
+            field = ("bbox", "bbox_xyxy", "score", "logit", "width", "height")[case % 6]
+            if field in ("width", "height"):
+                payload["images"][0][field] = bad
+                where = "image a"
+            else:
+                entry = payload["annotations"][1]
+                if field == "bbox":
+                    del entry["bbox_xyxy"]  # otherwise the corners are read instead
+                if field in ("bbox", "bbox_xyxy"):
+                    entry[field][int(rng.integers(4))] = bad
+                else:
+                    entry[field] = bad
+                where = "annotation 2"
+            path = write_coco(tmp_path, payload, name=f"case_{case}.json")
+            with pytest.raises(DatasetFormatError) as info:
+                load_annotations(path)
+            message = str(info.value)
+            assert str(path) in message
+            assert where in message
+            assert repr(field) in message
+
+    def test_non_numeric_coordinate_rejected(self, tmp_path):
+        payload = json.loads(json.dumps(MINIMAL))
+        payload["annotations"][0]["bbox"][2] = None
+        with pytest.raises(DatasetFormatError, match="annotation 1: 'bbox'"):
+            load_annotations(write_coco(tmp_path, payload))
+
+    @pytest.mark.parametrize("key", ["images", "categories", "annotations"])
+    def test_non_object_entry_rejected(self, tmp_path, key):
+        rng = np.random.default_rng(32)
+        for value in (5, "x", None, [1, 2], 2.5):
+            payload = json.loads(json.dumps(MINIMAL))
+            entries = payload[key]
+            entries.insert(int(rng.integers(len(entries) + 1)), value)
+            path = write_coco(tmp_path, payload)
+            with pytest.raises(DatasetFormatError, match="entry|must be an object") as info:
+                load_annotations(path)
+            assert str(path) in str(info.value)
+
+    def test_incomparable_category_ids_rejected(self, tmp_path):
+        payload = json.loads(json.dumps(MINIMAL))
+        payload["categories"][1]["id"] = "two"
+        with pytest.raises(DatasetFormatError, match="category ids"):
+            load_annotations(write_coco(tmp_path, payload))
+
+
 def random_dataset(rng: np.random.Generator, max_images: int = 4) -> Dataset:
     n_classes = int(rng.integers(1, 4))
     images = []

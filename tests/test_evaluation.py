@@ -7,11 +7,12 @@ import pytest
 
 from boxrefine.datamodel import Annotation, Dataset, Detection, ImageRecord
 from boxrefine.evaluation import (
+    TP_IOU,
     error_breakdown,
     evaluate_ap50,
     quality_stats,
 )
-from boxrefine.geometry import Box
+from boxrefine.geometry import Box, iou
 
 from oracles import average_precision_ref
 
@@ -276,3 +277,40 @@ class TestErrorBreakdown:
             n_gt = sum(len(rec.annotations) for rec in gt.images)
             assert b.missed == n_gt - b.true_positives
             assert 0 <= b.true_positives <= n_gt
+
+
+class TestTiesAndAgreement:
+    # the first detection overlaps both ground truths with IoU exactly 0.6;
+    # the second copies the first ground truth and has IoU 1/3 with the other
+    GT_PAIR = [ann(0, 0, 20, 10), ann(10, 0, 30, 10)]
+    PREDS = [det(5, 0, 25, 10, prob=0.9), det(0, 0, 20, 10, prob=0.8)]
+
+    def test_equal_iou_goes_to_lower_gt_index_in_ap(self):
+        # the tie claims ground truth 0, so the copy of it finds it taken
+        gt = dataset({"a": self.GT_PAIR})
+        assert evaluate_ap50(gt, {"a": self.PREDS}).counts[1].tp == 1
+        swapped = dataset({"a": self.GT_PAIR[::-1]})
+        assert evaluate_ap50(swapped, {"a": self.PREDS}).counts[1].tp == 2
+
+    def test_equal_iou_goes_to_lower_gt_index_in_breakdown(self):
+        b = error_breakdown(dataset({"a": self.GT_PAIR}), {"a": self.PREDS})
+        assert (b.true_positives, b.duplicate) == (1, 1)
+        b = error_breakdown(dataset({"a": self.GT_PAIR[::-1]}), {"a": self.PREDS})
+        assert (b.true_positives, b.duplicate) == (2, 0)
+
+    def test_breakdown_true_positives_equal_ap_true_positives(self):
+        rng = np.random.default_rng(47)
+        total_tp = 0
+        for _ in range(80):
+            gt, preds = random_instance(rng)
+            # the two metrics part only at IoU exactly TP_IOU, absent here
+            assert all(
+                iou(d.box, a.box) != TP_IOU
+                for rec in gt.images
+                for d in preds[rec.image_id]
+                for a in rec.annotations
+            )
+            tp = sum(c.tp for c in evaluate_ap50(gt, preds).counts.values())
+            assert error_breakdown(gt, preds, score_floor=0.0).true_positives == tp
+            total_tp += tp
+        assert total_tp > 30

@@ -5,17 +5,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from boxrefine import geometry
 from boxrefine.datamodel import Detection
 from boxrefine.geometry import (
     Box,
     GeoTransform,
     apply_transform,
     apply_transforms,
+    box_array,
+    center_distance_matrix,
     center_distance_normalized,
     giou_distance,
+    giou_matrix,
+    grouped_iou,
     invert_transforms,
     iou,
     iou_distance,
+    iou_matrix,
     nms,
 )
 
@@ -220,6 +226,115 @@ class TestNms:
                 for b in kept[i + 1 :]:
                     if a.label == b.label:
                         assert iou(a.box, b.box) <= 0.5 + 1e-12
+
+
+def tricky_boxes(rng: np.random.Generator, n: int) -> list[Box]:
+    """Random boxes mixed with the cases where float formulas part ways.
+
+    Besides plain random boxes: identical copies, nested boxes, boxes that
+    touch along an edge or a corner, zero-width, zero-height and point
+    boxes, and boxes on an integer grid, where exact ties and IoU values of
+    exactly 0.5 occur.
+    """
+    out: list[Box] = []
+    while len(out) < n:
+        kind = int(rng.integers(7))
+        if kind == 0 or not out:
+            out.append(random_box(rng))
+            continue
+        base = out[int(rng.integers(len(out)))]
+        if kind == 1:
+            out.append(Box(*base.as_tuple()))
+        elif kind == 2:
+            f = sorted(rng.uniform(0.0, 1.0, 2).tolist())
+            out.append(Box(base.x1 + f[0] * base.width, base.y1, base.x1 + f[1] * base.width, base.y2))
+        elif kind == 3:
+            out.append(Box(base.x2, base.y1, base.x2 + base.width, base.y2))
+        elif kind == 4:
+            out.append(Box(base.x2, base.y2, base.x2 + 5.0, base.y2 + 5.0))
+        elif kind == 5:
+            x, y = rng.uniform(0.0, 100.0, 2).tolist()
+            w = float(rng.choice([0.0, 3.0]))
+            h = 0.0 if w else float(rng.choice([0.0, 7.0]))
+            out.append(Box(x, y, x + w, y + h))
+        else:
+            x, y = rng.integers(0, 8, 2).tolist()
+            w, h = rng.integers(0, 5, 2).tolist()
+            out.append(Box(float(x), float(y), float(x + w), float(y + h)))
+    return out
+
+
+class TestPairwiseMatrices:
+    """The array functions must equal the scalar ones exactly, not approximately."""
+
+    def cases(self, seed: int):
+        rng = np.random.default_rng(seed)
+        for n, m in ((1, 1), (7, 5), (150, 40), (0, 4), (4, 0), (0, 0)):
+            yield tricky_boxes(rng, n), tricky_boxes(rng, m)
+
+    def test_iou_matrix_is_bit_identical(self):
+        for a, b in self.cases(41):
+            got = iou_matrix(box_array(a), box_array(b))
+            assert got.shape == (len(a), len(b))
+            assert got.tolist() == [[iou(p, q) for q in b] for p in a]
+            assert (1.0 - got).tolist() == [[iou_distance(p, q) for q in b] for p in a]
+
+    def test_giou_matrix_is_bit_identical(self):
+        for a, b in self.cases(42):
+            got = 1.0 - giou_matrix(box_array(a), box_array(b))
+            assert got.shape == (len(a), len(b))
+            assert got.tolist() == [[giou_distance(p, q) for q in b] for p in a]
+
+    def test_center_distance_matrix_is_bit_identical(self):
+        for norm in (60.0, 7.3):
+            for a, b in self.cases(43):
+                got = center_distance_matrix(box_array(a), box_array(b), norm)
+                assert got.shape == (len(a), len(b))
+                want = [[center_distance_normalized(p, q, norm) for q in b] for p in a]
+                assert got.tolist() == want
+
+    def test_center_distance_matrix_rejects_non_positive_norm(self):
+        boxes = box_array([Box(0, 0, 1, 1)])
+        with pytest.raises(ValueError):
+            center_distance_matrix(boxes, boxes, 0.0)
+
+    @pytest.mark.parametrize("block", [7, None])
+    def test_grouped_iou_covers_each_group_once(self, monkeypatch, block):
+        if block is not None:
+            # blocks smaller than one row's pairs, and rows split across blocks
+            monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
+        rng = np.random.default_rng(44)
+        # empty groups included
+        a_groups = [tricky_boxes(rng, int(n)) for n in rng.integers(0, 12, 300)]
+        b_groups = [tricky_boxes(rng, int(n)) for n in rng.integers(0, 12, 300)]
+        got: dict[tuple[int, int], float] = {}
+        for i, j, overlap in grouped_iou(a_groups, b_groups):
+            for pair, value in zip(zip(i.tolist(), j.tolist()), overlap.tolist()):
+                assert pair not in got
+                got[pair] = value
+        want: dict[tuple[int, int], float] = {}
+        a_start = b_start = 0
+        for a, b in zip(a_groups, b_groups):
+            for i, p in enumerate(a, start=a_start):
+                for j, q in enumerate(b, start=b_start):
+                    want[(i, j)] = iou(p, q)
+            a_start, b_start = a_start + len(a), b_start + len(b)
+        assert got == want
+
+    def test_nms_matches_scalar_greedy(self):
+        rng = np.random.default_rng(45)
+        for _ in range(60):
+            boxes = tricky_boxes(rng, int(rng.integers(0, 30)))
+            dets = [
+                det(b, int(rng.integers(1, 3)), float(rng.choice([0.5, 0.7, 0.9])))
+                for b in boxes
+            ]
+            threshold = float(rng.choice([0.0, 0.3, 0.5, 1.0]))
+            kept: list[Detection] = []
+            for d in sorted(dets, key=lambda d: -d.prob):
+                if all(k.label != d.label or iou(k.box, d.box) <= threshold for k in kept):
+                    kept.append(d)
+            assert nms(dets, threshold) == kept
 
 
 class TestTransforms:
