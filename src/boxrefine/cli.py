@@ -16,14 +16,16 @@ import csv
 import json
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .correction import (
+# ``correct_targets`` is not called here; it stays bound because
+# bench/spans.py traces calls through each module's own names
+from .correction import (  # noqa: F401
     ConfigError,
     CorrectionConfig,
+    correct_images,
     correct_targets,
 )
 from .datamodel import (
@@ -390,13 +392,17 @@ def cmd_correct(run: RunConfig) -> None:
     dets_by_id = {
         rec.image_id: rec.detections or [] for rec in detections_ds.images
     }
-    cfg = run.correction_config()
+    results = correct_images(
+        [(rec.annotations, dets_by_id.get(rec.image_id, [])) for rec in targets_ds.images],
+        run.correction_config(),
+    )
 
-    def process(rec: ImageRecord):
-        corrected, report = correct_targets(
-            rec.annotations, dets_by_id.get(rec.image_id, []), cfg
-        )
-        clipped = [
+    images = []
+    reports = {}
+    corrected_count = 0
+    mined_count = 0
+    for rec, (corrected, report) in zip(targets_ds.images, results):
+        anns = [
             a
             if a.box == a.box.clip(rec.width, rec.height)
             else Annotation(
@@ -406,22 +412,9 @@ def cmd_correct(run: RunConfig) -> None:
             )
             for a in corrected
         ]
-        return rec.image_id, clipped, report
-
-    if run.workers > 1:
-        with ThreadPoolExecutor(max_workers=run.workers) as pool:
-            results = list(pool.map(process, targets_ds.images))
-    else:
-        results = [process(rec) for rec in targets_ds.images]
-
-    images = []
-    reports = {}
-    corrected_count = 0
-    mined_count = 0
-    for rec, (image_id, anns, report) in zip(targets_ds.images, results):
         images.append(
             ImageRecord(
-                image_id=image_id,
+                image_id=rec.image_id,
                 width=rec.width,
                 height=rec.height,
                 annotations=anns,
@@ -429,7 +422,7 @@ def cmd_correct(run: RunConfig) -> None:
         )
         corrected_count += sum(1 for a in anns if a.provenance == "corrected")
         mined_count += report.mined
-        reports[image_id] = {
+        reports[rec.image_id] = {
             "iterations": report.iterations,
             "converged": report.converged,
             "assignment_sizes": report.assignment_sizes,
@@ -669,7 +662,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--seed", type=int, help="master seed (default 0)")
     parser.add_argument(
-        "--workers", type=int, default=1, help="per-image parallelism (default 1)"
+        "--workers",
+        type=int,
+        default=1,
+        help="accepted for compatibility and ignored: every subcommand runs serially",
     )
 
 

@@ -12,6 +12,11 @@ hit.
 Label mining keeps predictions at or above a probability threshold, removes
 near-duplicates among them with class-wise NMS, drops survivors that overlap
 an existing same-class target, and appends the rest as new annotations.
+
+:func:`correct_images` runs both stages over many images at once: the
+pairwise steps of consecutive images share one padded numpy block (see
+``geometry.image_chunks``). :func:`correct_targets`, :func:`correct_boxes`
+and :func:`mine_labels` are its one-image cases.
 """
 
 from __future__ import annotations
@@ -28,16 +33,20 @@ from .datamodel import (
     PROVENANCE_CORRECTED,
     PROVENANCE_MINED,
 )
-# ``iou`` is not called here; it stays bound because bench/spans.py counts
-# scalar IoU calls through each module's own name
+# ``iou`` and ``nms`` are not called here; they stay bound because
+# bench/spans.py counts scalar IoU calls and traces nms through each
+# module's own names
 from .geometry import (  # noqa: F401
     Box,
-    box_array,
     center_distance_matrix,
     giou_matrix,
+    grouped_nms,
+    image_chunks,
     iou,
     iou_matrix,
     nms,
+    pad_stack,
+    stack_boxes,
 )
 
 __all__ = [
@@ -50,6 +59,7 @@ __all__ = [
     "correct_boxes",
     "mine_labels",
     "correct_targets",
+    "correct_images",
 ]
 
 DISTANCE_IOU = "iou"
@@ -125,7 +135,8 @@ class CorrectionConfig:
             raise ConfigError(f"fixed_size must be positive, got {self.fixed_size}")
 
     def distance_matrix(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-        """Pairwise distance: ``(N, 4)`` and ``(M, 4)`` corner arrays to ``(N, M)``.
+        """Pairwise distance: ``(N, 4)`` and ``(M, 4)`` corner arrays to ``(N, M)``,
+        or stacks of them, ``(C, N, 4)`` and ``(C, M, 4)`` to ``(C, N, M)``.
 
         Entries equal the scalar ``iou_distance``, ``giou_distance`` or
         ``center_distance_normalized`` of the same pair.
@@ -182,7 +193,7 @@ def _update_class(
     current: list[list[float]],
     picks: list[int],
     pred_ids: list[int],
-    preds: Sequence[Detection],
+    logits: list[float],
     coords: list[list[float]],
     cfg: CorrectionConfig,
 ) -> float:
@@ -197,7 +208,7 @@ def _update_class(
             members.setdefault(t, []).append(pi)
     moved = 0.0
     for t, group in members.items():
-        weights = _softmax([preds[pi].logit / cfg.temperature for pi in group])
+        weights = _softmax([logits[pi] / cfg.temperature for pi in group])
         if cfg.fixed_size is not None:
             centers = [_center(coords[pi]) for pi in group]
             cx = sum(w * c[0] for w, c in zip(weights, centers))
@@ -211,6 +222,160 @@ def _update_class(
         moved = max(moved, *(abs(n - o) for n, o in zip(nb, current[t])))
         current[t] = nb
     return moved
+
+
+# one image's targets and predictions
+_Image = tuple[Sequence[Annotation], Sequence[Detection]]
+
+
+def _correct_chunk(
+    images: Sequence[_Image], reports: Sequence[CorrectionReport], cfg: CorrectionConfig
+) -> list[list[Annotation]]:
+    """Box correction of images that all have targets and predictions.
+
+    The images share one padded block per round: row c, t, j of the distance
+    stack pairs target t and prediction j of image c. Classes of an image are
+    corrected together; a prediction only ever looks at targets of its own
+    class and image, so every (image, class) group stops on its own.
+    """
+    distance = cfg.distance_matrix()
+    target_boxes = stack_boxes([[t.box for t in targets] for targets, _ in images])
+    pred_boxes = stack_boxes([[p.box for p in preds] for _, preds in images])
+    n, width, p_width = pred_boxes.shape[0], target_boxes.shape[1], pred_boxes.shape[1]
+    # padding is labelled 0 among targets and -1 among predictions, so no
+    # pair with a padding row is of the same class: the class mask, not the
+    # padding's distance, keeps padding out
+    same_class = (
+        pad_stack([[t.label for t in targets] for targets, _ in images], 0)[:, :, None]
+        == pad_stack([[p.label for p in preds] for _, preds in images], -1)[:, None, :]
+    )
+    dist: np.ndarray | None = distance(target_boxes, pred_boxes)
+    # eligibility is pinned to the input boxes, not the moving working boxes
+    eligible = dist <= cfg.distance_limit
+    eligible &= same_class
+    # targets and predictions by flat index: image c's row t is c * width + t
+    coords = pred_boxes.reshape(-1, 4).tolist()
+    logits = [0.0] * len(coords)
+    for c, (_, preds) in enumerate(images):
+        logits[c * p_width : c * p_width + len(preds)] = [p.logit for p in preds]
+    if cfg.fixed_size is not None:
+        current = [
+            _square_about(*_center(b), cfg.fixed_size)
+            for b in target_boxes.reshape(-1, 4).tolist()
+        ]
+        dist = None
+    else:
+        current = target_boxes.reshape(-1, 4).tolist()
+    running: dict[tuple[int, int], list[int]] = {}
+    for c, (group, group_preds) in enumerate(images):
+        target_labels = {t.label for t in group}
+        for j, p in enumerate(group_preds):
+            if p.label in target_labels:
+                running.setdefault((c, p.label), []).append(c * p_width + j)
+    rounds = dict.fromkeys(running, 0)
+    prev_picks: dict[tuple[int, int], list[int]] = {}
+    offsets = np.arange(0, n * width, width)[:, None]
+    while running:
+        if dist is None:
+            dist = distance(np.array(current).reshape(n, width, 4), pred_boxes)
+        # argmin takes the first minimum: distance ties go to the lower target index
+        nearest = np.where(same_class, dist, np.inf).argmin(axis=1)
+        ok = np.take_along_axis(eligible, nearest[:, None, :], axis=1)[:, 0, :]
+        assign = np.where(ok, nearest + offsets, -1).ravel().tolist()
+        changed = False
+        for key, pred_ids in list(running.items()):
+            picks = [assign[j] for j in pred_ids]
+            if picks == prev_picks.get(key):
+                converged = True
+            elif rounds[key] >= cfg.max_iterations:
+                converged = False
+            else:
+                moved = _update_class(current, picks, pred_ids, logits, coords, cfg)
+                rounds[key] += 1
+                prev_picks[key] = picks
+                changed = changed or moved > 0.0
+                if moved >= cfg.convergence_eps:
+                    continue
+                converged = True
+            del running[key]
+            report = reports[key[0]]
+            base = key[0] * width
+            for t in picks:
+                if t >= 0:
+                    report.assignment_sizes[t - base] += 1
+            report.iterations = max(report.iterations, rounds[key])
+            report.converged = report.converged and converged
+        if changed:
+            dist = None
+    out: list[list[Annotation]] = []
+    for c, (group, _) in enumerate(images):
+        anns: list[Annotation] = []
+        for t, corners in zip(group, current[c * width : c * width + len(group)]):
+            b = Box(*corners)
+            if b == t.box:
+                anns.append(t)
+            else:
+                anns.append(replace(t, box=b, provenance=PROVENANCE_CORRECTED))
+        out.append(anns)
+    return out
+
+
+def _untouched(targets: Sequence[Annotation]) -> tuple[list[Annotation], CorrectionReport]:
+    return list(targets), CorrectionReport(assignment_sizes=[0] * len(targets))
+
+
+def _correct_stage(
+    images: Sequence[_Image], cfg: CorrectionConfig
+) -> list[tuple[list[Annotation], CorrectionReport]]:
+    """Box correction of every image, in chunks of :func:`image_chunks`.
+
+    An image without targets or without predictions comes back unchanged.
+    """
+    results = [_untouched(targets) for targets, _ in images]
+    todo = [k for k, (targets, preds) in enumerate(images) if targets and preds]
+    rows = [len(images[k][0]) for k in todo]
+    cols = [len(images[k][1]) for k in todo]
+    for chunk in image_chunks(rows, cols):
+        ks = [todo[i] for i in chunk]
+        corrected = _correct_chunk(
+            [images[k] for k in ks], [results[k][1] for k in ks], cfg
+        )
+        for k, anns in zip(ks, corrected):
+            results[k] = (anns, results[k][1])
+    return results
+
+
+def _mine_stage(images: Sequence[_Image], cfg: CorrectionConfig) -> list[list[Annotation]]:
+    """Label mining of every image: its targets followed by its mined boxes."""
+    survivors = grouped_nms(
+        [[p for p in preds if p.prob >= cfg.mining_threshold] for _, preds in images],
+        cfg.mining_nms_iou,
+    )
+    duplicates: dict[int, set[int]] = {}
+    todo = [k for k, (targets, _) in enumerate(images) if survivors[k] and targets]
+    rows = [len(survivors[k]) for k in todo]
+    cols = [len(images[k][0]) for k in todo]
+    for chunk in image_chunks(rows, cols):
+        ks = [todo[i] for i in chunk]
+        overlap = iou_matrix(
+            stack_boxes([[p.box for p in survivors[k]] for k in ks]),
+            stack_boxes([[t.box for t in images[k][0]] for k in ks]),
+        )
+        hits = np.nonzero(overlap > cfg.dedup_iou)
+        for c, r, t in zip(*(axis.tolist() for axis in hits)):
+            found, targets = survivors[ks[c]], images[ks[c]][0]
+            # padding rows and columns are skipped here, whatever their overlap
+            if r < len(found) and t < len(targets) and found[r].label == targets[t].label:
+                duplicates.setdefault(ks[c], set()).add(r)
+    return [
+        list(targets)
+        + [
+            Annotation(box=p.box, label=p.label, provenance=PROVENANCE_MINED)
+            for r, p in enumerate(found)
+            if r not in duplicates.get(k, ())
+        ]
+        for k, ((targets, _), found) in enumerate(zip(images, survivors))
+    ]
 
 
 def correct_boxes(
@@ -230,72 +395,7 @@ def correct_boxes(
     cfg.validate()
     if cfg.distance_limit is None:
         raise ConfigError("box correction requires a distance_limit")
-    report = CorrectionReport(
-        iterations=0, converged=True, assignment_sizes=[0] * len(targets)
-    )
-    if not targets or not preds:
-        return list(targets), report
-    distance = cfg.distance_matrix()
-    target_boxes = box_array(t.box for t in targets)
-    pred_boxes = box_array(p.box for p in preds)
-    coords = pred_boxes.tolist()
-    # Classes are corrected together, one distance matrix per round for the
-    # whole image: a prediction only ever looks at targets of its own class.
-    same_class = np.equal.outer([t.label for t in targets], [p.label for p in preds])
-    dist: np.ndarray | None = distance(target_boxes, pred_boxes)
-    # eligibility is pinned to the input boxes, not the moving working boxes
-    eligible = dist <= cfg.distance_limit
-    eligible &= same_class
-    if cfg.fixed_size is not None:
-        current = [_square_about(*_center(b), cfg.fixed_size) for b in target_boxes.tolist()]
-        dist = None
-    else:
-        current = target_boxes.tolist()
-    running: dict[int, list[int]] = {}
-    target_labels = {t.label for t in targets}
-    for j, p in enumerate(preds):
-        if p.label in target_labels:
-            running.setdefault(p.label, []).append(j)
-    rounds = dict.fromkeys(running, 0)
-    prev_picks: dict[int, list[int]] = {}
-    columns = np.arange(len(preds))
-    while running:
-        if dist is None:
-            dist = distance(np.array(current), pred_boxes)
-        # argmin takes the first minimum: distance ties go to the lower target index
-        nearest = np.where(same_class, dist, np.inf).argmin(axis=0)
-        assign = np.where(eligible[nearest, columns], nearest, -1).tolist()
-        changed = False
-        for label, pred_ids in list(running.items()):
-            picks = [assign[j] for j in pred_ids]
-            if picks == prev_picks.get(label):
-                converged = True
-            elif rounds[label] >= cfg.max_iterations:
-                converged = False
-            else:
-                moved = _update_class(current, picks, pred_ids, preds, coords, cfg)
-                rounds[label] += 1
-                prev_picks[label] = picks
-                changed = changed or moved > 0.0
-                if moved >= cfg.convergence_eps:
-                    continue
-                converged = True
-            del running[label]
-            for t in picks:
-                if t >= 0:
-                    report.assignment_sizes[t] += 1
-            report.iterations = max(report.iterations, rounds[label])
-            report.converged = report.converged and converged
-        if changed:
-            dist = None
-    out: list[Annotation] = []
-    for t, corners in zip(targets, current):
-        b = Box(*corners)
-        if b == t.box:
-            out.append(t)
-        else:
-            out.append(replace(t, box=b, provenance=PROVENANCE_CORRECTED))
-    return out, report
+    return _correct_stage([(targets, preds)], cfg)[0]
 
 
 def mine_labels(
@@ -316,25 +416,7 @@ def mine_labels(
     cfg.validate()
     if cfg.mining_threshold is None:
         raise ConfigError("label mining requires a mining_threshold")
-    confident = [p for p in preds if p.prob >= cfg.mining_threshold]
-    survivors = nms(confident, cfg.mining_nms_iou)
-    duplicates: set[int] = set()
-    if survivors and targets:
-        rows, cols = np.nonzero(
-            iou_matrix(box_array(p.box for p in survivors), box_array(t.box for t in targets))
-            > cfg.dedup_iou
-        )
-        duplicates = {
-            k
-            for k, t in zip(rows.tolist(), cols.tolist())
-            if survivors[k].label == targets[t].label
-        }
-    mined = [
-        Annotation(box=p.box, label=p.label, provenance=PROVENANCE_MINED)
-        for k, p in enumerate(survivors)
-        if k not in duplicates
-    ]
-    return list(targets) + mined
+    return _mine_stage([(targets, preds)], cfg)[0]
 
 
 def correct_targets(
@@ -348,14 +430,27 @@ def correct_targets(
     correction, ``mining_threshold`` for mining. With both unset the input
     comes back untouched.
     """
+    return correct_images([(targets, preds)], cfg)[0]
+
+
+def correct_images(
+    images: Sequence[_Image], cfg: CorrectionConfig
+) -> list[tuple[list[Annotation], CorrectionReport]]:
+    """:func:`correct_targets` of every ``(targets, predictions)`` pair.
+
+    The result of each image equals a :func:`correct_targets` call on it
+    alone; consecutive images share their numpy calls.
+    """
     cfg.validate()
     if cfg.distance_limit is not None:
-        corrected, report = correct_boxes(targets, preds, cfg)
+        results = _correct_stage(images, cfg)
     else:
-        corrected = list(targets)
-        report = CorrectionReport(assignment_sizes=[0] * len(targets))
+        results = [_untouched(targets) for targets, _ in images]
     if cfg.mining_threshold is not None:
-        extended = mine_labels(corrected, preds, cfg)
-        report.mined = len(extended) - len(corrected)
-        corrected = extended
-    return corrected, report
+        extended = _mine_stage(
+            [(anns, preds) for (anns, _), (_, preds) in zip(results, images)], cfg
+        )
+        for (anns, report), ext in zip(results, extended):
+            report.mined = len(ext) - len(anns)
+        results = [(ext, report) for ext, (_, report) in zip(extended, results)]
+    return results

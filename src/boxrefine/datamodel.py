@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
-from xml.sax.saxutils import escape
 
 from .geometry import Box
 
@@ -304,7 +303,7 @@ def _load_coco(path: Path) -> Dataset:
             raise DatasetFormatError(
                 f"{path}: annotation #{k} must be an object, got {type(entry).__name__}"
             )
-        ann_id = entry.get("id", f"#{k}")
+        ann_id = entry["id"] if "id" in entry else f"#{k}"
         if "image_id" not in entry:
             raise DatasetFormatError(f"{path}: annotation {ann_id}: missing 'image_id'")
         rec = by_id.get(entry["image_id"])
@@ -533,6 +532,15 @@ LAYER_COLORS = {
 DEFAULT_LAYERS = tuple(LAYER_COLORS)
 
 
+def _escape(text: str) -> str:
+    """``&``, ``<`` and ``>`` as XML entities, like ``xml.sax.saxutils.escape``.
+
+    Written out here because importing ``xml.sax`` loads ``urllib`` and the
+    HTTP and e-mail packages into every process.
+    """
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def render_svg(
     record: ImageRecord,
     layers: Iterable[str] = DEFAULT_LAYERS,
@@ -561,7 +569,7 @@ def render_svg(
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{record.width}" '
         f'height="{record.height}" viewBox="0 0 {record.width} {record.height}">',
-        f"<!-- image {escape(record.image_id)} -->",
+        f"<!-- image {_escape(record.image_id)} -->",
     ]
     for layer in DEFAULT_LAYERS:
         if layer not in layer_list:
@@ -591,7 +599,7 @@ def render_svg(
             )
             parts.append(
                 f'<text x="{box.x1:.2f}" y="{max(box.y1 - 2.0, 8.0):.2f}" '
-                f'font-size="10" fill="{color}">{escape(text)}</text>'
+                f'font-size="10" fill="{color}">{_escape(text)}</text>'
             )
         parts.append("</g>")
     parts.append("</svg>")

@@ -8,10 +8,14 @@ area.
 The pairwise functions (``iou_matrix``, ``giou_matrix``,
 ``center_distance_matrix``) take boxes as ``(N, 4)`` float64 arrays of
 corners (x1, y1, x2, y2); ``Box`` objects are converted once at the edge with
-``box_array``. ``grouped_iou`` scores the pairs within each image of a whole
-dataset at once. Each evaluates its scalar counterpart's formula elementwise
-in the same operation order, so on finite input every entry equals the
-scalar result bit for bit, and the scalar functions remain the reference.
+``box_array``. They also take stacks of images, ``(C, N, 4)`` and
+``(C, M, 4)`` to ``(C, N, M)``: ``image_chunks`` groups consecutive images so
+that such a padded block stays small, and ``stack_boxes`` builds it.
+``grouped_iou`` scores the pairs within each image of a whole dataset at
+once, as pair lists. Each evaluates its scalar counterpart's formula
+elementwise in the same operation order, so on finite input every entry
+equals the scalar result bit for bit, and the scalar functions remain the
+reference.
 """
 
 from __future__ import annotations
@@ -37,7 +41,11 @@ __all__ = [
     "grouped_iou",
     "giou_matrix",
     "center_distance_matrix",
+    "image_chunks",
+    "stack_boxes",
+    "pad_stack",
     "nms",
+    "grouped_nms",
     "apply_transform",
     "apply_transforms",
     "invert_transforms",
@@ -152,6 +160,10 @@ def center_distance_normalized(a: Box, b: Box, norm: float) -> float:
 _ROW_BLOCK = 64
 # pairs per step of grouped_iou, for the same reason
 _PAIR_BLOCK = 1 << 14
+# padded (images x rows x columns) entries per chunk of image_chunks
+_CHUNK_ENTRIES = 1 << 15
+# the padding of a stack of boxes
+_NO_BOX = (0.0, 0.0, 0.0, 0.0)
 
 
 def box_array(boxes: Iterable[Box]) -> np.ndarray:
@@ -161,15 +173,54 @@ def box_array(boxes: Iterable[Box]) -> np.ndarray:
     ).reshape(-1, 4)
 
 
+def image_chunks(rows: Sequence[int], cols: Sequence[int]) -> Iterator[range]:
+    """Split images into runs of consecutive ones that share a padded block.
+
+    Image k contributes a ``rows[k]`` x ``cols[k]`` pairwise matrix. A run
+    grows while (images x largest rows x largest columns) stays within
+    ``_CHUNK_ENTRIES``; an image larger than that forms a run of its own, so
+    its block is exactly its own matrix.
+    """
+    start, n = 0, len(rows)
+    while start < n:
+        r, c, stop = rows[start], cols[start], start + 1
+        while stop < n:
+            r2, c2 = max(r, rows[stop]), max(c, cols[stop])
+            if (stop + 1 - start) * r2 * c2 > _CHUNK_ENTRIES:
+                break
+            r, c, stop = r2, c2, stop + 1
+        yield range(start, stop)
+        start = stop
+
+
+def stack_boxes(groups: Sequence[Sequence[Box]]) -> np.ndarray:
+    """``(C, W, 4)`` float64 corners of C groups of boxes, W the longest group.
+
+    Shorter groups are padded with zero boxes, which carry no meaning: the
+    caller masks them out.
+    """
+    width = max(map(len, groups), default=0)
+    return np.array(
+        [[(b.x1, b.y1, b.x2, b.y2) for b in g] + [_NO_BOX] * (width - len(g)) for g in groups],
+        dtype=np.float64,
+    ).reshape(len(groups), width, 4)
+
+
+def pad_stack(rows: Sequence[Sequence[object]], fill: object) -> np.ndarray:
+    """``(C, W)`` array of C rows of scalars, each padded with ``fill`` to the longest."""
+    width = max(map(len, rows), default=0)
+    return np.array([[*row, *[fill] * (width - len(row))] for row in rows])
+
+
 def _row_blocks(a: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
-    for start in range(0, len(a), _ROW_BLOCK):
+    for start in range(0, a.shape[-2], _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
-        yield rows, a[rows]
+        yield rows, a[..., rows, :]
 
 
 def _planes(boxes: np.ndarray) -> np.ndarray:
-    """Corners as four contiguous rows x1, y1, x2, y2: shape ``(4, N)``."""
-    return np.ascontiguousarray(boxes.T)
+    """Corners as four contiguous planes x1, y1, x2, y2: shape ``(4, ..., N)``."""
+    return np.ascontiguousarray(boxes.transpose(-1, *range(boxes.ndim - 1)))
 
 
 def _area(p: np.ndarray) -> np.ndarray:
@@ -206,16 +257,17 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise :func:`iou`: entry (i, j) is the IoU of box ``a[i]`` and box ``b[j]``.
 
     Args:
-        a, b: ``(N, 4)`` and ``(M, 4)`` float64 corner arrays.
+        a, b: ``(N, 4)`` and ``(M, 4)`` float64 corner arrays, or stacks of
+            them, ``(C, N, 4)`` and ``(C, M, 4)``.
 
     Returns:
-        ``(N, M)`` float64 array; ``1.0 - iou_matrix(a, b)`` is the pairwise
-        :func:`iou_distance`.
+        ``(N, M)`` (or ``(C, N, M)``) float64 array; ``1.0 - iou_matrix(a, b)``
+        is the pairwise :func:`iou_distance`.
     """
-    out = np.zeros((len(a), len(b)))
-    b_planes = _planes(b)
+    out = np.zeros(a.shape[:-1] + b.shape[-2:-1])
+    b_planes = _planes(b)[..., None, :]
     for rows, blk in _row_blocks(a):
-        _iou_into(_planes(blk)[:, :, None], b_planes, out[rows])
+        _iou_into(_planes(blk)[..., None], b_planes, out[..., rows, :])
     return out
 
 
@@ -261,12 +313,13 @@ def giou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise generalized IoU, in [-1, 1].
 
     ``1.0 - giou_matrix(a, b)`` is the pairwise :func:`giou_distance`; pairs
-    where the union or the hull has no area get 0.0 (distance 1.0).
+    where the union or the hull has no area get 0.0 (distance 1.0). Shapes
+    as for :func:`iou_matrix`.
     """
-    out = np.zeros((len(a), len(b)))
-    bp = _planes(b)
+    out = np.zeros(a.shape[:-1] + b.shape[-2:-1])
+    bp = _planes(b)[..., None, :]
     for rows, blk in _row_blocks(a):
-        ap = _planes(blk)[:, :, None]
+        ap = _planes(blk)[..., None]
         iw, ih = _overlap(ap, bp)
         inter = np.multiply(iw, ih, out=np.zeros_like(iw), where=np.minimum(iw, ih) > 0.0)
         union = _area(ap) + _area(bp)
@@ -281,7 +334,7 @@ def giou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         ratio = np.divide(inter, union, out=inter, where=keep)
         uncovered = np.subtract(hull, union, out=union)
         np.divide(uncovered, hull, out=uncovered, where=keep)
-        np.subtract(ratio, uncovered, out=out[rows], where=keep)
+        np.subtract(ratio, uncovered, out=out[..., rows, :], where=keep)
     return out
 
 
@@ -290,25 +343,25 @@ def center_distance_matrix(a: np.ndarray, b: np.ndarray, norm: float) -> np.ndar
 
     The Euclidean norm is ``math.hypot`` per entry: ``np.hypot`` rounds
     differently on a fraction of inputs, and the result must equal the scalar
-    function exactly.
+    function exactly. Shapes as for :func:`iou_matrix`.
 
     Raises:
         ValueError: if ``norm`` is not strictly positive.
     """
     if norm <= 0.0:
         raise ValueError(f"norm must be positive, got {norm}")
-    out = np.empty((len(a), len(b)))
-    bx = (b[:, 0] + b[:, 2]) / 2.0
-    by = (b[:, 1] + b[:, 3]) / 2.0
+    out = np.empty(a.shape[:-1] + b.shape[-2:-1])
+    bx = ((b[..., 0] + b[..., 2]) / 2.0)[..., None, :]
+    by = ((b[..., 1] + b[..., 3]) / 2.0)[..., None, :]
     for rows, blk in _row_blocks(a):
-        dx = ((blk[:, 0] + blk[:, 2]) / 2.0)[:, None] - bx
-        dy = ((blk[:, 1] + blk[:, 3]) / 2.0)[:, None] - by
+        dx = ((blk[..., 0] + blk[..., 2]) / 2.0)[..., None] - bx
+        dy = ((blk[..., 1] + blk[..., 3]) / 2.0)[..., None] - by
         hyp = np.fromiter(
             map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist()),
             dtype=np.float64,
             count=dx.size,
         )
-        np.divide(hyp.reshape(dx.shape), norm, out=out[rows])
+        np.divide(hyp.reshape(dx.shape), norm, out=out[..., rows, :])
     return out
 
 
@@ -320,25 +373,43 @@ def nms(dets: Sequence["Detection"], iou_threshold: float) -> list["Detection"]:
     class is at or below ``iou_threshold``. Returns survivors in visit order,
     so the output is sorted by descending probability.
     """
+    return grouped_nms([dets], iou_threshold)[0]
+
+
+def grouped_nms(
+    groups: Sequence[Sequence["Detection"]], iou_threshold: float
+) -> list[list["Detection"]]:
+    """:func:`nms` of each group (typically an image), many groups per numpy call.
+
+    The pairwise IoU of the groups is computed in padded blocks of
+    :func:`image_chunks`; the greedy pass then runs per group.
+    """
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
-    visit = sorted(dets, key=lambda d: -d.prob)
-    if len(visit) < 2:
-        return visit  # nothing to suppress
-    boxes = box_array(d.box for d in visit)
-    rows, cols = np.nonzero(iou_matrix(boxes, boxes) > iou_threshold)
-    # for each detection, the later ones of its class it suppresses if kept
-    clashes: dict[int, list[int]] = {}
-    for k, j in zip(rows.tolist(), cols.tolist()):
-        if k < j and visit[k].label == visit[j].label:
-            clashes.setdefault(k, []).append(j)
-    kept: list["Detection"] = []
-    suppressed: set[int] = set()
-    for k, d in enumerate(visit):
-        if k not in suppressed:
-            kept.append(d)
-            suppressed.update(clashes.get(k, ()))
-    return kept
+    visits = [sorted(g, key=lambda d: -d.prob) for g in groups]
+    # below two detections there is nothing to suppress
+    todo = [k for k, visit in enumerate(visits) if len(visit) >= 2]
+    sizes = [len(visits[k]) for k in todo]
+    for chunk in image_chunks(sizes, sizes):
+        members = [visits[todo[i]] for i in chunk]
+        boxes = stack_boxes([[d.box for d in m] for m in members])
+        # for each detection, the later ones of its group and class it
+        # suppresses if kept; padding never suppresses or is suppressed
+        clashes: dict[tuple[int, int], list[int]] = {}
+        rows = np.nonzero(iou_matrix(boxes, boxes) > iou_threshold)
+        for c, k, j in zip(*(axis.tolist() for axis in rows)):
+            visit = members[c]
+            if k < j < len(visit) and visit[k].label == visit[j].label:
+                clashes.setdefault((c, k), []).append(j)
+        for c, visit in enumerate(members):
+            kept: list["Detection"] = []
+            suppressed: set[int] = set()
+            for k, d in enumerate(visit):
+                if k not in suppressed:
+                    kept.append(d)
+                    suppressed.update(clashes.get((c, k), ()))
+            visits[todo[chunk[c]]] = kept
+    return visits
 
 
 _TRANSFORM_KINDS = ("hflip", "vflip", "scale")

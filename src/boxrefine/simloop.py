@@ -10,18 +10,25 @@ the full system at negligible cost.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .correction import CorrectionConfig, CorrectionReport, correct_targets
+# ``correct_targets`` and ``iou`` are not called here; they stay bound because
+# bench/spans.py traces and counts calls through each module's own names
+from .correction import CorrectionConfig, correct_images, correct_targets  # noqa: F401
 from .datamodel import Annotation, Dataset, Detection, ImageRecord
 from .evaluation import evaluate_ap50, mean_best_iou
-# ``iou`` is not called here; it stays bound because bench/spans.py counts
-# scalar IoU calls through each module's own name
-from .geometry import Box, GeoTransform, apply_transform, box_array, iou, iou_matrix  # noqa: F401
+from .geometry import (  # noqa: F401
+    Box,
+    GeoTransform,
+    apply_transform,
+    image_chunks,
+    iou,
+    iou_matrix,
+    stack_boxes,
+)
 from .noise import NoiseConfig, constrain_box, corrupt_dataset, derive_rng
 
 __all__ = [
@@ -45,6 +52,9 @@ SPURIOUS_MAX_SIDE = 196.0
 
 # round-tripping a box through a transform and its inverse must stay this tight
 ALIGNMENT_TOL = 1e-9
+
+# the strong view when it does not flip
+_IDENTITY = GeoTransform.scale(1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -104,6 +114,19 @@ def simulate_predictions(
     jitter and full recall the output reproduces the truth with probability
     above one half.
     """
+    drawn = _draw_predictions(true_boxes, params, rng, width, height, num_classes)
+    return _score_predictions([drawn], [true_boxes], params)[0]
+
+
+def _draw_predictions(
+    true_boxes: Sequence[Annotation],
+    params: SimDetectorParams,
+    rng: np.random.Generator,
+    width: float,
+    height: float,
+    num_classes: int,
+) -> list[tuple[Box, int]]:
+    """The random part of :func:`simulate_predictions`: boxes and labels."""
     if num_classes < 1:
         raise ValueError(f"num_classes must be >= 1, got {num_classes}")
     boxes: list[tuple[Box, int]] = []
@@ -111,13 +134,10 @@ def simulate_predictions(
         if rng.random() >= params.recall:
             continue
         b = ann.box
-        s = params.localization_sigma
-        x1 = b.x1 + rng.normal(0.0, s)
-        x2 = b.x2 + rng.normal(0.0, s)
-        y1 = b.y1 + rng.normal(0.0, s)
-        y2 = b.y2 + rng.normal(0.0, s)
-        jittered = constrain_box(Box.spanning(x1, y1, x2, y2), width, height)
-        boxes.append((jittered, ann.label))
+        # one call draws the same four values as four scalar calls
+        dx1, dx2, dy1, dy2 = rng.normal(0.0, params.localization_sigma, 4).tolist()
+        jittered = Box.spanning(b.x1 + dx1, b.y1 + dy1, b.x2 + dx2, b.y2 + dy2)
+        boxes.append((constrain_box(jittered, width, height), ann.label))
     for _ in range(int(rng.poisson(params.fp_rate))):
         w = rng.uniform(SPURIOUS_MIN_SIDE, SPURIOUS_MAX_SIDE)
         h = rng.uniform(SPURIOUS_MIN_SIDE, SPURIOUS_MAX_SIDE)
@@ -126,15 +146,39 @@ def simulate_predictions(
         label = int(rng.integers(1, num_classes + 1))
         spurious = Box(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
         boxes.append((constrain_box(spurious, width, height), label))
-    quality = iou_matrix(
-        box_array(box for box, _ in boxes), box_array(t.box for t in true_boxes)
-    ).max(axis=1, initial=0.0)
-    return [
-        Detection.from_logit(
-            box=box, label=label, logit=params.score_sharpness * (2.0 * q - 1.0)
+    return boxes
+
+
+def _score_predictions(
+    drawn: Sequence[Sequence[tuple[Box, int]]],
+    truths: Sequence[Sequence[Annotation]],
+    params: SimDetectorParams,
+) -> list[list[Detection]]:
+    """Score each image's drawn boxes by their best IoU against its true boxes.
+
+    Consecutive images share one padded IoU block (``image_chunks``).
+    """
+    out: list[list[Detection]] = []
+    rows = [len(d) for d in drawn]
+    cols = [len(t) for t in truths]
+    for chunk in image_chunks(rows, cols):
+        overlap = iou_matrix(
+            stack_boxes([[box for box, _ in drawn[k]] for k in chunk]),
+            stack_boxes([[t.box for t in truths[k]] for k in chunk]),
         )
-        for (box, label), q in zip(boxes, quality.tolist())
-    ]
+        # padding columns are masked out of the maximum
+        real = np.arange(overlap.shape[2]) < np.array([cols[k] for k in chunk])[:, None]
+        quality = overlap.max(axis=2, initial=0.0, where=real[:, None, :]).tolist()
+        for k, qs in zip(chunk, quality):
+            out.append(
+                [
+                    Detection.from_logit(
+                        box=box, label=label, logit=params.score_sharpness * (2.0 * q - 1.0)
+                    )
+                    for (box, label), q in zip(drawn[k], qs)
+                ]
+            )
+    return out
 
 
 @dataclass(frozen=True)
@@ -318,10 +362,13 @@ def run_loop(
     the original frame. Target quality (mean best IoU of refined targets to
     the hidden truth) drives the student, and the teacher follows by EMA.
 
-    Results are bit-identical for any ``workers`` count: every random draw
+    Each iteration draws every image's predictions first, then scores and
+    refines all images together (``correct_images``). Every random draw
     comes from a substream keyed by (seed, iteration, image), and reduction
-    order is fixed. ``hook``, when given, receives each iteration's refined
-    targets and predictions per image.
+    order is fixed, so results do not depend on image order. ``workers`` is
+    accepted for compatibility and must be at least 1; it changes nothing.
+    ``hook``, when given, receives each iteration's refined targets and
+    predictions per image.
 
     Targets with untouched boxes keep their exact original coordinates; only
     boxes the correction actually moved go through view-transform round
@@ -331,63 +378,61 @@ def run_loop(
         raise ValueError(f"workers must be >= 1, got {workers}")
     num_classes = scenario.truth.num_classes
     seed = cfg.noise.seed
-    truth_boxes = {
-        rec.image_id: [a.box for a in rec.annotations] for rec in scenario.truth.images
-    }
+    images = scenario.truth.images
+    truth_boxes = {rec.image_id: [a.box for a in rec.annotations] for rec in images}
+    # the flipped views never change: build them once, not once per iteration
+    flips = [GeoTransform.hflip(float(rec.width)) for rec in images]
+    targets = [scenario.targets[rec.image_id] for rec in images]
+    flipped_truth = [_flip_annotations(rec.annotations, t) for rec, t in zip(images, flips)]
+    flipped_targets = [_flip_annotations(anns, t) for anns, t in zip(targets, flips)]
     start_vec = cfg.schedule.start.to_vector()
     state = EmaState(teacher=start_vec, student=start_vec, keep_rate=cfg.keep_rate)
     trace: list[IterationRecord] = []
 
-    def process(
-        iteration: int, teacher: SimDetectorParams, rec: ImageRecord
-    ) -> tuple[str, list[Annotation], list[Detection], CorrectionReport]:
-        rng = derive_rng(seed, "loop", iteration, rec.image_id)
-        flip_weak = bool(rng.integers(2))
-        flip_strong = bool(rng.integers(2))
-        weak = GeoTransform.hflip(float(rec.width)) if flip_weak else None
-        truth_view = (
-            _flip_annotations(rec.annotations, weak) if weak else rec.annotations
-        )
-        preds_view = simulate_predictions(
-            truth_view, teacher, rng, rec.width, rec.height, num_classes
-        )
-        targets = scenario.targets[rec.image_id]
-        targets_view = _flip_annotations(targets, weak) if weak else list(targets)
-        corrected_view, report = correct_targets(
-            targets_view, preds_view, cfg.correction
-        )
-        strong = (
-            GeoTransform.hflip(float(rec.width))
-            if flip_strong
-            else GeoTransform.scale(1.0, 1.0)
-        )
-        _check_alignment(strong, corrected_view)
-        corrected: list[Annotation] = []
-        for j, ann in enumerate(corrected_view):
-            if j < len(targets_view) and ann is targets_view[j]:
-                corrected.append(targets[j])
-            elif weak:
-                corrected.append(replace(ann, box=apply_transform(weak, ann.box)))
-            else:
-                corrected.append(ann)
-        preds = (
-            [replace(p, box=apply_transform(weak, p.box)) for p in preds_view]
-            if weak
-            else preds_view
-        )
-        return rec.image_id, corrected, preds, report
-
     for it in range(cfg.iterations):
         teacher = SimDetectorParams.from_vector(state.teacher)
-        images = scenario.truth.images
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(lambda r: process(it, teacher, r), images))
-        else:
-            results = [process(it, teacher, rec) for rec in images]
-        corrected_by_image = {image_id: anns for image_id, anns, _, _ in results}
-        preds_by_image = {image_id: preds for image_id, _, preds, _ in results}
-        mined = sum(report.mined for _, _, _, report in results)
+        weak_flips: list[bool] = []
+        strong_flips: list[bool] = []
+        truth_views: list[Sequence[Annotation]] = []
+        drawn: list[list[tuple[Box, int]]] = []
+        for k, rec in enumerate(images):
+            rng = derive_rng(seed, "loop", it, rec.image_id)
+            weak_flips.append(bool(rng.integers(2)))
+            strong_flips.append(bool(rng.integers(2)))
+            truth_views.append(flipped_truth[k] if weak_flips[-1] else rec.annotations)
+            drawn.append(
+                _draw_predictions(
+                    truth_views[-1], teacher, rng, rec.width, rec.height, num_classes
+                )
+            )
+        preds_views = _score_predictions(drawn, truth_views, teacher)
+        targets_views = [
+            flipped_targets[k] if weak else targets[k] for k, weak in enumerate(weak_flips)
+        ]
+        results = correct_images(list(zip(targets_views, preds_views)), cfg.correction)
+        corrected_by_image: dict[str, list[Annotation]] = {}
+        preds_by_image: dict[str, list[Detection]] = {}
+        mined = 0
+        for k, rec in enumerate(images):
+            corrected_view, report = results[k]
+            weak = flips[k] if weak_flips[k] else None
+            _check_alignment(flips[k] if strong_flips[k] else _IDENTITY, corrected_view)
+            targets_view = targets_views[k]
+            corrected: list[Annotation] = []
+            for j, ann in enumerate(corrected_view):
+                if j < len(targets_view) and ann is targets_view[j]:
+                    corrected.append(targets[k][j])
+                elif weak:
+                    corrected.append(replace(ann, box=apply_transform(weak, ann.box)))
+                else:
+                    corrected.append(ann)
+            corrected_by_image[rec.image_id] = corrected
+            preds_by_image[rec.image_id] = (
+                [replace(p, box=apply_transform(weak, p.box)) for p in preds_views[k]]
+                if weak
+                else preds_views[k]
+            )
+            mined += report.mined
         quality, _ = mean_best_iou(
             {
                 image_id: [a.box for a in anns]

@@ -117,3 +117,113 @@ def mine_ref(
         if not dup:
             mined.append((box, label, prob))
     return mined
+
+
+def giou_distance_ref(
+    a: tuple[float, float, float, float], b: tuple[float, float, float, float]
+) -> float:
+    """1 - GIoU on corner tuples: IoU minus the uncovered share of the hull."""
+    iw = max(0.0, min(a[2], b[2]) - max(a[0], b[0]))
+    ih = max(0.0, min(a[3], b[3]) - max(a[1], b[1]))
+    union = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - iw * ih
+    hull = (max(a[2], b[2]) - min(a[0], b[0])) * (max(a[3], b[3]) - min(a[1], b[1]))
+    if union <= 0.0 or hull <= 0.0:
+        return 1.0
+    return 1.0 - (iou_ref(a, b) - (hull - union) / hull)
+
+
+def center_distance_ref(
+    a: tuple[float, float, float, float], b: tuple[float, float, float, float], norm: float
+) -> float:
+    """Distance between box centers over ``norm``."""
+    ax, ay = (a[0] + a[2]) / 2.0, (a[1] + a[3]) / 2.0
+    bx, by = (b[0] + b[2]) / 2.0, (b[1] + b[3]) / 2.0
+    return math.hypot(ax - bx, ay - by) / norm
+
+
+def correct_ref(
+    targets: list[tuple[tuple[float, float, float, float], int]],
+    preds: list[tuple[tuple[float, float, float, float], int, float]],
+    distance,
+    limit: float,
+    temperature: float,
+    max_iterations: int,
+    eps: float,
+    fixed_size: float | None = None,
+) -> tuple[list[tuple[float, float, float, float]], int, bool, list[int]]:
+    """Naive per-class box correction of one image.
+
+    ``targets`` are (box, label), ``preds`` (box, label, logit) and
+    ``distance(a, b)`` a distance on corner tuples. Each class is corrected
+    alone: every round each prediction picks its nearest working target
+    (lowest index on ties), kept only if its input box lies within ``limit``;
+    a class stops when the picks repeat (converged), when ``max_iterations``
+    rounds are done (not converged), or when no coordinate moved by
+    ``eps`` or more (converged). Returns the final boxes, the most rounds of
+    any class, whether all classes converged, and per target the number of
+    predictions picking it at the stop.
+    """
+    boxes = [tuple(box) for box, _ in targets]
+    sizes = [0] * len(targets)
+    if not targets or not preds:
+        return boxes, 0, True, sizes
+
+    def square(cx: float, cy: float) -> tuple[float, float, float, float]:
+        half = fixed_size / 2.0
+        return (cx - half, cy - half, cx + half, cy + half)
+
+    if fixed_size is not None:
+        boxes = [square((b[0] + b[2]) / 2.0, (b[1] + b[3]) / 2.0) for b in boxes]
+    iterations, all_converged = 0, True
+    for label in sorted({label for _, label in targets}):
+        t_ids = [i for i, (_, lab) in enumerate(targets) if lab == label]
+        p_ids = [j for j, (_, lab, _) in enumerate(preds) if lab == label]
+        if not p_ids:
+            continue
+        rounds, previous = 0, None
+        while True:
+            picks = []
+            for j in p_ids:
+                best, best_d = -1, math.inf
+                for i in t_ids:
+                    d = distance(boxes[i], preds[j][0])
+                    if d < best_d:
+                        best, best_d = i, d
+                picks.append(best if distance(targets[best][0], preds[j][0]) <= limit else -1)
+            if picks == previous:
+                converged = True
+                break
+            if rounds >= max_iterations:
+                converged = False
+                break
+            moved = 0.0
+            for i in t_ids:
+                group = [j for j, t in zip(p_ids, picks) if t == i]
+                if not group:
+                    continue
+                scaled = [preds[j][2] / temperature for j in group]
+                top = max(scaled)
+                exps = [math.exp(s - top) for s in scaled]
+                total = sum(exps)
+                weights = [e / total for e in exps]
+                if fixed_size is not None:
+                    cx = sum(w * ((preds[j][0][0] + preds[j][0][2]) / 2.0) for w, j in zip(weights, group))
+                    cy = sum(w * ((preds[j][0][1] + preds[j][0][3]) / 2.0) for w, j in zip(weights, group))
+                    new = square(cx, cy)
+                else:
+                    new = tuple(
+                        sum(w * preds[j][0][k] for w, j in zip(weights, group)) for k in range(4)
+                    )
+                moved = max([moved] + [abs(n - o) for n, o in zip(new, boxes[i])])
+                boxes[i] = new
+            rounds += 1
+            previous = picks
+            if moved < eps:
+                converged = True
+                break
+        for t in picks:
+            if t >= 0:
+                sizes[t] += 1
+        iterations = max(iterations, rounds)
+        all_converged = all_converged and converged
+    return boxes, iterations, all_converged, sizes

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -578,3 +581,17 @@ class TestPointInputs:
         got = load_annotations(out / "corrected.json")
         (ann,) = got.images[0].annotations
         assert ann.box == Box(70, 70, 130, 130)
+
+
+def test_cli_import_stays_light():
+    """Importing the CLI must not pull in networking or thread pools."""
+    heavy = ["xml.sax", "urllib.request", "http.client", "concurrent.futures"]
+    code = (
+        "import sys, boxrefine.cli; "
+        f"print([m for m in {heavy!r} if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -7,17 +7,26 @@ import math
 import numpy as np
 import pytest
 
+from boxrefine import geometry
 from boxrefine.correction import (
     ConfigError,
     CorrectionConfig,
     correct_boxes,
+    correct_images,
     correct_targets,
     mine_labels,
 )
 from boxrefine.datamodel import Annotation, Detection
 from boxrefine.geometry import Box, iou
 
-from oracles import iou_ref, mine_ref, softmax_average_ref
+from oracles import (
+    center_distance_ref,
+    correct_ref,
+    giou_distance_ref,
+    iou_ref,
+    mine_ref,
+    softmax_average_ref,
+)
 
 
 def ann(x1, y1, x2, y2, label=1, provenance="original"):
@@ -474,3 +483,142 @@ class TestCorrectTargets:
             assert iou(refined.box, true_box) > 0.9
         assert out[2].provenance == "mined"
         assert iou(out[2].box, truth[2]) > 0.9
+
+
+def oracle_dataset(seed: int, n_images: int = 40) -> list[tuple[list, list]]:
+    """Images of targets and predictions around them.
+
+    Targets use classes 1-3 and predictions 1-4, so class 4 has no targets.
+    Some images have no targets or no predictions; some repeat a target
+    exactly, so predictions near it are equidistant to two targets. In every
+    fourth image the stray predictions take a target's class and lie near
+    the origin, where the zero boxes that pad a stack of images are.
+    """
+    rng = np.random.default_rng(seed)
+    images = []
+    for k in range(n_images):
+        stray_near_origin = k % 4 == 1
+        targets = []
+        for _ in range(int(rng.integers(0, 7))):
+            x, y = rng.uniform(0.0, 300.0, 2).tolist()
+            w, h = rng.uniform(10.0, 60.0, 2).tolist()
+            targets.append(ann(x, y, x + w, y + h, label=int(rng.integers(1, 4))))
+        if targets and k % 5 == 0:
+            targets.append(targets[0])
+        preds = []
+        for t in targets:
+            for _ in range(int(rng.integers(0, 4))):
+                jx1, jy1, jx2, jy2 = rng.normal(0.0, 6.0, 4).tolist()
+                b = t.box
+                box = Box.spanning(b.x1 + jx1, b.y1 + jy1, b.x2 + jx2, b.y2 + jy2)
+                label = t.label if rng.random() < 0.85 else int(rng.integers(1, 5))
+                preds.append(
+                    Detection.from_logit(box=box, label=label, logit=float(rng.normal(0.0, 2.0)))
+                )
+        for _ in range(int(rng.integers(0, 4))):
+            x, y = rng.uniform(0.0, 40.0 if stray_near_origin else 300.0, 2).tolist()
+            w, h = rng.uniform(10.0, 60.0, 2).tolist()
+            if stray_near_origin and targets:
+                label = targets[int(rng.integers(len(targets)))].label
+            else:
+                label = int(rng.integers(1, 5))
+            preds.append(det(x, y, x + w, y + h, label=label, logit=float(rng.normal())))
+        rng.shuffle(preds)
+        if k % 9 == 4:
+            preds = []
+        images.append((targets, preds))
+    return images
+
+
+ORACLE_CONFIGS = {
+    "iou": CorrectionConfig(distance_limit=0.6),
+    # a limit above 1 makes every same-class pair eligible, padding included
+    # unless it is masked
+    "giou-wide": CorrectionConfig(distance="giou", distance_limit=1.5, temperature=0.5),
+    "center-fixed": CorrectionConfig(
+        distance="center-normalized", center_norm=30.0, distance_limit=2.5, fixed_size=30.0
+    ),
+    "iou-capped": CorrectionConfig(distance_limit=0.95, max_iterations=1, temperature=2.0),
+    "center-capped": CorrectionConfig(
+        distance="center-normalized", center_norm=20.0, distance_limit=3.0,
+        max_iterations=2, convergence_eps=0.0,
+    ),
+}
+
+
+def reference_distance(cfg: CorrectionConfig):
+    if cfg.distance == "iou":
+        return lambda a, b: 1.0 - iou_ref(a, b)
+    if cfg.distance == "giou":
+        return giou_distance_ref
+    return lambda a, b: center_distance_ref(a, b, cfg.center_norm)
+
+
+class TestCorrectImagesOracle:
+    """The dataset-level pass equals a naive per-image, per-class loop exactly."""
+
+    # one image per chunk, chunks of a few images, the default, one chunk
+    BUDGETS = (1, 150, None, 1 << 40)
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
+    def test_correction_matches_oracle(self, monkeypatch, budget, name):
+        if budget is not None:
+            monkeypatch.setattr(geometry, "_CHUNK_ENTRIES", budget)
+        cfg = ORACLE_CONFIGS[name]
+        images = oracle_dataset(37 + len(name))
+        results = correct_images(images, cfg)
+        assert len(results) == len(images)
+        stopped_early = 0
+        for (targets, preds), (out, report) in zip(images, results):
+            boxes, iterations, converged, sizes = correct_ref(
+                [(t.box.as_tuple(), t.label) for t in targets],
+                [(p.box.as_tuple(), p.label, p.logit) for p in preds],
+                reference_distance(cfg),
+                cfg.distance_limit,
+                cfg.temperature,
+                cfg.max_iterations,
+                cfg.convergence_eps,
+                cfg.fixed_size,
+            )
+            assert [a.box.as_tuple() for a in out] == boxes
+            for a, t, box in zip(out, targets, boxes):
+                if box == t.box.as_tuple():
+                    assert a is t
+                else:
+                    assert (a.label, a.provenance) == (t.label, "corrected")
+            assert report.iterations == iterations
+            assert report.converged == converged
+            assert report.assignment_sizes == sizes
+            assert report.mined == 0
+            stopped_early += not converged
+        # the capped configurations really hit the cap
+        assert (stopped_early > 0) == name.endswith("capped")
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_mining_matches_oracle(self, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(geometry, "_CHUNK_ENTRIES", budget)
+        cfg = CorrectionConfig(distance_limit=0.6, mining_threshold=0.7, mining_nms_iou=0.4)
+        images = oracle_dataset(38)
+        mined_total = 0
+        for (targets, preds), (out, report) in zip(images, correct_images(images, cfg)):
+            corrected, _ = correct_boxes(targets, preds, cfg)
+            want = mine_ref(
+                [(t.box.as_tuple(), t.label) for t in corrected],
+                [(p.box.as_tuple(), p.label, p.prob) for p in preds],
+                cfg.mining_threshold, cfg.mining_nms_iou, cfg.dedup_iou,
+            )
+            assert out[: len(corrected)] == corrected
+            assert [(a.box.as_tuple(), a.label, a.provenance) for a in out[len(corrected):]] == [
+                (box, label, "mined") for box, label, _ in want
+            ]
+            assert report.mined == len(want)
+            mined_total += report.mined
+        assert mined_total > 0
+
+    def test_one_image_entry_points_agree(self):
+        cfg = CorrectionConfig(distance_limit=0.6, mining_threshold=0.7)
+        images = oracle_dataset(39, n_images=12)
+        for (targets, preds), batched in zip(images, correct_images(images, cfg)):
+            assert correct_targets(targets, preds, cfg) == batched

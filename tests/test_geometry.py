@@ -18,11 +18,14 @@ from boxrefine.geometry import (
     giou_distance,
     giou_matrix,
     grouped_iou,
+    grouped_nms,
+    image_chunks,
     invert_transforms,
     iou,
     iou_distance,
     iou_matrix,
     nms,
+    stack_boxes,
 )
 
 from oracles import iou_ref
@@ -330,11 +333,80 @@ class TestPairwiseMatrices:
                 for b in boxes
             ]
             threshold = float(rng.choice([0.0, 0.3, 0.5, 1.0]))
-            kept: list[Detection] = []
-            for d in sorted(dets, key=lambda d: -d.prob):
-                if all(k.label != d.label or iou(k.box, d.box) <= threshold for k in kept):
-                    kept.append(d)
-            assert nms(dets, threshold) == kept
+            assert nms(dets, threshold) == scalar_nms(dets, threshold)
+
+
+def scalar_nms(dets: list[Detection], threshold: float) -> list[Detection]:
+    kept: list[Detection] = []
+    for d in sorted(dets, key=lambda d: -d.prob):
+        if all(k.label != d.label or iou(k.box, d.box) <= threshold for k in kept):
+            kept.append(d)
+    return kept
+
+
+class TestImageStacks:
+    """Stacks of images: each image's block equals its own matrix exactly."""
+
+    def test_stacked_matrices_equal_per_image_matrices(self):
+        rng = np.random.default_rng(46)
+        # an image of 70 rows spans two row blocks; empty images pad fully
+        sizes = [(3, 5), (0, 2), (70, 4), (1, 0), (6, 6)]
+        a_groups = [tricky_boxes(rng, n) for n, _ in sizes]
+        b_groups = [tricky_boxes(rng, m) for _, m in sizes]
+        a, b = stack_boxes(a_groups), stack_boxes(b_groups)
+        assert a.shape == (5, 70, 4) and b.shape == (5, 6, 4)
+        for fn in (
+            iou_matrix,
+            giou_matrix,
+            lambda x, y: center_distance_matrix(x, y, 7.3),
+        ):
+            stacked = fn(a, b)
+            assert stacked.shape == (5, 70, 6)
+            for c, (ga, gb) in enumerate(zip(a_groups, b_groups)):
+                block = stacked[c, : len(ga), : len(gb)]
+                assert block.tolist() == fn(box_array(ga), box_array(gb)).tolist()
+
+    def test_padding_is_zero_boxes(self):
+        stacked = stack_boxes([[Box(1, 2, 3, 4)], []])
+        assert stacked.dtype == np.float64
+        assert stacked.tolist() == [[[1.0, 2.0, 3.0, 4.0]], [[0.0, 0.0, 0.0, 0.0]]]
+        assert stack_boxes([]).shape == (0, 0, 4)
+
+    @pytest.mark.parametrize("budget", [1, 24, 100])
+    def test_image_chunks_fill_the_budget_in_order(self, monkeypatch, budget):
+        monkeypatch.setattr(geometry, "_CHUNK_ENTRIES", budget)
+        rng = np.random.default_rng(47)
+        rows = rng.integers(0, 9, 200).tolist()
+        cols = rng.integers(0, 9, 200).tolist()
+        chunks = list(image_chunks(rows, cols))
+        assert [k for chunk in chunks for k in chunk] == list(range(200))
+
+        def entries(start: int, stop: int) -> int:
+            return (stop - start) * max(rows[start:stop]) * max(cols[start:stop])
+
+        for chunk in chunks:
+            # within the budget unless a lone image is larger on its own
+            assert len(chunk) == 1 or entries(chunk.start, chunk.stop) <= budget
+            # and the next image would not have fitted
+            if chunk.stop < 200:
+                assert entries(chunk.start, chunk.stop + 1) > budget
+
+    @pytest.mark.parametrize("budget", [1, 50, None])
+    def test_grouped_nms_equals_scalar_greedy_per_group(self, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(geometry, "_CHUNK_ENTRIES", budget)
+        rng = np.random.default_rng(48)
+        groups = []
+        for _ in range(80):
+            boxes = tricky_boxes(rng, int(rng.integers(0, 12)))
+            groups.append(
+                [
+                    det(b, int(rng.integers(1, 3)), float(rng.choice([0.5, 0.7, 0.9])))
+                    for b in boxes
+                ]
+            )
+        for threshold in (0.0, 0.3, 0.5, 1.0):
+            assert grouped_nms(groups, threshold) == [scalar_nms(g, threshold) for g in groups]
 
 
 class TestTransforms:

@@ -59,6 +59,17 @@ def write_inputs(root: Path, seed: int = 2022) -> None:
     for name, entries in (("clean.json", clean), ("dets.json", dets)):
         payload = {"images": images, "categories": categories, "annotations": entries}
         (root / name).write_text(json.dumps(payload), encoding="utf-8")
+    # an image id and class names that SVG text must escape
+    odd = {
+        "images": [{"id": 'a&b <c> "d"', "width": IMAGE_SIDE, "height": IMAGE_SIDE}],
+        "categories": [{"id": 1, "name": "cat & <dog>"}, {"id": 2, "name": "'x'>y"}],
+        "annotations": [
+            {"id": k, "image_id": 'a&b <c> "d"', "category_id": 1 + k % 2,
+             "bbox": _box(rng), **({"score": 0.75} if k % 3 == 0 else {})}
+            for k in range(1, 7)
+        ],
+    }
+    (root / "odd.json").write_text(json.dumps(odd), encoding="utf-8")
 
 
 RUNS: tuple[tuple[str, ...], ...] = (
@@ -76,6 +87,12 @@ RUNS: tuple[tuple[str, ...], ...] = (
      "--out", "metrics"),
     ("simulate", "--profile", "nb40-ex", "--seed", "5", "--images", "6",
      "--boxes-per-image", "12", "--iterations", "3", "--out", "sim"),
+    ("simulate", "--profile", "nb40-ex", "--seed", "7", "--images", "3",
+     "--boxes-per-image", "4", "--iterations", "2", "--render", "--out", "sim-render"),
+    ("render", "--dataset", "corrected-iou/corrected.json", "--detections", "dets.json",
+     "--ground-truth", "clean.json", "--out", "svg"),
+    ("render", "--dataset", "odd.json", "--detections", "odd.json",
+     "--ground-truth", "odd.json", "--out", "svg-odd"),
 )
 
 
@@ -96,7 +113,9 @@ def run_all(root: Path) -> dict[str, str]:
     }
 
 
-# recorded from the package before pairwise geometry moved to arrays
+# recorded from the package before pairwise geometry moved to arrays; the
+# render and ``simulate --render`` outputs were recorded before SVG escaping
+# moved into the package
 GOLDEN: dict[str, str] = {
     "corrected-edmonton/config.json":
         "246aa4a76a30670dfa3aecfe2342043db8b041a68b6b1bfbdaf73a31b300d431",
@@ -128,6 +147,28 @@ GOLDEN: dict[str, str] = {
         "5814ed13d0fc8f59fe6205c6b02c8ebca59b08c0cc92e2bac29406aa526b54d2",
     "noisy/summary.json":
         "42ceebe51e62c9015a20ee549e8f201d5e1ea783439ca914462c19ed8cb1eaad",
+    "sim-render/config.json":
+        "00a274fb9e7fc90121b0071e1ee77e0724662878657a9b65cb759dd87a4fb815",
+    "sim-render/corrected_final.json":
+        "ed0f6a9c3001af6cb778f67c7b054dc285330d3cb5f71b5cc094f3fa423bed42",
+    "sim-render/render/iter_000/img_0000.svg":
+        "a60ef3c9dd4c77a8a49ea4cb4396d38498df0e0a969edcca724f80cbfe1ec5f4",
+    "sim-render/render/iter_000/img_0001.svg":
+        "af881f64121e4711a6ccccdaed697b44bbcea688fe8ee267362a1488d028cc91",
+    "sim-render/render/iter_000/img_0002.svg":
+        "3b90b483b2728b6752105ec30addcadcaa6e924256c777f574220fd2a2fead9e",
+    "sim-render/render/iter_001/img_0000.svg":
+        "0adee81a30217c1677db6bbd77285b9999c1c6e3352811422b8ae4ec89de6812",
+    "sim-render/render/iter_001/img_0001.svg":
+        "c766bf1ebf4c30fb93be9007f322f78e444ac72f72ae38c88f379846438e6681",
+    "sim-render/render/iter_001/img_0002.svg":
+        "c839ef0336cb2d8d85b00f4d87819e52fcf6fa95f9581dac78fea470767b702e",
+    "sim-render/targets.json":
+        "a13604172a3b5ea08392696a2138ef304c964ca781b98fb08e9eb3db68d34593",
+    "sim-render/trace.jsonl":
+        "63fef9b5e5a519805f8bccded33343011132e3f7be745de0199eb144b3825a04",
+    "sim-render/truth.json":
+        "378b0235537b3ce7457aa0b580ffed2625de036e5b5d03ed49bd1b6352b83ffe",
     "sim/config.json":
         "34e5f09cd42ed5ef713415aa00877f215edf0df5d82e4c152af55e6df0f83ef5",
     "sim/corrected_final.json":
@@ -138,6 +179,18 @@ GOLDEN: dict[str, str] = {
         "983f682c5b844c2fd11b70b27e61d70689c331ab1c2ef6469c24c7e51d153a81",
     "sim/truth.json":
         "3437ef6e2321bc082d77682c342045701df14321eed6e953cc9c667f482976d5",
+    "svg-odd/a_b__c___d_.svg":
+        "a533bc4d36dfe2e3d0a1cf0758957a3c0a69e755f31654a8ea63800ba63445d6",
+    "svg-odd/config.json":
+        "8b38e3ae1af10d3c7866e33216119fb2ba050c18e4130783666c97cd9faf6a01",
+    "svg/config.json":
+        "897052287cae9c6e7ed28f550edc15b72839d89379e7fb034a055b8a351a1cde",
+    "svg/img0.svg":
+        "d187363f532519506f4301ed850b96d32818f1d7077a62de38ad23418ae14b89",
+    "svg/img1.svg":
+        "46612e4d4d82f8fb740a16b9c386430eed69cf9df3b50aa28060349977693dc9",
+    "svg/img2.svg":
+        "38e43f99b47114d72e6f8a8e7a08be2a3787955f5222f4aa99e22d7d58745a8f",
 }
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import boxrefine.simloop as simloop_mod
+from boxrefine import geometry
 from boxrefine.correction import CorrectionConfig
 from boxrefine.datamodel import Annotation
 from boxrefine.geometry import Box, GeoTransform
@@ -260,6 +261,20 @@ class TestRunLoop:
         serial = run_loop(build_scenario(truth, cfg.noise), cfg, workers=1)
         threaded = run_loop(build_scenario(truth, cfg.noise), cfg, workers=4)
         assert serial == threaded
+
+    def test_image_chunks_do_not_change_results(self, monkeypatch):
+        truth = synthesize_truth(num_images=7, boxes_per_image=5, seed=2)
+        cfg = small_loop_cfg(iterations=3)
+        runs = []
+        for budget in (1, 60, 1 << 40):
+            monkeypatch.setattr(geometry, "_CHUNK_ENTRIES", budget)
+            seen = []
+            trace = run_loop(
+                build_scenario(truth, cfg.noise), cfg,
+                hook=lambda it, c, p: seen.append((c, p)),
+            )
+            runs.append((trace, seen))
+        assert runs[0] == runs[1] == runs[2]
 
     def test_correction_disabled_is_exactly_flat(self):
         truth = synthesize_truth(num_images=4, boxes_per_image=4)
