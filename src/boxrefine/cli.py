@@ -13,16 +13,20 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import inspect
 import json
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 # ``correct_targets`` is not called here; it stays bound because
 # bench/spans.py traces calls through each module's own names
 from .correction import (  # noqa: F401
+    DISTANCE_CENTER,
+    DISTANCE_GIOU,
+    DISTANCE_IOU,
     ConfigError,
     CorrectionConfig,
     correct_images,
@@ -52,37 +56,30 @@ from .simloop import (
 __all__ = ["RunConfig", "PROFILES", "main", "console_main"]
 
 
-_SUPERFLUOUS_DEFAULTS = {
-    "trials": 10,
-    "success": 0.5,
-    "min_side": 16.0,
-    "max_side": 196.0,
+def _defaults(cls, *names: str) -> dict:
+    """Field defaults of the dataclass ``cls``: the named fields, or all of them."""
+    return {f.name: f.default for f in fields(cls) if not names or f.name in names}
+
+
+# the loop section's keys for the arguments of ``synthesize_truth``
+_TRUTH_ARGS = {"images": "num_images", "boxes_per_image": "boxes_per_image",
+               "classes": "num_classes", "image_size": "image_size"}
+_TRUTH_PARAMS = inspect.signature(synthesize_truth).parameters
+
+# every built-in default comes from the config dataclasses and synthesize_truth
+DEFAULTS: dict = {
+    "seed": NoiseConfig.seed,
+    "noise": _defaults(NoiseConfig, "box_noise", "sparsity", "superfluous"),
+    "correction": _defaults(CorrectionConfig),
+    "loop": {
+        **_defaults(LoopConfig, "iterations", "keep_rate"),
+        **{key: _TRUTH_PARAMS[arg].default for key, arg in _TRUTH_ARGS.items()},
+    },
 }
 
-DEFAULTS: dict = {
-    "seed": 0,
-    "noise": {"box_noise": 0.0, "sparsity": 0.0, "superfluous": None},
-    "correction": {
-        "distance": "iou",
-        "center_norm": None,
-        "distance_limit": None,
-        "temperature": 0.2,
-        "mining_threshold": None,
-        "mining_nms_iou": 0.5,
-        "dedup_iou": 0.5,
-        "max_iterations": 50,
-        "convergence_eps": 1e-6,
-        "fixed_size": None,
-    },
-    "loop": {
-        "iterations": 15,
-        "keep_rate": 0.95,
-        "images": 8,
-        "boxes_per_image": 6,
-        "classes": 3,
-        "image_size": [512, 512],
-    },
-}
+# noise.superfluous is off (null) by default; a flag that sets one of its
+# fields switches it on with these defaults
+_SUPERFLUOUS = _defaults(SuperfluousConfig)
 
 
 def _noise_profile(box_noise: float, sparsity: float | str) -> dict:
@@ -174,22 +171,79 @@ def _parse_optional_float(text: str, flag: str) -> float | None:
         raise CliError(f"{flag} expects a number or 'none', got {text!r}") from None
 
 
-def _parse_sparsity(text: str) -> float | str:
+def _parse_sparsity(text: str, flag: str) -> float | str:
     if text.lower() in ("extreme", "ex", "ex."):
         return "extreme"
     try:
         return float(text)
     except ValueError:
-        raise CliError(
-            f"--sparsity expects a fraction or 'extreme', got {text!r}"
-        ) from None
+        raise CliError(f"{flag} expects a fraction or 'extreme', got {text!r}") from None
 
 
-def _parse_image_size(text: str) -> list[int]:
+def _parse_image_size(text: str, flag: str) -> list[int]:
     match = re.fullmatch(r"(\d+)x(\d+)", text)
     if not match:
-        raise CliError(f"--image-size expects WIDTHxHEIGHT, got {text!r}")
+        raise CliError(f"{flag} expects WIDTHxHEIGHT, got {text!r}")
     return [int(match.group(1)), int(match.group(2))]
+
+
+class _Flag(NamedTuple):
+    """A hyperparameter flag: ``--<key>`` sets ``<section>.<key>``.
+
+    ``type`` converts at parse time, so a bad value exits 2 with argparse's
+    message; ``convert`` runs after parsing and raises :class:`CliError`,
+    so a bad value exits 1. ``{}`` in ``help`` becomes the default.
+    """
+
+    section: str
+    key: str
+    type: Callable[[str], object] | None = None
+    convert: Callable[[str, str], object] | None = None
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+
+    @property
+    def option(self) -> str:
+        return "--" + self.key.replace(".", "-").replace("_", "-")
+
+    @property
+    def dest(self) -> str:
+        return self.key.replace(".", "_")
+
+
+# every hyperparameter flag, declared and applied from this one table; a
+# ``superfluous.<field>`` key sets a field of noise.superfluous
+_FLAGS: tuple[_Flag, ...] = (
+    _Flag("noise", "box_noise", float, help="displacement fraction N_b"),
+    _Flag("noise", "sparsity", convert=_parse_sparsity,
+          help="removal fraction N_s or 'extreme'"),
+    _Flag("noise", "superfluous", choices=("on", "off"),
+          help="inject superfluous boxes (Binomial count, uniform geometry)"),
+    _Flag("noise", "superfluous.trials", int),
+    _Flag("noise", "superfluous.success", float),
+    _Flag("noise", "superfluous.min_side", float),
+    _Flag("noise", "superfluous.max_side", float),
+    _Flag("correction", "distance", choices=(DISTANCE_IOU, DISTANCE_GIOU, DISTANCE_CENTER),
+          help="assignment distance"),
+    _Flag("correction", "center_norm", convert=_parse_optional_float,
+          help="center-distance scale, or 'none'"),
+    _Flag("correction", "distance_limit", convert=_parse_optional_float,
+          help="assignment radius d, or 'none' to disable"),
+    _Flag("correction", "temperature", float, help="softmax temperature"),
+    _Flag("correction", "mining_threshold", convert=_parse_optional_float,
+          help="mining confidence tau, or 'none' to disable"),
+    _Flag("correction", "mining_nms_iou", float),
+    _Flag("correction", "dedup_iou", float),
+    _Flag("correction", "max_iterations", int),
+    _Flag("correction", "fixed_size", convert=_parse_optional_float,
+          help="square side for the fixed-size variant, or 'none'"),
+    _Flag("loop", "iterations", int, help="loop iterations (default {})"),
+    _Flag("loop", "keep_rate", float, help="EMA keep rate"),
+    _Flag("loop", "images", int, help="synthetic images (default {})"),
+    _Flag("loop", "boxes_per_image", int),
+    _Flag("loop", "classes", int, help="number of classes (default {})"),
+    _Flag("loop", "image_size", convert=_parse_image_size, help="WIDTHxHEIGHT"),
+)
 
 
 @dataclass
@@ -198,7 +252,6 @@ class RunConfig:
 
     command: str
     out: Path
-    workers: int
     resolved: dict
 
     @property
@@ -232,58 +285,26 @@ def _write_json(path: Path, payload: object) -> None:
 
 
 def _apply_flag_overrides(resolved: dict, args: argparse.Namespace) -> None:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         resolved["seed"] = args.seed
-
-    noise = resolved.get("noise")
-    if noise is not None:
-        if getattr(args, "box_noise", None) is not None:
-            noise["box_noise"] = args.box_noise
-        if getattr(args, "sparsity", None) is not None:
-            noise["sparsity"] = _parse_sparsity(args.sparsity)
-        if getattr(args, "superfluous", None) is not None:
-            if args.superfluous == "off":
-                noise["superfluous"] = None
-            elif noise.get("superfluous") is None:
-                noise["superfluous"] = dict(_SUPERFLUOUS_DEFAULTS)
-        for flag, key in (
-            ("superfluous_trials", "trials"),
-            ("superfluous_success", "success"),
-            ("superfluous_min_side", "min_side"),
-            ("superfluous_max_side", "max_side"),
-        ):
-            value = getattr(args, flag, None)
-            if value is not None:
-                if noise.get("superfluous") is None:
-                    noise["superfluous"] = dict(_SUPERFLUOUS_DEFAULTS)
-                noise["superfluous"][key] = value
-
-    corr = resolved.get("correction")
-    if corr is not None:
-        if getattr(args, "distance", None) is not None:
-            corr["distance"] = args.distance
-        for flag, key in (
-            ("center_norm", "center_norm"),
-            ("distance_limit", "distance_limit"),
-            ("mining_threshold", "mining_threshold"),
-            ("fixed_size", "fixed_size"),
-        ):
-            value = getattr(args, flag, None)
-            if value is not None:
-                corr[key] = _parse_optional_float(value, "--" + flag.replace("_", "-"))
-        for flag in ("temperature", "mining_nms_iou", "dedup_iou", "max_iterations"):
-            value = getattr(args, flag, None)
-            if value is not None:
-                corr[flag] = value
-
-    loop = resolved.get("loop")
-    if loop is not None:
-        for flag in ("iterations", "keep_rate", "images", "boxes_per_image", "classes"):
-            value = getattr(args, flag, None)
-            if value is not None:
-                loop[flag] = value
-        if getattr(args, "image_size", None) is not None:
-            loop["image_size"] = _parse_image_size(args.image_size)
+    # table order applies --superfluous on/off before the superfluous fields
+    for flag in _FLAGS:
+        value = getattr(args, flag.dest, None)
+        if value is None:
+            continue
+        if flag.convert is not None:
+            value = flag.convert(value, flag.option)
+        section = resolved[flag.section]
+        head, _, field = flag.key.partition(".")
+        if head != "superfluous":
+            section[head] = value
+        elif value == "off":
+            section["superfluous"] = None
+        else:
+            if section["superfluous"] is None:
+                section["superfluous"] = dict(_SUPERFLUOUS)
+            if field:
+                section["superfluous"][field] = value
 
 
 _SECTIONS = {
@@ -293,6 +314,35 @@ _SECTIONS = {
     "simulate": ("noise", "correction", "loop"),
     "render": (),
 }
+
+
+def _check_keys(path: Path, cfg: dict, shape: dict, prefix: str = "") -> None:
+    """Reject, naming them dotted, keys of ``cfg`` that ``shape`` lacks, at any depth."""
+    unknown = sorted(prefix + key for key in cfg if key not in shape)
+    if unknown:
+        raise CliError(f"{path}: unknown config keys: {unknown}")
+    for key, value in cfg.items():
+        name = prefix + key
+        # noise.superfluous defaults to null (off); its fields are SuperfluousConfig's
+        nested = _SUPERFLUOUS if name == "noise.superfluous" else shape[key]
+        if not isinstance(nested, dict) or (value is None and nested is _SUPERFLUOUS):
+            continue
+        if not isinstance(value, dict):
+            raise CliError(f"{path}: {name!r} must be a JSON object")
+        _check_keys(path, value, nested, name + ".")
+
+
+def _read_config_file(path: Path, shape: dict) -> dict:
+    if not path.exists():
+        raise CliError(f"config file not found: {path}")
+    try:
+        file_cfg = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise CliError(f"{path}: invalid JSON: {exc.msg}") from exc
+    if not isinstance(file_cfg, dict):
+        raise CliError(f"{path}: config must be a JSON object")
+    _check_keys(path, file_cfg, shape)
+    return file_cfg
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -315,19 +365,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
     config_path = getattr(args, "config", None)
     if config_path is not None:
-        path = Path(config_path)
-        if not path.exists():
-            raise CliError(f"config file not found: {path}")
-        try:
-            file_cfg = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise CliError(f"{path}: invalid JSON: {exc.msg}") from exc
-        if not isinstance(file_cfg, dict):
-            raise CliError(f"{path}: config must be a JSON object")
-        unknown = set(file_cfg) - set(resolved) - {"seed"}
-        if unknown:
-            raise CliError(f"{path}: unknown config keys: {sorted(unknown)}")
-        _merge(resolved, file_cfg)
+        _merge(resolved, _read_config_file(Path(config_path), resolved))
 
     _apply_flag_overrides(resolved, args)
 
@@ -344,18 +382,21 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if value is not None:
             resolved[name] = value
 
-    return RunConfig(
-        command=args.command,
-        out=Path(args.out),
-        workers=getattr(args, "workers", 1) or 1,
-        resolved=resolved,
-    )
+    return RunConfig(command=args.command, out=Path(args.out), resolved=resolved)
+
+
+def _clipped(rec: ImageRecord, anns: Sequence[Annotation]) -> list[Annotation]:
+    """``anns`` clipped to ``rec``'s image; boxes already inside are kept as they are."""
+    out = []
+    for a in anns:
+        box = a.box.clip(rec.width, rec.height)
+        out.append(a if box == a.box else replace(a, box=box))
+    return out
 
 
 def _load_boxes_dataset(run: RunConfig, path: str) -> Dataset:
     fmt = run.resolved.get("format", "coco-json")
-    size = run.resolved.get("loop", {}).get("image_size", [512, 512])
-    dataset = load_annotations(path, fmt=fmt, image_size=(size[0], size[1]))
+    dataset = load_annotations(path, fmt=fmt)
     if fmt == "point-csv":
         dataset = materialize_points(dataset, run.resolved.get("point_side", 60.0))
     return dataset
@@ -365,16 +406,8 @@ def cmd_inject_noise(run: RunConfig) -> None:
     dataset = _load_boxes_dataset(run, run.resolved["inputs"]["input"])
     corrupted, summary = corrupt_dataset(dataset, run.noise_config())
     save_annotations(corrupted, run.out / "annotations.json")
-    noise = run.resolved["noise"]
     _write_json(
-        run.out / "summary.json",
-        {
-            "seed": run.seed,
-            "box_noise": noise["box_noise"],
-            "sparsity": noise["sparsity"],
-            "superfluous": noise["superfluous"],
-            **summary,
-        },
+        run.out / "summary.json", {"seed": run.seed, **run.resolved["noise"], **summary}
     )
 
 
@@ -402,16 +435,7 @@ def cmd_correct(run: RunConfig) -> None:
     corrected_count = 0
     mined_count = 0
     for rec, (corrected, report) in zip(targets_ds.images, results):
-        anns = [
-            a
-            if a.box == a.box.clip(rec.width, rec.height)
-            else Annotation(
-                box=a.box.clip(rec.width, rec.height),
-                label=a.label,
-                provenance=a.provenance,
-            )
-            for a in corrected
-        ]
+        anns = _clipped(rec, corrected)
         images.append(
             ImageRecord(
                 image_id=rec.image_id,
@@ -532,11 +556,7 @@ def _render_records(
 def cmd_simulate(run: RunConfig) -> None:
     loop = run.resolved["loop"]
     truth = synthesize_truth(
-        num_images=loop["images"],
-        boxes_per_image=loop["boxes_per_image"],
-        num_classes=loop["classes"],
-        image_size=(loop["image_size"][0], loop["image_size"][1]),
-        seed=run.seed,
+        **{arg: loop[key] for key, arg in _TRUTH_ARGS.items()}, seed=run.seed
     )
     noise_cfg = run.noise_config()
     scenario = build_scenario(truth, noise_cfg)
@@ -590,7 +610,7 @@ def cmd_simulate(run: RunConfig) -> None:
             truth.class_names,
         )
 
-    trace = run_loop(scenario, cfg, workers=run.workers, hook=hook)
+    trace = run_loop(scenario, cfg, hook=hook)
     with (run.out / "trace.jsonl").open("w", encoding="utf-8", newline="\n") as fh:
         for record in trace:
             fh.write(json.dumps(asdict(record), sort_keys=True) + "\n")
@@ -601,16 +621,7 @@ def cmd_simulate(run: RunConfig) -> None:
                 image_id=rec.image_id,
                 width=rec.width,
                 height=rec.height,
-                annotations=[
-                    a
-                    if a.box == a.box.clip(rec.width, rec.height)
-                    else Annotation(
-                        box=a.box.clip(rec.width, rec.height),
-                        label=a.label,
-                        provenance=a.provenance,
-                    )
-                    for a in final.get(rec.image_id, [])
-                ],
+                annotations=_clipped(rec, final.get(rec.image_id, [])),
             )
             for rec in truth.images
         ],
@@ -660,48 +671,26 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--profile",
         help=f"named hyperparameter preset: {', '.join(sorted(PROFILES))}",
     )
-    parser.add_argument("--seed", type=int, help="master seed (default 0)")
+    parser.add_argument(
+        "--seed", type=int, help=f"master seed (default {DEFAULTS['seed']})"
+    )
     parser.add_argument(
         "--workers",
         type=int,
-        default=1,
         help="accepted for compatibility and ignored: every subcommand runs serially",
     )
 
 
-def _add_noise_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--box-noise", type=float, help="displacement fraction N_b")
-    parser.add_argument("--sparsity", help="removal fraction N_s or 'extreme'")
-    parser.add_argument(
-        "--superfluous",
-        choices=("on", "off"),
-        help="inject superfluous boxes (Binomial count, uniform geometry)",
-    )
-    parser.add_argument("--superfluous-trials", type=int)
-    parser.add_argument("--superfluous-success", type=float)
-    parser.add_argument("--superfluous-min-side", type=float)
-    parser.add_argument("--superfluous-max-side", type=float)
-
-
-def _add_correction_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--distance", choices=("iou", "giou", "center-normalized"),
-        help="assignment distance",
-    )
-    parser.add_argument("--center-norm", help="center-distance scale, or 'none'")
-    parser.add_argument(
-        "--distance-limit", help="assignment radius d, or 'none' to disable"
-    )
-    parser.add_argument("--temperature", type=float, help="softmax temperature")
-    parser.add_argument(
-        "--mining-threshold", help="mining confidence tau, or 'none' to disable"
-    )
-    parser.add_argument("--mining-nms-iou", type=float)
-    parser.add_argument("--dedup-iou", type=float)
-    parser.add_argument("--max-iterations", type=int)
-    parser.add_argument(
-        "--fixed-size", help="square side for the fixed-size variant, or 'none'"
-    )
+def _add_hyperparameter_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    for flag in _FLAGS:
+        if flag.section in _SECTIONS[command]:
+            default = DEFAULTS[flag.section].get(flag.key)
+            parser.add_argument(
+                flag.option,
+                type=flag.type,
+                choices=flag.choices,
+                help=flag.help and flag.help.format(default),
+            )
 
 
 def _add_format_flags(parser: argparse.ArgumentParser) -> None:
@@ -725,13 +714,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inject-noise", help="corrupt a clean dataset")
     _add_common(p)
     _add_format_flags(p)
-    _add_noise_flags(p)
+    _add_hyperparameter_flags(p, "inject-noise")
     p.add_argument("--input", required=True, help="clean annotations file")
 
     p = sub.add_parser("correct", help="refine targets against detections")
     _add_common(p)
     _add_format_flags(p)
-    _add_correction_flags(p)
+    _add_hyperparameter_flags(p, "correct")
     p.add_argument("--targets", required=True, help="noisy annotations file")
     p.add_argument("--detections", required=True, help="model detections file")
 
@@ -749,14 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the teacher-student surrogate loop")
     _add_common(p)
-    _add_noise_flags(p)
-    _add_correction_flags(p)
-    p.add_argument("--iterations", type=int, help="loop iterations (default 15)")
-    p.add_argument("--keep-rate", type=float, dest="keep_rate", help="EMA keep rate")
-    p.add_argument("--images", type=int, help="synthetic images (default 8)")
-    p.add_argument("--boxes-per-image", type=int, dest="boxes_per_image")
-    p.add_argument("--classes", type=int, help="number of classes (default 3)")
-    p.add_argument("--image-size", dest="image_size", help="WIDTHxHEIGHT")
+    _add_hyperparameter_flags(p, "simulate")
     p.add_argument(
         "--render", action="store_const", const=True,
         help="write per-iteration SVG renders",

@@ -50,12 +50,6 @@ __all__ = [
 SPURIOUS_MIN_SIDE = 16.0
 SPURIOUS_MAX_SIDE = 196.0
 
-# round-tripping a box through a transform and its inverse must stay this tight
-ALIGNMENT_TOL = 1e-9
-
-# the strong view when it does not flip
-_IDENTITY = GeoTransform.scale(1.0, 1.0)
-
 
 @dataclass(frozen=True)
 class SimDetectorParams:
@@ -322,22 +316,6 @@ def build_scenario(truth: Dataset, noise_cfg: NoiseConfig) -> Scenario:
     )
 
 
-def _check_alignment(t: GeoTransform, anns: Sequence[Annotation]) -> None:
-    inv = t.inverse()
-    for ann in anns:
-        back = apply_transform(inv, apply_transform(t, ann.box))
-        drift = max(
-            abs(back.x1 - ann.box.x1),
-            abs(back.y1 - ann.box.y1),
-            abs(back.x2 - ann.box.x2),
-            abs(back.y2 - ann.box.y2),
-        )
-        if drift > ALIGNMENT_TOL:
-            raise RuntimeError(
-                f"strong-view alignment drift {drift} exceeds {ALIGNMENT_TOL}"
-            )
-
-
 def _flip_annotations(
     anns: Sequence[Annotation], t: GeoTransform
 ) -> list[Annotation]:
@@ -347,7 +325,6 @@ def _flip_annotations(
 def run_loop(
     scenario: Scenario,
     cfg: LoopConfig,
-    workers: int = 1,
     hook: Callable[
         [int, dict[str, list[Annotation]], dict[str, list[Detection]]], None
     ]
@@ -357,25 +334,21 @@ def run_loop(
 
     Per iteration and image: a weak view (random horizontal flip) is chosen,
     the teacher predicts on it, the noisy targets are refined against those
-    predictions, a strong view transform is applied to the refined targets
-    and checked for alignment consistency, and everything is mapped back to
-    the original frame. Target quality (mean best IoU of refined targets to
-    the hidden truth) drives the student, and the teacher follows by EMA.
+    predictions, and everything is mapped back to the original frame. Target
+    quality (mean best IoU of refined targets to the hidden truth) drives the
+    student, and the teacher follows by EMA.
 
     Each iteration draws every image's predictions first, then scores and
     refines all images together (``correct_images``). Every random draw
     comes from a substream keyed by (seed, iteration, image), and reduction
-    order is fixed, so results do not depend on image order. ``workers`` is
-    accepted for compatibility and must be at least 1; it changes nothing.
-    ``hook``, when given, receives each iteration's refined targets and
-    predictions per image.
+    order is fixed, so results do not depend on image order. ``hook``, when
+    given, receives each iteration's refined targets and predictions per
+    image.
 
     Targets with untouched boxes keep their exact original coordinates; only
     boxes the correction actually moved go through view-transform round
     trips.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     num_classes = scenario.truth.num_classes
     seed = cfg.noise.seed
     images = scenario.truth.images
@@ -392,13 +365,13 @@ def run_loop(
     for it in range(cfg.iterations):
         teacher = SimDetectorParams.from_vector(state.teacher)
         weak_flips: list[bool] = []
-        strong_flips: list[bool] = []
         truth_views: list[Sequence[Annotation]] = []
         drawn: list[list[tuple[Box, int]]] = []
         for k, rec in enumerate(images):
             rng = derive_rng(seed, "loop", it, rec.image_id)
             weak_flips.append(bool(rng.integers(2)))
-            strong_flips.append(bool(rng.integers(2)))
+            # value unused: the draw keeps this substream's later draws, and every output
+            rng.integers(2)
             truth_views.append(flipped_truth[k] if weak_flips[-1] else rec.annotations)
             drawn.append(
                 _draw_predictions(
@@ -416,7 +389,6 @@ def run_loop(
         for k, rec in enumerate(images):
             corrected_view, report = results[k]
             weak = flips[k] if weak_flips[k] else None
-            _check_alignment(flips[k] if strong_flips[k] else _IDENTITY, corrected_view)
             targets_view = targets_views[k]
             corrected: list[Annotation] = []
             for j, ann in enumerate(corrected_view):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import sys
 
 import pytest
 
-from boxrefine.cli import main
+from boxrefine.cli import build_parser, main
 from boxrefine.datamodel import (
     Annotation,
     Dataset,
@@ -561,6 +562,182 @@ class TestConfigLayering:
     def test_seed_flag_recorded(self, tmp_path):
         cfg = self.run_correct(tmp_path, ["--seed", "42"], "s")
         assert cfg["seed"] == 42
+
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ({"correction": {"bogus": 1}}, "correction.bogus"),
+            ({"noise": {"superfluous": {"bogus": 1}}}, "noise.superfluous.bogus"),
+            ({"correction": 5}, "correction"),
+            ({"loop": {"bogus": 1}}, "loop.bogus"),
+        ],
+    )
+    def test_nested_config_keys_validated(self, tmp_path, capsys, payload, key):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "out"
+        rc = main(
+            ["simulate", "--images", "1", "--iterations", "1", "--out", str(out),
+             "--config", str(cfg_file)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(cfg_file) in err and repr(key) in err
+        assert not (out / "config.json").exists()
+
+    def test_nested_config_keys_accepted(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(
+            json.dumps(
+                {"noise": {"superfluous": {"trials": 2}},
+                 "loop": {"image_size": [300, 200]}}
+            ),
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        rc = main(
+            ["simulate", "--images", "1", "--iterations", "1", "--out", str(out),
+             "--config", str(cfg_file)]
+        )
+        assert rc == 0
+        cfg = read_json(out / "config.json")
+        assert cfg["noise"]["superfluous"] == {"trials": 2}
+        assert cfg["loop"]["image_size"] == [300, 200]
+
+    def test_every_hyperparameter_flag_reaches_config(self, tmp_path):
+        out = tmp_path / "out"
+        rc = main(
+            ["simulate", "--out", str(out), "--seed", "4",
+             "--box-noise", "0.1", "--sparsity", "extreme",
+             "--superfluous-trials", "2", "--superfluous-success", "0.25",
+             "--superfluous-min-side", "10", "--superfluous-max-side", "50",
+             "--distance", "center-normalized", "--center-norm", "40",
+             "--distance-limit", "0.7", "--temperature", "0.3",
+             "--mining-threshold", "0.85", "--mining-nms-iou", "0.4",
+             "--dedup-iou", "0.45", "--max-iterations", "7", "--fixed-size", "30",
+             "--iterations", "1", "--keep-rate", "0.9", "--images", "2",
+             "--boxes-per-image", "3", "--classes", "2", "--image-size", "300x200"]
+        )
+        assert rc == 0
+        assert read_json(out / "config.json") == {
+            "command": "simulate",
+            "seed": 4,
+            "noise": {
+                "box_noise": 0.1,
+                "sparsity": "extreme",
+                "superfluous": {
+                    "trials": 2, "success": 0.25, "min_side": 10.0, "max_side": 50.0,
+                },
+            },
+            "correction": {
+                "distance": "center-normalized",
+                "center_norm": 40.0,
+                "distance_limit": 0.7,
+                "temperature": 0.3,
+                "mining_threshold": 0.85,
+                "mining_nms_iou": 0.4,
+                "dedup_iou": 0.45,
+                "max_iterations": 7,
+                "convergence_eps": 1e-6,
+                "fixed_size": 30.0,
+            },
+            "loop": {
+                "iterations": 1,
+                "keep_rate": 0.9,
+                "images": 2,
+                "boxes_per_image": 3,
+                "classes": 2,
+                "image_size": [300, 200],
+            },
+        }
+
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            (["--superfluous", "on"],
+             {"trials": 10, "success": 0.5, "min_side": 16.0, "max_side": 196.0}),
+            (["--superfluous", "off"], None),
+            # a field flag switches it back on, whatever the order on the line
+            (["--superfluous-trials", "3", "--superfluous", "off"],
+             {"trials": 3, "success": 0.5, "min_side": 16.0, "max_side": 196.0}),
+        ],
+    )
+    def test_superfluous_switch(self, tmp_path, flags, expected):
+        src = tmp_path / "clean.json"
+        two_image_dataset(src)
+        out = tmp_path / "out"
+        assert main(["inject-noise", "--input", str(src), "--out", str(out)] + flags) == 0
+        assert read_json(out / "config.json")["noise"]["superfluous"] == expected
+
+
+# recorded before the hyperparameter flags were generated from one table
+FLAG_SURFACE = {
+    "inject-noise": {
+        ("--box-noise", "box_noise"), ("--config", "config"), ("--format", "format"),
+        ("--help", "help"), ("--input", "input"), ("--out", "out"),
+        ("--point-side", "point_side"), ("--profile", "profile"), ("--seed", "seed"),
+        ("--sparsity", "sparsity"), ("--superfluous", "superfluous"),
+        ("--superfluous-max-side", "superfluous_max_side"),
+        ("--superfluous-min-side", "superfluous_min_side"),
+        ("--superfluous-success", "superfluous_success"),
+        ("--superfluous-trials", "superfluous_trials"), ("--workers", "workers"),
+        ("-h", "help"),
+    },
+    "correct": {
+        ("--center-norm", "center_norm"), ("--config", "config"),
+        ("--dedup-iou", "dedup_iou"), ("--detections", "detections"),
+        ("--distance", "distance"), ("--distance-limit", "distance_limit"),
+        ("--fixed-size", "fixed_size"), ("--format", "format"), ("--help", "help"),
+        ("--max-iterations", "max_iterations"), ("--mining-nms-iou", "mining_nms_iou"),
+        ("--mining-threshold", "mining_threshold"), ("--out", "out"),
+        ("--point-side", "point_side"), ("--profile", "profile"), ("--seed", "seed"),
+        ("--targets", "targets"), ("--temperature", "temperature"),
+        ("--workers", "workers"), ("-h", "help"),
+    },
+    "evaluate": {
+        ("--annotations", "annotations"), ("--config", "config"),
+        ("--ground-truth", "ground_truth"), ("--help", "help"), ("--out", "out"),
+        ("--predictions", "predictions"), ("--profile", "profile"),
+        ("--score-floor", "score_floor"), ("--seed", "seed"), ("--workers", "workers"),
+        ("-h", "help"),
+    },
+    "simulate": {
+        ("--box-noise", "box_noise"), ("--boxes-per-image", "boxes_per_image"),
+        ("--center-norm", "center_norm"), ("--classes", "classes"),
+        ("--config", "config"), ("--dedup-iou", "dedup_iou"),
+        ("--distance", "distance"), ("--distance-limit", "distance_limit"),
+        ("--fixed-size", "fixed_size"), ("--help", "help"),
+        ("--image-size", "image_size"), ("--images", "images"),
+        ("--iterations", "iterations"), ("--keep-rate", "keep_rate"),
+        ("--max-iterations", "max_iterations"), ("--mining-nms-iou", "mining_nms_iou"),
+        ("--mining-threshold", "mining_threshold"), ("--out", "out"),
+        ("--profile", "profile"), ("--render", "render"), ("--seed", "seed"),
+        ("--sparsity", "sparsity"), ("--superfluous", "superfluous"),
+        ("--superfluous-max-side", "superfluous_max_side"),
+        ("--superfluous-min-side", "superfluous_min_side"),
+        ("--superfluous-success", "superfluous_success"),
+        ("--superfluous-trials", "superfluous_trials"),
+        ("--temperature", "temperature"), ("--workers", "workers"), ("-h", "help"),
+    },
+    "render": {
+        ("--config", "config"), ("--dataset", "dataset"),
+        ("--detections", "detections"), ("--format", "format"),
+        ("--ground-truth", "ground_truth"), ("--help", "help"), ("--layers", "layers"),
+        ("--out", "out"), ("--point-side", "point_side"), ("--profile", "profile"),
+        ("--seed", "seed"), ("--workers", "workers"), ("-h", "help"),
+    },
+}
+
+
+def test_flag_surface():
+    """Every subcommand keeps its option strings and their destinations."""
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {
+        name: {(opt, action.dest) for action in p._actions for opt in action.option_strings}
+        for name, p in sub.choices.items()
+    }
+    assert got == FLAG_SURFACE
 
 
 class TestPointInputs:

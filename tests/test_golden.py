@@ -89,6 +89,11 @@ RUNS: tuple[tuple[str, ...], ...] = (
      "--boxes-per-image", "12", "--iterations", "3", "--out", "sim"),
     ("simulate", "--profile", "nb40-ex", "--seed", "7", "--images", "3",
      "--boxes-per-image", "4", "--iterations", "2", "--render", "--out", "sim-render"),
+    # no profile: every setting comes from the built-in defaults
+    ("correct", "--targets", "noisy/annotations.json", "--detections", "dets.json",
+     "--out", "corrected-default"),
+    # one superfluous flag switches superfluous noise on with the other defaults
+    ("simulate", "--superfluous-min-side", "24", "--out", "sim-default"),
     ("render", "--dataset", "corrected-iou/corrected.json", "--detections", "dets.json",
      "--ground-truth", "clean.json", "--out", "svg"),
     ("render", "--dataset", "odd.json", "--detections", "odd.json",
@@ -115,8 +120,15 @@ def run_all(root: Path) -> dict[str, str]:
 
 # recorded from the package before pairwise geometry moved to arrays; the
 # render and ``simulate --render`` outputs were recorded before SVG escaping
-# moved into the package
+# moved into the package, the ``*-default`` outputs before the CLI derived its
+# defaults from the config dataclasses
 GOLDEN: dict[str, str] = {
+    "corrected-default/config.json":
+        "51b8c2827cde5cbc754f38bf2ea77ad342f92c3f366382c590e09fa853f759ad",
+    "corrected-default/corrected.json":
+        "35e9322fbcae8262f5324ef5dc8ea1bbda0310b3cad24977dd6889ac61fafe4c",
+    "corrected-default/report.json":
+        "58066a6b218e66c04de089d5dacdef03c83c90f6d7a6500e3cac2a9b122893a4",
     "corrected-edmonton/config.json":
         "246aa4a76a30670dfa3aecfe2342043db8b041a68b6b1bfbdaf73a31b300d431",
     "corrected-edmonton/corrected.json":
@@ -147,6 +159,16 @@ GOLDEN: dict[str, str] = {
         "5814ed13d0fc8f59fe6205c6b02c8ebca59b08c0cc92e2bac29406aa526b54d2",
     "noisy/summary.json":
         "42ceebe51e62c9015a20ee549e8f201d5e1ea783439ca914462c19ed8cb1eaad",
+    "sim-default/config.json":
+        "4513c134175eeb7b61ce15a7bf73b00cae0b0d4465277c9958cf3bfb23b61f98",
+    "sim-default/corrected_final.json":
+        "279ee59f09eecc8cc1cdce9064bb9ea2069f34261321db7dbdec7bed9d2bcebd",
+    "sim-default/targets.json":
+        "279ee59f09eecc8cc1cdce9064bb9ea2069f34261321db7dbdec7bed9d2bcebd",
+    "sim-default/trace.jsonl":
+        "8e22044a9477708ca352b89c4fff63c419cbe42eef3808b429c86cd2f8e47ca2",
+    "sim-default/truth.json":
+        "da0cecbc9ba263762f108faeb8bdf28ee2386c3a28eb0f18d85eee3cf81186b8",
     "sim-render/config.json":
         "00a274fb9e7fc90121b0071e1ee77e0724662878657a9b65cb759dd87a4fb815",
     "sim-render/corrected_final.json":

@@ -5,11 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import boxrefine.simloop as simloop_mod
 from boxrefine import geometry
 from boxrefine.correction import CorrectionConfig
 from boxrefine.datamodel import Annotation
-from boxrefine.geometry import Box, GeoTransform
+from boxrefine.geometry import Box
 from boxrefine.noise import NoiseConfig, derive_rng
 from boxrefine.simloop import (
     DEFAULT_SCHEDULE,
@@ -255,13 +254,6 @@ class TestRunLoop:
         b = run_loop(build_scenario(truth, cfg.noise), cfg)
         assert a == b
 
-    def test_workers_do_not_change_results(self):
-        truth = synthesize_truth(num_images=5, boxes_per_image=4)
-        cfg = small_loop_cfg(iterations=4)
-        serial = run_loop(build_scenario(truth, cfg.noise), cfg, workers=1)
-        threaded = run_loop(build_scenario(truth, cfg.noise), cfg, workers=4)
-        assert serial == threaded
-
     def test_image_chunks_do_not_change_results(self, monkeypatch):
         truth = synthesize_truth(num_images=7, boxes_per_image=5, seed=2)
         cfg = small_loop_cfg(iterations=3)
@@ -325,36 +317,11 @@ class TestRunLoop:
         for _, c_ids, p_ids in calls:
             assert c_ids == ids and p_ids == ids
 
-    def test_workers_validated(self):
-        truth = synthesize_truth(num_images=1)
-        cfg = small_loop_cfg(iterations=1)
-        with pytest.raises(ValueError, match="workers"):
-            run_loop(build_scenario(truth, cfg.noise), cfg, workers=0)
-
     def test_loop_config_validated(self):
         with pytest.raises(ValueError, match="iterations"):
             small_loop_cfg(iterations=0)
         with pytest.raises(ValueError, match="keep_rate"):
             small_loop_cfg(keep_rate=-0.1)
-
-
-class TestAlignmentCheck:
-    def test_exact_transforms_pass(self):
-        anns = [Annotation(box=Box(10, 20, 60, 90), label=1)]
-        simloop_mod._check_alignment(GeoTransform.hflip(512.0), anns)
-        simloop_mod._check_alignment(GeoTransform.scale(1.0, 1.0), anns)
-
-    def test_drift_raises(self, monkeypatch):
-        real = simloop_mod.apply_transform
-
-        def lossy(t, box):
-            out = real(t, box)
-            return Box(out.x1, out.y1 + 1e-6, out.x2, out.y2 + 1e-6)
-
-        monkeypatch.setattr(simloop_mod, "apply_transform", lossy)
-        anns = [Annotation(box=Box(10, 20, 60, 90), label=1)]
-        with pytest.raises(RuntimeError, match="alignment drift"):
-            simloop_mod._check_alignment(GeoTransform.hflip(512.0), anns)
 
 
 class TestDeriveRngInLoop:
