@@ -15,9 +15,10 @@ import copy
 import csv
 import inspect
 import json
+import math
 import re
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -56,9 +57,10 @@ from .simloop import (
 __all__ = ["RunConfig", "PROFILES", "main", "console_main"]
 
 
-def _defaults(cls, *names: str) -> dict:
-    """Field defaults of the dataclass ``cls``: the named fields, or all of them."""
-    return {f.name: f.default for f in fields(cls) if not names or f.name in names}
+def _fields(cls, attr: str, *names: str) -> dict:
+    """``attr`` (``default`` or ``type``) of the dataclass ``cls``'s fields:
+    the named ones, or all of them."""
+    return {f.name: getattr(f, attr) for f in fields(cls) if not names or f.name in names}
 
 
 # the loop section's keys for the arguments of ``synthesize_truth``
@@ -69,17 +71,52 @@ _TRUTH_PARAMS = inspect.signature(synthesize_truth).parameters
 # every built-in default comes from the config dataclasses and synthesize_truth
 DEFAULTS: dict = {
     "seed": NoiseConfig.seed,
-    "noise": _defaults(NoiseConfig, "box_noise", "sparsity", "superfluous"),
-    "correction": _defaults(CorrectionConfig),
+    "noise": _fields(NoiseConfig, "default", "box_noise", "sparsity", "superfluous"),
+    "correction": _fields(CorrectionConfig, "default"),
     "loop": {
-        **_defaults(LoopConfig, "iterations", "keep_rate"),
+        **_fields(LoopConfig, "default", "iterations", "keep_rate"),
         **{key: _TRUTH_PARAMS[arg].default for key, arg in _TRUTH_ARGS.items()},
     },
 }
 
 # noise.superfluous is off (null) by default; a flag that sets one of its
 # fields switches it on with these defaults
-_SUPERFLUOUS = _defaults(SuperfluousConfig)
+_SUPERFLUOUS = _fields(SuperfluousConfig, "default")
+
+# the type annotation of every setting a config file may give, from the same
+# sources; noise.superfluous holds SuperfluousConfig's fields or is null
+_TYPES: dict = {
+    "seed": _fields(NoiseConfig, "type", "seed")["seed"],
+    "noise": {
+        **_fields(NoiseConfig, "type", "box_noise", "sparsity"),
+        "superfluous": _fields(SuperfluousConfig, "type"),
+    },
+    "correction": _fields(CorrectionConfig, "type"),
+    "loop": {
+        **_fields(LoopConfig, "type", "iterations", "keep_rate"),
+        **{key: _TRUTH_PARAMS[arg].annotation for key, arg in _TRUTH_ARGS.items()},
+    },
+}
+
+
+def _is_number(value: object) -> bool:
+    # json.loads also reads NaN and Infinity, which every range check lets through
+    return type(value) is int or (type(value) is float and math.isfinite(value))
+
+
+# the JSON values a config file may give a setting of each annotated type;
+# ``type() is`` keeps true and false out of the numbers
+_JSON_TYPES: dict[str, tuple[str, Callable[[object], bool]]] = {
+    "int": ("an integer", lambda v: type(v) is int),
+    "float": ("a finite number", _is_number),
+    "float | None": ("a finite number or null", lambda v: v is None or _is_number(v)),
+    "float | str": ("a finite number or a string", lambda v: type(v) is str or _is_number(v)),
+    "str": ("a string", lambda v: type(v) is str),
+    "tuple[int, int]": (
+        "a list of two integers",
+        lambda v: type(v) is list and len(v) == 2 and all(type(x) is int for x in v),
+    ),
+}
 
 
 def _noise_profile(box_noise: float, sparsity: float | str) -> dict:
@@ -316,23 +353,32 @@ _SECTIONS = {
 }
 
 
-def _check_keys(path: Path, cfg: dict, shape: dict, prefix: str = "") -> None:
-    """Reject, naming them dotted, keys of ``cfg`` that ``shape`` lacks, at any depth."""
-    unknown = sorted(prefix + key for key in cfg if key not in shape)
+def _check_config(path: Path, cfg: dict, schema: dict, prefix: str = "") -> None:
+    """Reject keys of ``cfg`` that ``schema`` lacks, and values of the wrong
+    JSON type, at any depth, naming them dotted."""
+    unknown = sorted(prefix + key for key in cfg if key not in schema)
     if unknown:
         raise CliError(f"{path}: unknown config keys: {unknown}")
     for key, value in cfg.items():
         name = prefix + key
-        # noise.superfluous defaults to null (off); its fields are SuperfluousConfig's
-        nested = _SUPERFLUOUS if name == "noise.superfluous" else shape[key]
-        if not isinstance(nested, dict) or (value is None and nested is _SUPERFLUOUS):
+        expected = schema[key]
+        if isinstance(expected, dict):
+            if value is None and name == "noise.superfluous":
+                continue
+            if not isinstance(value, dict):
+                raise CliError(f"{path}: {name!r} must be a JSON object")
+            _check_config(path, value, expected, name + ".")
             continue
-        if not isinstance(value, dict):
-            raise CliError(f"{path}: {name!r} must be a JSON object")
-        _check_keys(path, value, nested, name + ".")
+        what, accepts = _JSON_TYPES[expected]
+        if not accepts(value):
+            raise CliError(f"{path}: {name!r} must be {what}, got {value!r}")
 
 
-def _read_config_file(path: Path, shape: dict) -> dict:
+def _read_config_file(path: Path, sections: Sequence[str]) -> dict:
+    """The config file at ``path``, checked against the settings of ``sections``.
+
+    ``command`` and ``profile`` are not settings: the command line names both.
+    """
     if not path.exists():
         raise CliError(f"config file not found: {path}")
     try:
@@ -341,7 +387,8 @@ def _read_config_file(path: Path, shape: dict) -> dict:
         raise CliError(f"{path}: invalid JSON: {exc.msg}") from exc
     if not isinstance(file_cfg, dict):
         raise CliError(f"{path}: config must be a JSON object")
-    _check_keys(path, file_cfg, shape)
+    schema = {"seed": _TYPES["seed"], **{section: _TYPES[section] for section in sections}}
+    _check_config(path, file_cfg, schema)
     return file_cfg
 
 
@@ -365,7 +412,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
     config_path = getattr(args, "config", None)
     if config_path is not None:
-        _merge(resolved, _read_config_file(Path(config_path), resolved))
+        _merge(resolved, _read_config_file(Path(config_path), sections))
 
     _apply_flag_overrides(resolved, args)
 
@@ -390,7 +437,7 @@ def _clipped(rec: ImageRecord, anns: Sequence[Annotation]) -> list[Annotation]:
     out = []
     for a in anns:
         box = a.box.clip(rec.width, rec.height)
-        out.append(a if box == a.box else replace(a, box=box))
+        out.append(a if box == a.box else Annotation(box, a.label, a.provenance))
     return out
 
 

@@ -22,7 +22,7 @@ and :func:`mine_labels` are its one-image cases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -315,7 +315,7 @@ def _correct_chunk(
             if b == t.box:
                 anns.append(t)
             else:
-                anns.append(replace(t, box=b, provenance=PROVENANCE_CORRECTED))
+                anns.append(Annotation(b, t.label, PROVENANCE_CORRECTED))
         out.append(anns)
     return out
 

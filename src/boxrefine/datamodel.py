@@ -14,8 +14,9 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .geometry import Box
 
@@ -195,52 +196,47 @@ def _require(cond: bool, path: Path, msg: str) -> None:
         raise DatasetFormatError(f"{path}: {msg}")
 
 
-def _finite(
-    values: Sequence[object], path: Path, entry: str, key: object, field: str
-) -> list[float]:
-    """``values`` as floats, unless one is not a finite number.
+def _not_finite(
+    shown: object, path: Path, entry: str, key: object, field: str
+) -> DatasetFormatError:
+    """The error for a ``field`` of ``entry`` ``key`` (such as ``annotation 7``)
+    that is not a finite number.
 
-    The error names the file, the entry (``entry`` ``key``, such as
-    ``annotation 7``) and the field. Non-finite values are refused at load:
-    NaN compares false with everything, so it would slip past every later
-    range check.
+    Non-finite values are refused at load: NaN compares false with
+    everything, so it would slip past every later range check.
     """
-    try:
-        numbers = [float(v) for v in values]
-        if all(map(math.isfinite, numbers)):
-            return numbers
-    except (TypeError, ValueError):
-        pass
-    shown = values[0] if len(values) == 1 else list(values)
-    raise DatasetFormatError(
+    return DatasetFormatError(
         f"{path}: {entry} {key}: {field!r} must be a finite number, got {shown!r}"
     )
 
 
-def _read_box(entry: Mapping, path: Path, ann_id: object) -> Box:
-    corners = entry.get("bbox_xyxy")
-    if corners is not None:
-        if not (isinstance(corners, list) and len(corners) == 4):
-            raise DatasetFormatError(
-                f"{path}: annotation {ann_id}: bbox_xyxy must be a list of 4 numbers"
-            )
-        x1, y1, x2, y2 = _finite(corners, path, "annotation", ann_id, "bbox_xyxy")
-        if not (x1 <= x2 and y1 <= y2):
-            raise DatasetFormatError(
-                f"{path}: annotation {ann_id}: bbox_xyxy corners not canonical"
-            )
-        return Box(x1, y1, x2, y2)
-    bbox = entry.get("bbox")
-    if not (isinstance(bbox, list) and len(bbox) == 4):
+def _finite(value: object, path: Path, entry: str, key: object, field: str) -> float:
+    """``value`` as a float, unless it is not a finite number."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise _not_finite(value, path, entry, key, field) from None
+    if not math.isfinite(number):
+        raise _not_finite(value, path, entry, key, field)
+    return number
+
+
+def _four_finite(
+    values: object, path: Path, ann_id: object, field: str
+) -> tuple[float, float, float, float]:
+    """The four numbers of an annotation's ``bbox`` or ``bbox_xyxy`` as floats."""
+    if not (isinstance(values, list) and len(values) == 4):
         raise DatasetFormatError(
-            f"{path}: annotation {ann_id}: bbox must be a list of 4 numbers"
+            f"{path}: annotation {ann_id}: {field} must be a list of 4 numbers"
         )
-    x, y, w, h = _finite(bbox, path, "annotation", ann_id, "bbox")
-    if not (w >= 0.0 and h >= 0.0):
-        raise DatasetFormatError(
-            f"{path}: annotation {ann_id}: negative bbox size {w}x{h}"
-        )
-    return Box(x, y, x + w, y + h)
+    try:
+        a, b, c, d = map(float, values)
+    except (TypeError, ValueError, OverflowError):
+        raise _not_finite(values, path, "annotation", ann_id, field) from None
+    isfinite = math.isfinite
+    if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
+        raise _not_finite(values, path, "annotation", ann_id, field)
+    return a, b, c, d
 
 
 def _load_coco(path: Path) -> Dataset:
@@ -281,23 +277,25 @@ def _load_coco(path: Path) -> Dataset:
         if not (isinstance(img, dict) and "id" in img):
             raise DatasetFormatError(f"{path}: image entry missing 'id'")
         for fld in ("width", "height"):
-            if not (isinstance(img.get(fld), (int, float)) and img[fld] > 0):
+            size = img.get(fld)
+            if not (isinstance(size, (int, float)) and size > 0):
                 raise DatasetFormatError(
                     f"{path}: image {img['id']}: missing or non-positive {fld!r}"
                 )
-            _finite((img[fld],), path, "image", img["id"], fld)
-        rec = ImageRecord(
-            image_id=str(img["id"]),
-            width=int(img["width"]),
-            height=int(img["height"]),
-            annotations=[],
-            detections=None,
-        )
+            _finite(size, path, "image", img["id"], fld)
+            # a pixel count: true would load as 1 and 512.7 as 512
+            if isinstance(size, bool) or size != int(size):
+                raise DatasetFormatError(
+                    f"{path}: image {img['id']}: {fld!r} must be a whole number, "
+                    f"got {size!r}"
+                )
+        rec = ImageRecord(str(img["id"]), int(img["width"]), int(img["height"]), [])
         if img["id"] in by_id:
             raise DatasetFormatError(f"{path}: duplicate image id {img['id']}")
         by_id[img["id"]] = rec
         records.append(rec)
 
+    # one pass per entry; every message is formatted only for the entry that fails
     for k, entry in enumerate(raw["annotations"]):
         if not isinstance(entry, dict):
             raise DatasetFormatError(
@@ -318,30 +316,49 @@ def _load_coco(path: Path) -> Dataset:
             raise DatasetFormatError(
                 f"{path}: annotation {ann_id}: unknown category_id {entry['category_id']!r}"
             )
-        box = _read_box(entry, path, ann_id).clip(rec.width, rec.height)
+        corners = entry.get("bbox_xyxy")
+        if corners is not None:
+            x1, y1, x2, y2 = _four_finite(corners, path, ann_id, "bbox_xyxy")
+            if not (x1 <= x2 and y1 <= y2):
+                raise DatasetFormatError(
+                    f"{path}: annotation {ann_id}: bbox_xyxy corners not canonical"
+                )
+        else:
+            x1, y1, w, h = _four_finite(entry.get("bbox"), path, ann_id, "bbox")
+            if not (w >= 0.0 and h >= 0.0):
+                raise DatasetFormatError(
+                    f"{path}: annotation {ann_id}: negative bbox size {w}x{h}"
+                )
+            x2 = x1 + w
+            y2 = y1 + h
+        # clipped to the image, the same expression as ``Box.clip``
+        width, height = rec.width, rec.height
+        box = Box(
+            min(max(x1, 0.0), width),
+            min(max(y1, 0.0), height),
+            min(max(x2, 0.0), width),
+            min(max(y2, 0.0), height),
+        )
         if "score" in entry:
-            (score,) = _finite((entry["score"],), path, "annotation", ann_id, "score")
+            score = _finite(entry["score"], path, "annotation", ann_id, "score")
             if not 0.0 <= score <= 1.0:
                 raise DatasetFormatError(
                     f"{path}: annotation {ann_id}: score {score} outside [0, 1]"
                 )
             if "logit" in entry:
-                (logit,) = _finite((entry["logit"],), path, "annotation", ann_id, "logit")
+                logit = _finite(entry["logit"], path, "annotation", ann_id, "logit")
             else:
                 logit = prob_to_logit(score)
-            det = Detection(box=box, label=label, prob=score, logit=logit)
             if rec.detections is None:
                 rec.detections = []
-            rec.detections.append(det)
+            rec.detections.append(Detection(box, label, score, logit))
         else:
             provenance = entry.get("provenance", PROVENANCE_ORIGINAL)
             if provenance not in PROVENANCES:
                 raise DatasetFormatError(
                     f"{path}: annotation {ann_id}: unknown provenance {provenance!r}"
                 )
-            rec.annotations.append(
-                Annotation(box=box, label=label, provenance=provenance)
-            )
+            rec.annotations.append(Annotation(box, label, provenance))
     return Dataset(class_names=class_names, images=records)
 
 
@@ -424,58 +441,101 @@ def load_annotations(
     raise ValueError(f"unknown format: {fmt!r} (use 'coco-json' or 'point-csv')")
 
 
+def _json_value(value: object, indent: str) -> str:
+    """``value`` as ``json.dumps(..., sort_keys=True, indent=2)`` writes it
+    on a line that starts with the whitespace ``indent``.
+
+    Finite floats, ints and strings are formatted here as json's encoder
+    formats them (``float.__repr__``, ``int.__repr__``, the C string
+    escaper); any other value goes through ``json.dumps``.
+    """
+    kind = type(value)
+    if kind is float:
+        if math.isfinite(value):
+            return float.__repr__(value)
+    elif kind is int:
+        return int.__repr__(value)
+    elif kind is str:
+        return encode_basestring_ascii(value)
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+
+
+def _json_list(entries: list[str]) -> str:
+    """A top-level key's list of already formatted entries, two deep."""
+    if not entries:
+        return "[]"
+    return "[\n" + ",\n".join(entries) + "\n  ]"
+
+
 def save_annotations(dataset: Dataset, path: str | Path) -> None:
     """Write ``dataset`` as COCO-subset JSON.
 
     Output is deterministic: fixed key order, no timestamps, entries in
     dataset order. ``load_annotations`` on the result reconstructs the
     dataset exactly.
+
+    The bytes are those of ``json.dumps(payload, sort_keys=True, indent=2)``
+    plus a newline. Entries are formatted from fixed templates because
+    json's C encoder is used only without ``indent``, and its pure-Python
+    fallback dominated the time of writing a file.
     """
+    value = _json_value
+    entries: list[str] = []
+
+    def entry(box: Box, label: int, image_id: str, tail: str) -> str:
+        x1, y1, x2, y2 = box.x1, box.y1, box.x2, box.y2
+        left, top = value(x1, "        "), value(y1, "        ")
+        return (
+            "    {\n"
+            '      "bbox": [\n'
+            f"        {left},\n"
+            f"        {top},\n"
+            f'        {value(x2 - x1, "        ")},\n'
+            f'        {value(y2 - y1, "        ")}\n'
+            "      ],\n"
+            '      "bbox_xyxy": [\n'
+            f"        {left},\n"
+            f"        {top},\n"
+            f'        {value(x2, "        ")},\n'
+            f'        {value(y2, "        ")}\n'
+            "      ],\n"
+            f'      "category_id": {value(label, "      ")},\n'
+            f'      "id": {len(entries) + 1},\n'
+            f'      "image_id": {image_id},\n'
+            f"      {tail}\n"
+            "    }"
+        )
+
+    for rec in dataset.images:
+        image_id = value(rec.image_id, "      ")
+        for ann in rec.annotations:
+            tail = f'"provenance": {value(ann.provenance, "      ")}'
+            entries.append(entry(ann.box, ann.label, image_id, tail))
+        for det in rec.detections or ():
+            tail = (
+                f'"logit": {value(det.logit, "      ")},\n'
+                f'      "score": {value(det.prob, "      ")}'
+            )
+            entries.append(entry(det.box, det.label, image_id, tail))
     images = [
-        {"id": rec.image_id, "width": rec.width, "height": rec.height}
+        "    {\n"
+        f'      "height": {value(rec.height, "      ")},\n'
+        f'      "id": {value(rec.image_id, "      ")},\n'
+        f'      "width": {value(rec.width, "      ")}\n'
+        "    }"
         for rec in dataset.images
     ]
     categories = [
-        {"id": i, "name": name}
-        for i, name in enumerate(dataset.class_names, start=1)
+        {"id": i, "name": name} for i, name in enumerate(dataset.class_names, start=1)
     ]
-    annotations: list[dict] = []
-
-    def box_fields(box: Box) -> dict:
-        return {
-            "bbox": [box.x1, box.y1, box.width, box.height],
-            "bbox_xyxy": [box.x1, box.y1, box.x2, box.y2],
-        }
-
-    next_id = 1
-    for rec in dataset.images:
-        for ann in rec.annotations:
-            annotations.append(
-                {
-                    "id": next_id,
-                    "image_id": rec.image_id,
-                    "category_id": ann.label,
-                    **box_fields(ann.box),
-                    "provenance": ann.provenance,
-                }
-            )
-            next_id += 1
-        for det in rec.detections or ():
-            annotations.append(
-                {
-                    "id": next_id,
-                    "image_id": rec.image_id,
-                    "category_id": det.label,
-                    **box_fields(det.box),
-                    "score": det.prob,
-                    "logit": det.logit,
-                }
-            )
-            next_id += 1
-    payload = {"images": images, "categories": categories, "annotations": annotations}
-    Path(path).write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    text = (
+        "{\n"
+        f'  "annotations": {_json_list(entries)},\n'
+        f'  "categories": {value(categories, "  ")},\n'
+        f'  "images": {_json_list(images)}\n'
+        "}\n"
     )
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def points_to_boxes(

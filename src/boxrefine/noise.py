@@ -138,17 +138,20 @@ def displace_boxes(
     if box_noise < 0.0:
         raise ValueError(f"box_noise must be >= 0, got {box_noise}")
     width, height = image_size
-    out: list[Annotation] = []
+    spans: list[float] = []
     for ann in anns:
+        dx = ann.box.width * box_noise
+        dy = ann.box.height * box_noise
+        spans += (dx, dx, dy, dy)
+    # one call draws the same values, in the same order, as a scalar call each
+    d = np.array(spans)
+    offsets = rng.uniform(-d, d).tolist()
+    out: list[Annotation] = []
+    for k, ann in enumerate(anns):
         b = ann.box
-        dx = b.width * box_noise
-        dy = b.height * box_noise
-        x1 = b.x1 + rng.uniform(-dx, dx)
-        x2 = b.x2 + rng.uniform(-dx, dx)
-        y1 = b.y1 + rng.uniform(-dy, dy)
-        y2 = b.y2 + rng.uniform(-dy, dy)
-        box = constrain_box(Box.spanning(x1, y1, x2, y2), width, height)
-        out.append(replace(ann, box=box))
+        ox1, ox2, oy1, oy2 = offsets[4 * k : 4 * k + 4]
+        box = Box.spanning(b.x1 + ox1, b.y1 + oy1, b.x2 + ox2, b.y2 + oy2)
+        out.append(Annotation(constrain_box(box, width, height), ann.label, ann.provenance))
     return out
 
 

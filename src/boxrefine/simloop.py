@@ -319,7 +319,7 @@ def build_scenario(truth: Dataset, noise_cfg: NoiseConfig) -> Scenario:
 def _flip_annotations(
     anns: Sequence[Annotation], t: GeoTransform
 ) -> list[Annotation]:
-    return [replace(a, box=apply_transform(t, a.box)) for a in anns]
+    return [Annotation(apply_transform(t, a.box), a.label, a.provenance) for a in anns]
 
 
 def run_loop(
@@ -395,12 +395,17 @@ def run_loop(
                 if j < len(targets_view) and ann is targets_view[j]:
                     corrected.append(targets[k][j])
                 elif weak:
-                    corrected.append(replace(ann, box=apply_transform(weak, ann.box)))
+                    corrected.append(
+                        Annotation(apply_transform(weak, ann.box), ann.label, ann.provenance)
+                    )
                 else:
                     corrected.append(ann)
             corrected_by_image[rec.image_id] = corrected
             preds_by_image[rec.image_id] = (
-                [replace(p, box=apply_transform(weak, p.box)) for p in preds_views[k]]
+                [
+                    Detection(apply_transform(weak, p.box), p.label, p.prob, p.logit)
+                    for p in preds_views[k]
+                ]
                 if weak
                 else preds_views[k]
             )

@@ -7,6 +7,7 @@ meaningful. Nothing imports package internals beyond constructing inputs.
 
 from __future__ import annotations
 
+import json
 import math
 
 
@@ -227,3 +228,50 @@ def correct_ref(
         iterations = max(iterations, rounds)
         all_converged = all_converged and converged
     return boxes, iterations, all_converged, sizes
+
+
+def save_ref(dataset) -> str:
+    """The text ``save_annotations`` writes, built the straightforward way.
+
+    One dict per entry, serialised by ``json.dumps(sort_keys=True, indent=2)``,
+    which with ``indent`` runs json's pure-Python encoder.
+    """
+    images = [
+        {"id": rec.image_id, "width": rec.width, "height": rec.height}
+        for rec in dataset.images
+    ]
+    categories = [
+        {"id": i, "name": name} for i, name in enumerate(dataset.class_names, start=1)
+    ]
+    annotations = []
+
+    def box_fields(box) -> dict:
+        return {
+            "bbox": [box.x1, box.y1, box.width, box.height],
+            "bbox_xyxy": [box.x1, box.y1, box.x2, box.y2],
+        }
+
+    for rec in dataset.images:
+        for ann in rec.annotations:
+            annotations.append(
+                {
+                    "id": len(annotations) + 1,
+                    "image_id": rec.image_id,
+                    "category_id": ann.label,
+                    **box_fields(ann.box),
+                    "provenance": ann.provenance,
+                }
+            )
+        for det in rec.detections or ():
+            annotations.append(
+                {
+                    "id": len(annotations) + 1,
+                    "image_id": rec.image_id,
+                    "category_id": det.label,
+                    **box_fields(det.box),
+                    "score": det.prob,
+                    "logit": det.logit,
+                }
+            )
+    payload = {"images": images, "categories": categories, "annotations": annotations}
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -273,6 +273,22 @@ class TestCorrect:
         assert rc == 1
         assert str(dets) in err and field in err
 
+    @pytest.mark.parametrize("field, value", [("width", True), ("height", 512.7)])
+    def test_fractional_or_boolean_image_size_exits_cleanly(
+        self, tmp_path, capsys, field, value
+    ):
+        targets = tmp_path / "targets.json"
+        two_image_dataset(targets)
+        payload = read_json(targets)
+        payload["images"][1][field] = value
+        targets.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "out"
+        rc = main(["inject-noise", "--input", str(targets), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert str(targets) in err and "image b" in err and repr(field) in err
+        assert not (out / "annotations.json").exists()
+
     def test_workers_do_not_change_output(self, tmp_path):
         targets = tmp_path / "targets.json"
         two_image_dataset(targets)
@@ -603,6 +619,78 @@ class TestConfigLayering:
         cfg = read_json(out / "config.json")
         assert cfg["noise"]["superfluous"] == {"trials": 2}
         assert cfg["loop"]["image_size"] == [300, 200]
+
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ({"correction": {"temperature": "x"}}, "correction.temperature"),
+            ({"correction": {"temperature": math.nan}}, "correction.temperature"),
+            ({"correction": {"distance_limit": "far"}}, "correction.distance_limit"),
+            ({"correction": {"distance": 3}}, "correction.distance"),
+            ({"correction": {"max_iterations": 2.5}}, "correction.max_iterations"),
+            ({"seed": "abc"}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"noise": {"box_noise": None}}, "noise.box_noise"),
+            ({"noise": {"sparsity": [0.5]}}, "noise.sparsity"),
+            ({"noise": {"superfluous": {"trials": 2.5}}}, "noise.superfluous.trials"),
+            ({"loop": {"image_size": [300]}}, "loop.image_size"),
+            ({"loop": {"keep_rate": "0.9"}}, "loop.keep_rate"),
+        ],
+    )
+    def test_config_value_types_validated(self, tmp_path, capsys, payload, key):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "out"
+        rc = main(
+            ["simulate", "--images", "1", "--iterations", "1", "--out", str(out),
+             "--config", str(cfg_file)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(cfg_file) in err and repr(key) in err
+        assert not (out / "config.json").exists()
+
+    def test_config_value_types_accepted(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        payload = {
+            "seed": 3,
+            "noise": {"box_noise": 0, "sparsity": "extreme", "superfluous": None},
+            "correction": {"temperature": 1, "distance_limit": None,
+                           "mining_threshold": 0.8},
+        }
+        cfg_file.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "out"
+        rc = main(
+            ["simulate", "--images", "1", "--iterations", "1", "--out", str(out),
+             "--config", str(cfg_file)]
+        )
+        assert rc == 0
+        cfg = read_json(out / "config.json")
+        assert cfg["seed"] == 3 and cfg["correction"]["temperature"] == 1
+
+    def test_every_setting_has_a_json_type(self):
+        from boxrefine import cli
+
+        def leaves(tree):
+            for value in tree.values():
+                yield from leaves(value) if isinstance(value, dict) else [value]
+
+        assert set(leaves(cli._TYPES)) <= set(cli._JSON_TYPES)
+
+    @pytest.mark.parametrize("key, value", [("command", "evaluate"), ("profile", "nb0-ex")])
+    def test_command_and_profile_not_config_keys(self, tmp_path, capsys, key, value):
+        # the command line names both; a file must not contradict it
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({key: value}), encoding="utf-8")
+        out = tmp_path / "out"
+        rc = main(
+            ["simulate", "--images", "1", "--iterations", "1", "--out", str(out),
+             "--profile", "nb40-ex", "--config", str(cfg_file)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(cfg_file) in err and key in err
+        assert not (out / "config.json").exists()
 
     def test_every_hyperparameter_flag_reaches_config(self, tmp_path):
         out = tmp_path / "out"

@@ -25,6 +25,8 @@ from boxrefine.datamodel import (
 )
 from boxrefine.geometry import Box
 
+from oracles import save_ref
+
 
 def write_coco(tmp_path, payload, name="data.json"):
     path = tmp_path / name
@@ -277,6 +279,30 @@ def random_dataset(rng: np.random.Generator, max_images: int = 4) -> Dataset:
     return Dataset(class_names=names, images=images)
 
 
+    def test_image_size_must_be_whole_number(self, tmp_path):
+        # a pixel count: true once loaded as width 1, 512.7 as 512
+        rng = np.random.default_rng(33)
+        for case in range(24):
+            payload = coco_with_detection()
+            field = ("width", "height")[case % 2]
+            bad = (True, 512.7, 100.25, 0.5 + int(rng.integers(1, 600)))[case % 4]
+            payload["images"][0][field] = bad
+            path = write_coco(tmp_path, payload, name=f"case_{case}.json")
+            with pytest.raises(DatasetFormatError) as info:
+                load_annotations(path)
+            message = str(info.value)
+            assert str(path) in message
+            assert "image a" in message
+            assert repr(field) in message
+
+    def test_integral_float_image_size_accepted(self, tmp_path):
+        payload = coco_with_detection()
+        payload["images"][0].update(width=100.0, height=80.0)
+        rec = load_annotations(write_coco(tmp_path, payload)).images[0]
+        assert (rec.width, rec.height) == (100, 80)
+        assert type(rec.width) is int and type(rec.height) is int
+
+
 class TestRoundTrip:
     def test_save_load_identity_on_random_datasets(self, tmp_path):
         rng = np.random.default_rng(21)
@@ -305,6 +331,76 @@ class TestRoundTrip:
         # a file without the corner field (foreign producer) must load fine
         ds = load_annotations(write_coco(tmp_path, MINIMAL))
         assert ds.images[0].annotations[0].box == Box(10, 20, 40, 60)
+
+
+ODD_TEXT = ("plain", "ñandú", 'say "hi"', "back\\slash", "tab\there", "🐱 cat", "")
+
+
+def awkward_dataset(rng: np.random.Generator) -> Dataset:
+    """``random_dataset`` plus what the writer must escape or keep as ints."""
+    ds = random_dataset(rng, max_images=6)
+    for k, rec in enumerate(ds.images):
+        rec.image_id = f"{ODD_TEXT[int(rng.integers(len(ODD_TEXT)))]}/{k}"
+        if rng.random() < 0.5:
+            # clipping returns the int image size as a coordinate
+            x1 = float(rng.uniform(0, rec.width / 2))
+            box = Box(x1, -5.0, x1 + rec.width, rec.height + 0.5).clip(
+                rec.width, rec.height
+            )
+            assert type(box.x2) is int and type(box.y2) is int
+            rec.annotations.append(Annotation(box=box, label=1, provenance="mined"))
+        if rng.random() < 0.2:
+            rec.annotations, rec.detections = [], None
+    ds.class_names = [
+        f"{ODD_TEXT[int(rng.integers(len(ODD_TEXT)))]} {i}"
+        for i in range(1, ds.num_classes + 1)
+    ]
+    return ds
+
+
+class TestWriterBytes:
+    """``save_annotations`` writes exactly what ``json.dumps(indent=2)`` writes."""
+
+    def check(self, tmp_path, ds):
+        path = tmp_path / "out.json"
+        save_annotations(ds, path)
+        assert path.read_bytes() == save_ref(ds).encode("utf-8")
+
+    def test_seeded_datasets(self, tmp_path):
+        rng = np.random.default_rng(42)
+        for _ in range(80):
+            self.check(tmp_path, awkward_dataset(rng))
+
+    def test_empty_datasets(self, tmp_path):
+        self.check(tmp_path, Dataset(class_names=[], images=[]))
+        self.check(tmp_path, Dataset(class_names=["a"], images=[]))
+        self.check(
+            tmp_path,
+            Dataset(
+                class_names=["a"],
+                images=[ImageRecord(image_id="x", width=5, height=7, detections=[])],
+            ),
+        )
+
+    def test_values_json_formats_itself(self, tmp_path):
+        # types the templates do not format go through json.dumps unchanged
+        rec = ImageRecord(
+            image_id="x",
+            width=64,
+            height=48,
+            annotations=[
+                Annotation(box=Box(np.float64(1.5), 2, np.float64(3.25), 4.0), label=True),
+                Annotation(box=Box(0.0, 0.0, math.inf, 1e300), label=1),
+            ],
+            detections=[Detection.from_logit(box=Box(1, 2, 3, 4), label=1, logit=math.inf)],
+        )
+        others = [
+            ImageRecord(image_id=7, width=10, height=10,
+                        annotations=[Annotation(box=Box(0, 0, 1, 1), label=1)]),
+            ImageRecord(image_id=("nested", 1), width=10, height=10,
+                        annotations=[Annotation(box=Box(0, 0, 1, 1), label=1)]),
+        ]
+        self.check(tmp_path, Dataset(class_names=["a"], images=[rec, *others]))
 
 
 class TestPoints:

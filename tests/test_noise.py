@@ -85,6 +85,33 @@ class TestDisplaceBoxes:
         with pytest.raises(ValueError):
             displace_boxes([], -0.1, (10.0, 10.0), np.random.default_rng(0))
 
+    def test_draws_equal_four_scalar_calls_per_box(self):
+        # one vector draw per image must give the scalar loop's boxes, bit for
+        # bit, and leave the stream where the scalar loop leaves it
+        def scalar_displace(anns, level, size, rng):
+            out = []
+            for ann in anns:
+                b = ann.box
+                dx, dy = b.width * level, b.height * level
+                x1 = b.x1 + rng.uniform(-dx, dx)
+                x2 = b.x2 + rng.uniform(-dx, dx)
+                y1 = b.y1 + rng.uniform(-dy, dy)
+                y2 = b.y2 + rng.uniform(-dy, dy)
+                box = constrain_box(Box.spanning(x1, y1, x2, y2), *size)
+                out.append(Annotation(box=box, label=ann.label, provenance=ann.provenance))
+            return out
+
+        master = np.random.default_rng(12)
+        for seed in range(300):
+            anns = interior_annotations(master, int(master.integers(0, 25)))
+            anns += [Annotation(box=Box(0, 0, 512, 4), label=2, provenance="mined"),
+                     Annotation(box=Box(500.0, 7.5, 500.0, 7.5), label=1)][: seed % 3]
+            for level in (0.05, 0.2, 0.4, 0.9):
+                fast, slow = derive_rng(seed, "d", level), derive_rng(seed, "d", level)
+                got = displace_boxes(anns, level, (512.0, 512.0), fast)
+                assert got == scalar_displace(anns, level, (512.0, 512.0), slow)
+                assert fast.random() == slow.random()
+
 
 class TestSparsify:
     def test_zero_sparsity_keeps_all(self):
