@@ -5,7 +5,7 @@ winning: built-in defaults, a named ``--profile``, a JSON ``--config`` file,
 then explicit flags. The fully resolved configuration is written to
 ``<out>/config.json`` before any processing, and records only what defines
 the result (inputs, seed, hyperparameters), never execution details like the
-output path or worker count, so re-runs compare byte-identical.
+output path, so re-runs compare byte-identical.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .datamodel import (
     save_annotations,
 )
 from .evaluation import error_breakdown, evaluate_ap50, quality_stats
-from .noise import NoiseConfig, SuperfluousConfig, corrupt_dataset
+from .noise import SPARSITY_EXTREME, NoiseConfig, SuperfluousConfig, corrupt_dataset
 from .simloop import (
     DEFAULT_SCHEDULE,
     LoopConfig,
@@ -67,6 +67,9 @@ def _fields(cls, attr: str, *names: str) -> dict:
 _TRUTH_ARGS = {"images": "num_images", "boxes_per_image": "boxes_per_image",
                "classes": "num_classes", "image_size": "image_size"}
 _TRUTH_PARAMS = inspect.signature(synthesize_truth).parameters
+# defaults of the evaluate and point-input options, which config files do not set
+_SCORE_FLOOR = inspect.signature(error_breakdown).parameters["score_floor"].default
+_POINT_SIDE = 60.0
 
 # every built-in default comes from the config dataclasses and synthesize_truth
 DEFAULTS: dict = {
@@ -104,19 +107,51 @@ def _is_number(value: object) -> bool:
     return type(value) is int or (type(value) is float and math.isfinite(value))
 
 
-# the JSON values a config file may give a setting of each annotated type;
-# ``type() is`` keeps true and false out of the numbers
-_JSON_TYPES: dict[str, tuple[str, Callable[[object], bool]]] = {
-    "int": ("an integer", lambda v: type(v) is int),
-    "float": ("a finite number", _is_number),
-    "float | None": ("a finite number or null", lambda v: v is None or _is_number(v)),
-    "float | str": ("a finite number or a string", lambda v: type(v) is str or _is_number(v)),
-    "str": ("a string", lambda v: type(v) is str),
+def _read_size(text: str) -> object:
+    match = re.fullmatch(r"(\d+)x(\d+)", text)
+    return [int(match[1]), int(match[2])] if match else text
+
+
+# for a setting of each annotated type: the JSON values it may take, whether
+# a value is one (``type() is`` keeps true and false out of the numbers), and
+# how a flag's text reads as that value (a ValueError leaves the text as it is)
+_JSON_TYPES: dict[str, tuple[str, Callable[[object], bool], Callable[[str], object]]] = {
+    "int": ("an integer", lambda v: type(v) is int, int),
+    "float": ("a finite number", _is_number, float),
+    "float | None": (
+        "a finite number or null ('none' as a flag)",
+        lambda v: v is None or _is_number(v),
+        lambda t: None if t.lower() in ("none", "off") else float(t),
+    ),
+    "float | str": (
+        f"a finite number or {SPARSITY_EXTREME!r}",
+        lambda v: v == SPARSITY_EXTREME or _is_number(v),
+        lambda t: SPARSITY_EXTREME if t.lower() in ("extreme", "ex", "ex.") else float(t),
+    ),
+    "str": ("a string", lambda v: type(v) is str, str),
     "tuple[int, int]": (
-        "a list of two integers",
+        "a list of two integers (WIDTHxHEIGHT as a flag)",
         lambda v: type(v) is list and len(v) == 2 and all(type(x) is int for x in v),
+        _read_size,
     ),
 }
+
+
+def _checked(value: object, annotation: str, name: str) -> object:
+    """``value`` if it is a JSON value of type ``annotation``; else a CliError naming it."""
+    what, accepts, _ = _JSON_TYPES[annotation]
+    if not accepts(value):
+        raise CliError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def _read_flag(text: str, annotation: str, option: str) -> object:
+    """A flag's text as the config-file value of type ``annotation``, checked alike."""
+    try:
+        value = _JSON_TYPES[annotation][2](text)
+    except ValueError:
+        value = text
+    return _checked(value, annotation, option)
 
 
 def _noise_profile(box_noise: float, sparsity: float | str) -> dict:
@@ -199,43 +234,15 @@ def _merge(base: dict, extra: dict) -> None:
             base[key] = value
 
 
-def _parse_optional_float(text: str, flag: str) -> float | None:
-    if text.lower() in ("none", "off"):
-        return None
-    try:
-        return float(text)
-    except ValueError:
-        raise CliError(f"{flag} expects a number or 'none', got {text!r}") from None
-
-
-def _parse_sparsity(text: str, flag: str) -> float | str:
-    if text.lower() in ("extreme", "ex", "ex."):
-        return "extreme"
-    try:
-        return float(text)
-    except ValueError:
-        raise CliError(f"{flag} expects a fraction or 'extreme', got {text!r}") from None
-
-
-def _parse_image_size(text: str, flag: str) -> list[int]:
-    match = re.fullmatch(r"(\d+)x(\d+)", text)
-    if not match:
-        raise CliError(f"{flag} expects WIDTHxHEIGHT, got {text!r}")
-    return [int(match.group(1)), int(match.group(2))]
-
-
 class _Flag(NamedTuple):
     """A hyperparameter flag: ``--<key>`` sets ``<section>.<key>``.
 
-    ``type`` converts at parse time, so a bad value exits 2 with argparse's
-    message; ``convert`` runs after parsing and raises :class:`CliError`,
-    so a bad value exits 1. ``{}`` in ``help`` becomes the default.
+    Its text is read and checked as the config-file value of the setting's
+    type (:func:`_read_flag`). ``{}`` in ``help`` becomes the default.
     """
 
     section: str
     key: str
-    type: Callable[[str], object] | None = None
-    convert: Callable[[str, str], object] | None = None
     help: str | None = None
     choices: tuple[str, ...] | None = None
 
@@ -251,35 +258,30 @@ class _Flag(NamedTuple):
 # every hyperparameter flag, declared and applied from this one table; a
 # ``superfluous.<field>`` key sets a field of noise.superfluous
 _FLAGS: tuple[_Flag, ...] = (
-    _Flag("noise", "box_noise", float, help="displacement fraction N_b"),
-    _Flag("noise", "sparsity", convert=_parse_sparsity,
-          help="removal fraction N_s or 'extreme'"),
-    _Flag("noise", "superfluous", choices=("on", "off"),
-          help="inject superfluous boxes (Binomial count, uniform geometry)"),
-    _Flag("noise", "superfluous.trials", int),
-    _Flag("noise", "superfluous.success", float),
-    _Flag("noise", "superfluous.min_side", float),
-    _Flag("noise", "superfluous.max_side", float),
-    _Flag("correction", "distance", choices=(DISTANCE_IOU, DISTANCE_GIOU, DISTANCE_CENTER),
-          help="assignment distance"),
-    _Flag("correction", "center_norm", convert=_parse_optional_float,
-          help="center-distance scale, or 'none'"),
-    _Flag("correction", "distance_limit", convert=_parse_optional_float,
-          help="assignment radius d, or 'none' to disable"),
-    _Flag("correction", "temperature", float, help="softmax temperature"),
-    _Flag("correction", "mining_threshold", convert=_parse_optional_float,
-          help="mining confidence tau, or 'none' to disable"),
-    _Flag("correction", "mining_nms_iou", float),
-    _Flag("correction", "dedup_iou", float),
-    _Flag("correction", "max_iterations", int),
-    _Flag("correction", "fixed_size", convert=_parse_optional_float,
-          help="square side for the fixed-size variant, or 'none'"),
-    _Flag("loop", "iterations", int, help="loop iterations (default {})"),
-    _Flag("loop", "keep_rate", float, help="EMA keep rate"),
-    _Flag("loop", "images", int, help="synthetic images (default {})"),
-    _Flag("loop", "boxes_per_image", int),
-    _Flag("loop", "classes", int, help="number of classes (default {})"),
-    _Flag("loop", "image_size", convert=_parse_image_size, help="WIDTHxHEIGHT"),
+    _Flag("noise", "box_noise", "displacement fraction N_b"),
+    _Flag("noise", "sparsity", "removal fraction N_s or 'extreme'"),
+    _Flag("noise", "superfluous",
+          "inject superfluous boxes (Binomial count, uniform geometry)", ("on", "off")),
+    _Flag("noise", "superfluous.trials"),
+    _Flag("noise", "superfluous.success"),
+    _Flag("noise", "superfluous.min_side"),
+    _Flag("noise", "superfluous.max_side"),
+    _Flag("correction", "distance", "assignment distance",
+          (DISTANCE_IOU, DISTANCE_GIOU, DISTANCE_CENTER)),
+    _Flag("correction", "center_norm", "center-distance scale, or 'none'"),
+    _Flag("correction", "distance_limit", "assignment radius d, or 'none' to disable"),
+    _Flag("correction", "temperature", "softmax temperature"),
+    _Flag("correction", "mining_threshold", "mining confidence tau, or 'none' to disable"),
+    _Flag("correction", "mining_nms_iou"),
+    _Flag("correction", "dedup_iou"),
+    _Flag("correction", "max_iterations"),
+    _Flag("correction", "fixed_size", "square side for the fixed-size variant, or 'none'"),
+    _Flag("loop", "iterations", "loop iterations (default {})"),
+    _Flag("loop", "keep_rate", "EMA keep rate"),
+    _Flag("loop", "images", "synthetic images (default {})"),
+    _Flag("loop", "boxes_per_image"),
+    _Flag("loop", "classes", "number of classes (default {})"),
+    _Flag("loop", "image_size", "WIDTHxHEIGHT"),
 )
 
 
@@ -306,9 +308,7 @@ class RunConfig:
         )
 
     def correction_config(self) -> CorrectionConfig:
-        cfg = CorrectionConfig(**self.resolved["correction"])
-        cfg.validate()
-        return cfg
+        return CorrectionConfig(**self.resolved["correction"])
 
     def write_config(self) -> None:
         self.out.mkdir(parents=True, exist_ok=True)
@@ -322,26 +322,29 @@ def _write_json(path: Path, payload: object) -> None:
 
 
 def _apply_flag_overrides(resolved: dict, args: argparse.Namespace) -> None:
-    if args.seed is not None:
-        resolved["seed"] = args.seed
+    for name, annotation in (("seed", _TYPES["seed"]), ("point_side", "float"),
+                             ("score_floor", "float")):
+        text = getattr(args, name, None)
+        if text is not None:
+            resolved[name] = _read_flag(text, annotation, "--" + name.replace("_", "-"))
     # table order applies --superfluous on/off before the superfluous fields
     for flag in _FLAGS:
-        value = getattr(args, flag.dest, None)
-        if value is None:
+        text = getattr(args, flag.dest, None)
+        if text is None:
             continue
-        if flag.convert is not None:
-            value = flag.convert(value, flag.option)
-        section = resolved[flag.section]
+        section, types = resolved[flag.section], _TYPES[flag.section]
         head, _, field = flag.key.partition(".")
         if head != "superfluous":
-            section[head] = value
-        elif value == "off":
+            section[head] = _read_flag(text, types[head], flag.option)
+        elif text == "off":
             section["superfluous"] = None
         else:
             if section["superfluous"] is None:
                 section["superfluous"] = dict(_SUPERFLUOUS)
             if field:
-                section["superfluous"][field] = value
+                section["superfluous"][field] = _read_flag(
+                    text, types[head][field], flag.option
+                )
 
 
 _SECTIONS = {
@@ -369,9 +372,7 @@ def _check_config(path: Path, cfg: dict, schema: dict, prefix: str = "") -> None
                 raise CliError(f"{path}: {name!r} must be a JSON object")
             _check_config(path, value, expected, name + ".")
             continue
-        what, accepts = _JSON_TYPES[expected]
-        if not accepts(value):
-            raise CliError(f"{path}: {name!r} must be {what}, got {value!r}")
+        _checked(value, expected, f"{path}: {name!r}")
 
 
 def _read_config_file(path: Path, sections: Sequence[str]) -> dict:
@@ -424,7 +425,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             inputs[name.replace("_", "-")] = str(value)
     if inputs:
         resolved["inputs"] = inputs
-    for name in ("format", "point_side", "score_floor", "layers", "render"):
+    for name in ("format", "layers", "render"):
         value = getattr(args, name, None)
         if value is not None:
             resolved[name] = value
@@ -445,7 +446,7 @@ def _load_boxes_dataset(run: RunConfig, path: str) -> Dataset:
     fmt = run.resolved.get("format", "coco-json")
     dataset = load_annotations(path, fmt=fmt)
     if fmt == "point-csv":
-        dataset = materialize_points(dataset, run.resolved.get("point_side", 60.0))
+        dataset = materialize_points(dataset, run.resolved.get("point_side", _POINT_SIDE))
     return dataset
 
 
@@ -532,7 +533,7 @@ def cmd_evaluate(run: RunConfig) -> None:
             f"unknown to ground truth {extra}"
         )
     predictions = {rec.image_id: rec.detections or [] for rec in preds_ds.images}
-    score_floor = run.resolved.get("score_floor", 0.5)
+    score_floor = run.resolved.get("score_floor", _SCORE_FLOOR)
     result = evaluate_ap50(gt, predictions)
     breakdown = error_breakdown(gt, predictions, score_floor)
     metrics: dict = {
@@ -718,14 +719,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--profile",
         help=f"named hyperparameter preset: {', '.join(sorted(PROFILES))}",
     )
-    parser.add_argument(
-        "--seed", type=int, help=f"master seed (default {DEFAULTS['seed']})"
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        help="accepted for compatibility and ignored: every subcommand runs serially",
-    )
+    parser.add_argument("--seed", help=f"master seed (default {DEFAULTS['seed']})")
 
 
 def _add_hyperparameter_flags(parser: argparse.ArgumentParser, command: str) -> None:
@@ -734,7 +728,6 @@ def _add_hyperparameter_flags(parser: argparse.ArgumentParser, command: str) -> 
             default = DEFAULTS[flag.section].get(flag.key)
             parser.add_argument(
                 flag.option,
-                type=flag.type,
                 choices=flag.choices,
                 help=flag.help and flag.help.format(default),
             )
@@ -746,8 +739,7 @@ def _add_format_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--point-side",
-        type=float,
-        help="square side when materialising point annotations (default 60)",
+        help=f"square side when materialising point annotations (default {_POINT_SIDE:g})",
     )
 
 
@@ -779,8 +771,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--annotations", help="annotation set for quality statistics (optional)"
     )
     p.add_argument(
-        "--score-floor", type=float, dest="score_floor",
-        help="confidence floor for the error breakdown (default 0.5)",
+        "--score-floor", dest="score_floor",
+        help=f"confidence floor for the error breakdown (default {_SCORE_FLOOR})",
     )
 
     p = sub.add_parser("simulate", help="run the teacher-student surrogate loop")

@@ -81,6 +81,7 @@ class CorrectionConfig:
     respective stage in :func:`correct_targets`. ``fixed_size`` activates the
     fixed-size variant for point-derived targets: box updates average
     prediction centers only and re-expand to a ``fixed_size`` square.
+    Construction raises :class:`ConfigError` for an invalid value.
     """
 
     distance: str = DISTANCE_IOU
@@ -94,22 +95,23 @@ class CorrectionConfig:
     convergence_eps: float = 1e-6
     fixed_size: float | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        # each check is written so that NaN fails it
         if self.distance not in _DISTANCES:
             raise ConfigError(
                 f"unknown distance {self.distance!r}; valid: {list(_DISTANCES)}"
             )
-        if self.distance == DISTANCE_CENTER and (
-            self.center_norm is None or self.center_norm <= 0.0
+        if self.distance == DISTANCE_CENTER and not (
+            self.center_norm is not None and self.center_norm > 0.0
         ):
             raise ConfigError(
                 "center-normalized distance requires a positive center_norm"
             )
-        if self.distance_limit is not None and self.distance_limit <= 0.0:
+        if self.distance_limit is not None and not self.distance_limit > 0.0:
             raise ConfigError(
                 f"distance_limit must be positive, got {self.distance_limit}"
             )
-        if self.temperature <= 0.0:
+        if not self.temperature > 0.0:
             raise ConfigError(f"temperature must be positive, got {self.temperature}")
         if self.mining_threshold is not None and not (
             0.0 < self.mining_threshold <= 1.0
@@ -127,11 +129,11 @@ class CorrectionConfig:
             raise ConfigError(
                 f"max_iterations must be >= 1, got {self.max_iterations}"
             )
-        if self.convergence_eps < 0.0:
+        if not self.convergence_eps >= 0.0:
             raise ConfigError(
                 f"convergence_eps must be >= 0, got {self.convergence_eps}"
             )
-        if self.fixed_size is not None and self.fixed_size <= 0.0:
+        if self.fixed_size is not None and not self.fixed_size > 0.0:
             raise ConfigError(f"fixed_size must be positive, got {self.fixed_size}")
 
     def distance_matrix(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -146,10 +148,6 @@ class CorrectionConfig:
         if self.distance == DISTANCE_GIOU:
             return lambda a, b: _complement(giou_matrix(a, b))
         norm = self.center_norm
-        if norm is None or norm <= 0.0:
-            raise ConfigError(
-                "center-normalized distance requires a positive center_norm"
-            )
         return lambda a, b: center_distance_matrix(a, b, norm)
 
 
@@ -347,12 +345,16 @@ def _correct_stage(
 
 def _mine_stage(images: Sequence[_Image], cfg: CorrectionConfig) -> list[list[Annotation]]:
     """Label mining of every image: its targets followed by its mined boxes."""
-    survivors = grouped_nms(
-        [[p for p in preds if p.prob >= cfg.mining_threshold] for _, preds in images],
-        cfg.mining_nms_iou,
-    )
+    candidates = [[p for p in preds if p.prob >= cfg.mining_threshold] for _, preds in images]
+    if not any(candidates):
+        return [list(targets) for targets, _ in images]
+    survivors = grouped_nms(candidates, cfg.mining_nms_iou)
     duplicates: dict[int, set[int]] = {}
-    todo = [k for k, (targets, _) in enumerate(images) if survivors[k] and targets]
+    # only a survivor that shares a class with a target can be a duplicate
+    todo = [
+        k for k, (targets, _) in enumerate(images)
+        if {p.label for p in survivors[k]} & {t.label for t in targets}
+    ]
     rows = [len(survivors[k]) for k in todo]
     cols = [len(images[k][0]) for k in todo]
     for chunk in image_chunks(rows, cols):
@@ -390,9 +392,8 @@ def correct_boxes(
     at all the targets are returned unchanged.
 
     Raises:
-        ConfigError: if ``cfg`` is invalid or has no ``distance_limit``.
+        ConfigError: if ``cfg`` has no ``distance_limit``.
     """
-    cfg.validate()
     if cfg.distance_limit is None:
         raise ConfigError("box correction requires a distance_limit")
     return _correct_stage([(targets, preds)], cfg)[0]
@@ -411,9 +412,8 @@ def mine_labels(
     are always retained, in order, ahead of the mined additions.
 
     Raises:
-        ConfigError: if ``cfg`` is invalid or has no ``mining_threshold``.
+        ConfigError: if ``cfg`` has no ``mining_threshold``.
     """
-    cfg.validate()
     if cfg.mining_threshold is None:
         raise ConfigError("label mining requires a mining_threshold")
     return _mine_stage([(targets, preds)], cfg)[0]
@@ -441,7 +441,6 @@ def correct_images(
     The result of each image equals a :func:`correct_targets` call on it
     alone; consecutive images share their numpy calls.
     """
-    cfg.validate()
     if cfg.distance_limit is not None:
         results = _correct_stage(images, cfg)
     else:

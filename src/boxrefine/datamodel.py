@@ -258,6 +258,11 @@ def _load_coco(path: Path) -> Dataset:
             f"category entry {idx} must be an object, got {type(cat).__name__}",
         )
         _require("id" in cat, path, f"category entry {idx} missing 'id'")
+        _require(
+            not isinstance(cat["id"], (list, dict)),
+            path,
+            f"category entry {idx}: 'id' must not be a list or object, got {cat['id']!r}",
+        )
     try:
         categories = sorted(raw["categories"], key=lambda c: c["id"])
     except TypeError:
@@ -273,9 +278,14 @@ def _load_coco(path: Path) -> Dataset:
 
     records: list[ImageRecord] = []
     by_id: dict[object, ImageRecord] = {}
-    for img in raw["images"]:
+    for idx, img in enumerate(raw["images"], start=1):
         if not (isinstance(img, dict) and "id" in img):
             raise DatasetFormatError(f"{path}: image entry missing 'id'")
+        if isinstance(img["id"], (list, dict)):
+            raise DatasetFormatError(
+                f"{path}: image entry {idx}: 'id' must not be a list or object, "
+                f"got {img['id']!r}"
+            )
         for fld in ("width", "height"):
             size = img.get(fld)
             if not (isinstance(size, (int, float)) and size > 0):
@@ -304,14 +314,20 @@ def _load_coco(path: Path) -> Dataset:
         ann_id = entry["id"] if "id" in entry else f"#{k}"
         if "image_id" not in entry:
             raise DatasetFormatError(f"{path}: annotation {ann_id}: missing 'image_id'")
-        rec = by_id.get(entry["image_id"])
+        try:
+            rec = by_id.get(entry["image_id"])
+        except TypeError:  # a list or object, which no image id equals
+            rec = None
         if rec is None:
             raise DatasetFormatError(
                 f"{path}: annotation {ann_id}: unknown image_id {entry['image_id']!r}"
             )
         if "category_id" not in entry:
             raise DatasetFormatError(f"{path}: annotation {ann_id}: missing 'category_id'")
-        label = label_of.get(entry["category_id"])
+        try:
+            label = label_of.get(entry["category_id"])
+        except TypeError:
+            label = None
         if label is None:
             raise DatasetFormatError(
                 f"{path}: annotation {ann_id}: unknown category_id {entry['category_id']!r}"

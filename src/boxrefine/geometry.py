@@ -387,8 +387,9 @@ def grouped_nms(
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
     visits = [sorted(g, key=lambda d: -d.prob) for g in groups]
-    # below two detections there is nothing to suppress
-    todo = [k for k, visit in enumerate(visits) if len(visit) >= 2]
+    # a detection only suppresses one of its own class, so a group whose
+    # labels all differ (fewer than two detections included) stays as it is
+    todo = [k for k, visit in enumerate(visits) if len({d.label for d in visit}) < len(visit)]
     sizes = [len(visits[k]) for k in todo]
     for chunk in image_chunks(sizes, sizes):
         members = [visits[todo[i]] for i in chunk]

@@ -469,25 +469,25 @@ def test_cli_byte_determinism(report, tmp_path):
     inject = ["inject-noise", "--input", str(clean), "--box-noise", "0.2",
               "--sparsity", "0.25", "--superfluous", "on", "--seed", "3"]
     run(inject + ["--out", str(tmp_path / "n1")])
-    run(inject + ["--out", str(tmp_path / "n2"), "--workers", "3"])
+    run(inject + ["--out", str(tmp_path / "n2")])
     pairs.append(("inject-noise", "n1", "n2"))
 
     correct = ["correct", "--targets", str(clean), "--detections", str(dets_path),
                "--profile", "nb40-ex"]
     run(correct + ["--out", str(tmp_path / "c1")])
-    run(correct + ["--out", str(tmp_path / "c2"), "--workers", "3"])
+    run(correct + ["--out", str(tmp_path / "c2")])
     pairs.append(("correct", "c1", "c2"))
 
     evaluate = ["evaluate", "--ground-truth", str(clean), "--predictions",
                 str(dets_path), "--annotations", str(clean)]
     run(evaluate + ["--out", str(tmp_path / "e1")])
-    run(evaluate + ["--out", str(tmp_path / "e2"), "--workers", "2"])
+    run(evaluate + ["--out", str(tmp_path / "e2")])
     pairs.append(("evaluate", "e1", "e2"))
 
     simulate = ["simulate", "--profile", "nb40-ex", "--iterations", "2",
                 "--images", "3", "--boxes-per-image", "3", "--seed", "5", "--render"]
     run(simulate + ["--out", str(tmp_path / "s1")])
-    run(simulate + ["--out", str(tmp_path / "s2"), "--workers", "4"])
+    run(simulate + ["--out", str(tmp_path / "s2")])
     pairs.append(("simulate", "s1", "s2"))
 
     render = ["render", "--dataset", str(clean), "--ground-truth", str(clean)]
@@ -503,7 +503,7 @@ def test_cli_byte_determinism(report, tmp_path):
     ok = not mismatched and nonempty
     report(
         9, ok, 60.0,
-        "all subcommands byte-identical across re-runs and worker counts"
+        "all subcommands byte-identical across re-runs"
         + (f"; mismatched: {mismatched}" if mismatched else ""),
     )
 

@@ -12,6 +12,7 @@ import sys
 import pytest
 
 from boxrefine.cli import build_parser, main
+from boxrefine.correction import CorrectionConfig
 from boxrefine.datamodel import (
     Annotation,
     Dataset,
@@ -289,23 +290,35 @@ class TestCorrect:
         assert str(targets) in err and "image b" in err and repr(field) in err
         assert not (out / "annotations.json").exists()
 
-    def test_workers_do_not_change_output(self, tmp_path):
-        targets = tmp_path / "targets.json"
-        two_image_dataset(targets)
-        dets = tmp_path / "dets.json"
-        detections_dataset(
-            dets,
-            {
-                "a": [Detection.from_prob(box=Box(12, 8, 62, 64), label=1, prob=0.9)],
-                "b": [Detection.from_prob(box=Box(28, 44, 88, 116), label=1, prob=0.8)],
-            },
-        )
-        base = ["correct", "--targets", str(targets), "--detections", str(dets),
-                "--profile", "nb40-ex"]
-        out1, out2 = tmp_path / "w1", tmp_path / "w4"
-        assert main(base + ["--out", str(out1)]) == 0
-        assert main(base + ["--out", str(out2), "--workers", "4"]) == 0
-        assert tree_bytes(out1) == tree_bytes(out2)
+    @pytest.mark.parametrize(
+        "case, where, field",
+        [
+            ("annotation image_id", "annotation 1", "image_id"),
+            ("annotation category_id", "annotation 1", "category_id"),
+            ("category id", "category entry 1", "'id'"),
+            ("image id", "image entry 1", "'id'"),
+        ],
+    )
+    def test_list_or_object_ids_exit_cleanly(self, tmp_path, capsys, case, where, field):
+        src = tmp_path / "clean.json"
+        two_image_dataset(src)
+        payload = read_json(src)
+        if case == "annotation image_id":
+            payload["annotations"][0]["image_id"] = ["a"]
+        elif case == "annotation category_id":
+            payload["annotations"][0]["category_id"] = [1]
+        elif case == "category id":
+            payload["categories"][0]["id"] = [1]
+            payload["annotations"][0]["category_id"] = [1]
+        else:
+            payload["images"][0]["id"] = {"a": 1}
+        src.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "out"
+        rc = main(["inject-noise", "--input", str(src), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert str(src) in err and where in err and field in err
+        assert not (out / "annotations.json").exists()
 
 
 class TestEvaluate:
@@ -419,15 +432,13 @@ class TestSimulate:
             assert 0.0 <= rec["target_quality"] <= 1.0
             assert 0.0 <= rec["ap50"] <= 1.0
 
-    def test_rerun_and_workers_byte_identical(self, tmp_path):
+    def test_rerun_byte_identical(self, tmp_path):
         base = ["simulate", "--profile", "nb40-ex", "--iterations", "2",
                 "--images", "3", "--boxes-per-image", "3", "--seed", "5"]
-        outs = [tmp_path / f"r{i}" for i in range(3)]
+        outs = [tmp_path / f"r{i}" for i in range(2)]
         assert main(base + ["--out", str(outs[0])]) == 0
         assert main(base + ["--out", str(outs[1])]) == 0
-        assert main(base + ["--out", str(outs[2]), "--workers", "4"]) == 0
         assert tree_bytes(outs[0]) == tree_bytes(outs[1])
-        assert tree_bytes(outs[0]) == tree_bytes(outs[2])
 
     def test_correction_disabled_trace_is_flat(self, tmp_path):
         out = tmp_path / "out"
@@ -541,9 +552,8 @@ class TestConfigLayering:
         assert cfg["correction"]["mining_threshold"] is None
 
     def test_execution_details_not_recorded(self, tmp_path):
-        cfg = self.run_correct(tmp_path, ["--workers", "4"], "h")
+        cfg = self.run_correct(tmp_path, [], "h")
         assert "out" not in cfg
-        assert "workers" not in cfg
 
     def test_edmonton_profile(self, tmp_path):
         cfg = self.run_correct(tmp_path, ["--profile", "edmonton"], "e")
@@ -635,6 +645,7 @@ class TestConfigLayering:
             ({"noise": {"superfluous": {"trials": 2.5}}}, "noise.superfluous.trials"),
             ({"loop": {"image_size": [300]}}, "loop.image_size"),
             ({"loop": {"keep_rate": "0.9"}}, "loop.keep_rate"),
+            ({"noise": {"sparsity": "ex"}}, "noise.sparsity"),
         ],
     )
     def test_config_value_types_validated(self, tmp_path, capsys, payload, key):
@@ -758,7 +769,74 @@ class TestConfigLayering:
         assert read_json(out / "config.json")["noise"]["superfluous"] == expected
 
 
-# recorded before the hyperparameter flags were generated from one table
+def test_profiles_pass_the_config_check():
+    from boxrefine import cli
+
+    for name, profile in cli.PROFILES.items():
+        cli._check_config(name, profile, cli._TYPES)
+        CorrectionConfig(**{**cli.DEFAULTS["correction"], **profile.get("correction", {})})
+
+
+# arguments each subcommand requires; no test below gets as far as reading them
+REQUIRED = {
+    "inject-noise": ["--input", "clean.csv", "--format", "point-csv"],
+    "correct": ["--targets", "targets.json", "--detections", "dets.json"],
+    "evaluate": ["--ground-truth", "gt.json", "--predictions", "preds.json"],
+    "simulate": [],
+    "render": ["--dataset", "data.json"],
+}
+
+# every option that takes a number, each with a subcommand that has it
+NUMBER_FLAGS = {
+    "inject-noise": ("--box-noise", "--sparsity", "--superfluous-trials",
+                     "--superfluous-success", "--superfluous-min-side",
+                     "--superfluous-max-side", "--point-side", "--seed"),
+    "correct": ("--center-norm", "--distance-limit", "--mining-threshold",
+                "--mining-nms-iou", "--dedup-iou", "--max-iterations", "--fixed-size"),
+    "evaluate": ("--score-floor",),
+    "simulate": ("--temperature", "--iterations", "--keep-rate", "--images",
+                 "--boxes-per-image", "--classes", "--image-size"),
+}
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "abc"])
+@pytest.mark.parametrize(
+    "command, flag", [(c, f) for c, flags in NUMBER_FLAGS.items() for f in flags]
+)
+def test_flag_values_checked_like_config_values(tmp_path, capsys, command, flag, text):
+    out = tmp_path / "out"
+    rc = main([command, *REQUIRED[command], "--out", str(out), f"{flag}={text}"])
+    assert rc == 1
+    assert flag in capsys.readouterr().err
+    assert not (out / "config.json").exists()
+
+
+def test_flag_values_keep_their_types(tmp_path):
+    out = tmp_path / "out"
+    rc = main(
+        ["simulate", "--out", str(out), "--images", "1", "--iterations", "1",
+         "--seed", "7", "--temperature", "1", "--distance-limit", "OFF",
+         "--sparsity", "Ex.", "--image-size", "300x200"]
+    )
+    assert rc == 0
+    cfg = read_json(out / "config.json")
+    assert cfg["seed"] == 7
+    assert type(cfg["correction"]["temperature"]) is float
+    assert cfg["correction"]["distance_limit"] is None
+    assert cfg["noise"]["sparsity"] == "extreme"
+    assert cfg["loop"]["image_size"] == [300, 200]
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED))
+def test_workers_rejected(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, *REQUIRED[command], "--out", str(tmp_path), "--workers", "2"])
+    assert info.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+# recorded before the hyperparameter flags were generated from one table,
+# less --workers, which did nothing and is gone
 FLAG_SURFACE = {
     "inject-noise": {
         ("--box-noise", "box_noise"), ("--config", "config"), ("--format", "format"),
@@ -768,7 +846,7 @@ FLAG_SURFACE = {
         ("--superfluous-max-side", "superfluous_max_side"),
         ("--superfluous-min-side", "superfluous_min_side"),
         ("--superfluous-success", "superfluous_success"),
-        ("--superfluous-trials", "superfluous_trials"), ("--workers", "workers"),
+        ("--superfluous-trials", "superfluous_trials"),
         ("-h", "help"),
     },
     "correct": {
@@ -780,13 +858,13 @@ FLAG_SURFACE = {
         ("--mining-threshold", "mining_threshold"), ("--out", "out"),
         ("--point-side", "point_side"), ("--profile", "profile"), ("--seed", "seed"),
         ("--targets", "targets"), ("--temperature", "temperature"),
-        ("--workers", "workers"), ("-h", "help"),
+        ("-h", "help"),
     },
     "evaluate": {
         ("--annotations", "annotations"), ("--config", "config"),
         ("--ground-truth", "ground_truth"), ("--help", "help"), ("--out", "out"),
         ("--predictions", "predictions"), ("--profile", "profile"),
-        ("--score-floor", "score_floor"), ("--seed", "seed"), ("--workers", "workers"),
+        ("--score-floor", "score_floor"), ("--seed", "seed"),
         ("-h", "help"),
     },
     "simulate": {
@@ -805,14 +883,14 @@ FLAG_SURFACE = {
         ("--superfluous-min-side", "superfluous_min_side"),
         ("--superfluous-success", "superfluous_success"),
         ("--superfluous-trials", "superfluous_trials"),
-        ("--temperature", "temperature"), ("--workers", "workers"), ("-h", "help"),
+        ("--temperature", "temperature"), ("-h", "help"),
     },
     "render": {
         ("--config", "config"), ("--dataset", "dataset"),
         ("--detections", "detections"), ("--format", "format"),
         ("--ground-truth", "ground_truth"), ("--help", "help"), ("--layers", "layers"),
         ("--out", "out"), ("--point-side", "point_side"), ("--profile", "profile"),
-        ("--seed", "seed"), ("--workers", "workers"), ("-h", "help"),
+        ("--seed", "seed"), ("-h", "help"),
     },
 }
 

@@ -133,6 +133,16 @@ class TestCorrectBoxesBasics:
         with pytest.raises(ConfigError):
             CorrectionConfig(fixed_size=-3.0).validate()
 
+    @pytest.mark.parametrize(
+        "field",
+        ["center_norm", "distance_limit", "temperature", "mining_threshold",
+         "mining_nms_iou", "dedup_iou", "convergence_eps", "fixed_size"],
+    )
+    def test_nan_hyperparameters_raise(self, field):
+        with pytest.raises(ConfigError, match=field):
+            CorrectionConfig(**{"distance": "center-normalized", "center_norm": 1.0,
+                                field: math.nan})
+
 
 class TestCorrectBoxesStructure:
     def test_count_labels_order_preserved(self):

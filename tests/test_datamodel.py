@@ -227,6 +227,32 @@ class TestMalformedInput:
                 load_annotations(path)
             assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize(
+        "case, where, field",
+        [
+            ("annotation image_id", "annotation 1", "image_id"),
+            ("annotation category_id", "annotation 1", "category_id"),
+            ("category id", "category entry 1", "'id'"),
+            ("image id", "image entry 1", "'id'"),
+        ],
+    )
+    def test_list_or_object_ids_rejected(self, tmp_path, case, where, field):
+        payload = json.loads(json.dumps(MINIMAL))
+        if case == "annotation image_id":
+            payload["annotations"][0]["image_id"] = ["a"]
+        elif case == "annotation category_id":
+            payload["annotations"][0]["category_id"] = [1]
+        elif case == "category id":
+            payload["categories"][0]["id"] = [1]
+            payload["annotations"][0]["category_id"] = [1]
+        else:
+            payload["images"][0]["id"] = {"a": 1}
+        path = write_coco(tmp_path, payload)
+        with pytest.raises(DatasetFormatError) as info:
+            load_annotations(path)
+        message = str(info.value)
+        assert str(path) in message and where in message and field in message
+
     def test_incomparable_category_ids_rejected(self, tmp_path):
         payload = json.loads(json.dumps(MINIMAL))
         payload["categories"][1]["id"] = "two"
