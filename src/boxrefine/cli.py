@@ -50,6 +50,7 @@ from .simloop import (
     DEFAULT_SCHEDULE,
     LoopConfig,
     build_scenario,
+    check_image_size,
     run_loop,
     synthesize_truth,
 )
@@ -287,28 +288,19 @@ _FLAGS: tuple[_Flag, ...] = (
 
 @dataclass
 class RunConfig:
-    """A resolved run: subcommand, output directory, and the config tree."""
+    """A resolved run: subcommand, output directory, the config tree, and the
+    config objects built from its sections."""
 
     command: str
     out: Path
     resolved: dict
+    noise: NoiseConfig | None = None
+    correction: CorrectionConfig | None = None
+    loop: LoopConfig | None = None
 
     @property
     def seed(self) -> int:
         return self.resolved["seed"]
-
-    def noise_config(self) -> NoiseConfig:
-        section = self.resolved["noise"]
-        sup = section.get("superfluous")
-        return NoiseConfig(
-            box_noise=section["box_noise"],
-            sparsity=section["sparsity"],
-            superfluous=SuperfluousConfig(**sup) if sup is not None else None,
-            seed=self.seed,
-        )
-
-    def correction_config(self) -> CorrectionConfig:
-        return CorrectionConfig(**self.resolved["correction"])
 
     def write_config(self) -> None:
         self.out.mkdir(parents=True, exist_ok=True)
@@ -430,7 +422,34 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if value is not None:
             resolved[name] = value
 
-    return RunConfig(command=args.command, out=Path(args.out), resolved=resolved)
+    # the config objects check their ranges here, before config.json is
+    # written, as the values' types were checked above
+    run = RunConfig(command=args.command, out=Path(args.out), resolved=resolved)
+    if "noise" in sections:
+        noise = resolved["noise"]
+        sup = noise["superfluous"]
+        run.noise = NoiseConfig(
+            box_noise=noise["box_noise"],
+            sparsity=noise["sparsity"],
+            superfluous=SuperfluousConfig(**sup) if sup is not None else None,
+            seed=run.seed,
+        )
+    if "correction" in sections:
+        run.correction = CorrectionConfig(**resolved["correction"])
+    if "loop" in sections:
+        loop = resolved["loop"]
+        try:
+            check_image_size(loop["image_size"])
+        except ValueError as exc:
+            raise CliError(f"--image-size: {exc}") from exc
+        run.loop = LoopConfig(
+            iterations=loop["iterations"],
+            keep_rate=loop["keep_rate"],
+            correction=run.correction,
+            noise=run.noise,
+            schedule=DEFAULT_SCHEDULE,
+        )
+    return run
 
 
 def _clipped(rec: ImageRecord, anns: Sequence[Annotation]) -> list[Annotation]:
@@ -452,7 +471,7 @@ def _load_boxes_dataset(run: RunConfig, path: str) -> Dataset:
 
 def cmd_inject_noise(run: RunConfig) -> None:
     dataset = _load_boxes_dataset(run, run.resolved["inputs"]["input"])
-    corrupted, summary = corrupt_dataset(dataset, run.noise_config())
+    corrupted, summary = corrupt_dataset(dataset, run.noise)
     save_annotations(corrupted, run.out / "annotations.json")
     _write_json(
         run.out / "summary.json", {"seed": run.seed, **run.resolved["noise"], **summary}
@@ -475,7 +494,7 @@ def cmd_correct(run: RunConfig) -> None:
     }
     results = correct_images(
         [(rec.annotations, dets_by_id.get(rec.image_id, [])) for rec in targets_ds.images],
-        run.correction_config(),
+        run.correction,
     )
 
     images = []
@@ -606,15 +625,7 @@ def cmd_simulate(run: RunConfig) -> None:
     truth = synthesize_truth(
         **{arg: loop[key] for key, arg in _TRUTH_ARGS.items()}, seed=run.seed
     )
-    noise_cfg = run.noise_config()
-    scenario = build_scenario(truth, noise_cfg)
-    cfg = LoopConfig(
-        iterations=loop["iterations"],
-        keep_rate=loop["keep_rate"],
-        correction=run.correction_config(),
-        noise=noise_cfg,
-        schedule=DEFAULT_SCHEDULE,
-    )
+    scenario = build_scenario(truth, run.noise)
     save_annotations(truth, run.out / "truth.json")
     targets_ds = Dataset(
         class_names=list(truth.class_names),
@@ -632,14 +643,8 @@ def cmd_simulate(run: RunConfig) -> None:
 
     truth_by_id = {rec.image_id: rec.annotations for rec in truth.images}
     dims = {rec.image_id: (rec.width, rec.height) for rec in truth.images}
-    render = bool(run.resolved.get("render"))
-    final: dict[str, list[Annotation]] = {}
 
-    def hook(iteration, corrected, predictions):
-        final.clear()
-        final.update(corrected)
-        if not render:
-            return
+    def render(iteration, corrected, predictions):
         records = [
             ImageRecord(
                 image_id=image_id,
@@ -658,7 +663,9 @@ def cmd_simulate(run: RunConfig) -> None:
             truth.class_names,
         )
 
-    trace = run_loop(scenario, cfg, hook=hook)
+    trace, final = run_loop(
+        scenario, run.loop, hook=render if run.resolved.get("render") else None
+    )
     with (run.out / "trace.jsonl").open("w", encoding="utf-8", newline="\n") as fh:
         for record in trace:
             fh.write(json.dumps(asdict(record), sort_keys=True) + "\n")
@@ -669,7 +676,7 @@ def cmd_simulate(run: RunConfig) -> None:
                 image_id=rec.image_id,
                 width=rec.width,
                 height=rec.height,
-                annotations=_clipped(rec, final.get(rec.image_id, [])),
+                annotations=_clipped(rec, final[rec.image_id]),
             )
             for rec in truth.images
         ],

@@ -13,16 +13,18 @@ Label mining keeps predictions at or above a probability threshold, removes
 near-duplicates among them with class-wise NMS, drops survivors that overlap
 an existing same-class target, and appends the rest as new annotations.
 
-:func:`correct_images` runs both stages over many images at once: the
-pairwise steps of consecutive images share one padded numpy block (see
-``geometry.image_chunks``). :func:`correct_targets`, :func:`correct_boxes`
-and :func:`mine_labels` are its one-image cases.
+:func:`correct_sets` runs both stages over whole box sets
+(``geometry.BoxSet``): the pairwise steps of consecutive images share one
+padded numpy block (see ``geometry.image_chunks``). :func:`correct_images`
+converts ``(targets, predictions)`` pairs of objects to sets and back, and
+:func:`correct_targets`, :func:`correct_boxes` and :func:`mine_labels` are
+its one-image cases.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,21 +34,23 @@ from .datamodel import (
     Detection,
     PROVENANCE_CORRECTED,
     PROVENANCE_MINED,
+    annotation_set,
+    detection_set,
 )
 # ``iou`` and ``nms`` are not called here; they stay bound because
 # bench/spans.py counts scalar IoU calls and traces nms through each
 # module's own names
 from .geometry import (  # noqa: F401
-    Box,
+    BoxSet,
     center_distance_matrix,
     giou_matrix,
+    grouped_iou,
     grouped_nms,
     image_chunks,
     iou,
     iou_matrix,
     nms,
-    pad_stack,
-    stack_boxes,
+    pad_groups,
 )
 
 __all__ = [
@@ -60,6 +64,8 @@ __all__ = [
     "mine_labels",
     "correct_targets",
     "correct_images",
+    "correct_sets",
+    "refined_annotations",
 ]
 
 DISTANCE_IOU = "iou"
@@ -227,25 +233,31 @@ _Image = tuple[Sequence[Annotation], Sequence[Detection]]
 
 
 def _correct_chunk(
-    images: Sequence[_Image], reports: Sequence[CorrectionReport], cfg: CorrectionConfig
-) -> list[list[Annotation]]:
-    """Box correction of images that all have targets and predictions.
+    targets: BoxSet,
+    preds: BoxSet,
+    ks: np.ndarray,
+    reports: Sequence[CorrectionReport],
+    cfg: CorrectionConfig,
+) -> np.ndarray:
+    """Box correction of images ``ks``, which all have targets and predictions.
 
     The images share one padded block per round: row c, t, j of the distance
-    stack pairs target t and prediction j of image c. Classes of an image are
-    corrected together; a prediction only ever looks at targets of its own
-    class and image, so every (image, class) group stops on its own.
+    stack pairs target t and prediction j of image ``ks[c]``. Classes of an
+    image are corrected together; a prediction only ever looks at targets of
+    its own class and image, so every (image, class) group stops on its own.
+    Returns the final working boxes, ``(C, W, 4)`` padded like the targets.
     """
     distance = cfg.distance_matrix()
-    target_boxes = stack_boxes([[t.box for t in targets] for targets, _ in images])
-    pred_boxes = stack_boxes([[p.box for p in preds] for _, preds in images])
+    target_boxes = pad_groups(targets.boxes, targets.offsets, ks, 0.0)
+    pred_boxes = pad_groups(preds.boxes, preds.offsets, ks, 0.0)
     n, width, p_width = pred_boxes.shape[0], target_boxes.shape[1], pred_boxes.shape[1]
     # padding is labelled 0 among targets and -1 among predictions, so no
     # pair with a padding row is of the same class: the class mask, not the
     # padding's distance, keeps padding out
+    pred_labels = pad_groups(preds.labels, preds.offsets, ks, -1)
     same_class = (
-        pad_stack([[t.label for t in targets] for targets, _ in images], 0)[:, :, None]
-        == pad_stack([[p.label for p in preds] for _, preds in images], -1)[:, None, :]
+        pad_groups(targets.labels, targets.offsets, ks, 0)[:, :, None]
+        == pred_labels[:, None, :]
     )
     dist: np.ndarray | None = distance(target_boxes, pred_boxes)
     # eligibility is pinned to the input boxes, not the moving working boxes
@@ -253,9 +265,7 @@ def _correct_chunk(
     eligible &= same_class
     # targets and predictions by flat index: image c's row t is c * width + t
     coords = pred_boxes.reshape(-1, 4).tolist()
-    logits = [0.0] * len(coords)
-    for c, (_, preds) in enumerate(images):
-        logits[c * p_width : c * p_width + len(preds)] = [p.logit for p in preds]
+    logits = pad_groups(preds.logits, preds.offsets, ks, 0.0).ravel().tolist()
     if cfg.fixed_size is not None:
         current = [
             _square_about(*_center(b), cfg.fixed_size)
@@ -264,12 +274,11 @@ def _correct_chunk(
         dist = None
     else:
         current = target_boxes.reshape(-1, 4).tolist()
+    # the predictions of each (image, class) that has a target of its class
     running: dict[tuple[int, int], list[int]] = {}
-    for c, (group, group_preds) in enumerate(images):
-        target_labels = {t.label for t in group}
-        for j, p in enumerate(group_preds):
-            if p.label in target_labels:
-                running.setdefault((c, p.label), []).append(c * p_width + j)
+    cs, js = np.nonzero(same_class.any(axis=1))
+    for c, j, label in zip(cs.tolist(), js.tolist(), pred_labels[cs, js].tolist()):
+        running.setdefault((c, label), []).append(c * p_width + j)
     rounds = dict.fromkeys(running, 0)
     prev_picks: dict[tuple[int, int], list[int]] = {}
     offsets = np.arange(0, n * width, width)[:, None]
@@ -296,7 +305,7 @@ def _correct_chunk(
                     continue
                 converged = True
             del running[key]
-            report = reports[key[0]]
+            report = reports[ks[key[0]]]
             base = key[0] * width
             for t in picks:
                 if t >= 0:
@@ -305,78 +314,141 @@ def _correct_chunk(
             report.converged = report.converged and converged
         if changed:
             dist = None
-    out: list[list[Annotation]] = []
-    for c, (group, _) in enumerate(images):
-        anns: list[Annotation] = []
-        for t, corners in zip(group, current[c * width : c * width + len(group)]):
-            b = Box(*corners)
-            if b == t.box:
-                anns.append(t)
-            else:
-                anns.append(Annotation(b, t.label, PROVENANCE_CORRECTED))
-        out.append(anns)
-    return out
-
-
-def _untouched(targets: Sequence[Annotation]) -> tuple[list[Annotation], CorrectionReport]:
-    return list(targets), CorrectionReport(assignment_sizes=[0] * len(targets))
+    return np.array(current).reshape(n, width, 4)
 
 
 def _correct_stage(
-    images: Sequence[_Image], cfg: CorrectionConfig
-) -> list[tuple[list[Annotation], CorrectionReport]]:
+    targets: BoxSet, preds: BoxSet, reports: Sequence[CorrectionReport], cfg: CorrectionConfig
+) -> tuple[BoxSet, np.ndarray]:
     """Box correction of every image, in chunks of :func:`image_chunks`.
 
-    An image without targets or without predictions comes back unchanged.
+    Returns the corrected targets and which of them moved. A moved target's
+    coordinates are floats; an unmoved one keeps its row, and an image
+    without targets or predictions keeps all of them.
     """
-    results = [_untouched(targets) for targets, _ in images]
-    todo = [k for k, (targets, preds) in enumerate(images) if targets and preds]
-    rows = [len(images[k][0]) for k in todo]
-    cols = [len(images[k][1]) for k in todo]
-    for chunk in image_chunks(rows, cols):
-        ks = [todo[i] for i in chunk]
-        corrected = _correct_chunk(
-            [images[k] for k in ks], [results[k][1] for k in ks], cfg
-        )
-        for k, anns in zip(ks, corrected):
-            results[k] = (anns, results[k][1])
-    return results
+    boxes = targets.boxes.copy()
+    moved = np.zeros(len(targets), dtype=bool)
+    t_counts, p_counts = targets.counts, preds.counts
+    todo = np.flatnonzero((t_counts > 0) & (p_counts > 0))
+    for chunk in image_chunks(t_counts[todo].tolist(), p_counts[todo].tolist()):
+        ks = todo[chunk.start : chunk.stop]
+        current = _correct_chunk(targets, preds, ks, reports, cfg)
+        real = np.arange(current.shape[1]) < t_counts[ks][:, None]
+        rows = (targets.offsets[ks][:, None] + np.arange(current.shape[1]))[real]
+        new = current[real]
+        # a box equal to its input, -0.0 against 0.0 included, did not move
+        moves = (new != boxes[rows]).any(axis=1)
+        boxes[rows[moves]] = new[moves]
+        moved[rows[moves]] = True
+    int_edge = targets.int_edge
+    if int_edge is not None:
+        int_edge = int_edge & ~moved[:, None]
+    return replace(targets, boxes=boxes, int_edge=int_edge), moved
 
 
-def _mine_stage(images: Sequence[_Image], cfg: CorrectionConfig) -> list[list[Annotation]]:
-    """Label mining of every image: its targets followed by its mined boxes."""
-    candidates = [[p for p in preds if p.prob >= cfg.mining_threshold] for _, preds in images]
-    if not any(candidates):
-        return [list(targets) for targets, _ in images]
-    survivors = grouped_nms(candidates, cfg.mining_nms_iou)
-    duplicates: dict[int, set[int]] = {}
-    # only a survivor that shares a class with a target can be a duplicate
-    todo = [
-        k for k, (targets, _) in enumerate(images)
-        if {p.label for p in survivors[k]} & {t.label for t in targets}
-    ]
-    rows = [len(survivors[k]) for k in todo]
-    cols = [len(images[k][0]) for k in todo]
-    for chunk in image_chunks(rows, cols):
-        ks = [todo[i] for i in chunk]
-        overlap = iou_matrix(
-            stack_boxes([[p.box for p in survivors[k]] for k in ks]),
-            stack_boxes([[t.box for t in images[k][0]] for k in ks]),
-        )
-        hits = np.nonzero(overlap > cfg.dedup_iou)
-        for c, r, t in zip(*(axis.tolist() for axis in hits)):
-            found, targets = survivors[ks[c]], images[ks[c]][0]
-            # padding rows and columns are skipped here, whatever their overlap
-            if r < len(found) and t < len(targets) and found[r].label == targets[t].label:
-                duplicates.setdefault(ks[c], set()).add(r)
-    return [
-        list(targets)
-        + [
-            Annotation(box=p.box, label=p.label, provenance=PROVENANCE_MINED)
-            for r, p in enumerate(found)
-            if r not in duplicates.get(k, ())
+def _mine_stage(targets: BoxSet, preds: BoxSet, cfg: CorrectionConfig) -> np.ndarray:
+    """The prediction rows that label mining adds, image after image, each
+    image's in NMS visit order."""
+    tau = cfg.mining_threshold
+    confident = [row for row, prob in enumerate(preds.probs.tolist()) if prob >= tau]
+    if not confident:
+        return np.zeros(0, dtype=np.intp)
+    candidates = preds
+    if len(confident) < len(preds):
+        candidates = preds.take(np.array(confident, dtype=np.intp), "labels", "probs")
+    visit = grouped_nms(candidates, cfg.mining_nms_iou).tolist()
+    # only a candidate that shares its image and class with a target can be a
+    # duplicate, survivor or not
+    keys = list(zip(candidates.image_index.tolist(), candidates.labels.tolist()))
+    duplicate: set[int] = set()
+    if not set(zip(targets.image_index.tolist(), targets.labels.tolist())).isdisjoint(keys):
+        labels = targets.labels.tolist()
+        for i, j, overlap in grouped_iou(candidates, targets):
+            (hit,) = (overlap > cfg.dedup_iou).nonzero()
+            duplicate.update(
+                k for k, t in zip(i[hit].tolist(), j[hit].tolist()) if keys[k][1] == labels[t]
+            )
+    return np.array([confident[k] for k in visit if k not in duplicate], dtype=np.intp)
+
+
+def _append(targets: BoxSet, found: BoxSet) -> BoxSet:
+    """Each image's targets followed by its rows of ``found``."""
+    # a found row goes in after the last target of its image
+    at = targets.offsets[found.image_index + 1]
+    int_edge = None
+    if targets.int_edge is not None or found.int_edge is not None:
+        # a side without the mask has no int coordinate
+        edges = [
+            np.zeros(s.boxes.shape, dtype=bool) if s.int_edge is None else s.int_edge
+            for s in (targets, found)
         ]
-        for k, ((targets, _), found) in enumerate(zip(images, survivors))
+        int_edge = np.insert(edges[0], at, edges[1], axis=0)
+    return BoxSet(
+        np.insert(targets.boxes, at, found.boxes, axis=0),
+        targets.offsets + found.offsets,
+        labels=np.insert(targets.labels, at, found.labels),
+        int_edge=int_edge,
+    )
+
+
+def correct_sets(
+    targets: BoxSet, preds: BoxSet, cfg: CorrectionConfig
+) -> tuple[BoxSet, np.ndarray, list[CorrectionReport]]:
+    """Box correction followed by label mining over whole sets, each stage optional.
+
+    ``targets`` has labels, ``preds`` labels, probs and logits, image for
+    image. A stage runs only when its switch is set: ``distance_limit`` for
+    box correction, ``mining_threshold`` for mining.
+
+    Returns the refined targets, each image's input targets in order followed
+    by its mined boxes (coordinates as predicted); which input targets moved,
+    which makes them ``corrected``; and a report per image.
+    :func:`refined_annotations` turns the first two into objects.
+    """
+    reports = [CorrectionReport(assignment_sizes=[0] * n) for n in targets.counts.tolist()]
+    moved = np.zeros(len(targets), dtype=bool)
+    if cfg.distance_limit is not None:
+        targets, moved = _correct_stage(targets, preds, reports, cfg)
+    if cfg.mining_threshold is not None:
+        rows = _mine_stage(targets, preds, cfg)
+        if len(rows):
+            found = preds.take(rows, "labels", "int_edge")
+            for report, n in zip(reports, found.counts.tolist()):
+                report.mined = n
+            targets = _append(targets, found)
+    return targets, moved, reports
+
+
+def refined_annotations(
+    refined: BoxSet, originals: Sequence[Sequence[Annotation]], moved: np.ndarray
+) -> list[list[Annotation]]:
+    """Refined targets as objects per image, built at the edge.
+
+    Each image's rows of ``refined`` begin with its ``originals`` in order;
+    ``moved`` marks those that changed (image after image), and the rows
+    after them are mined. An unmoved target comes back as the original
+    object; only the other rows are built.
+    """
+    bounds = refined.offsets.tolist()
+    changed = iter(moved.tolist())
+    kept: list[Annotation | None] = [None] * len(refined)
+    for start, anns in zip(bounds, originals):
+        for row, ann in enumerate(anns, start):
+            if not next(changed):
+                kept[row] = ann
+    build = [row for row, ann in enumerate(kept) if ann is None]
+    part = refined.take(np.array(build, dtype=np.intp), "labels", "int_edge")
+    new = iter(zip(part.to_boxes(), part.labels.tolist()))
+    return [
+        [
+            kept[row]
+            or Annotation(
+                *next(new),
+                PROVENANCE_CORRECTED if row - start < len(anns) else PROVENANCE_MINED,
+            )
+            for row in range(start, stop)
+        ]
+        for start, stop, anns in zip(bounds, bounds[1:], originals)
     ]
 
 
@@ -396,7 +468,7 @@ def correct_boxes(
     """
     if cfg.distance_limit is None:
         raise ConfigError("box correction requires a distance_limit")
-    return _correct_stage([(targets, preds)], cfg)[0]
+    return correct_images([(targets, preds)], replace(cfg, mining_threshold=None))[0]
 
 
 def mine_labels(
@@ -416,7 +488,13 @@ def mine_labels(
     """
     if cfg.mining_threshold is None:
         raise ConfigError("label mining requires a mining_threshold")
-    return _mine_stage([(targets, preds)], cfg)[0]
+    # mining reads no logits
+    found = BoxSet.from_boxes(
+        [d.box for d in preds], [len(preds)], [d.label for d in preds], [d.prob for d in preds]
+    )
+    rows = _mine_stage(annotation_set([targets]), found, cfg).tolist()
+    # a mined box is its prediction's own box
+    return [*targets, *(Annotation(preds[r].box, preds[r].label, PROVENANCE_MINED) for r in rows)]
 
 
 def correct_targets(
@@ -438,18 +516,11 @@ def correct_images(
 ) -> list[tuple[list[Annotation], CorrectionReport]]:
     """:func:`correct_targets` of every ``(targets, predictions)`` pair.
 
-    The result of each image equals a :func:`correct_targets` call on it
-    alone; consecutive images share their numpy calls.
+    The pairs become one set on each side for :func:`correct_sets`, and its
+    result becomes objects again: unmoved targets are the input objects.
     """
-    if cfg.distance_limit is not None:
-        results = _correct_stage(images, cfg)
-    else:
-        results = [_untouched(targets) for targets, _ in images]
-    if cfg.mining_threshold is not None:
-        extended = _mine_stage(
-            [(anns, preds) for (anns, _), (_, preds) in zip(results, images)], cfg
-        )
-        for (anns, report), ext in zip(results, extended):
-            report.mined = len(ext) - len(anns)
-        results = [(ext, report) for ext, (_, report) in zip(extended, results)]
-    return results
+    originals = [targets for targets, _ in images]
+    refined, moved, reports = correct_sets(
+        annotation_set(originals), detection_set([preds for _, preds in images]), cfg
+    )
+    return list(zip(refined_annotations(refined, originals, moved), reports))

@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .geometry import Box
+from .geometry import Box, BoxSet
 
 __all__ = [
     "PROVENANCE_ORIGINAL",
@@ -30,6 +30,9 @@ __all__ = [
     "prob_to_logit",
     "Detection",
     "Annotation",
+    "annotation_set",
+    "detection_set",
+    "set_detections",
     "PointLabel",
     "ImageRecord",
     "Dataset",
@@ -113,6 +116,38 @@ class Annotation:
             raise ValueError(f"unknown provenance: {self.provenance!r}")
         if self.label < 1:
             raise ValueError(f"label must be a positive class id, got {self.label}")
+
+
+def annotation_set(groups: Sequence[Sequence[Annotation]]) -> BoxSet:
+    """The annotations of each image as one set: boxes and labels."""
+    anns = [a for g in groups for a in g]
+    return BoxSet.from_boxes(
+        [a.box for a in anns], [len(g) for g in groups], labels=[a.label for a in anns]
+    )
+
+
+def detection_set(groups: Sequence[Sequence[Detection]]) -> BoxSet:
+    """The detections of each image as one set: boxes, labels, probs, logits."""
+    dets = [d for g in groups for d in g]
+    return BoxSet.from_boxes(
+        [d.box for d in dets],
+        [len(g) for g in groups],
+        labels=[d.label for d in dets],
+        probs=[d.prob for d in dets],
+        logits=[d.logit for d in dets],
+    )
+
+
+def set_detections(s: BoxSet) -> list[list[Detection]]:
+    """The detections of each image of ``s``, built at the edge."""
+    out = [
+        Detection(box, label, prob, logit)
+        for box, label, prob, logit in zip(
+            s.to_boxes(), s.labels.tolist(), s.probs.tolist(), s.logits.tolist()
+        )
+    ]
+    bounds = s.offsets.tolist()
+    return [out[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)

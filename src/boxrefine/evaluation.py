@@ -4,20 +4,22 @@ AP follows the all-point interpolation convention: predictions are ranked by
 score, greedily matched to ground truth at IoU >= 0.5, and the area under the
 precision envelope over recall is reported. Only the ranking of scores
 matters, never their values.
+
+:func:`evaluate_ap50` and :func:`mean_best_iou` work on box sets
+(``geometry.BoxSet``); given objects, they convert them first.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .datamodel import Annotation, Dataset, Detection
+from .datamodel import Dataset, Detection, annotation_set, detection_set
 # ``iou`` is not called here; it stays bound because bench/spans.py counts
 # scalar IoU calls through each module's own name
-from .geometry import Box, grouped_iou, iou  # noqa: F401
+from .geometry import Box, BoxSet, best_iou, grouped_iou, iou  # noqa: F401
 
 __all__ = [
     "TP_IOU",
@@ -109,55 +111,51 @@ def _check_image_ids(
         raise ValueError(f"predictions reference unknown image ids: {unknown}")
 
 
-def _average_precision(tp_flags: Sequence[bool], n_gt: int) -> float:
-    """Area under the interpolated precision-recall curve."""
-    if n_gt == 0 or not tp_flags:
+def _average_precision(tp_flags: np.ndarray, n_gt: int) -> float:
+    """Area under the interpolated precision-recall curve of ranked TP flags."""
+    if n_gt == 0 or not len(tp_flags):
         return 0.0
-    precisions: list[float] = []
-    recalls: list[float] = []
-    tp = 0
-    for rank, flag in enumerate(tp_flags, start=1):
-        tp += int(flag)
-        precisions.append(tp / rank)
-        recalls.append(tp / n_gt)
+    tp = np.cumsum(tp_flags)
+    precisions = tp / np.arange(1, len(tp) + 1)
+    recalls = tp / n_gt
     # precision envelope: best precision at this recall or beyond
-    for i in range(len(precisions) - 2, -1, -1):
-        precisions[i] = max(precisions[i], precisions[i + 1])
+    envelope = np.maximum.accumulate(precisions[::-1])[::-1]
+    # recall rises exactly at the true positives
+    steps = np.flatnonzero(tp_flags)
+    rises = recalls[steps] - np.concatenate(([0.0], recalls[steps[:-1]]))
     ap = 0.0
-    prev_recall = 0.0
-    for recall, precision in zip(recalls, precisions):
-        if recall > prev_recall:
-            ap += (recall - prev_recall) * precision
-            prev_recall = recall
+    # summed one step at a time, in rank order
+    for term in (rises * envelope[steps]).tolist():
+        ap += term
     return ap
 
 
 def _same_class_hits(
-    dets: Sequence[Detection],
-    gts: Sequence[Annotation],
-    pairs: Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    dets: BoxSet,
+    gts: BoxSet,
     above: Callable[[np.ndarray, float], np.ndarray],
     best: np.ndarray | None = None,
-) -> list[list[tuple[int, float]]]:
-    """Per detection, the ``(ground truth, IoU)`` pairs of its class passing ``above(IoU, TP_IOU)``.
+) -> dict[int, list[tuple[int, float]]]:
+    """Per detection row, the ``(ground truth row, IoU)`` pairs of its image
+    and class passing ``above(IoU, TP_IOU)``, in ground-truth order.
 
-    ``dets`` and ``gts`` are the concatenations that ``pairs`` indexes; hits
-    come in ground-truth order. When ``best`` is given, ``best[k]`` is raised
-    to detection k's highest IoU with any ground truth of its image.
+    When ``best`` is given, ``best[k]`` is raised to detection k's highest
+    IoU with any ground truth of its image.
     """
-    hits: list[list[tuple[int, float]]] = [[] for _ in dets]
-    for i, j, overlap in pairs:
+    hits: dict[int, list[tuple[int, float]]] = {}
+    for i, j, overlap in grouped_iou(dets, gts):
         if best is not None:
             np.maximum.at(best, i, overlap)
-        sel = np.flatnonzero(above(overlap, TP_IOU))
+        sel = above(overlap, TP_IOU)
+        sel &= dets.labels[i] == gts.labels[j]
         for k, g, ov in zip(i[sel].tolist(), j[sel].tolist(), overlap[sel].tolist()):
-            if dets[k].label == gts[g].label:
-                hits[k].append((g, ov))
+            hits.setdefault(k, []).append((g, ov))
     return hits
 
 
 def evaluate_ap50(
-    ground_truth: Dataset, predictions: Mapping[str, Sequence[Detection]]
+    ground_truth: Dataset | BoxSet,
+    predictions: Mapping[str, Sequence[Detection]] | BoxSet,
 ) -> EvalResult:
     """Score predictions against ground truth at IoU 0.5.
 
@@ -166,47 +164,46 @@ def evaluate_ap50(
     ground-truth box of highest IoU, requiring IoU >= TP_IOU; IoU ties go to
     the lower ground-truth index.
 
+    Either a dataset and a mapping from image id to detections, or two sets
+    with labels, image for image, the predictions' with probs.
+
     Raises:
         ValueError: if ``predictions`` references image ids absent from
             ``ground_truth``, listing the offenders.
     """
-    _check_image_ids(ground_truth, predictions)
-    per_image = [list(predictions.get(rec.image_id, ())) for rec in ground_truth.images]
-    dets = [d for image_dets in per_image for d in image_dets]
-    gts = [a for rec in ground_truth.images for a in rec.annotations]
-    gt_total: dict[int, int] = defaultdict(int)
-    for ann in gts:
-        gt_total[ann.label] += 1
+    if isinstance(ground_truth, Dataset):
+        _check_image_ids(ground_truth, predictions)
+        predictions = detection_set(
+            [predictions.get(rec.image_id, ()) for rec in ground_truth.images]
+        )
+        ground_truth = annotation_set([rec.annotations for rec in ground_truth.images])
+    gts, dets = ground_truth, predictions
     # only overlaps >= TP_IOU can win a match, so the rest are never looked at
-    hits = _same_class_hits(
-        dets,
-        gts,
-        grouped_iou(
-            [[d.box for d in image_dets] for image_dets in per_image],
-            [[a.box for a in rec.annotations] for rec in ground_truth.images],
-        ),
-        np.greater_equal,
-    )
-    ranked: dict[int, list[tuple[float, int]]] = defaultdict(list)
-    for k, det in enumerate(dets):
-        ranked[det.label].append((det.prob, k))
-
+    hits = _same_class_hits(dets, gts, np.greater_equal)
+    # classes never share a ground truth, so one ranking serves them all
+    rank = np.argsort(-dets.probs, kind="stable")
     matched = [False] * len(gts)
+    tp = np.zeros(len(dets), dtype=bool)
+    for k in rank.tolist():
+        if k not in hits:
+            continue
+        best_overlap, best_gt = 0.0, -1
+        for g, overlap in hits[k]:
+            if overlap > best_overlap and not matched[g]:
+                best_overlap, best_gt = overlap, g
+        if best_gt >= 0:
+            matched[best_gt] = True
+            tp[k] = True
+
+    det_labels = dets.labels[rank]
+    gt_total = np.bincount(gts.labels)
     per_class_ap: dict[int, float] = {}
     counts: dict[int, ClassCounts] = {}
-    for label in sorted(set(gt_total) | set(ranked)):
-        tp_flags: list[bool] = []
-        for _, k in sorted(ranked.get(label, []), key=lambda r: (-r[0], r[1])):
-            best_iou, best_gt = 0.0, -1
-            for g, overlap in hits[k]:
-                if overlap > best_iou and not matched[g]:
-                    best_iou, best_gt = overlap, g
-            if best_gt >= 0:
-                matched[best_gt] = True
-            tp_flags.append(best_gt >= 0)
-        n_gt = gt_total.get(label, 0)
-        tp = sum(tp_flags)
-        counts[label] = ClassCounts(tp=tp, fp=len(tp_flags) - tp, fn=n_gt - tp)
+    for label in np.union1d(np.flatnonzero(gt_total), det_labels).tolist():
+        tp_flags = tp[rank[det_labels == label]]
+        n_gt = int(gt_total[label]) if label < len(gt_total) else 0
+        n_tp = int(tp_flags.sum())
+        counts[label] = ClassCounts(tp=n_tp, fp=len(tp_flags) - n_tp, fn=n_gt - n_tp)
         if n_gt > 0:
             per_class_ap[label] = _average_precision(tp_flags, n_gt)
 
@@ -216,38 +213,46 @@ def evaluate_ap50(
     return EvalResult(per_class_ap=per_class_ap, map50=map50, counts=counts)
 
 
+def _mean(values: list[float]) -> float:
+    # summed one box at a time, as a plain sum
+    return sum(values) / len(values) if values else 0.0
+
+
 def mean_best_iou(
-    sources: Mapping[str, Sequence[Box]], references: Mapping[str, Sequence[Box]]
+    sources: Mapping[str, Sequence[Box]] | BoxSet,
+    references: Mapping[str, Sequence[Box]] | BoxSet,
 ) -> tuple[float, float]:
     """Mean best-match IoU between two per-image box sets, in both directions.
 
-    The first value averages, over every source box in mapping order, its
-    highest IoU with a reference box of the same image (0.0 if there is
-    none); the second does the same from the references' side. Each image's
-    pairs are scored once and reduced both ways. A side without boxes has
-    mean 0.0.
+    The first value averages, over every source box, its highest IoU with a
+    reference box of the same image (0.0 if there is none); the second does
+    the same from the references' side. Each image's pairs are scored once
+    and reduced both ways. A side without boxes has mean 0.0.
+
+    Either two sets, image for image, or two mappings from image id to
+    boxes, each averaged in its own mapping order.
     """
+    if isinstance(sources, BoxSet):
+        forward, backward = best_iou(sources, references)
+        return _mean(forward.tolist()), _mean(backward.tolist())
     image_ids = list(dict.fromkeys([*sources, *references]))
-    src = [sources.get(image_id, ()) for image_id in image_ids]
-    ref = [references.get(image_id, ()) for image_id in image_ids]
-    forward = np.zeros(sum(len(boxes) for boxes in src))
-    backward = np.zeros(sum(len(boxes) for boxes in ref))
-    for i, j, overlap in grouped_iou(src, ref):
-        np.maximum.at(forward, i, overlap)
-        np.maximum.at(backward, j, overlap)
-
-    def mean(best: np.ndarray, per_image: list[Sequence[Box]], order: Iterable[str]) -> float:
-        values = best.tolist()
-        by_image: dict[str, list[float]] = {}
-        start = 0
-        for image_id, boxes in zip(image_ids, per_image):
-            by_image[image_id] = values[start:start + len(boxes)]
-            start += len(boxes)
-        # summed in mapping order, one box at a time, as a plain sum
-        flat = [v for image_id in order for v in by_image[image_id]]
-        return sum(flat) / len(flat) if flat else 0.0
-
-    return mean(forward, src, sources), mean(backward, ref, references)
+    src, ref = (
+        BoxSet.from_boxes(
+            [b for image_id in image_ids for b in side.get(image_id, ())],
+            [len(side.get(image_id, ())) for image_id in image_ids],
+        )
+        for side in (sources, references)
+    )
+    forward, backward = best_iou(src, ref)
+    # the sources lead image_ids, in their order; the references need not
+    values, bounds = backward.tolist(), ref.offsets.tolist()
+    position = {image_id: g for g, image_id in enumerate(image_ids)}
+    in_order = [
+        v
+        for g in (position[image_id] for image_id in references)
+        for v in values[bounds[g] : bounds[g + 1]]
+    ]
+    return _mean(forward.tolist()), _mean(in_order)
 
 
 def quality_stats(ground_truth: Dataset, annotations: Dataset) -> QualityStats:
@@ -300,41 +305,29 @@ def error_breakdown(
         ValueError: if ``predictions`` references unknown image ids.
     """
     _check_image_ids(ground_truth, predictions)
-    per_image = []
-    for rec in ground_truth.images:
-        image_dets = [d for d in predictions.get(rec.image_id, ()) if d.prob >= score_floor]
-        image_dets.sort(key=lambda d: -d.prob)
-        per_image.append(image_dets)
-    dets = [d for image_dets in per_image for d in image_dets]
-    gts = [a for rec in ground_truth.images for a in rec.annotations]
+    dets = detection_set([predictions.get(rec.image_id, ()) for rec in ground_truth.images])
+    gts = annotation_set([rec.annotations for rec in ground_truth.images])
+    confident = np.flatnonzero(dets.probs >= score_floor)
+    dets = dets.take(confident)
     best_any = np.zeros(len(dets))
-    hits = _same_class_hits(
-        dets,
-        gts,
-        grouped_iou(
-            [[d.box for d in image_dets] for image_dets in per_image],
-            [[a.box for a in rec.annotations] for rec in ground_truth.images],
-        ),
-        np.greater,
-        best_any,
-    )
+    hits = _same_class_hits(dets, gts, np.greater, best_any)
     result = ErrorBreakdown()
     claimed = [False] * len(gts)
-    for hit, best in zip(hits, best_any.tolist()):
-        if hit:
-            open_hits = [(ov, g) for g, ov in hit if not claimed[g]]
-            if open_hits:
-                _, g = max(open_hits, key=lambda p: (p[0], -p[1]))
-                claimed[g] = True
-                result.true_positives += 1
-            else:
-                result.duplicate += 1
+    # per image, descending probability; lexsort is stable, so ties keep input order
+    for k in np.lexsort((-dets.probs, dets.image_index)).tolist():
+        if k not in hits:
             continue
-        if best > TP_IOU:
-            result.classification += 1
-        elif best > BACKGROUND_IOU:
-            result.localization += 1
+        open_hits = [(ov, g) for g, ov in hits[k] if not claimed[g]]
+        if open_hits:
+            _, g = max(open_hits, key=lambda p: (p[0], -p[1]))
+            claimed[g] = True
+            result.true_positives += 1
         else:
-            result.background += 1
+            result.duplicate += 1
+    # a prediction without a same-class hit is bucketed by its best overlap
+    best = np.delete(best_any, list(hits))
+    result.classification = int((best > TP_IOU).sum())
+    result.localization = int(((best > BACKGROUND_IOU) & (best <= TP_IOU)).sum())
+    result.background = int((best <= BACKGROUND_IOU).sum())
     result.missed = len(gts) - result.true_positives
     return result

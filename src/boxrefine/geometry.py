@@ -5,24 +5,27 @@ corner, x growing right and y growing down. A box is the closed rectangle
 [x1, x2] x [y1, y2]; zero-width or zero-height boxes are legal and have zero
 area.
 
+The hot paths hold boxes as a :class:`BoxSet`: the boxes of a whole dataset
+in columns, image after image, with ``Box`` objects built only at the edge.
 The pairwise functions (``iou_matrix``, ``giou_matrix``,
-``center_distance_matrix``) take boxes as ``(N, 4)`` float64 arrays of
-corners (x1, y1, x2, y2); ``Box`` objects are converted once at the edge with
-``box_array``. They also take stacks of images, ``(C, N, 4)`` and
-``(C, M, 4)`` to ``(C, N, M)``: ``image_chunks`` groups consecutive images so
-that such a padded block stays small, and ``stack_boxes`` builds it.
-``grouped_iou`` scores the pairs within each image of a whole dataset at
-once, as pair lists. Each evaluates its scalar counterpart's formula
-elementwise in the same operation order, so on finite input every entry
-equals the scalar result bit for bit, and the scalar functions remain the
-reference.
+``center_distance_matrix``) take ``(N, 4)`` float64 arrays of corners
+(x1, y1, x2, y2), or stacks of images, ``(C, N, 4)`` and ``(C, M, 4)`` to
+``(C, N, M)``: ``image_chunks`` groups consecutive images so that such a
+padded block stays small, and ``pad_groups`` builds it. ``grouped_iou``
+scores the pairs within each image of two sets at once, as pair lists. Each
+evaluates its scalar counterpart's formula elementwise in the same operation
+order, so on finite input every entry equals the scalar result bit for bit,
+and the scalar functions remain the reference.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from functools import cached_property
+from itertools import accumulate
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -31,19 +34,19 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Box",
+    "BoxSet",
     "GeoTransform",
     "iou",
     "iou_distance",
     "giou_distance",
     "center_distance_normalized",
-    "box_array",
     "iou_matrix",
     "grouped_iou",
+    "best_iou",
     "giou_matrix",
     "center_distance_matrix",
     "image_chunks",
-    "stack_boxes",
-    "pad_stack",
+    "pad_groups",
     "nms",
     "grouped_nms",
     "apply_transform",
@@ -103,12 +106,19 @@ class Box:
 
 def iou(a: Box, b: Box) -> float:
     """Intersection over union of two boxes; 0.0 when the union has zero area."""
-    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
-    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
+    return _corner_iou(a.x1, a.y1, a.x2, a.y2, b.x1, b.y1, b.x2, b.y2)
+
+
+def _corner_iou(
+    ax1: float, ay1: float, ax2: float, ay2: float,
+    bx1: float, by1: float, bx2: float, by2: float,
+) -> float:
+    iw = min(ax2, bx2) - max(ax1, bx1)
+    ih = min(ay2, by2) - max(ay1, by1)
     if iw <= 0.0 or ih <= 0.0:
         return 0.0
     inter = iw * ih
-    union = a.area + b.area - inter
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
     if union <= 0.0:
         return 0.0
     return inter / union
@@ -155,22 +165,114 @@ def center_distance_normalized(a: Box, b: Box, norm: float) -> float:
     return math.hypot(ax - bx, ay - by) / norm
 
 
+def _offsets(counts: Sequence[int]) -> np.ndarray:
+    return np.array([0, *accumulate(counts)], dtype=np.intp)
+
+
+# the columns of a BoxSet besides its boxes and offsets
+_COLUMNS = ("labels", "probs", "logits", "int_edge")
+
+
+@dataclass(eq=False)
+class BoxSet:
+    """The boxes of a sequence of images, in columns: one row per box.
+
+    Image g holds rows ``offsets[g]:offsets[g + 1]`` of every column.
+    ``boxes`` holds ``(N, 4)`` float64 corners (x1, y1, x2, y2). The other
+    columns are there where a set needs them: ``labels`` class ids;
+    ``probs`` and ``logits`` prediction scores; ``int_edge``, ``(N, 4)`` and
+    true where a coordinate is an ``int`` image bound. ``Box.clip`` returns
+    the bound itself, so such a coordinate is written ``512`` and not
+    ``512.0``; ``None`` means that no coordinate is.
+    """
+
+    boxes: np.ndarray
+    offsets: np.ndarray
+    labels: np.ndarray | None = None
+    probs: np.ndarray | None = None
+    logits: np.ndarray | None = None
+    int_edge: np.ndarray | None = None
+
+    @classmethod
+    def from_boxes(
+        cls,
+        boxes: Sequence[Box],
+        counts: Sequence[int],
+        labels: Sequence[int] | None = None,
+        probs: Sequence[float] | None = None,
+        logits: Sequence[float] | None = None,
+    ) -> "BoxSet":
+        """Set of ``boxes``: the first ``counts[0]`` in image 0, and so on."""
+        flat = [v for b in boxes for v in (b.x1, b.y1, b.x2, b.y2)]
+        int_edge = None
+        if int in set(map(type, flat)):
+            ints = (type(v) is int for v in flat)
+            int_edge = np.fromiter(ints, dtype=bool, count=len(flat)).reshape(-1, 4)
+        return cls(
+            np.array(flat, dtype=np.float64).reshape(-1, 4),
+            _offsets(counts),
+            None if labels is None else np.array(labels, dtype=np.int64),
+            None if probs is None else np.array(probs, dtype=np.float64),
+            None if logits is None else np.array(logits, dtype=np.float64),
+            int_edge,
+        )
+
+    def __len__(self) -> int:
+        return len(self.boxes)
+
+    @property
+    def num_images(self) -> int:
+        return len(self.offsets) - 1
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """The number of rows of each image."""
+        return self.offsets[1:] - self.offsets[:-1]
+
+    @cached_property
+    def image_index(self) -> np.ndarray:
+        """The image of each row."""
+        if self.num_images == 1:
+            return np.zeros(len(self.boxes), dtype=np.intp)
+        return np.arange(self.num_images).repeat(self.counts)
+
+    def take(self, rows: np.ndarray, *names: str) -> "BoxSet":
+        """The set of ``rows``, which come image by image in image order.
+
+        It has the boxes and the named columns, or every column when none is
+        named.
+        """
+        if len(self.offsets) == 2:
+            offsets = np.array((0, len(rows)), dtype=np.intp)
+        else:
+            # the taken rows ahead of each image
+            offsets = self.image_index[rows].searchsorted(np.arange(len(self.offsets)))
+        out = BoxSet(self.boxes[rows], offsets)
+        for name in names or _COLUMNS:
+            col = getattr(self, name)
+            if col is not None:
+                setattr(out, name, col[rows])
+        return out
+
+    def to_boxes(self) -> list[Box]:
+        """Every row as a ``Box``, with ``int`` coordinates where ``int_edge`` says."""
+        corners = self.boxes.tolist()
+        if self.int_edge is not None:
+            for k, edges in enumerate(self.int_edge.tolist()):
+                if True in edges:
+                    corners[k] = [int(v) if e else v for v, e in zip(corners[k], edges)]
+        return [Box(*c) for c in corners]
+
+
 # rows of the first operand per step of a pairwise function: temporaries stay
 # at 64 x M entries however many boxes an image holds
 _ROW_BLOCK = 64
 # pairs per step of grouped_iou, for the same reason
 _PAIR_BLOCK = 1 << 14
+# at most this many pairs of one image, grouped_iou scores pairs one by one
+_SCALAR_PAIRS = 32
 # padded (images x rows x columns) entries per chunk of image_chunks
 _CHUNK_ENTRIES = 1 << 15
-# the padding of a stack of boxes
-_NO_BOX = (0.0, 0.0, 0.0, 0.0)
-
-
-def box_array(boxes: Iterable[Box]) -> np.ndarray:
-    """``(N, 4)`` float64 array of the boxes' corners (x1, y1, x2, y2)."""
-    return np.array(
-        [(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64
-    ).reshape(-1, 4)
 
 
 def image_chunks(rows: Sequence[int], cols: Sequence[int]) -> Iterator[range]:
@@ -193,23 +295,23 @@ def image_chunks(rows: Sequence[int], cols: Sequence[int]) -> Iterator[range]:
         start = stop
 
 
-def stack_boxes(groups: Sequence[Sequence[Box]]) -> np.ndarray:
-    """``(C, W, 4)`` float64 corners of C groups of boxes, W the longest group.
+def pad_groups(
+    values: np.ndarray, offsets: np.ndarray, groups: Sequence[int], fill: object
+) -> np.ndarray:
+    """``(C, W, ...)`` rows of C groups of ``values``, W the longest group.
 
-    Shorter groups are padded with zero boxes, which carry no meaning: the
-    caller masks them out.
+    Group g is ``values[offsets[g]:offsets[g + 1]]``; shorter groups are
+    padded with ``fill``, which carries no meaning: the caller masks it out.
     """
-    width = max(map(len, groups), default=0)
-    return np.array(
-        [[(b.x1, b.y1, b.x2, b.y2) for b in g] + [_NO_BOX] * (width - len(g)) for g in groups],
-        dtype=np.float64,
-    ).reshape(len(groups), width, 4)
-
-
-def pad_stack(rows: Sequence[Sequence[object]], fill: object) -> np.ndarray:
-    """``(C, W)`` array of C rows of scalars, each padded with ``fill`` to the longest."""
-    width = max(map(len, rows), default=0)
-    return np.array([[*row, *[fill] * (width - len(row))] for row in rows])
+    groups = np.asarray(groups, dtype=np.intp)
+    starts = offsets[groups]
+    counts = offsets[groups + 1] - starts
+    width = int(counts.max(initial=0))
+    columns = np.arange(width)
+    real = columns < counts[:, None]
+    out = np.full((len(groups), width, *values.shape[1:]), fill, dtype=values.dtype)
+    out[real] = values[(starts[:, None] + columns)[real]]
+    return out
 
 
 def _row_blocks(a: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
@@ -224,7 +326,8 @@ def _planes(boxes: np.ndarray) -> np.ndarray:
 
 
 def _area(p: np.ndarray) -> np.ndarray:
-    return (p[2] - p[0]) * (p[3] - p[1])
+    side = p[2:] - p[:2]
+    return side[0] * side[1]
 
 
 def _overlap(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -232,11 +335,9 @@ def _overlap(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     ``a[k]`` and ``b[k]`` (x1, y1, x2, y2 for k = 0..3) broadcast together.
     """
-    iw = np.minimum(a[2], b[2])
-    iw -= np.maximum(a[0], b[0])
-    ih = np.minimum(a[3], b[3])
-    ih -= np.maximum(a[1], b[1])
-    return iw, ih
+    side = np.minimum(a[2:], b[2:])
+    side -= np.maximum(a[:2], b[:2])
+    return side[0], side[1]
 
 
 def _iou_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
@@ -246,7 +347,7 @@ def _iou_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     """
     iw, ih = _overlap(a, b)
     keep = np.minimum(iw, ih) > 0.0
-    inter = np.multiply(iw, ih, out=iw)
+    inter = iw * ih
     union = _area(a) + _area(b)
     union -= inter
     keep &= union > 0.0
@@ -271,42 +372,58 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def grouped_iou(
-    a_groups: Sequence[Sequence[Box]], b_groups: Sequence[Sequence[Box]]
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """IoU of every pair of boxes in the same group, many groups per numpy call.
+def grouped_iou(a: BoxSet, b: BoxSet) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """IoU of every pair of boxes in the same image, many images per numpy call.
 
-    Group g pairs each box of ``a_groups[g]`` with each box of
-    ``b_groups[g]``: the entries of their ``iou_matrix``. A group is
-    typically an image of a dataset. Pairs are visited by ``a`` box, then by
-    ``b`` box, in blocks of about ``_PAIR_BLOCK`` pairs, so an image with a
-    handful of boxes costs no numpy call of its own. Yields ``(i, j,
-    overlap)`` per block: the positions of the two boxes in the
-    concatenation of all groups, and their IoU, equal to :func:`iou` bit for
-    bit.
+    Image g pairs each box of ``a`` with each box of ``b``: the entries of
+    their ``iou_matrix``. Pairs are visited by ``a`` row, then by ``b`` row,
+    in blocks of about ``_PAIR_BLOCK`` pairs, so an image with a handful of
+    boxes costs no numpy call of its own. Yields ``(i, j, overlap)`` per
+    block: the rows of the two boxes and their IoU, equal to :func:`iou` bit
+    for bit.
     """
-    a_counts = np.array([len(g) for g in a_groups], dtype=np.intp)
-    b_counts = np.array([len(g) for g in b_groups], dtype=np.intp)
-    a_planes = _planes(box_array(box for g in a_groups for box in g))
-    b_planes = _planes(box_array(box for g in b_groups for box in g))
-    row_group = np.repeat(np.arange(len(a_counts)), a_counts)
-    width = b_counts[row_group]  # pairs of each a box
-    ends = np.cumsum(width)
-    # per a box: position of the first b box of its group
-    b_first = (np.cumsum(b_counts) - b_counts)[row_group]
-    start = 0
-    while start < len(row_group):
+    if not len(a) or not len(b):
+        return
+    if len(a.offsets) == len(b.offsets) == 2 and len(a) * len(b) <= _SCALAR_PAIRS:
+        # one image a side, and so few pairs that numpy's cost per call
+        # outweighs the work: the scalar formula scores them
+        i, j = np.divmod(np.arange(len(a) * len(b)), len(b))
+        b_corners = b.boxes.tolist()
+        overlap = [_corner_iou(*p, *q) for p in a.boxes.tolist() for q in b_corners]
+        yield i, j, np.array(overlap, dtype=np.float64)
+        return
+    a_planes, b_planes = _planes(a.boxes), _planes(b.boxes)
+    row_image = a.image_index
+    width = b.counts[row_image]  # pairs of each a row
+    ends = width.cumsum()
+    # per a row: its first b row less its first pair, so that a pair's b row
+    # is the pair's index plus this
+    shift = b.offsets[row_image] - (ends - width)
+    start, n = 0, len(row_image)
+    while start < n:
         done = int(ends[start - 1]) if start else 0
-        stop = max(int(np.searchsorted(ends, done + _PAIR_BLOCK, side="right")), start + 1)
+        stop = n
+        if ends[-1] - done > _PAIR_BLOCK:
+            stop = max(int(ends.searchsorted(done + _PAIR_BLOCK, side="right")), start + 1)
         w = width[start:stop]
-        i = np.repeat(np.arange(start, stop), w)
-        # each pair's b position: its row's first b box plus its place in the row
-        first_pair = ends[start:stop] - w - done
-        j = np.arange(len(i)) + np.repeat(b_first[start:stop] - first_pair, w)
+        i = np.arange(start, stop).repeat(w)
+        j = np.arange(done, ends[stop - 1]) + shift[start:stop].repeat(w)
         overlap = np.zeros(len(i))
-        _iou_into(a_planes[:, i], b_planes[:, j], overlap)
+        # take along the last axis gathers far faster than fancy indexing
+        _iou_into(a_planes.take(i, axis=1), b_planes.take(j, axis=1), overlap)
         yield i, j, overlap
         start = stop
+
+
+def best_iou(a: BoxSet, b: BoxSet) -> tuple[np.ndarray, np.ndarray]:
+    """Per box of ``a``, its highest IoU with a box of ``b`` in its image, and
+    the same per box of ``b``; 0.0 for a box whose image has none on the other side."""
+    forward = np.zeros(len(a))
+    backward = np.zeros(len(b))
+    for i, j, overlap in grouped_iou(a, b):
+        np.maximum.at(forward, i, overlap)
+        np.maximum.at(backward, j, overlap)
+    return forward, backward
 
 
 def giou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -373,44 +490,50 @@ def nms(dets: Sequence["Detection"], iou_threshold: float) -> list["Detection"]:
     class is at or below ``iou_threshold``. Returns survivors in visit order,
     so the output is sorted by descending probability.
     """
-    return grouped_nms([dets], iou_threshold)[0]
+    found = BoxSet.from_boxes(
+        [d.box for d in dets],
+        [len(dets)],
+        labels=[d.label for d in dets],
+        probs=[d.prob for d in dets],
+    )
+    return [dets[k] for k in grouped_nms(found, iou_threshold).tolist()]
 
 
-def grouped_nms(
-    groups: Sequence[Sequence["Detection"]], iou_threshold: float
-) -> list[list["Detection"]]:
-    """:func:`nms` of each group (typically an image), many groups per numpy call.
+def grouped_nms(found: BoxSet, iou_threshold: float) -> np.ndarray:
+    """:func:`nms` of each image of a set with labels and probabilities.
 
-    The pairwise IoU of the groups is computed in padded blocks of
-    :func:`image_chunks`; the greedy pass then runs per group.
+    Returns the surviving rows, image after image, each image's in visit
+    order. Only boxes of one image and label can suppress each other, so no
+    pair is scored when no image repeats a label.
     """
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
-    visits = [sorted(g, key=lambda d: -d.prob) for g in groups]
-    # a detection only suppresses one of its own class, so a group whose
-    # labels all differ (fewer than two detections included) stays as it is
-    todo = [k for k, visit in enumerate(visits) if len({d.label for d in visit}) < len(visit)]
-    sizes = [len(visits[k]) for k in todo]
-    for chunk in image_chunks(sizes, sizes):
-        members = [visits[todo[i]] for i in chunk]
-        boxes = stack_boxes([[d.box for d in m] for m in members])
-        # for each detection, the later ones of its group and class it
-        # suppresses if kept; padding never suppresses or is suppressed
-        clashes: dict[tuple[int, int], list[int]] = {}
-        rows = np.nonzero(iou_matrix(boxes, boxes) > iou_threshold)
-        for c, k, j in zip(*(axis.tolist() for axis in rows)):
-            visit = members[c]
-            if k < j < len(visit) and visit[k].label == visit[j].label:
-                clashes.setdefault((c, k), []).append(j)
-        for c, visit in enumerate(members):
-            kept: list["Detection"] = []
-            suppressed: set[int] = set()
-            for k, d in enumerate(visit):
-                if k not in suppressed:
-                    kept.append(d)
-                    suppressed.update(clashes.get((c, k), ()))
-            visits[todo[chunk[c]]] = kept
-    return visits
+    image, labels, probs = found.image_index.tolist(), found.labels.tolist(), found.probs.tolist()
+    # per image, descending probability; sorted is stable, so ties keep row order
+    visit = sorted(range(len(probs)), key=lambda r: (image[r], -probs[r]))
+    keys = list(zip(image, labels))
+    if len(set(keys)) == len(keys):
+        return np.array(visit, dtype=np.intp)
+    repeats = {key for key, n in Counter(keys).items() if n > 1}
+    # the boxes whose image and label repeat, in visit order
+    rivals = [r for r in visit if keys[r] in repeats]
+    ranked = found.take(np.array(rivals, dtype=np.intp), "labels")
+    clashes: list[tuple[int, int]] = []
+    for i, j, overlap in grouped_iou(ranked, ranked):
+        (hit,) = (overlap > iou_threshold).nonzero()
+        # a lower row of an image is visited earlier
+        clashes += (
+            (k, m)
+            for k, m in zip(i[hit].tolist(), j[hit].tolist())
+            if k < m and keys[rivals[k]] == keys[rivals[m]]
+        )
+    # a box suppresses the later ones it clashes with only if it was kept itself
+    suppressed: set[int] = set()
+    for k, m in sorted(clashes):
+        if k not in suppressed:
+            suppressed.add(m)
+    gone = {rivals[k] for k in suppressed}
+    return np.array([r for r in visit if r not in gone], dtype=np.intp)
 
 
 _TRANSFORM_KINDS = ("hflip", "vflip", "scale")

@@ -25,6 +25,7 @@ __all__ = [
     "NoiseConfig",
     "derive_rng",
     "constrain_box",
+    "constrain_corners",
     "displace_boxes",
     "sparsify",
     "inject_superfluous",
@@ -119,6 +120,51 @@ def constrain_box(box: Box, width: float, height: float) -> Box:
     x1, x2 = _expand_span(box.x1, box.x2, width)
     y1, y2 = _expand_span(box.y1, box.y2, height)
     return Box(x1, y1, x2, y2)
+
+
+def _clip(v: np.ndarray, limit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``min(max(v, 0.0), limit)`` per entry, as ``Box.clip`` takes it, and
+    where the limit was taken. ``np.where`` in Python's argument order keeps
+    ``-0.0``, which ``max(-0.0, 0.0)`` returns and ``np.maximum`` does not."""
+    v = np.where(0.0 > v, 0.0, v)
+    over = limit < v
+    return np.where(over, limit, v), over
+
+
+def constrain_corners(
+    corners: np.ndarray, sizes: np.ndarray, int_sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`constrain_box` of every row of ``(N, 4)`` ``corners`` at once.
+
+    Row k belongs to an image of ``sizes[k]`` (width, height), and
+    ``int_sizes[k]`` says which of the two is an ``int``. Returns the
+    corners and the int-edge mask: true where a coordinate ends on an
+    ``int`` bound, which :func:`constrain_box` returns as that ``int``.
+    """
+    boxes = np.empty_like(corners)
+    int_edge = np.empty(corners.shape, dtype=bool)
+    for axis in (0, 1):
+        limit, int_limit = sizes[:, axis], int_sizes[:, axis]
+        lo, lo_int = _clip(corners[:, axis], limit)
+        hi, hi_int = _clip(corners[:, axis + 2], limit)
+        # _expand_span per entry: the spans narrower than MIN_BOX_SIDE grow
+        # about their centers, and one that would cross 0 or the limit ends
+        # on it instead
+        wide = hi - lo >= MIN_BOX_SIDE
+        c = (lo + hi) / 2.0
+        lo2, hi2 = c - MIN_BOX_SIDE / 2.0, c + MIN_BOX_SIDE / 2.0
+        low = ~wide & (lo2 < 0.0)
+        high = ~wide & ~low & (hi2 > limit)
+        # low: (0.0, min(MIN_BOX_SIDE, limit)); high: (max(limit - MIN_BOX_SIDE, 0.0), limit)
+        low_hi = np.where(limit < MIN_BOX_SIDE, limit, MIN_BOX_SIDE)
+        high_lo = np.where(0.0 > limit - MIN_BOX_SIDE, 0.0, limit - MIN_BOX_SIDE)
+        boxes[:, axis] = np.select([wide, low, high], [lo, 0.0, high_lo], lo2)
+        boxes[:, axis + 2] = np.select([wide, low, high], [hi, low_hi, limit], hi2)
+        int_edge[:, axis] = wide & lo_int & int_limit
+        int_edge[:, axis + 2] = int_limit & (
+            (wide & hi_int) | (low & (limit < MIN_BOX_SIDE)) | high
+        )
+    return boxes, int_edge
 
 
 def displace_boxes(

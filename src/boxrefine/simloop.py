@@ -17,19 +17,24 @@ import numpy as np
 
 # ``correct_targets`` and ``iou`` are not called here; they stay bound because
 # bench/spans.py traces and counts calls through each module's own names
-from .correction import CorrectionConfig, correct_images, correct_targets  # noqa: F401
-from .datamodel import Annotation, Dataset, Detection, ImageRecord
-from .evaluation import evaluate_ap50, mean_best_iou
-from .geometry import (  # noqa: F401
-    Box,
-    GeoTransform,
-    apply_transform,
-    image_chunks,
-    iou,
-    iou_matrix,
-    stack_boxes,
+from .correction import (  # noqa: F401
+    CorrectionConfig,
+    correct_sets,
+    correct_targets,
+    refined_annotations,
 )
-from .noise import NoiseConfig, constrain_box, corrupt_dataset, derive_rng
+from .datamodel import (
+    Annotation,
+    Dataset,
+    Detection,
+    ImageRecord,
+    annotation_set,
+    set_detections,
+    sigmoid,
+)
+from .evaluation import evaluate_ap50, mean_best_iou
+from .geometry import Box, BoxSet, best_iou, iou  # noqa: F401
+from .noise import NoiseConfig, constrain_corners, corrupt_dataset, derive_rng
 
 __all__ = [
     "SimDetectorParams",
@@ -40,6 +45,10 @@ __all__ = [
     "LoopConfig",
     "Scenario",
     "IterationRecord",
+    "TRUTH_MIN_SIDE",
+    "TRUTH_MAX_SIDE",
+    "check_image_size",
+    "draw_predictions",
     "simulate_predictions",
     "synthesize_truth",
     "build_scenario",
@@ -49,6 +58,9 @@ __all__ = [
 # spurious predictions reuse the superfluous-annotation size range
 SPURIOUS_MIN_SIDE = 16.0
 SPURIOUS_MAX_SIDE = 196.0
+# the side lengths of synthetic true boxes, in pixels
+TRUTH_MIN_SIDE = 28.0
+TRUTH_MAX_SIDE = 80.0
 
 
 @dataclass(frozen=True)
@@ -108,71 +120,99 @@ def simulate_predictions(
     jitter and full recall the output reproduces the truth with probability
     above one half.
     """
-    drawn = _draw_predictions(true_boxes, params, rng, width, height, num_classes)
-    return _score_predictions([drawn], [true_boxes], params)[0]
+    truth = annotation_set([true_boxes])
+    drawn = draw_predictions(truth, [(width, height)], [rng], params, num_classes)
+    return set_detections(_score_predictions(drawn, truth, params))[0]
 
 
-def _draw_predictions(
-    true_boxes: Sequence[Annotation],
+def draw_predictions(
+    truth: BoxSet,
+    sizes: Sequence[tuple[float, float]],
+    rngs: Sequence[np.random.Generator],
     params: SimDetectorParams,
-    rng: np.random.Generator,
-    width: float,
-    height: float,
     num_classes: int,
-) -> list[tuple[Box, int]]:
-    """The random part of :func:`simulate_predictions`: boxes and labels."""
+) -> BoxSet:
+    """The random part of :func:`simulate_predictions`, for every image of a set.
+
+    Image g's true boxes are ``truth``'s, its size ``sizes[g]`` and its
+    generator ``rngs[g]``. Each generator is drawn from in the per-box
+    order of one image at a time, since a recall draw decides which draws
+    follow; clipping to the image and widening (``noise.constrain_corners``)
+    then run over all boxes at once. Returns boxes, labels and int edges: a
+    coordinate clipped to an ``int`` image bound is that bound.
+    """
     if num_classes < 1:
         raise ValueError(f"num_classes must be >= 1, got {num_classes}")
-    boxes: list[tuple[Box, int]] = []
-    for ann in true_boxes:
-        if rng.random() >= params.recall:
-            continue
-        b = ann.box
-        # one call draws the same four values as four scalar calls
-        dx1, dx2, dy1, dy2 = rng.normal(0.0, params.localization_sigma, 4).tolist()
-        jittered = Box.spanning(b.x1 + dx1, b.y1 + dy1, b.x2 + dx2, b.y2 + dy2)
-        boxes.append((constrain_box(jittered, width, height), ann.label))
-    for _ in range(int(rng.poisson(params.fp_rate))):
-        w = rng.uniform(SPURIOUS_MIN_SIDE, SPURIOUS_MAX_SIDE)
-        h = rng.uniform(SPURIOUS_MIN_SIDE, SPURIOUS_MAX_SIDE)
-        cx = rng.uniform(0.0, width)
-        cy = rng.uniform(0.0, height)
-        label = int(rng.integers(1, num_classes + 1))
-        spurious = Box(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
-        boxes.append((constrain_box(spurious, width, height), label))
-    return boxes
+    recall, sigma, fp_rate = params.recall, params.localization_sigma, params.fp_rate
+    # per drawn box: its true box's row, or -1 for a spurious one
+    source: list[int] = []
+    jitter: list[float] = []  # dx1, dx2, dy1, dy2 of each jittered true box
+    spurious: list[float] = []  # corners of each spurious box
+    spurious_labels: list[int] = []
+    counts: list[int] = []
+    bounds = truth.offsets.tolist()
+    for g, ((width, height), rng) in enumerate(zip(sizes, rngs)):
+        random, normal, before = rng.random, rng.normal, len(source)
+        for row in range(bounds[g], bounds[g + 1]):
+            if random() >= recall:
+                continue
+            source.append(row)
+            # one call draws the same four values as four scalar calls
+            jitter += normal(0.0, sigma, 4).tolist()
+        for _ in range(int(rng.poisson(fp_rate))):
+            w = rng.uniform(SPURIOUS_MIN_SIDE, SPURIOUS_MAX_SIDE)
+            h = rng.uniform(SPURIOUS_MIN_SIDE, SPURIOUS_MAX_SIDE)
+            cx = rng.uniform(0.0, width)
+            cy = rng.uniform(0.0, height)
+            spurious_labels.append(int(rng.integers(1, num_classes + 1)))
+            source.append(-1)
+            spurious += (cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
+        counts.append(len(source) - before)
+
+    src = np.array(source, dtype=np.intp)
+    jittered = src >= 0
+    t = truth.boxes[src[jittered]]
+    d = np.array(jitter).reshape(-1, 4)
+    # Box.spanning(x1 + dx1, y1 + dy1, x2 + dx2, y2 + dy2), min and max in
+    # Python's argument order
+    xa, ya, xb, yb = t[:, 0] + d[:, 0], t[:, 1] + d[:, 2], t[:, 2] + d[:, 1], t[:, 3] + d[:, 3]
+    raw = np.empty((len(src), 4))
+    raw[jittered] = np.stack(
+        [
+            np.where(xb < xa, xb, xa),
+            np.where(yb < ya, yb, ya),
+            np.where(xb > xa, xb, xa),
+            np.where(yb > ya, yb, ya),
+        ],
+        axis=1,
+    )
+    raw[~jittered] = np.array(spurious).reshape(-1, 4)
+    labels = np.empty(len(src), dtype=np.int64)
+    labels[jittered] = truth.labels[src[jittered]]
+    labels[~jittered] = spurious_labels
+
+    image = np.repeat(np.arange(len(counts)), counts)
+    boxes, int_edge = constrain_corners(
+        raw,
+        np.array(sizes, dtype=np.float64).reshape(-1, 2)[image],
+        np.array([[type(v) is int for v in wh] for wh in sizes], dtype=bool).reshape(-1, 2)[image],
+    )
+    return BoxSet(
+        boxes,
+        np.concatenate(([0], np.cumsum(counts, dtype=np.intp))),
+        labels=labels,
+        int_edge=int_edge if int_edge.any() else None,
+    )
 
 
-def _score_predictions(
-    drawn: Sequence[Sequence[tuple[Box, int]]],
-    truths: Sequence[Sequence[Annotation]],
-    params: SimDetectorParams,
-) -> list[list[Detection]]:
-    """Score each image's drawn boxes by their best IoU against its true boxes.
-
-    Consecutive images share one padded IoU block (``image_chunks``).
-    """
-    out: list[list[Detection]] = []
-    rows = [len(d) for d in drawn]
-    cols = [len(t) for t in truths]
-    for chunk in image_chunks(rows, cols):
-        overlap = iou_matrix(
-            stack_boxes([[box for box, _ in drawn[k]] for k in chunk]),
-            stack_boxes([[t.box for t in truths[k]] for k in chunk]),
-        )
-        # padding columns are masked out of the maximum
-        real = np.arange(overlap.shape[2]) < np.array([cols[k] for k in chunk])[:, None]
-        quality = overlap.max(axis=2, initial=0.0, where=real[:, None, :]).tolist()
-        for k, qs in zip(chunk, quality):
-            out.append(
-                [
-                    Detection.from_logit(
-                        box=box, label=label, logit=params.score_sharpness * (2.0 * q - 1.0)
-                    )
-                    for (box, label), q in zip(drawn[k], qs)
-                ]
-            )
-    return out
+def _score_predictions(drawn: BoxSet, truth: BoxSet, params: SimDetectorParams) -> BoxSet:
+    """``drawn`` scored by each box's best IoU against the true boxes of its image:
+    logit ``score_sharpness * (2q - 1)`` and its sigmoid."""
+    quality, _ = best_iou(drawn, truth)
+    logits = params.score_sharpness * (2.0 * quality - 1.0)
+    # math.exp per value, as Detection.from_logit: np.exp rounds differently
+    probs = np.array([sigmoid(x) for x in logits.tolist()], dtype=np.float64)
+    return replace(drawn, logits=logits, probs=probs)
 
 
 @dataclass(frozen=True)
@@ -274,6 +314,16 @@ class IterationRecord:
     mined: int
 
 
+def check_image_size(image_size: tuple[int, int]) -> None:
+    """Raise ValueError unless every synthetic true box fits an image of this size."""
+    if min(image_size) < TRUTH_MAX_SIDE:
+        side = f"{TRUTH_MAX_SIDE:g}"
+        raise ValueError(
+            f"image_size must be at least {side}x{side}, the largest synthetic box, "
+            f"got {image_size[0]}x{image_size[1]}"
+        )
+
+
 def synthesize_truth(
     num_images: int = 8,
     boxes_per_image: int = 6,
@@ -281,7 +331,12 @@ def synthesize_truth(
     image_size: tuple[int, int] = (512, 512),
     seed: int = 0,
 ) -> Dataset:
-    """Random ground truth: boxes fully inside the image, uniform labels."""
+    """Random ground truth: boxes fully inside the image, uniform labels.
+
+    Raises:
+        ValueError: if ``image_size`` is smaller than ``TRUTH_MAX_SIDE`` on a side.
+    """
+    check_image_size(image_size)
     width, height = image_size
     images: list[ImageRecord] = []
     for i in range(num_images):
@@ -289,8 +344,8 @@ def synthesize_truth(
         rng = derive_rng(seed, "truth", image_id)
         anns: list[Annotation] = []
         for _ in range(boxes_per_image):
-            w = rng.uniform(28.0, 80.0)
-            h = rng.uniform(28.0, 80.0)
+            w = rng.uniform(TRUTH_MIN_SIDE, TRUTH_MAX_SIDE)
+            h = rng.uniform(TRUTH_MIN_SIDE, TRUTH_MAX_SIDE)
             cx = rng.uniform(w / 2.0, width - w / 2.0)
             cy = rng.uniform(h / 2.0, height - h / 2.0)
             label = int(rng.integers(1, num_classes + 1))
@@ -316,10 +371,20 @@ def build_scenario(truth: Dataset, noise_cfg: NoiseConfig) -> Scenario:
     )
 
 
-def _flip_annotations(
-    anns: Sequence[Annotation], t: GeoTransform
-) -> list[Annotation]:
-    return [Annotation(apply_transform(t, a.box), a.label, a.provenance) for a in anns]
+def _hflip(s: BoxSet, widths: np.ndarray, flipped: np.ndarray) -> BoxSet:
+    """``s`` with the boxes of the ``flipped`` images mirrored, as
+    ``apply_transform`` with ``GeoTransform.hflip(width)`` maps a box: x1 and
+    x2 become ``width - x2`` and ``width - x1``, floats; y stays as it is."""
+    rows = flipped[s.image_index]
+    w = widths[s.image_index][rows]
+    boxes = s.boxes.copy()
+    boxes[rows, 0] = w - s.boxes[rows, 2]
+    boxes[rows, 2] = w - s.boxes[rows, 0]
+    int_edge = s.int_edge
+    if int_edge is not None:
+        int_edge = int_edge.copy()
+        int_edge[rows, 0::2] = False
+    return replace(s, boxes=boxes, int_edge=int_edge)
 
 
 def run_loop(
@@ -329,7 +394,7 @@ def run_loop(
         [int, dict[str, list[Annotation]], dict[str, list[Detection]]], None
     ]
     | None = None,
-) -> list[IterationRecord]:
+) -> tuple[list[IterationRecord], dict[str, list[Annotation]]]:
     """Run the teacher-student refinement loop over a scenario.
 
     Per iteration and image: a weak view (random horizontal flip) is chosen,
@@ -338,93 +403,77 @@ def run_loop(
     quality (mean best IoU of refined targets to the hidden truth) drives the
     student, and the teacher follows by EMA.
 
-    Each iteration draws every image's predictions first, then scores and
-    refines all images together (``correct_images``). Every random draw
-    comes from a substream keyed by (seed, iteration, image), and reduction
-    order is fixed, so results do not depend on image order. ``hook``, when
-    given, receives each iteration's refined targets and predictions per
-    image.
+    Every box set of an iteration (truth, targets, predictions, refined
+    targets) is one ``BoxSet`` over all images: each iteration draws every
+    image's predictions first, then scores, refines (``correct_sets``) and
+    evaluates all images together. Every random draw comes from a substream
+    keyed by (seed, iteration, image), and reduction order is fixed, so
+    results do not depend on image order.
 
-    Targets with untouched boxes keep their exact original coordinates; only
-    boxes the correction actually moved go through view-transform round
-    trips.
+    A refined target that did not move (the moved mask of ``correct_sets``)
+    keeps its exact original coordinates and object; only boxes the
+    correction moved or mined go through view-transform round trips.
+    ``Annotation`` and ``Detection`` objects are built only for ``hook``,
+    when given, which receives each iteration's refined targets and
+    predictions per image, and once for the final refined targets.
+
+    Returns the trace and the last iteration's refined targets per image.
     """
-    num_classes = scenario.truth.num_classes
-    seed = cfg.noise.seed
     images = scenario.truth.images
-    truth_boxes = {rec.image_id: [a.box for a in rec.annotations] for rec in images}
-    # the flipped views never change: build them once, not once per iteration
-    flips = [GeoTransform.hflip(float(rec.width)) for rec in images]
-    targets = [scenario.targets[rec.image_id] for rec in images]
-    flipped_truth = [_flip_annotations(rec.annotations, t) for rec, t in zip(images, flips)]
-    flipped_targets = [_flip_annotations(anns, t) for anns, t in zip(targets, flips)]
+    image_ids = [rec.image_id for rec in images]
+    seed = cfg.noise.seed
+    targets = [scenario.targets[image_id] for image_id in image_ids]
+    truth = annotation_set([rec.annotations for rec in images])
+    target_set = annotation_set(targets)
+    sizes = [(rec.width, rec.height) for rec in images]
+    widths = np.array([float(rec.width) for rec in images])
     start_vec = cfg.schedule.start.to_vector()
     state = EmaState(teacher=start_vec, student=start_vec, keep_rate=cfg.keep_rate)
     trace: list[IterationRecord] = []
 
     for it in range(cfg.iterations):
         teacher = SimDetectorParams.from_vector(state.teacher)
-        weak_flips: list[bool] = []
-        truth_views: list[Sequence[Annotation]] = []
-        drawn: list[list[tuple[Box, int]]] = []
-        for k, rec in enumerate(images):
-            rng = derive_rng(seed, "loop", it, rec.image_id)
-            weak_flips.append(bool(rng.integers(2)))
+        rngs = []
+        flipped = np.zeros(len(images), dtype=bool)
+        for k, image_id in enumerate(image_ids):
+            rng = derive_rng(seed, "loop", it, image_id)
+            flipped[k] = rng.integers(2)
             # value unused: the draw keeps this substream's later draws, and every output
             rng.integers(2)
-            truth_views.append(flipped_truth[k] if weak_flips[-1] else rec.annotations)
-            drawn.append(
-                _draw_predictions(
-                    truth_views[-1], teacher, rng, rec.width, rec.height, num_classes
-                )
-            )
-        preds_views = _score_predictions(drawn, truth_views, teacher)
-        targets_views = [
-            flipped_targets[k] if weak else targets[k] for k, weak in enumerate(weak_flips)
-        ]
-        results = correct_images(list(zip(targets_views, preds_views)), cfg.correction)
-        corrected_by_image: dict[str, list[Annotation]] = {}
-        preds_by_image: dict[str, list[Detection]] = {}
-        mined = 0
-        for k, rec in enumerate(images):
-            corrected_view, report = results[k]
-            weak = flips[k] if weak_flips[k] else None
-            targets_view = targets_views[k]
-            corrected: list[Annotation] = []
-            for j, ann in enumerate(corrected_view):
-                if j < len(targets_view) and ann is targets_view[j]:
-                    corrected.append(targets[k][j])
-                elif weak:
-                    corrected.append(
-                        Annotation(apply_transform(weak, ann.box), ann.label, ann.provenance)
-                    )
-                else:
-                    corrected.append(ann)
-            corrected_by_image[rec.image_id] = corrected
-            preds_by_image[rec.image_id] = (
-                [
-                    Detection(apply_transform(weak, p.box), p.label, p.prob, p.logit)
-                    for p in preds_views[k]
-                ]
-                if weak
-                else preds_views[k]
-            )
-            mined += report.mined
-        quality, _ = mean_best_iou(
-            {
-                image_id: [a.box for a in anns]
-                for image_id, anns in corrected_by_image.items()
-            },
-            truth_boxes,
+            rngs.append(rng)
+        truth_view = _hflip(truth, widths, flipped)
+        drawn = draw_predictions(truth_view, sizes, rngs, teacher, scenario.truth.num_classes)
+        preds_view = _score_predictions(drawn, truth_view, teacher)
+        refined, moved, reports = correct_sets(
+            _hflip(target_set, widths, flipped), preds_view, cfg.correction
         )
-        ap50 = evaluate_ap50(scenario.truth, preds_by_image).map50
+        refined = _hflip(refined, widths, flipped)
+        # an unmoved target is its original row, not a round trip through the
+        # view; target j of image g is row j of the image in either set
+        (unmoved,) = (~moved).nonzero()
+        image = target_set.image_index[unmoved]
+        rows = refined.offsets[image] + unmoved - target_set.offsets[image]
+        refined.boxes[rows] = target_set.boxes[unmoved]
+        if target_set.int_edge is not None:
+            refined.int_edge[rows] = target_set.int_edge[unmoved]
+        preds = _hflip(preds_view, widths, flipped)
+        quality, _ = mean_best_iou(refined, truth)
+        ap50 = evaluate_ap50(truth, preds).map50
         if hook is not None:
-            hook(it, corrected_by_image, preds_by_image)
+            hook(
+                it,
+                dict(zip(image_ids, refined_annotations(refined, targets, moved))),
+                dict(zip(image_ids, set_detections(preds))),
+            )
         trace.append(
             IterationRecord(
-                iteration=it, target_quality=quality, ap50=ap50, mined=mined
+                iteration=it,
+                target_quality=quality,
+                ap50=ap50,
+                mined=sum(report.mined for report in reports),
             )
         )
         student = cfg.schedule.at(quality)
         state = ema_update(replace(state, student=student.to_vector()))
-    return trace
+    return trace, dict(zip(image_ids, refined_annotations(refined, targets, moved)))
+

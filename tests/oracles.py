@@ -275,3 +275,62 @@ def save_ref(dataset) -> str:
             )
     payload = {"images": images, "categories": categories, "annotations": annotations}
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+# the simulated detector's constants: spurious box sides and the narrowest span
+SPURIOUS_SIDES = (16.0, 196.0)
+MIN_SIDE = 1.0
+
+
+def _expand_span_ref(lo, hi, limit):
+    if hi - lo >= MIN_SIDE:
+        return lo, hi
+    c = (lo + hi) / 2.0
+    lo, hi = c - MIN_SIDE / 2.0, c + MIN_SIDE / 2.0
+    if lo < 0.0:
+        return 0.0, min(MIN_SIDE, limit)
+    if hi > limit:
+        return max(limit - MIN_SIDE, 0.0), limit
+    return lo, hi
+
+
+def constrain_ref(box, width, height):
+    """Clip corners to the image, then widen spans narrower than MIN_SIDE.
+
+    Clipping returns the bound itself, so an ``int`` width or height comes
+    back as an ``int`` coordinate.
+    """
+    x1, y1, x2, y2 = (
+        min(max(v, 0.0), limit) for v, limit in zip(box, (width, height, width, height))
+    )
+    x1, x2 = _expand_span_ref(x1, x2, width)
+    y1, y2 = _expand_span_ref(y1, y2, height)
+    return (x1, y1, x2, y2)
+
+
+def draw_ref(truth, sigma, recall, fp_rate, rng, width, height, num_classes):
+    """One image's simulated-detector draw, box by box.
+
+    ``truth`` holds ``(corners, label)`` pairs. Each true box is kept when a
+    uniform draw is below ``recall`` and then jittered by four normal draws
+    (x1, x2, y1, y2); Poisson(``fp_rate``) spurious boxes follow, each drawn
+    as width, height, center x, center y and label. Returns ``(corners,
+    label)`` pairs, every box clipped and widened by :func:`constrain_ref`.
+    """
+    out = []
+    for (x1, y1, x2, y2), label in truth:
+        if rng.random() >= recall:
+            continue
+        dx1, dx2, dy1, dy2 = rng.normal(0.0, sigma, 4).tolist()
+        xa, ya, xb, yb = x1 + dx1, y1 + dy1, x2 + dx2, y2 + dy2
+        jittered = (min(xa, xb), min(ya, yb), max(xa, xb), max(ya, yb))
+        out.append((constrain_ref(jittered, width, height), label))
+    for _ in range(int(rng.poisson(fp_rate))):
+        w = rng.uniform(*SPURIOUS_SIDES)
+        h = rng.uniform(*SPURIOUS_SIDES)
+        cx = rng.uniform(0.0, width)
+        cy = rng.uniform(0.0, height)
+        label = int(rng.integers(1, num_classes + 1))
+        box = (cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
+        out.append((constrain_ref(box, width, height), label))
+    return out

@@ -406,12 +406,12 @@ def test_refinement_loop_improves_targets(report):
         truth = synthesize_truth(num_images=6, boxes_per_image=6, num_classes=3, seed=seed)
         noise = NoiseConfig(box_noise=0.4, sparsity="extreme", seed=seed)
         cfg = LoopConfig(iterations=20, keep_rate=0.95, correction=correction, noise=noise)
-        trace = run_loop(build_scenario(truth, noise), cfg)
+        trace, _ = run_loop(build_scenario(truth, noise), cfg)
         wins += trace[-1].target_quality > trace[0].target_quality
         control_cfg = LoopConfig(
             iterations=20, keep_rate=0.95, correction=disabled, noise=noise
         )
-        control = run_loop(build_scenario(truth, noise), control_cfg)
+        control, _ = run_loop(build_scenario(truth, noise), control_cfg)
         flat = flat and len({r.target_quality for r in control}) == 1
     ok = wins >= 18 and flat
     report(

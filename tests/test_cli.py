@@ -827,6 +827,45 @@ def test_flag_values_keep_their_types(tmp_path):
     assert cfg["loop"]["image_size"] == [300, 200]
 
 
+@pytest.mark.parametrize(
+    "command, args, name",
+    [
+        ("simulate", ["--keep-rate", "2"], "keep_rate"),
+        ("simulate", ["--iterations", "0"], "iterations"),
+        ("simulate", ["--sparsity", "1.5"], "sparsity"),
+        ("simulate", ["--superfluous-success", "2"], "success"),
+        ("simulate", ["--dedup-iou", "3"], "dedup_iou"),
+        ("inject-noise", ["--box-noise", "-1"], "box_noise"),
+        ("correct", ["--temperature", "0"], "temperature"),
+    ],
+)
+def test_range_checks_run_before_config_is_written(tmp_path, capsys, command, args, name):
+    out = tmp_path / "out"
+    rc = main([command, *REQUIRED[command], "--out", str(out), *args])
+    assert rc == 1
+    assert name in capsys.readouterr().err
+    assert not (out / "config.json").exists()
+
+
+@pytest.mark.parametrize("size", ["20x20", "79x79", "60x200", "200x60"])
+def test_image_size_too_small_for_the_truth(tmp_path, capsys, size):
+    out = tmp_path / "out"
+    rc = main(["simulate", "--images", "1", "--iterations", "1", "--image-size", size,
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "--image-size" in err and "80x80" in err and size in err
+    assert not (out / "config.json").exists()
+
+
+def test_image_size_at_the_truth_limit(tmp_path):
+    out = tmp_path / "out"
+    rc = main(["simulate", "--images", "3", "--iterations", "1", "--image-size", "80x80",
+               "--out", str(out)])
+    assert rc == 0
+    assert read_json(out / "config.json")["loop"]["image_size"] == [80, 80]
+
+
 @pytest.mark.parametrize("command", sorted(REQUIRED))
 def test_workers_rejected(tmp_path, capsys, command):
     with pytest.raises(SystemExit) as info:

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from boxrefine import geometry
-from boxrefine.datamodel import Detection
+from boxrefine.datamodel import Detection, detection_set
 from boxrefine.geometry import (
     Box,
+    BoxSet,
     GeoTransform,
     apply_transform,
     apply_transforms,
-    box_array,
+    best_iou,
     center_distance_matrix,
     center_distance_normalized,
     giou_distance,
@@ -25,10 +26,23 @@ from boxrefine.geometry import (
     iou_distance,
     iou_matrix,
     nms,
-    stack_boxes,
+    pad_groups,
 )
 
 from oracles import iou_ref
+
+
+def box_set(groups: list[list[Box]]) -> BoxSet:
+    return BoxSet.from_boxes([b for g in groups for b in g], [len(g) for g in groups])
+
+
+def box_array(boxes: list[Box]) -> np.ndarray:
+    return box_set([boxes]).boxes
+
+
+def stack_boxes(groups: list[list[Box]]) -> np.ndarray:
+    s = box_set(groups)
+    return pad_groups(s.boxes, s.offsets, range(len(groups)), 0.0)
 
 
 def random_box(rng: np.random.Generator, span: float = 100.0) -> Box:
@@ -311,7 +325,7 @@ class TestPairwiseMatrices:
         a_groups = [tricky_boxes(rng, int(n)) for n in rng.integers(0, 12, 300)]
         b_groups = [tricky_boxes(rng, int(n)) for n in rng.integers(0, 12, 300)]
         got: dict[tuple[int, int], float] = {}
-        for i, j, overlap in grouped_iou(a_groups, b_groups):
+        for i, j, overlap in grouped_iou(box_set(a_groups), box_set(b_groups)):
             for pair, value in zip(zip(i.tolist(), j.tolist()), overlap.tolist()):
                 assert pair not in got
                 got[pair] = value
@@ -323,6 +337,16 @@ class TestPairwiseMatrices:
                     want[(i, j)] = iou(p, q)
             a_start, b_start = a_start + len(a), b_start + len(b)
         assert got == want
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (3, 4), (4, 8), (5, 7), (6, 6), (9, 20)])
+    def test_grouped_iou_of_one_image_is_bit_identical(self, n, m):
+        # few pairs go through the scalar formula, more through numpy
+        rng = np.random.default_rng(n * 100 + m)
+        for _ in range(20):
+            a, b = tricky_boxes(rng, n), tricky_boxes(rng, m)
+            ((i, j, overlap),) = grouped_iou(box_set([a]), box_set([b]))
+            assert list(zip(i.tolist(), j.tolist())) == [(p, q) for p in range(n) for q in range(m)]
+            assert overlap.tolist() == [iou(p, q) for p in a for q in b]
 
     def test_nms_matches_scalar_greedy(self):
         rng = np.random.default_rng(45)
@@ -342,6 +366,37 @@ def scalar_nms(dets: list[Detection], threshold: float) -> list[Detection]:
         if all(k.label != d.label or iou(k.box, d.box) <= threshold for k in kept):
             kept.append(d)
     return kept
+
+
+class TestBoxSet:
+    def test_int_coordinates_survive_the_round_trip(self):
+        boxes = [Box(0, 1.5, 512, 20.0), Box(3.25, 0.0, 512.0, 7)]
+        s = box_set([boxes, []])
+        assert s.int_edge.tolist() == [[True, False, True, False], [False, False, False, True]]
+        back = s.to_boxes()
+        assert [[type(v) for v in b.as_tuple()] for b in back] == [
+            [type(v) for v in b.as_tuple()] for b in boxes
+        ]
+        assert back == boxes
+        assert box_set([[Box(0.0, 0.0, 1.0, 1.0)]]).int_edge is None
+
+    def test_take_keeps_rows_per_image(self):
+        s = BoxSet.from_boxes(
+            [Box(k, k, k + 1, k + 1) for k in range(6)], [2, 0, 3, 1], labels=[1, 2, 3, 1, 2, 3]
+        )
+        assert s.image_index.tolist() == [0, 0, 2, 2, 2, 3]
+        part = s.take(np.array([1, 3, 4]))
+        assert part.offsets.tolist() == [0, 1, 1, 3, 3]
+        assert part.labels.tolist() == [2, 1, 2]
+        assert part.boxes[:, 0].tolist() == [1.0, 3.0, 4.0]
+        assert part.probs is None
+
+    def test_best_iou_both_ways(self):
+        a = box_set([[Box(0, 0, 10, 10), Box(20, 20, 30, 30)], [Box(0, 0, 1, 1)]])
+        b = box_set([[Box(0, 0, 10, 5)], []])
+        forward, backward = best_iou(a, b)
+        assert forward.tolist() == [0.5, 0.0, 0.0]
+        assert backward.tolist() == [0.5]
 
 
 class TestImageStacks:
@@ -405,8 +460,15 @@ class TestImageStacks:
                     for b in boxes
                 ]
             )
+        flat = [d for g in groups for d in g]
+        found = detection_set(groups)
         for threshold in (0.0, 0.3, 0.5, 1.0):
-            assert grouped_nms(groups, threshold) == [scalar_nms(g, threshold) for g in groups]
+            rows = grouped_nms(found, threshold)
+            got = [
+                [flat[r] for r in rows[found.image_index[rows] == g].tolist()]
+                for g in range(len(groups))
+            ]
+            assert got == [scalar_nms(g, threshold) for g in groups]
 
 
 class TestTransforms:

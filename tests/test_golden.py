@@ -94,6 +94,11 @@ RUNS: tuple[tuple[str, ...], ...] = (
      "--out", "corrected-default"),
     # one superfluous flag switches superfluous noise on with the other defaults
     ("simulate", "--superfluous-min-side", "24", "--out", "sim-default"),
+    # corrected_final.json holds an image bound both as an int (96, clipped)
+    # and as a float (96.0, flipped back)
+    ("simulate", "--profile", "nb40-ex", "--seed", "5", "--images", "6",
+     "--boxes-per-image", "6", "--iterations", "2", "--image-size", "96x96",
+     "--out", "sim-edges"),
     ("render", "--dataset", "corrected-iou/corrected.json", "--detections", "dets.json",
      "--ground-truth", "clean.json", "--out", "svg"),
     ("render", "--dataset", "odd.json", "--detections", "odd.json",
@@ -121,7 +126,8 @@ def run_all(root: Path) -> dict[str, str]:
 # recorded from the package before pairwise geometry moved to arrays; the
 # render and ``simulate --render`` outputs were recorded before SVG escaping
 # moved into the package, the ``*-default`` outputs before the CLI derived its
-# defaults from the config dataclasses
+# defaults from the config dataclasses, ``sim-edges`` before the loop kept its
+# boxes in columns
 GOLDEN: dict[str, str] = {
     "corrected-default/config.json":
         "51b8c2827cde5cbc754f38bf2ea77ad342f92c3f366382c590e09fa853f759ad",
@@ -169,6 +175,16 @@ GOLDEN: dict[str, str] = {
         "8e22044a9477708ca352b89c4fff63c419cbe42eef3808b429c86cd2f8e47ca2",
     "sim-default/truth.json":
         "da0cecbc9ba263762f108faeb8bdf28ee2386c3a28eb0f18d85eee3cf81186b8",
+    "sim-edges/config.json":
+        "8414a3b0d33a20385d23aad61133e991954bb7fe1dd4c70f2daa5e3a7f89a666",
+    "sim-edges/corrected_final.json":
+        "991767273ccb5f93a309e3d3288c3cbe42154a69400ecee8ee12c5fef64c65d3",
+    "sim-edges/targets.json":
+        "75b813d1ed4bcd3f2b8ad0319df3f96e7c6075647e8420d8b5a01139a44bda6d",
+    "sim-edges/trace.jsonl":
+        "8264d7ba7a17159924c56c7e775cf69d2051831e9bf9dc607cecf4382e3ffcb5",
+    "sim-edges/truth.json":
+        "ec6329fb13c25bc9acdc40e303662dd035916584aea13ca215bb7e96f9e3184f",
     "sim-render/config.json":
         "00a274fb9e7fc90121b0071e1ee77e0724662878657a9b65cb759dd87a4fb815",
     "sim-render/corrected_final.json":

@@ -8,20 +8,24 @@ import pytest
 from boxrefine import geometry
 from boxrefine.correction import CorrectionConfig
 from boxrefine.datamodel import Annotation
-from boxrefine.geometry import Box
+from boxrefine.geometry import Box, BoxSet
 from boxrefine.noise import NoiseConfig, derive_rng
 from boxrefine.simloop import (
     DEFAULT_SCHEDULE,
+    TRUTH_MAX_SIDE,
     EmaState,
     ImprovementSchedule,
     LoopConfig,
     SimDetectorParams,
     build_scenario,
+    draw_predictions,
     ema_update,
     run_loop,
     simulate_predictions,
     synthesize_truth,
 )
+
+from oracles import draw_ref
 
 PERFECT = SimDetectorParams(
     localization_sigma=0.0, recall=1.0, fp_rate=0.0, score_sharpness=8.0
@@ -131,6 +135,105 @@ class TestSimulatePredictions:
             simulate_predictions([], PERFECT, rng, 512, 512, 0)
 
 
+def typed(corners) -> list[tuple[float, type]]:
+    """Each coordinate with its type: 512 and 512.0 differ in a written file."""
+    return [(v, type(v)) for v in corners]
+
+
+def border_truth(rng: np.random.Generator, width: float, height: float) -> list:
+    """True boxes inside, on and past every border of a width x height image."""
+    out = []
+    for _ in range(12):
+        w, h = rng.uniform(0.2, 60.0, 2).tolist()
+        xs = [-w / 2, -w, 0.0, rng.uniform(0, width), width - w, width - w / 2, width]
+        x = float(rng.choice(xs))
+        ys = [-h / 2, -h, 0.0, rng.uniform(0, height), height - h, height - h / 2, height]
+        y = float(rng.choice(ys))
+        out.append(((x, y, x + w, y + h), int(rng.integers(1, 4))))
+    return out
+
+
+def flipped(truth: list, width: float) -> list:
+    """The boxes of a horizontally flipped view, as the loop builds it."""
+    w = float(width)
+    return [((w - x2, y1, w - x1, y2), label) for (x1, y1, x2, y2), label in truth]
+
+
+class TestDrawOracle:
+    """The columnar draw equals the box-by-box draw, coordinate types included."""
+
+    SIZES = [(512, 512), (512, 300), (1, 7), (3, 1), (0.5, 40), (40, 0.75), (511.5, 512.0)]
+    PARAMS = [
+        SimDetectorParams(8.0, 0.65, 1.0, 3.0),
+        SimDetectorParams(0.0, 1.0, 0.0, 3.0),
+        SimDetectorParams(0.0, 0.0, 2.0, 3.0),
+        SimDetectorParams(30.0, 1.0, 3.0, 3.0),
+    ]
+
+    def cases(self, seed: int):
+        rng = np.random.default_rng(seed)
+        for width, height in self.SIZES:
+            truth = border_truth(rng, width, height)
+            yield width, height, truth
+            yield width, height, flipped(truth, width)
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_columnar_draw_equals_box_by_box(self, k):
+        params = self.PARAMS[k]
+        images = list(self.cases(60 + k))
+        truth = BoxSet.from_boxes(
+            [Box.spanning(*corners) for _, _, t in images for corners, _ in t],
+            [len(t) for _, _, t in images],
+            labels=[label for _, _, t in images for _, label in t],
+        )
+        rngs = [np.random.default_rng([k, g]) for g in range(len(images))]
+        drawn = draw_predictions(truth, [(w, h) for w, h, _ in images], rngs, params, 3)
+        boxes = drawn.to_boxes()
+        labels = drawn.labels.tolist()
+        bounds = drawn.offsets.tolist()
+        for g, (width, height, t) in enumerate(images):
+            want = draw_ref(
+                t, params.localization_sigma, params.recall, params.fp_rate,
+                np.random.default_rng([k, g]), width, height, 3,
+            )
+            got = [(boxes[r].as_tuple(), labels[r]) for r in range(bounds[g], bounds[g + 1])]
+            assert [(typed(c), label) for c, label in got] == [
+                (typed(c), label) for c, label in want
+            ], (width, height)
+
+    def test_cases_reach_both_edge_forms_and_both_limit_branches(self):
+        # (limit, type) of every coordinate that ends on its image bound
+        seen = set()
+        for k, params in enumerate(self.PARAMS):
+            for g, (width, height, t) in enumerate(self.cases(60 + k)):
+                for corners, _ in draw_ref(
+                    t, params.localization_sigma, params.recall, params.fp_rate,
+                    np.random.default_rng([k, g]), width, height, 3,
+                ):
+                    for v, limit in zip(corners, (width, height, width, height)):
+                        if v == limit:
+                            seen.add((limit, type(v)))
+        # clipped to an int bound, and a float bound reached by arithmetic
+        assert {(512, int), (512, float)} <= seen
+        # on a 1-px side, a span pushed off the far edge ends on the int bound
+        # and one pushed off 0 on min(MIN_BOX_SIDE, 1), a float
+        assert {(1, int), (1, float)} <= seen
+        assert (0.5, float) in seen
+
+    def test_simulate_predictions_keeps_int_edges(self):
+        truth = flipped(border_truth(np.random.default_rng(70), 512, 300), 512)
+        params = SimDetectorParams(0.0, 1.0, 1.0, 3.0)
+        want = draw_ref(truth, 0.0, 1.0, 1.0, np.random.default_rng(71), 512, 300, 3)
+        got = simulate_predictions(
+            [Annotation(Box.spanning(*c), label) for c, label in truth],
+            params, np.random.default_rng(71), 512, 300, 3,
+        )
+        assert [(typed(p.box.as_tuple()), p.label) for p in got] == [
+            (typed(c), label) for c, label in want
+        ]
+        assert any(type(v) is int for p in got for v in p.box.as_tuple())
+
+
 class TestEma:
     def test_keep_rate_one_freezes_teacher(self):
         state = EmaState(teacher=(1.0, 2.0), student=(5.0, 6.0), keep_rate=1.0)
@@ -201,6 +304,14 @@ class TestSynthesizeTruth:
                 assert 28.0 <= a.box.height <= 80.0
                 assert 1 <= a.label <= 4
 
+    def test_image_size_must_fit_the_largest_box(self):
+        side = int(TRUTH_MAX_SIDE)
+        for size in ((side - 1, 512), (512, side - 1)):
+            with pytest.raises(ValueError, match="image_size"):
+                synthesize_truth(image_size=size)
+        ds = synthesize_truth(num_images=20, image_size=(side, side))
+        assert all(a.box.x2 <= side for rec in ds.images for a in rec.annotations)
+
     def test_seed_changes_output(self):
         a = synthesize_truth(seed=0)
         b = synthesize_truth(seed=1)
@@ -239,7 +350,7 @@ class TestRunLoop:
         truth = synthesize_truth(num_images=4, boxes_per_image=4)
         cfg = small_loop_cfg()
         scenario = build_scenario(truth, cfg.noise)
-        trace = run_loop(scenario, cfg)
+        trace, _ = run_loop(scenario, cfg)
         assert [r.iteration for r in trace] == list(range(6))
         for r in trace:
             assert 0.0 <= r.target_quality <= 1.0
@@ -279,7 +390,7 @@ class TestRunLoop:
         def hook(iteration, corrected, preds):
             seen.append(corrected)
 
-        trace = run_loop(scenario, cfg, hook=hook)
+        trace, _ = run_loop(scenario, cfg, hook=hook)
         assert len({r.target_quality for r in trace}) == 1
         assert all(r.mined == 0 for r in trace)
         for corrected in seen:
@@ -296,14 +407,14 @@ class TestRunLoop:
             iterations=3,
         )
         scenario = build_scenario(truth, cfg.noise)
-        trace = run_loop(scenario, cfg)
+        trace, _ = run_loop(scenario, cfg)
         assert all(r.target_quality == 1.0 for r in trace)
 
     def test_refinement_improves_targets(self):
         truth = synthesize_truth(num_images=6, boxes_per_image=6, seed=0)
         cfg = small_loop_cfg(iterations=20, keep_rate=0.95)
         scenario = build_scenario(truth, cfg.noise)
-        trace = run_loop(scenario, cfg)
+        trace, _ = run_loop(scenario, cfg)
         assert trace[-1].target_quality > trace[0].target_quality
 
     def test_hook_sees_every_iteration(self):
@@ -316,6 +427,31 @@ class TestRunLoop:
         ids = sorted(r.image_id for r in truth.images)
         for _, c_ids, p_ids in calls:
             assert c_ids == ids and p_ids == ids
+
+    def test_no_objects_built_without_a_hook(self, monkeypatch):
+        truth = synthesize_truth(num_images=5, boxes_per_image=6, seed=4)
+        built = {Box: 0, Annotation: 0}
+        for cls in built:
+            check = cls.__post_init__
+
+            def counted(self, cls=cls, check=check):
+                built[cls] += 1
+                check(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        for iterations in (1, 4):
+            cfg = small_loop_cfg(iterations=iterations)
+            scenario = build_scenario(truth, cfg.noise)
+            originals = {id(a) for anns in scenario.targets.values() for a in anns}
+            built.update(dict.fromkeys(built, 0))
+            _, final = run_loop(scenario, cfg)
+            # only the final targets that are not the originals are built
+            new = sum(id(a) not in originals for anns in final.values() for a in anns)
+            assert new > 0
+            assert built == {Box: new, Annotation: new}
+        built.update(dict.fromkeys(built, 0))
+        run_loop(scenario, cfg, hook=lambda *args: None)
+        assert built[Box] > new
 
     def test_loop_config_validated(self):
         with pytest.raises(ValueError, match="iterations"):
