@@ -268,7 +268,7 @@ class BoxSet:
 # at 64 x M entries however many boxes an image holds
 _ROW_BLOCK = 64
 # pairs per step of grouped_iou, for the same reason
-_PAIR_BLOCK = 1 << 14
+_PAIR_BLOCK = 1 << 13
 # at most this many pairs of one image, grouped_iou scores pairs one by one
 _SCALAR_PAIRS = 32
 # padded (images x rows x columns) entries per chunk of image_chunks
