@@ -30,15 +30,18 @@ from .correction import (  # noqa: F401
     DISTANCE_IOU,
     ConfigError,
     CorrectionConfig,
-    correct_images,
+    correct_sets,
     correct_targets,
 )
 from .datamodel import (
+    PROVENANCE_CODES,
+    PROVENANCE_CORRECTED,
     Annotation,
     Dataset,
     DatasetFormatError,
     ImageRecord,
     LAYER_COLORS,
+    annotation_set,
     load_annotations,
     materialize_points,
     render_svg,
@@ -452,15 +455,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return run
 
 
-def _clipped(rec: ImageRecord, anns: Sequence[Annotation]) -> list[Annotation]:
-    """``anns`` clipped to ``rec``'s image; boxes already inside are kept as they are."""
-    out = []
-    for a in anns:
-        box = a.box.clip(rec.width, rec.height)
-        out.append(a if box == a.box else Annotation(box, a.label, a.provenance))
-    return out
-
-
 def _load_boxes_dataset(run: RunConfig, path: str) -> Dataset:
     fmt = run.resolved.get("format", "coco-json")
     dataset = load_annotations(path, fmt=fmt)
@@ -478,6 +472,10 @@ def cmd_inject_noise(run: RunConfig) -> None:
     )
 
 
+def _positions(dataset: Dataset) -> dict[str, int]:
+    return {image_id: g for g, image_id in enumerate(dataset.image_ids())}
+
+
 def cmd_correct(run: RunConfig) -> None:
     inputs = run.resolved["inputs"]
     targets_ds = _load_boxes_dataset(run, inputs["targets"])
@@ -485,54 +483,40 @@ def cmd_correct(run: RunConfig) -> None:
     if not detections_path.exists():
         raise CliError(f"detections file not found: {detections_path}")
     detections_ds = load_annotations(detections_path)
-    known = set(targets_ds.image_ids())
-    unknown = sorted(set(detections_ds.image_ids()) - known)
+    image_ids, sizes = targets_ds.image_ids(), targets_ds.image_sizes()
+    position = _positions(detections_ds)
+    unknown = sorted(set(position) - set(image_ids))
     if unknown:
         raise CliError(f"detections reference unknown image ids: {unknown}")
-    dets_by_id = {
-        rec.image_id: rec.detections or [] for rec in detections_ds.images
-    }
-    results = correct_images(
-        [(rec.annotations, dets_by_id.get(rec.image_id, [])) for rec in targets_ds.images],
-        run.correction,
+    # each target image's detections, in the targets' image order
+    detections = detections_ds.detections.select([position.get(i, -1) for i in image_ids])
+    refined, _, reports = correct_sets(targets_ds.annotations, detections, run.correction)
+    refined = refined.clip(sizes)
+    save_annotations(
+        Dataset.from_columns(list(targets_ds.class_names), image_ids, sizes, refined),
+        run.out / "corrected.json",
     )
-
-    images = []
-    reports = {}
-    corrected_count = 0
-    mined_count = 0
-    for rec, (corrected, report) in zip(targets_ds.images, results):
-        anns = _clipped(rec, corrected)
-        images.append(
-            ImageRecord(
-                image_id=rec.image_id,
-                width=rec.width,
-                height=rec.height,
-                annotations=anns,
-            )
-        )
-        corrected_count += sum(1 for a in anns if a.provenance == "corrected")
-        mined_count += report.mined
-        reports[rec.image_id] = {
+    per_image = {
+        image_id: {
             "iterations": report.iterations,
             "converged": report.converged,
             "assignment_sizes": report.assignment_sizes,
             "mined": report.mined,
         }
-    out_ds = Dataset(class_names=list(targets_ds.class_names), images=images)
-    save_annotations(out_ds, run.out / "corrected.json")
+        for image_id, report in zip(image_ids, reports)
+    }
     _write_json(
         run.out / "report.json",
         {
-            "images": reports,
+            "images": per_image,
             "totals": {
-                "images": len(images),
-                "corrected": corrected_count,
-                "mined": mined_count,
-                "max_iterations": max(
-                    (r["iterations"] for r in reports.values()), default=0
+                "images": len(image_ids),
+                "corrected": int(
+                    (refined.provenance == PROVENANCE_CODES[PROVENANCE_CORRECTED]).sum()
                 ),
-                "all_converged": all(r["converged"] for r in reports.values()),
+                "mined": sum(report.mined for report in reports),
+                "max_iterations": max((r.iterations for r in reports), default=0),
+                "all_converged": all(r.converged for r in reports),
             },
         },
     )
@@ -542,19 +526,20 @@ def cmd_evaluate(run: RunConfig) -> None:
     inputs = run.resolved["inputs"]
     gt = load_annotations(inputs["ground-truth"])
     preds_ds = load_annotations(inputs["predictions"])
-    gt_ids = set(gt.image_ids())
-    pred_ids = set(preds_ds.image_ids())
-    if gt_ids != pred_ids:
-        missing = sorted(gt_ids - pred_ids)
-        extra = sorted(pred_ids - gt_ids)
+    gt_ids = gt.image_ids()
+    position = _positions(preds_ds)
+    if set(gt_ids) != set(position):
+        missing = sorted(set(gt_ids) - set(position))
+        extra = sorted(set(position) - set(gt_ids))
         raise CliError(
             f"image id mismatch: missing from predictions {missing}, "
             f"unknown to ground truth {extra}"
         )
-    predictions = {rec.image_id: rec.detections or [] for rec in preds_ds.images}
+    # in the ground truth's image order, which decides ranking ties
+    predictions = preds_ds.detections.select([position[i] for i in gt_ids])
     score_floor = run.resolved.get("score_floor", _SCORE_FLOOR)
-    result = evaluate_ap50(gt, predictions)
-    breakdown = error_breakdown(gt, predictions, score_floor)
+    result = evaluate_ap50(gt.annotations, predictions)
+    breakdown = error_breakdown(gt.annotations, predictions, score_floor)
     metrics: dict = {
         "ap50": {
             "map": result.map50,
@@ -669,17 +654,10 @@ def cmd_simulate(run: RunConfig) -> None:
     with (run.out / "trace.jsonl").open("w", encoding="utf-8", newline="\n") as fh:
         for record in trace:
             fh.write(json.dumps(asdict(record), sort_keys=True) + "\n")
-    final_ds = Dataset(
-        class_names=list(truth.class_names),
-        images=[
-            ImageRecord(
-                image_id=rec.image_id,
-                width=rec.width,
-                height=rec.height,
-                annotations=_clipped(rec, final[rec.image_id]),
-            )
-            for rec in truth.images
-        ],
+    sizes = truth.image_sizes()
+    final_set = annotation_set([final[image_id] for image_id in truth.image_ids()])
+    final_ds = Dataset.from_columns(
+        list(truth.class_names), truth.image_ids(), sizes, final_set.clip(sizes)
     )
     save_annotations(final_ds, run.out / "corrected_final.json")
 

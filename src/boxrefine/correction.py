@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,15 +33,18 @@ import numpy as np
 from .datamodel import (
     Annotation,
     Detection,
+    PROVENANCE_CODES,
     PROVENANCE_CORRECTED,
     PROVENANCE_MINED,
     annotation_set,
     detection_set,
+    set_annotations,
 )
 # ``iou`` and ``nms`` are not called here; they stay bound because
 # bench/spans.py counts scalar IoU calls and traces nms through each
 # module's own names
 from .geometry import (  # noqa: F401
+    Box,
     BoxSet,
     center_distance_matrix,
     giou_matrix,
@@ -340,10 +344,13 @@ def _correct_stage(
         moves = (new != boxes[rows]).any(axis=1)
         boxes[rows[moves]] = new[moves]
         moved[rows[moves]] = True
-    int_edge = targets.int_edge
+    int_edge, provenance = targets.int_edge, targets.provenance
     if int_edge is not None:
         int_edge = int_edge & ~moved[:, None]
-    return replace(targets, boxes=boxes, int_edge=int_edge), moved
+    if provenance is not None:
+        provenance = np.where(moved, PROVENANCE_CODES[PROVENANCE_CORRECTED], provenance)
+        provenance = provenance.astype(np.int8)
+    return replace(targets, boxes=boxes, int_edge=int_edge, provenance=provenance), moved
 
 
 def _mine_stage(targets: BoxSet, preds: BoxSet, cfg: CorrectionConfig) -> np.ndarray:
@@ -371,26 +378,6 @@ def _mine_stage(targets: BoxSet, preds: BoxSet, cfg: CorrectionConfig) -> np.nda
     return np.array([confident[k] for k in visit if k not in duplicate], dtype=np.intp)
 
 
-def _append(targets: BoxSet, found: BoxSet) -> BoxSet:
-    """Each image's targets followed by its rows of ``found``."""
-    # a found row goes in after the last target of its image
-    at = targets.offsets[found.image_index + 1]
-    int_edge = None
-    if targets.int_edge is not None or found.int_edge is not None:
-        # a side without the mask has no int coordinate
-        edges = [
-            np.zeros(s.boxes.shape, dtype=bool) if s.int_edge is None else s.int_edge
-            for s in (targets, found)
-        ]
-        int_edge = np.insert(edges[0], at, edges[1], axis=0)
-    return BoxSet(
-        np.insert(targets.boxes, at, found.boxes, axis=0),
-        targets.offsets + found.offsets,
-        labels=np.insert(targets.labels, at, found.labels),
-        int_edge=int_edge,
-    )
-
-
 def correct_sets(
     targets: BoxSet, preds: BoxSet, cfg: CorrectionConfig
 ) -> tuple[BoxSet, np.ndarray, list[CorrectionReport]]:
@@ -402,7 +389,9 @@ def correct_sets(
 
     Returns the refined targets, each image's input targets in order followed
     by its mined boxes (coordinates as predicted); which input targets moved,
-    which makes them ``corrected``; and a report per image.
+    which makes them ``corrected``; and a report per image. Where the
+    targets have provenance codes, the refined targets' say ``corrected``
+    for a moved target and ``mined`` for a mined box.
     :func:`refined_annotations` turns the first two into objects.
     """
     reports = [CorrectionReport(assignment_sizes=[0] * n) for n in targets.counts.tolist()]
@@ -413,21 +402,22 @@ def correct_sets(
         rows = _mine_stage(targets, preds, cfg)
         if len(rows):
             found = preds.take(rows, "labels", "int_edge")
+            found.provenance = np.full(len(rows), PROVENANCE_CODES[PROVENANCE_MINED], np.int8)
             for report, n in zip(reports, found.counts.tolist()):
                 report.mined = n
-            targets = _append(targets, found)
+            targets = targets.append(found)
     return targets, moved, reports
 
 
 def refined_annotations(
     refined: BoxSet, originals: Sequence[Sequence[Annotation]], moved: np.ndarray
 ) -> list[list[Annotation]]:
-    """Refined targets as objects per image, built at the edge.
+    """Refined targets with provenance codes as objects per image, built at
+    the edge.
 
     Each image's rows of ``refined`` begin with its ``originals`` in order;
-    ``moved`` marks those that changed (image after image), and the rows
-    after them are mined. An unmoved target comes back as the original
-    object; only the other rows are built.
+    ``moved`` marks those that changed (image after image). An unmoved
+    target comes back as the original object; only the other rows are built.
     """
     bounds = refined.offsets.tolist()
     changed = iter(moved.tolist())
@@ -437,18 +427,10 @@ def refined_annotations(
             if not next(changed):
                 kept[row] = ann
     build = [row for row, ann in enumerate(kept) if ann is None]
-    part = refined.take(np.array(build, dtype=np.intp), "labels", "int_edge")
-    new = iter(zip(part.to_boxes(), part.labels.tolist()))
+    new = chain.from_iterable(set_annotations(refined.take(np.array(build, dtype=np.intp))))
     return [
-        [
-            kept[row]
-            or Annotation(
-                *next(new),
-                PROVENANCE_CORRECTED if row - start < len(anns) else PROVENANCE_MINED,
-            )
-            for row in range(start, stop)
-        ]
-        for start, stop, anns in zip(bounds, bounds[1:], originals)
+        [kept[row] or next(new) for row in range(start, stop)]
+        for start, stop in zip(bounds, bounds[1:])
     ]
 
 
@@ -471,6 +453,10 @@ def correct_boxes(
     return correct_images([(targets, preds)], replace(cfg, mining_threshold=None))[0]
 
 
+def _corners(boxes: Sequence[Box]) -> np.ndarray:
+    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
 def mine_labels(
     targets: Sequence[Annotation],
     preds: Sequence[Detection],
@@ -488,11 +474,20 @@ def mine_labels(
     """
     if cfg.mining_threshold is None:
         raise ConfigError("label mining requires a mining_threshold")
-    # mining reads no logits
-    found = BoxSet.from_boxes(
-        [d.box for d in preds], [len(preds)], [d.label for d in preds], [d.prob for d in preds]
+    # mining reads boxes, labels and probs, and returns each mined
+    # prediction's own box: the sets need no int edges
+    found = BoxSet(
+        _corners([d.box for d in preds]),
+        np.array((0, len(preds))),
+        labels=np.array([d.label for d in preds], dtype=np.int64),
+        probs=np.array([d.prob for d in preds], dtype=np.float64),
     )
-    rows = _mine_stage(annotation_set([targets]), found, cfg).tolist()
+    known = BoxSet(
+        _corners([t.box for t in targets]),
+        np.array((0, len(targets))),
+        labels=np.array([t.label for t in targets], dtype=np.int64),
+    )
+    rows = _mine_stage(known, found, cfg).tolist()
     # a mined box is its prediction's own box
     return [*targets, *(Annotation(preds[r].box, preds[r].label, PROVENANCE_MINED) for r in rows)]
 

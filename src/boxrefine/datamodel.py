@@ -18,6 +18,8 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .geometry import Box, BoxSet
 
 __all__ = [
@@ -25,6 +27,7 @@ __all__ = [
     "PROVENANCE_CORRECTED",
     "PROVENANCE_MINED",
     "PROVENANCES",
+    "PROVENANCE_CODES",
     "DatasetFormatError",
     "sigmoid",
     "prob_to_logit",
@@ -32,6 +35,7 @@ __all__ = [
     "Annotation",
     "annotation_set",
     "detection_set",
+    "set_annotations",
     "set_detections",
     "PointLabel",
     "ImageRecord",
@@ -47,6 +51,8 @@ PROVENANCE_ORIGINAL = "original"
 PROVENANCE_CORRECTED = "corrected"
 PROVENANCE_MINED = "mined"
 PROVENANCES = (PROVENANCE_ORIGINAL, PROVENANCE_CORRECTED, PROVENANCE_MINED)
+# the provenance code of each name, as box sets hold it: its index in PROVENANCES
+PROVENANCE_CODES = {name: code for code, name in enumerate(PROVENANCES)}
 
 # probabilities are clamped this far away from {0, 1} before logit conversion
 PROB_CLAMP = 1e-6
@@ -119,11 +125,13 @@ class Annotation:
 
 
 def annotation_set(groups: Sequence[Sequence[Annotation]]) -> BoxSet:
-    """The annotations of each image as one set: boxes and labels."""
+    """The annotations of each image as one set: boxes, labels, provenance codes."""
     anns = [a for g in groups for a in g]
-    return BoxSet.from_boxes(
+    s = BoxSet.from_boxes(
         [a.box for a in anns], [len(g) for g in groups], labels=[a.label for a in anns]
     )
+    s.provenance = np.array([PROVENANCE_CODES[a.provenance] for a in anns], dtype=np.int8)
+    return s
 
 
 def detection_set(groups: Sequence[Sequence[Detection]]) -> BoxSet:
@@ -138,16 +146,29 @@ def detection_set(groups: Sequence[Sequence[Detection]]) -> BoxSet:
     )
 
 
+def _per_image(rows: list, offsets: np.ndarray) -> list[list]:
+    bounds = offsets.tolist()
+    return [rows[start:stop] for start, stop in zip(bounds, bounds[1:])]
+
+
+def set_annotations(s: BoxSet) -> list[list[Annotation]]:
+    """The annotations of each image of ``s``, built at the edge."""
+    rows = [
+        Annotation(box, label, PROVENANCES[code])
+        for box, label, code in zip(s.to_boxes(), s.labels.tolist(), s.provenance.tolist())
+    ]
+    return _per_image(rows, s.offsets)
+
+
 def set_detections(s: BoxSet) -> list[list[Detection]]:
     """The detections of each image of ``s``, built at the edge."""
-    out = [
+    rows = [
         Detection(box, label, prob, logit)
         for box, label, prob, logit in zip(
             s.to_boxes(), s.labels.tolist(), s.probs.tolist(), s.logits.tolist()
         )
     ]
-    bounds = s.offsets.tolist()
-    return [out[start:stop] for start, stop in zip(bounds, bounds[1:])]
+    return _per_image(rows, s.offsets)
 
 
 @dataclass(frozen=True)
@@ -178,47 +199,108 @@ class ImageRecord:
             )
 
 
-@dataclass
 class Dataset:
-    """An ordered collection of images plus the class vocabulary.
+    """An ordered collection of images plus the class vocabulary, in columns.
 
     Class labels are 1-based indices into ``class_names``. Image ids must be
     unique; lookup order is the file order, which all deterministic pipelines
     preserve.
+
+    The columns are the image table (:meth:`image_ids`, :meth:`image_sizes`)
+    and two box sets in its order: ``annotations`` with labels,
+    provenance codes and int edges, and ``detections`` with labels, probs
+    and logits. The loader builds them (:meth:`from_columns`) and every
+    stage reads them. ``Dataset(class_names, images)`` builds a dataset from
+    ``ImageRecord`` objects, read afresh whenever its columns are; ``images``
+    gives the records, built once from the columns of a dataset that has no
+    records. Objects exist only at this edge.
     """
 
-    class_names: list[str]
-    images: list[ImageRecord]
+    def __init__(self, class_names: list[str], images: list[ImageRecord]) -> None:
+        self.class_names = class_names
+        self._records: list[ImageRecord] | None = images
+        self._columns: tuple | None = None
+        self._check()
 
-    def __post_init__(self) -> None:
+    @classmethod
+    def from_columns(
+        cls,
+        class_names: list[str],
+        image_ids: list[str],
+        sizes: list[tuple[int, int]],
+        annotations: BoxSet,
+        detections: BoxSet | None = None,
+    ) -> "Dataset":
+        """The dataset of an image table and the two sets in its order;
+        without ``detections``, it has none."""
+        if detections is None:
+            detections = detection_set([()] * len(image_ids))
+        dataset = cls.__new__(cls)
+        dataset.class_names = class_names
+        dataset._records = None
+        dataset._columns = (image_ids, sizes, annotations, detections)
+        dataset._check()
+        return dataset
+
+    def _check(self) -> None:
+        ids = self.image_ids()
         seen: set[str] = set()
         dupes: list[str] = []
-        for rec in self.images:
-            if rec.image_id in seen:
-                dupes.append(rec.image_id)
-            seen.add(rec.image_id)
+        for image_id in ids:
+            if image_id in seen:
+                dupes.append(image_id)
+            seen.add(image_id)
         if dupes:
             raise ValueError(f"duplicate image ids: {sorted(set(dupes))}")
-        bad_labels: list[str] = []
         n = len(self.class_names)
-        for rec in self.images:
-            for ann in rec.annotations:
-                if ann.label > n:
-                    bad_labels.append(f"{rec.image_id}:{ann.label}")
-            for det in rec.detections or ():
-                if det.label > n:
-                    bad_labels.append(f"{rec.image_id}:{det.label}")
-        if bad_labels:
-            raise ValueError(
-                f"labels outside the {n}-class vocabulary (image:label): {bad_labels}"
-            )
+        # per image, its annotations and then its detections
+        bad = sorted(
+            (int(s.image_index[row]), side, int(row), s.labels[row])
+            for side, s in enumerate((self.annotations, self.detections))
+            for row in np.flatnonzero(s.labels > n)
+        )
+        if bad:
+            labels = [f"{ids[image]}:{label}" for image, _, _, label in bad]
+            raise ValueError(f"labels outside the {n}-class vocabulary (image:label): {labels}")
 
     @property
     def num_classes(self) -> int:
         return len(self.class_names)
 
     def image_ids(self) -> list[str]:
-        return [rec.image_id for rec in self.images]
+        if self._columns is None:
+            return [rec.image_id for rec in self._records]
+        return self._columns[0]
+
+    def image_sizes(self) -> list[tuple[int, int]]:
+        """(width, height) of each image."""
+        if self._columns is None:
+            return [(rec.width, rec.height) for rec in self._records]
+        return self._columns[1]
+
+    @property
+    def annotations(self) -> BoxSet:
+        if self._columns is None:
+            return annotation_set([rec.annotations for rec in self._records])
+        return self._columns[2]
+
+    @property
+    def detections(self) -> BoxSet:
+        if self._columns is None:
+            return detection_set([rec.detections or () for rec in self._records])
+        return self._columns[3]
+
+    @property
+    def images(self) -> list[ImageRecord]:
+        if self._records is None:
+            ids, sizes, anns, dets = self._columns
+            self._records = [
+                ImageRecord(image_id, width, height, a, d or None)
+                for image_id, (width, height), a, d in zip(
+                    ids, sizes, set_annotations(anns), set_detections(dets)
+                )
+            ]
+        return self._records
 
     def by_id(self) -> dict[str, ImageRecord]:
         return {rec.image_id: rec for rec in self.images}
@@ -256,10 +338,39 @@ def _finite(value: object, path: Path, entry: str, key: object, field: str) -> f
     return number
 
 
-def _four_finite(
-    values: object, path: Path, ann_id: object, field: str
-) -> tuple[float, float, float, float]:
-    """The four numbers of an annotation's ``bbox`` or ``bbox_xyxy`` as floats."""
+def _check_entry(path: Path, k: int, entry: object, image_of: dict, label_of: dict) -> None:
+    """Raise the error of entry ``k`` of ``annotations``: its first failing check.
+
+    The loader checks whole columns at once and calls this only for the
+    first entry that fails one, to word the message.
+    """
+    if not isinstance(entry, dict):
+        raise DatasetFormatError(
+            f"{path}: annotation #{k} must be an object, got {type(entry).__name__}"
+        )
+    ann_id = entry["id"] if "id" in entry else f"#{k}"
+    if "image_id" not in entry:
+        raise DatasetFormatError(f"{path}: annotation {ann_id}: missing 'image_id'")
+    try:
+        known = entry["image_id"] in image_of
+    except TypeError:  # a list or object, which no image id equals
+        known = False
+    if not known:
+        raise DatasetFormatError(
+            f"{path}: annotation {ann_id}: unknown image_id {entry['image_id']!r}"
+        )
+    if "category_id" not in entry:
+        raise DatasetFormatError(f"{path}: annotation {ann_id}: missing 'category_id'")
+    try:
+        known = entry["category_id"] in label_of
+    except TypeError:
+        known = False
+    if not known:
+        raise DatasetFormatError(
+            f"{path}: annotation {ann_id}: unknown category_id {entry['category_id']!r}"
+        )
+    field = "bbox_xyxy" if entry.get("bbox_xyxy") is not None else "bbox"
+    values = entry.get(field)
     if not (isinstance(values, list) and len(values) == 4):
         raise DatasetFormatError(
             f"{path}: annotation {ann_id}: {field} must be a list of 4 numbers"
@@ -268,10 +379,93 @@ def _four_finite(
         a, b, c, d = map(float, values)
     except (TypeError, ValueError, OverflowError):
         raise _not_finite(values, path, "annotation", ann_id, field) from None
-    isfinite = math.isfinite
-    if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
+    if not all(map(math.isfinite, (a, b, c, d))):
         raise _not_finite(values, path, "annotation", ann_id, field)
-    return a, b, c, d
+    if field == "bbox_xyxy" and not (a <= c and b <= d):
+        raise DatasetFormatError(
+            f"{path}: annotation {ann_id}: bbox_xyxy corners not canonical"
+        )
+    if field == "bbox" and not (c >= 0.0 and d >= 0.0):
+        raise DatasetFormatError(f"{path}: annotation {ann_id}: negative bbox size {c}x{d}")
+    if "score" in entry:
+        score = _finite(entry["score"], path, "annotation", ann_id, "score")
+        if not 0.0 <= score <= 1.0:
+            raise DatasetFormatError(
+                f"{path}: annotation {ann_id}: score {score} outside [0, 1]"
+            )
+        if "logit" in entry:
+            _finite(entry["logit"], path, "annotation", ann_id, "logit")
+    elif entry.get("provenance", PROVENANCE_ORIGINAL) not in PROVENANCES:
+        raise DatasetFormatError(
+            f"{path}: annotation {ann_id}: unknown provenance {entry['provenance']!r}"
+        )
+    raise AssertionError(f"{path}: annotation #{k} passes every check")
+
+
+# a detection entry without a logit
+_NO_LOGIT = object()
+
+
+def _floats(values: list, width: int) -> tuple[list[float], int]:
+    """``values``, ``width`` to a row, through ``float()`` as the entry check
+    takes them: the values of the rows before the first row holding one that
+    ``float()`` refuses, and the number of those rows (all rows if none)."""
+    try:
+        return list(map(float, values)), len(values) // width
+    except (TypeError, ValueError, OverflowError):
+        out: list[float] = []
+        for v in values:
+            try:
+                out.append(float(v))
+            except (TypeError, ValueError, OverflowError):
+                break
+        rows = len(out) // width
+        return out[: rows * width], rows
+
+
+def _read_boxes(coords: list, xywh: list[bool]) -> tuple[np.ndarray, np.ndarray, int]:
+    """The corner rows of ``bbox``/``bbox_xyxy`` values, which rows fail the
+    finite and canonical-order (or non-negative size) checks, and the rows
+    before the first value that ``float()`` refuses."""
+    values, ok = _floats(coords, 4)
+    boxes = np.array(values, dtype=np.float64).reshape(-1, 4)
+    xywh = np.array(xywh[:ok], dtype=bool)
+    x1, y1, c, d = boxes.T
+    bad = ~np.isfinite(boxes).all(axis=1)
+    bad |= np.where(xywh, ~((c >= 0.0) & (d >= 0.0)), ~((x1 <= c) & (y1 <= d)))
+    # x2 = x1 + w and y2 = y1 + h where the entry gives a size; a sum past
+    # the largest float is inf and clips to the image, as in Python
+    with np.errstate(over="ignore"):
+        boxes[xywh, 2:] += boxes[xywh, :2]
+    return boxes, bad, ok
+
+
+def _transpose(rows: list[tuple], width: int) -> list[list]:
+    """The columns of ``rows``, which have ``width`` fields each."""
+    return [list(col) for col in zip(*rows)] or [[] for _ in range(width)]
+
+
+def _first(bad: np.ndarray, ok: int, total: int) -> int:
+    """The first failing row: the first of ``bad`` (the rows before ``ok``), or
+    ``ok`` when a later check already failed there, or ``total`` if none."""
+    (rows,) = bad.nonzero()
+    return int(rows[0]) if len(rows) else ok if ok < total else total
+
+
+# the type of each column of the loaded sets
+_DTYPES = {"labels": np.int64, "probs": np.float64, "logits": np.float64, "provenance": np.int8}
+
+
+def _grouped(image: list[int], num_images: int, boxes: np.ndarray, **columns: list) -> BoxSet:
+    """A set of rows given in any image order, grouped by image: each
+    image's rows keep their order."""
+    image = np.array(image, dtype=np.intp)
+    order = np.argsort(image, kind="stable")
+    counts = np.bincount(image, minlength=num_images)
+    s = BoxSet(boxes[order], np.concatenate(([0], counts.cumsum())).astype(np.intp))
+    for name, values in columns.items():
+        setattr(s, name, np.array(values, dtype=_DTYPES[name])[order])
+    return s
 
 
 def _load_coco(path: Path) -> Dataset:
@@ -311,8 +505,9 @@ def _load_coco(path: Path) -> Dataset:
         label_of[cat["id"]] = idx
         class_names.append(str(cat.get("name", f"class_{idx}")))
 
-    records: list[ImageRecord] = []
-    by_id: dict[object, ImageRecord] = {}
+    image_ids: list[str] = []
+    sizes: list[tuple[int, int]] = []
+    image_of: dict[object, int] = {}
     for idx, img in enumerate(raw["images"], start=1):
         if not (isinstance(img, dict) and "id" in img):
             raise DatasetFormatError(f"{path}: image entry missing 'id'")
@@ -334,83 +529,80 @@ def _load_coco(path: Path) -> Dataset:
                     f"{path}: image {img['id']}: {fld!r} must be a whole number, "
                     f"got {size!r}"
                 )
-        rec = ImageRecord(str(img["id"]), int(img["width"]), int(img["height"]), [])
-        if img["id"] in by_id:
+        if img["id"] in image_of:
             raise DatasetFormatError(f"{path}: duplicate image id {img['id']}")
-        by_id[img["id"]] = rec
-        records.append(rec)
+        image_of[img["id"]] = len(image_ids)
+        image_ids.append(str(img["id"]))
+        sizes.append((int(img["width"]), int(img["height"])))
 
-    # one pass per entry; every message is formatted only for the entry that fails
-    for k, entry in enumerate(raw["annotations"]):
-        if not isinstance(entry, dict):
-            raise DatasetFormatError(
-                f"{path}: annotation #{k} must be an object, got {type(entry).__name__}"
-            )
-        ann_id = entry["id"] if "id" in entry else f"#{k}"
-        if "image_id" not in entry:
-            raise DatasetFormatError(f"{path}: annotation {ann_id}: missing 'image_id'")
+    # one pass gathers the entries' fields by kind, stopping at the first
+    # entry whose fields cannot be gathered; the value checks then run on
+    # whole columns
+    entries = raw["annotations"]
+    ann_rows: list[tuple] = []  # entry, image, label, xywh, provenance code
+    ann_coords: list = []
+    det_rows: list[tuple] = []  # entry, image, label, xywh, score, logit
+    det_coords: list = []
+    stop = len(entries)
+    for k, entry in enumerate(entries):
         try:
-            rec = by_id.get(entry["image_id"])
-        except TypeError:  # a list or object, which no image id equals
-            rec = None
-        if rec is None:
-            raise DatasetFormatError(
-                f"{path}: annotation {ann_id}: unknown image_id {entry['image_id']!r}"
-            )
-        if "category_id" not in entry:
-            raise DatasetFormatError(f"{path}: annotation {ann_id}: missing 'category_id'")
-        try:
-            label = label_of.get(entry["category_id"])
-        except TypeError:
-            label = None
-        if label is None:
-            raise DatasetFormatError(
-                f"{path}: annotation {ann_id}: unknown category_id {entry['category_id']!r}"
-            )
-        corners = entry.get("bbox_xyxy")
-        if corners is not None:
-            x1, y1, x2, y2 = _four_finite(corners, path, ann_id, "bbox_xyxy")
-            if not (x1 <= x2 and y1 <= y2):
-                raise DatasetFormatError(
-                    f"{path}: annotation {ann_id}: bbox_xyxy corners not canonical"
+            image = image_of[entry["image_id"]]
+            label = label_of[entry["category_id"]]
+            box = entry.get("bbox_xyxy")
+            xywh = box is None
+            if xywh:
+                box = entry["bbox"]
+            if type(box) is not list or len(box) != 4:
+                raise TypeError
+            if "score" in entry:
+                det_rows.append(
+                    (k, image, label, xywh, entry["score"], entry.get("logit", _NO_LOGIT))
                 )
-        else:
-            x1, y1, w, h = _four_finite(entry.get("bbox"), path, ann_id, "bbox")
-            if not (w >= 0.0 and h >= 0.0):
-                raise DatasetFormatError(
-                    f"{path}: annotation {ann_id}: negative bbox size {w}x{h}"
-                )
-            x2 = x1 + w
-            y2 = y1 + h
-        # clipped to the image, the same expression as ``Box.clip``
-        width, height = rec.width, rec.height
-        box = Box(
-            min(max(x1, 0.0), width),
-            min(max(y1, 0.0), height),
-            min(max(x2, 0.0), width),
-            min(max(y2, 0.0), height),
-        )
-        if "score" in entry:
-            score = _finite(entry["score"], path, "annotation", ann_id, "score")
-            if not 0.0 <= score <= 1.0:
-                raise DatasetFormatError(
-                    f"{path}: annotation {ann_id}: score {score} outside [0, 1]"
-                )
-            if "logit" in entry:
-                logit = _finite(entry["logit"], path, "annotation", ann_id, "logit")
+                det_coords += box
             else:
-                logit = prob_to_logit(score)
-            if rec.detections is None:
-                rec.detections = []
-            rec.detections.append(Detection(box, label, score, logit))
-        else:
-            provenance = entry.get("provenance", PROVENANCE_ORIGINAL)
-            if provenance not in PROVENANCES:
-                raise DatasetFormatError(
-                    f"{path}: annotation {ann_id}: unknown provenance {provenance!r}"
-                )
-            rec.annotations.append(Annotation(box, label, provenance))
-    return Dataset(class_names=class_names, images=records)
+                code = PROVENANCE_CODES[entry.get("provenance", PROVENANCE_ORIGINAL)]
+                ann_rows.append((k, image, label, xywh, code))
+                ann_coords += box
+        except (KeyError, TypeError):
+            stop = k
+            break
+
+    ann_entry, ann_image, ann_labels, ann_xywh, ann_codes = _transpose(ann_rows, 5)
+    ann_boxes, bad, ok = _read_boxes(ann_coords, ann_xywh)
+    first_ann = _first(bad, ok, len(ann_rows))
+
+    det_entry, det_image, det_labels, det_xywh, det_scores, det_logits = _transpose(det_rows, 6)
+    det_boxes, bad, ok = _read_boxes(det_coords, det_xywh)
+    scores, ok_scores = _floats(det_scores, 1)
+    given = [0.0 if v is _NO_LOGIT else v for v in det_logits]
+    logits, ok_logits = _floats(given, 1)
+    ok = min(ok, ok_scores, ok_logits)
+    probs = np.array(scores[:ok], dtype=np.float64)
+    bad = bad[:ok] | ~((probs >= 0.0) & (probs <= 1.0))
+    bad |= ~np.isfinite(np.array(logits[:ok], dtype=np.float64))
+    first_det = _first(bad, ok, len(det_rows))
+
+    failed = min(
+        stop,
+        ann_entry[first_ann] if first_ann < len(ann_entry) else stop,
+        det_entry[first_det] if first_det < len(det_entry) else stop,
+    )
+    if failed < len(entries):
+        _check_entry(path, failed, entries[failed], image_of, label_of)
+
+    # math.log per value, as Detection.from_prob: np.log rounds differently
+    missing = [r for r, v in enumerate(det_logits) if v is _NO_LOGIT]
+    for r, logit in zip(missing, map(prob_to_logit, [scores[r] for r in missing])):
+        logits[r] = logit
+    annotations = _grouped(
+        ann_image, len(image_ids), ann_boxes, labels=ann_labels, provenance=ann_codes
+    )
+    detections = _grouped(
+        det_image, len(image_ids), det_boxes, labels=det_labels, probs=scores, logits=logits
+    )
+    return Dataset.from_columns(
+        class_names, image_ids, sizes, annotations.clip(sizes), detections.clip(sizes)
+    )
 
 
 def _load_point_csv(path: Path, image_size: tuple[int, int]) -> Dataset:
@@ -533,8 +725,8 @@ def save_annotations(dataset: Dataset, path: str | Path) -> None:
     value = _json_value
     entries: list[str] = []
 
-    def entry(box: Box, label: int, image_id: str, tail: str) -> str:
-        x1, y1, x2, y2 = box.x1, box.y1, box.x2, box.y2
+    def entry(corners: list, label: object, image_id: str, tail: str) -> str:
+        x1, y1, x2, y2 = corners
         left, top = value(x1, "        "), value(y1, "        ")
         return (
             "    {\n"
@@ -557,24 +749,32 @@ def save_annotations(dataset: Dataset, path: str | Path) -> None:
             "    }"
         )
 
-    for rec in dataset.images:
-        image_id = value(rec.image_id, "      ")
-        for ann in rec.annotations:
-            tail = f'"provenance": {value(ann.provenance, "      ")}'
-            entries.append(entry(ann.box, ann.label, image_id, tail))
-        for det in rec.detections or ():
-            tail = (
-                f'"logit": {value(det.logit, "      ")},\n'
-                f'      "score": {value(det.prob, "      ")}'
-            )
-            entries.append(entry(det.box, det.label, image_id, tail))
+    anns, dets = dataset.annotations, dataset.detections
+    # Python scalars, the ints of clipping restored: a width is x2 - x1 of
+    # those, so a box clipped wholly past an edge is 0 wide, an int
+    ann_corners, det_corners = anns.corners(), dets.corners()
+    ann_labels, det_labels = anns.labels.tolist(), dets.labels.tolist()
+    provenance = [f'"provenance": {value(name, "      ")}' for name in PROVENANCES]
+    ann_tails = [provenance[code] for code in anns.provenance.tolist()]
+    det_tails = [
+        f'"logit": {value(logit, "      ")},\n      "score": {value(prob, "      ")}'
+        for logit, prob in zip(dets.logits.tolist(), dets.probs.tolist())
+    ]
+    ann_bounds, det_bounds = anns.offsets.tolist(), dets.offsets.tolist()
+    image_ids, sizes = dataset.image_ids(), dataset.image_sizes()
+    for g, image_id in enumerate(image_ids):
+        shown = value(image_id, "      ")
+        for r in range(ann_bounds[g], ann_bounds[g + 1]):
+            entries.append(entry(ann_corners[r], ann_labels[r], shown, ann_tails[r]))
+        for r in range(det_bounds[g], det_bounds[g + 1]):
+            entries.append(entry(det_corners[r], det_labels[r], shown, det_tails[r]))
     images = [
         "    {\n"
-        f'      "height": {value(rec.height, "      ")},\n'
-        f'      "id": {value(rec.image_id, "      ")},\n'
-        f'      "width": {value(rec.width, "      ")}\n'
+        f'      "height": {value(height, "      ")},\n'
+        f'      "id": {value(image_id, "      ")},\n'
+        f'      "width": {value(width, "      ")}\n'
         "    }"
-        for rec in dataset.images
+        for image_id, (width, height) in zip(image_ids, sizes)
     ]
     categories = [
         {"id": i, "name": name} for i, name in enumerate(dataset.class_names, start=1)

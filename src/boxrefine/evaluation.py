@@ -5,8 +5,10 @@ score, greedily matched to ground truth at IoU >= 0.5, and the area under the
 precision envelope over recall is reported. Only the ranking of scores
 matters, never their values.
 
-:func:`evaluate_ap50` and :func:`mean_best_iou` work on box sets
-(``geometry.BoxSet``); given objects, they convert them first.
+:func:`evaluate_ap50`, :func:`error_breakdown`, :func:`mean_best_iou` and
+:func:`quality_stats` work on box sets (``geometry.BoxSet``), the first two
+also on a dataset with a mapping of detection objects, which they convert
+first.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .datamodel import Dataset, Detection, annotation_set, detection_set
+from .datamodel import Dataset, Detection, detection_set
 # ``iou`` is not called here; it stays bound because bench/spans.py counts
 # scalar IoU calls through each module's own name
-from .geometry import Box, BoxSet, best_iou, grouped_iou, iou  # noqa: F401
+from .geometry import BoxSet, best_iou, grouped_iou, iou  # noqa: F401
 
 __all__ = [
     "TP_IOU",
@@ -102,13 +104,19 @@ class ErrorBreakdown:
     missed: int = 0
 
 
-def _check_image_ids(
-    ground_truth: Dataset, predictions: Mapping[str, Sequence[Detection]]
-) -> None:
-    known = set(ground_truth.image_ids())
-    unknown = sorted(set(predictions) - known)
+def _sets(
+    ground_truth: Dataset | BoxSet, predictions: Mapping[str, Sequence[Detection]] | BoxSet
+) -> tuple[BoxSet, BoxSet]:
+    """Ground truth and predictions as sets, image for image: a dataset's
+    annotations, and the mapping's detections in the dataset's image order."""
+    if not isinstance(ground_truth, Dataset):
+        return ground_truth, predictions
+    image_ids = ground_truth.image_ids()
+    unknown = sorted(set(predictions) - set(image_ids))
     if unknown:
         raise ValueError(f"predictions reference unknown image ids: {unknown}")
+    dets = detection_set([predictions.get(image_id, ()) for image_id in image_ids])
+    return ground_truth.annotations, dets
 
 
 def _average_precision(tp_flags: np.ndarray, n_gt: int) -> float:
@@ -171,13 +179,7 @@ def evaluate_ap50(
         ValueError: if ``predictions`` references image ids absent from
             ``ground_truth``, listing the offenders.
     """
-    if isinstance(ground_truth, Dataset):
-        _check_image_ids(ground_truth, predictions)
-        predictions = detection_set(
-            [predictions.get(rec.image_id, ()) for rec in ground_truth.images]
-        )
-        ground_truth = annotation_set([rec.annotations for rec in ground_truth.images])
-    gts, dets = ground_truth, predictions
+    gts, dets = _sets(ground_truth, predictions)
     # only overlaps >= TP_IOU can win a match, so the rest are never looked at
     hits = _same_class_hits(dets, gts, np.greater_equal)
     # classes never share a ground truth, so one ranking serves them all
@@ -218,95 +220,67 @@ def _mean(values: list[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
-def mean_best_iou(
-    sources: Mapping[str, Sequence[Box]] | BoxSet,
-    references: Mapping[str, Sequence[Box]] | BoxSet,
-) -> tuple[float, float]:
-    """Mean best-match IoU between two per-image box sets, in both directions.
+def mean_best_iou(sources: BoxSet, references: BoxSet) -> tuple[float, float]:
+    """Mean best-match IoU between two sets, image for image, in both directions.
 
     The first value averages, over every source box, its highest IoU with a
     reference box of the same image (0.0 if there is none); the second does
     the same from the references' side. Each image's pairs are scored once
     and reduced both ways. A side without boxes has mean 0.0.
-
-    Either two sets, image for image, or two mappings from image id to
-    boxes, each averaged in its own mapping order.
     """
-    if isinstance(sources, BoxSet):
-        forward, backward = best_iou(sources, references)
-        return _mean(forward.tolist()), _mean(backward.tolist())
-    image_ids = list(dict.fromkeys([*sources, *references]))
-    src, ref = (
-        BoxSet.from_boxes(
-            [b for image_id in image_ids for b in side.get(image_id, ())],
-            [len(side.get(image_id, ())) for image_id in image_ids],
-        )
-        for side in (sources, references)
-    )
-    forward, backward = best_iou(src, ref)
-    # the sources lead image_ids, in their order; the references need not
-    values, bounds = backward.tolist(), ref.offsets.tolist()
-    position = {image_id: g for g, image_id in enumerate(image_ids)}
-    in_order = [
-        v
-        for g in (position[image_id] for image_id in references)
-        for v in values[bounds[g] : bounds[g + 1]]
-    ]
-    return _mean(forward.tolist()), _mean(in_order)
+    forward, backward = best_iou(sources, references)
+    return _mean(forward.tolist()), _mean(backward.tolist())
 
 
 def quality_stats(ground_truth: Dataset, annotations: Dataset) -> QualityStats:
     """Measure how well an annotation set covers ground truth, and vice versa.
 
     Matching is purely geometric; class labels are ignored. The two datasets
-    must describe the same images.
+    must describe the same images. Each direction's mean is summed in its
+    own dataset's image order.
 
     Raises:
         ValueError: if the image id sets differ, listing the offenders.
     """
-    gt_ids = set(ground_truth.image_ids())
-    ann_ids = set(annotations.image_ids())
-    if gt_ids != ann_ids:
-        missing = sorted(gt_ids - ann_ids)
-        extra = sorted(ann_ids - gt_ids)
+    gt_ids, ann_ids = ground_truth.image_ids(), annotations.image_ids()
+    if set(gt_ids) != set(ann_ids):
+        missing = sorted(set(gt_ids) - set(ann_ids))
+        extra = sorted(set(ann_ids) - set(gt_ids))
         raise ValueError(
             f"image id mismatch: missing from annotations {missing}, "
             f"unknown to ground truth {extra}"
         )
-    gt = {
-        rec.image_id: [a.box for a in rec.annotations] for rec in ground_truth.images
-    }
-    ann = {
-        rec.image_id: [a.box for a in rec.annotations] for rec in annotations.images
-    }
-    n_gt = sum(len(b) for b in gt.values())
-    n_ann = sum(len(b) for b in ann.values())
-    gt_to_annotations, annotations_to_gt = mean_best_iou(gt, ann)
+    gts, anns = ground_truth.annotations, annotations.annotations
+    position = {image_id: g for g, image_id in enumerate(ann_ids)}
+    rows, offsets = anns.image_rows([position[image_id] for image_id in gt_ids])
+    forward, backward = best_iou(gts, BoxSet(anns.boxes[rows], offsets))
+    # back in the annotations' own order
+    reverse = np.empty_like(backward)
+    reverse[rows] = backward
     return QualityStats(
-        gt_to_annotations=gt_to_annotations,
-        annotations_to_gt=annotations_to_gt,
-        gt_empty=n_gt == 0,
-        annotations_empty=n_ann == 0,
+        gt_to_annotations=_mean(forward.tolist()),
+        annotations_to_gt=_mean(reverse.tolist()),
+        gt_empty=len(gts) == 0,
+        annotations_empty=len(anns) == 0,
     )
 
 
 def error_breakdown(
-    ground_truth: Dataset,
-    predictions: Mapping[str, Sequence[Detection]],
+    ground_truth: Dataset | BoxSet,
+    predictions: Mapping[str, Sequence[Detection]] | BoxSet,
     score_floor: float = 0.5,
 ) -> ErrorBreakdown:
     """Classify each confident prediction into a single error source.
 
     Predictions below ``score_floor`` are ignored. The rest are visited in
     descending probability per image and bucketed by the cascade documented
-    on :class:`ErrorBreakdown`.
+    on :class:`ErrorBreakdown`. Takes either form that :func:`evaluate_ap50`
+    takes.
 
     Raises:
         ValueError: if ``predictions`` references unknown image ids.
     """
-    _check_image_ids(ground_truth, predictions)
-    dets = detection_set([predictions.get(rec.image_id, ()) for rec in ground_truth.images])
-    gts = annotation_set([rec.annotations for rec in ground_truth.images])
+    gts, dets = _sets(ground_truth, predictions)
     confident = np.flatnonzero(dets.probs >= score_floor)
     dets = dets.take(confident)
     best_any = np.zeros(len(dets))

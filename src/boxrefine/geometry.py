@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -47,6 +47,9 @@ __all__ = [
     "center_distance_matrix",
     "image_chunks",
     "pad_groups",
+    "row_sizes",
+    "spanning",
+    "clip_values",
     "nms",
     "grouped_nms",
     "apply_transform",
@@ -170,7 +173,15 @@ def _offsets(counts: Sequence[int]) -> np.ndarray:
 
 
 # the columns of a BoxSet besides its boxes and offsets
-_COLUMNS = ("labels", "probs", "logits", "int_edge")
+_COLUMNS = ("labels", "probs", "logits", "int_edge", "provenance")
+
+
+def _column(values: Sequence, kind: type, dtype: type) -> np.ndarray:
+    """``values`` as a ``dtype`` array if each is a ``kind``; else as objects,
+    so that a value of another type (a ``bool`` label) comes back as given."""
+    if set(map(type, values)) <= {kind}:
+        return np.array(values, dtype=dtype)
+    return np.array(values, dtype=object)
 
 
 @dataclass(eq=False)
@@ -183,7 +194,8 @@ class BoxSet:
     ``probs`` and ``logits`` prediction scores; ``int_edge``, ``(N, 4)`` and
     true where a coordinate is an ``int`` image bound. ``Box.clip`` returns
     the bound itself, so such a coordinate is written ``512`` and not
-    ``512.0``; ``None`` means that no coordinate is.
+    ``512.0``; ``None`` means that no coordinate is. ``provenance`` holds
+    annotation provenance codes, indices into ``datamodel.PROVENANCES``.
     """
 
     boxes: np.ndarray
@@ -192,6 +204,7 @@ class BoxSet:
     probs: np.ndarray | None = None
     logits: np.ndarray | None = None
     int_edge: np.ndarray | None = None
+    provenance: np.ndarray | None = None
 
     @classmethod
     def from_boxes(
@@ -202,18 +215,21 @@ class BoxSet:
         probs: Sequence[float] | None = None,
         logits: Sequence[float] | None = None,
     ) -> "BoxSet":
-        """Set of ``boxes``: the first ``counts[0]`` in image 0, and so on."""
+        """Set of ``boxes``: the first ``counts[0]`` in image 0, and so on.
+
+        Labels, probs and logits that are not all ``int``, ``float`` and
+        ``float`` are held as objects, as given.
+        """
         flat = [v for b in boxes for v in (b.x1, b.y1, b.x2, b.y2)]
         int_edge = None
         if int in set(map(type, flat)):
-            ints = (type(v) is int for v in flat)
-            int_edge = np.fromiter(ints, dtype=bool, count=len(flat)).reshape(-1, 4)
+            int_edge = np.array([type(v) is int for v in flat]).reshape(-1, 4)
         return cls(
             np.array(flat, dtype=np.float64).reshape(-1, 4),
             _offsets(counts),
-            None if labels is None else np.array(labels, dtype=np.int64),
-            None if probs is None else np.array(probs, dtype=np.float64),
-            None if logits is None else np.array(logits, dtype=np.float64),
+            None if labels is None else _column(labels, int, np.int64),
+            None if probs is None else _column(probs, float, np.float64),
+            None if logits is None else _column(logits, float, np.float64),
             int_edge,
         )
 
@@ -247,6 +263,22 @@ class BoxSet:
         else:
             # the taken rows ahead of each image
             offsets = self.image_index[rows].searchsorted(np.arange(len(self.offsets)))
+        return self._subset(rows, offsets, names)
+
+    def select(self, images: Sequence[int]) -> "BoxSet":
+        """The set of the listed images, in that order: image h of the result
+        is image ``images[h]`` of this set, or has no rows where that is -1."""
+        return self._subset(*self.image_rows(images), ())
+
+    def image_rows(self, images: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of :meth:`select` ``(images)`` in this set, and its offsets."""
+        images = np.asarray(images, dtype=np.intp)
+        counts = np.append(self.counts, 0)[images]
+        offsets = np.concatenate(([0], counts.cumsum())).astype(np.intp)
+        starts = self.offsets[images] - offsets[:-1]
+        return np.arange(offsets[-1]) + starts.repeat(counts), offsets
+
+    def _subset(self, rows: np.ndarray, offsets: np.ndarray, names: Sequence[str]) -> "BoxSet":
         out = BoxSet(self.boxes[rows], offsets)
         for name in names or _COLUMNS:
             col = getattr(self, name)
@@ -254,14 +286,88 @@ class BoxSet:
                 setattr(out, name, col[rows])
         return out
 
-    def to_boxes(self) -> list[Box]:
-        """Every row as a ``Box``, with ``int`` coordinates where ``int_edge`` says."""
+    def append(self, other: "BoxSet") -> "BoxSet":
+        """Each image's rows followed by its rows of ``other``, image for image.
+
+        A column is kept where both sets have it; a set without ``int_edge``
+        has no ``int`` coordinate.
+        """
+        # a row of other goes in after the last row of its image
+        at = self.offsets[other.image_index + 1]
+        out = BoxSet(np.insert(self.boxes, at, other.boxes, axis=0), self.offsets + other.offsets)
+        for name in _COLUMNS:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if name == "int_edge" and (mine is None) != (theirs is None):
+                mine, theirs = (
+                    np.zeros(s.boxes.shape, dtype=bool) if c is None else c
+                    for s, c in ((self, mine), (other, theirs))
+                )
+            if mine is not None and theirs is not None:
+                setattr(out, name, np.insert(mine, at, theirs, axis=0))
+        return out
+
+    def clip(self, sizes: Sequence[tuple[float, float]]) -> "BoxSet":
+        """:meth:`Box.clip` of every row, image g's to ``sizes[g]`` (width,
+        height).
+
+        A coordinate that clipping moves onto an ``int`` bound is that
+        ``int``; one it moves onto 0.0 is a float; one it keeps keeps its type.
+        """
+        limit, int_limit = row_sizes(sizes, self.image_index)
+        limit, int_limit = np.tile(limit, 2), np.tile(int_limit, 2)
+        boxes, low, over = clip_values(self.boxes, limit)
+        int_edge = over & int_limit
+        if self.int_edge is not None:
+            int_edge |= self.int_edge & ~(low | over)
+        return replace(self, boxes=boxes, int_edge=int_edge if int_edge.any() else None)
+
+    def corners(self) -> list[list[float]]:
+        """Every row's corners as Python numbers: ``int`` where ``int_edge`` says."""
         corners = self.boxes.tolist()
         if self.int_edge is not None:
             for k, edges in enumerate(self.int_edge.tolist()):
                 if True in edges:
                     corners[k] = [int(v) if e else v for v, e in zip(corners[k], edges)]
-        return [Box(*c) for c in corners]
+        return corners
+
+    def to_boxes(self) -> list[Box]:
+        """Every row as a ``Box``, with ``int`` coordinates where ``int_edge`` says."""
+        return [Box(*c) for c in self.corners()]
+
+
+def row_sizes(
+    sizes: Sequence[tuple[float, float]], image: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the (width, height) of its image ``image[k]`` as floats, and
+    which of the two is an ``int``."""
+    floats = np.array(sizes, dtype=np.float64).reshape(-1, 2)
+    ints = np.array([type(v) is int for wh in sizes for v in wh], dtype=bool).reshape(-1, 2)
+    return floats[image], ints[image]
+
+
+def spanning(xa: np.ndarray, ya: np.ndarray, xb: np.ndarray, yb: np.ndarray) -> np.ndarray:
+    """:meth:`Box.spanning` per entry: ``(N, 4)`` corners, min and max taken
+    in Python's argument order."""
+    return np.stack(
+        [
+            np.where(xb < xa, xb, xa),
+            np.where(yb < ya, yb, ya),
+            np.where(xb > xa, xb, xa),
+            np.where(yb > ya, yb, ya),
+        ],
+        axis=1,
+    )
+
+
+def clip_values(v: np.ndarray, limit: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``min(max(v, 0.0), limit)`` per entry, as :meth:`Box.clip` takes it,
+    and where 0.0 and where the limit was taken. ``np.where`` in Python's
+    argument order keeps ``-0.0``, which ``max(-0.0, 0.0)`` returns and
+    ``np.maximum`` does not."""
+    low = 0.0 > v
+    v = np.where(low, 0.0, v)
+    over = limit < v
+    return np.where(over, limit, v), low, over
 
 
 # rows of the first operand per step of a pairwise function: temporaries stay

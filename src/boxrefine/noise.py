@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .datamodel import Annotation, Dataset, ImageRecord
-from .geometry import Box
+from .datamodel import Annotation, Dataset, ImageRecord, annotation_set, set_annotations
+from .geometry import Box, BoxSet, clip_values, row_sizes, spanning
 
 __all__ = [
     "SPARSITY_EXTREME",
@@ -102,54 +102,26 @@ def derive_rng(seed: int, *keys: object) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int.from_bytes(h.digest(), "big")))
 
 
-def _expand_span(lo: float, hi: float, limit: float) -> tuple[float, float]:
-    if hi - lo >= MIN_BOX_SIDE:
-        return lo, hi
-    c = (lo + hi) / 2.0
-    lo, hi = c - MIN_BOX_SIDE / 2.0, c + MIN_BOX_SIDE / 2.0
-    if lo < 0.0:
-        return 0.0, min(MIN_BOX_SIDE, limit)
-    if hi > limit:
-        return max(limit - MIN_BOX_SIDE, 0.0), limit
-    return lo, hi
-
-
-def constrain_box(box: Box, width: float, height: float) -> Box:
-    """Clip to the image and widen degenerate spans to ``MIN_BOX_SIDE``."""
-    box = box.clip(width, height)
-    x1, x2 = _expand_span(box.x1, box.x2, width)
-    y1, y2 = _expand_span(box.y1, box.y2, height)
-    return Box(x1, y1, x2, y2)
-
-
-def _clip(v: np.ndarray, limit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``min(max(v, 0.0), limit)`` per entry, as ``Box.clip`` takes it, and
-    where the limit was taken. ``np.where`` in Python's argument order keeps
-    ``-0.0``, which ``max(-0.0, 0.0)`` returns and ``np.maximum`` does not."""
-    v = np.where(0.0 > v, 0.0, v)
-    over = limit < v
-    return np.where(over, limit, v), over
-
-
 def constrain_corners(
     corners: np.ndarray, sizes: np.ndarray, int_sizes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`constrain_box` of every row of ``(N, 4)`` ``corners`` at once.
+    """Clip every row of ``(N, 4)`` ``corners`` to its image, as ``Box.clip``,
+    and widen spans narrower than ``MIN_BOX_SIDE`` about their centers; a
+    span that would then cross 0 or the image bound ends on it instead.
 
     Row k belongs to an image of ``sizes[k]`` (width, height), and
     ``int_sizes[k]`` says which of the two is an ``int``. Returns the
     corners and the int-edge mask: true where a coordinate ends on an
-    ``int`` bound, which :func:`constrain_box` returns as that ``int``.
+    ``int`` bound, which is then that ``int``.
     """
     boxes = np.empty_like(corners)
     int_edge = np.empty(corners.shape, dtype=bool)
     for axis in (0, 1):
         limit, int_limit = sizes[:, axis], int_sizes[:, axis]
-        lo, lo_int = _clip(corners[:, axis], limit)
-        hi, hi_int = _clip(corners[:, axis + 2], limit)
-        # _expand_span per entry: the spans narrower than MIN_BOX_SIDE grow
-        # about their centers, and one that would cross 0 or the limit ends
-        # on it instead
+        lo, _, lo_int = clip_values(corners[:, axis], limit)
+        hi, _, hi_int = clip_values(corners[:, axis + 2], limit)
+        # the spans narrower than MIN_BOX_SIDE grow about their centers, and
+        # one that would cross 0 or the limit ends on it instead
         wide = hi - lo >= MIN_BOX_SIDE
         c = (lo + hi) / 2.0
         lo2, hi2 = c - MIN_BOX_SIDE / 2.0, c + MIN_BOX_SIDE / 2.0
@@ -165,6 +137,47 @@ def constrain_corners(
             (wide & hi_int) | (low & (limit < MIN_BOX_SIDE)) | high
         )
     return boxes, int_edge
+
+
+def constrain_box(box: Box, width: float, height: float) -> Box:
+    """Clip to the image and widen degenerate spans to ``MIN_BOX_SIDE``: the
+    one-row case of :func:`constrain_corners`."""
+    corners, int_edge = constrain_corners(
+        np.array([box.as_tuple()]), *row_sizes([(width, height)], np.zeros(1, dtype=np.intp))
+    )
+    return BoxSet(corners, np.array([0, 1]), int_edge=int_edge).to_boxes()[0]
+
+
+def _displaced(
+    s: BoxSet,
+    box_noise: float,
+    sizes: Sequence[tuple[float, float]],
+    rngs: Sequence[np.random.Generator],
+) -> BoxSet:
+    """The boxes of ``s`` displaced, image g's with ``rngs[g]`` and clipped to
+    ``sizes[g]``.
+
+    Each box's x1 and x2 move by uniform draws from [-w * box_noise,
+    w * box_noise], w its width, and y1 and y2 alike with its height: one
+    call per image draws x1, x2, y1, y2 of each box in turn. Crossed corners
+    swap, and :func:`constrain_corners` clips and widens the result.
+    """
+    b = s.boxes
+    dx = (b[:, 2] - b[:, 0]) * box_noise
+    dy = (b[:, 3] - b[:, 1]) * box_noise
+    spans = np.stack([dx, dx, dy, dy], axis=1).ravel()
+    # one call draws the same values, in the same order, as a scalar call each
+    bounds = (s.offsets * 4).tolist()
+    draws = [
+        rngs[g].uniform(-spans[start:stop], spans[start:stop])
+        for g, (start, stop) in enumerate(zip(bounds, bounds[1:]))
+        if stop > start
+    ]
+    d = np.concatenate(draws).reshape(-1, 4) if draws else np.zeros((0, 4))
+    # the offsets come x1, x2, y1, y2
+    raw = spanning(b[:, 0] + d[:, 0], b[:, 1] + d[:, 2], b[:, 2] + d[:, 1], b[:, 3] + d[:, 3])
+    boxes, int_edge = constrain_corners(raw, *row_sizes(sizes, s.image_index))
+    return replace(s, boxes=boxes, int_edge=int_edge if int_edge.any() else None)
 
 
 def displace_boxes(
@@ -183,22 +196,7 @@ def displace_boxes(
     """
     if box_noise < 0.0:
         raise ValueError(f"box_noise must be >= 0, got {box_noise}")
-    width, height = image_size
-    spans: list[float] = []
-    for ann in anns:
-        dx = ann.box.width * box_noise
-        dy = ann.box.height * box_noise
-        spans += (dx, dx, dy, dy)
-    # one call draws the same values, in the same order, as a scalar call each
-    d = np.array(spans)
-    offsets = rng.uniform(-d, d).tolist()
-    out: list[Annotation] = []
-    for k, ann in enumerate(anns):
-        b = ann.box
-        ox1, ox2, oy1, oy2 = offsets[4 * k : 4 * k + 4]
-        box = Box.spanning(b.x1 + ox1, b.y1 + oy1, b.x2 + ox2, b.y2 + oy2)
-        out.append(Annotation(constrain_box(box, width, height), ann.label, ann.provenance))
-    return out
+    return set_annotations(_displaced(annotation_set([anns]), box_noise, [image_size], [rng]))[0]
 
 
 def _removal_count(total: int, fraction: float) -> int:
@@ -237,6 +235,40 @@ def sparsify(
     return [anns[i] for i in keep]
 
 
+def _superfluous(
+    sizes: Sequence[tuple[float, float]],
+    rngs: Sequence[np.random.Generator],
+    cfg: SuperfluousConfig,
+    num_classes: int,
+) -> BoxSet:
+    """Superfluous boxes for each image, image g's drawn from ``rngs[g]``
+    inside ``sizes[g]``: Binomial(trials, success) of them, each with
+    uniform sides, a uniform center in the image and a uniform label, in
+    that draw order, clipped to the image; provenance ``original``."""
+    if sizes and num_classes < 1:
+        raise ValueError(f"num_classes must be >= 1, got {num_classes}")
+    corners: list[float] = []
+    labels: list[int] = []
+    counts: list[int] = []
+    for (width, height), rng in zip(sizes, rngs):
+        k = int(rng.binomial(cfg.trials, cfg.success))
+        for _ in range(k):
+            w = rng.uniform(cfg.min_side, cfg.max_side)
+            h = rng.uniform(cfg.min_side, cfg.max_side)
+            cx = rng.uniform(0.0, width)
+            cy = rng.uniform(0.0, height)
+            labels.append(int(rng.integers(1, num_classes + 1)))
+            corners += (cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
+        counts.append(k)
+    added = BoxSet(
+        np.array(corners, dtype=np.float64).reshape(-1, 4),
+        np.concatenate(([0], np.cumsum(counts, dtype=np.intp))),
+        labels=np.array(labels, dtype=np.int64),
+        provenance=np.zeros(len(labels), dtype=np.int8),
+    )
+    return added.clip(sizes)
+
+
 def inject_superfluous(
     record: ImageRecord,
     cfg: SuperfluousConfig,
@@ -248,21 +280,8 @@ def inject_superfluous(
     The additions carry ``original`` provenance: downstream consumers cannot
     tell them from genuine labels, which is the point.
     """
-    if num_classes < 1:
-        raise ValueError(f"num_classes must be >= 1, got {num_classes}")
-    k = int(rng.binomial(cfg.trials, cfg.success))
-    added: list[Annotation] = []
-    for _ in range(k):
-        w = rng.uniform(cfg.min_side, cfg.max_side)
-        h = rng.uniform(cfg.min_side, cfg.max_side)
-        cx = rng.uniform(0.0, record.width)
-        cy = rng.uniform(0.0, record.height)
-        label = int(rng.integers(1, num_classes + 1))
-        box = Box(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
-        added.append(
-            Annotation(box=box.clip(record.width, record.height), label=label)
-        )
-    return list(record.annotations) + added
+    added = _superfluous([(record.width, record.height)], [rng], cfg, num_classes)
+    return list(record.annotations) + set_annotations(added)[0]
 
 
 def corrupt_dataset(dataset: Dataset, cfg: NoiseConfig) -> tuple[Dataset, dict]:
@@ -275,58 +294,42 @@ def corrupt_dataset(dataset: Dataset, cfg: NoiseConfig) -> tuple[Dataset, dict]:
     summary dict of counts.
     """
     seed = cfg.seed
-    displaced: list[list[Annotation]] = []
-    for rec in dataset.images:
-        if cfg.box_noise > 0.0:
-            rng = derive_rng(seed, "displace", rec.image_id)
-            displaced.append(
-                displace_boxes(
-                    rec.annotations, cfg.box_noise, (rec.width, rec.height), rng
-                )
-            )
-        else:
-            displaced.append(list(rec.annotations))
+    image_ids, sizes = dataset.image_ids(), dataset.image_sizes()
+    anns = before = dataset.annotations
+    if cfg.box_noise > 0.0:
+        rngs = [derive_rng(seed, "displace", image_id) for image_id in image_ids]
+        anns = _displaced(anns, cfg.box_noise, sizes, rngs)
 
-    before = sum(len(a) for a in displaced)
     if cfg.sparsity == SPARSITY_EXTREME:
-        kept = [
-            sparsify(anns, SPARSITY_EXTREME, derive_rng(seed, "sparsify", rec.image_id))
-            for rec, anns in zip(dataset.images, displaced)
+        bounds = anns.offsets.tolist()
+        keep = [
+            bounds[g] + i
+            for g, image_id in enumerate(image_ids)
+            for i in _survivor_indices(
+                bounds[g + 1] - bounds[g], SPARSITY_EXTREME, derive_rng(seed, "sparsify", image_id)
+            )
         ]
+        anns = anns.take(np.array(keep, dtype=np.intp))
     elif cfg.sparsity > 0.0:
-        flat: list[tuple[int, int]] = [
-            (i, j) for i, anns in enumerate(displaced) for j in range(len(anns))
-        ]
-        survivors = _survivor_indices(len(flat), cfg.sparsity, derive_rng(seed, "sparsify"))
-        keep_set = {flat[s] for s in survivors}
-        kept = [
-            [ann for j, ann in enumerate(anns) if (i, j) in keep_set]
-            for i, anns in enumerate(displaced)
-        ]
-    else:
-        kept = displaced
-    removed = before - sum(len(a) for a in kept)
+        # rows run image after image, as the dataset-wide count is drawn
+        keep = _survivor_indices(len(anns), cfg.sparsity, derive_rng(seed, "sparsify"))
+        anns = anns.take(np.array(keep, dtype=np.intp))
+    removed = len(before) - len(anns)
 
     injected = 0
-    final: list[list[Annotation]] = []
-    for rec, anns in zip(dataset.images, kept):
-        if cfg.superfluous is not None:
-            rng = derive_rng(seed, "superfluous", rec.image_id)
-            shell = replace(rec, annotations=anns)
-            full = inject_superfluous(shell, cfg.superfluous, dataset.num_classes, rng)
-            injected += len(full) - len(anns)
-            final.append(full)
-        else:
-            final.append(anns)
+    if cfg.superfluous is not None:
+        rngs = [derive_rng(seed, "superfluous", image_id) for image_id in image_ids]
+        added = _superfluous(sizes, rngs, cfg.superfluous, dataset.num_classes)
+        injected = len(added)
+        anns = anns.append(added)
 
-    images = [
-        replace(rec, annotations=anns) for rec, anns in zip(dataset.images, final)
-    ]
-    out = Dataset(class_names=list(dataset.class_names), images=images)
+    out = Dataset.from_columns(
+        list(dataset.class_names), image_ids, sizes, anns, dataset.detections
+    )
     summary = {
-        "images": len(images),
-        "annotations_before": sum(len(r.annotations) for r in dataset.images),
-        "annotations_after": sum(len(r.annotations) for r in images),
+        "images": len(image_ids),
+        "annotations_before": len(before),
+        "annotations_after": len(anns),
         "removed_by_sparsity": removed,
         "injected": injected,
     }

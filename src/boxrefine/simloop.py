@@ -29,11 +29,12 @@ from .datamodel import (
     Detection,
     ImageRecord,
     annotation_set,
+    set_annotations,
     set_detections,
     sigmoid,
 )
 from .evaluation import evaluate_ap50, mean_best_iou
-from .geometry import Box, BoxSet, best_iou, iou  # noqa: F401
+from .geometry import Box, BoxSet, best_iou, iou, row_sizes, spanning  # noqa: F401
 from .noise import NoiseConfig, constrain_corners, corrupt_dataset, derive_rng
 
 __all__ = [
@@ -173,18 +174,10 @@ def draw_predictions(
     jittered = src >= 0
     t = truth.boxes[src[jittered]]
     d = np.array(jitter).reshape(-1, 4)
-    # Box.spanning(x1 + dx1, y1 + dy1, x2 + dx2, y2 + dy2), min and max in
-    # Python's argument order
-    xa, ya, xb, yb = t[:, 0] + d[:, 0], t[:, 1] + d[:, 2], t[:, 2] + d[:, 1], t[:, 3] + d[:, 3]
     raw = np.empty((len(src), 4))
-    raw[jittered] = np.stack(
-        [
-            np.where(xb < xa, xb, xa),
-            np.where(yb < ya, yb, ya),
-            np.where(xb > xa, xb, xa),
-            np.where(yb > ya, yb, ya),
-        ],
-        axis=1,
+    # the jitter comes dx1, dx2, dy1, dy2
+    raw[jittered] = spanning(
+        t[:, 0] + d[:, 0], t[:, 1] + d[:, 2], t[:, 2] + d[:, 1], t[:, 3] + d[:, 3]
     )
     raw[~jittered] = np.array(spurious).reshape(-1, 4)
     labels = np.empty(len(src), dtype=np.int64)
@@ -192,11 +185,7 @@ def draw_predictions(
     labels[~jittered] = spurious_labels
 
     image = np.repeat(np.arange(len(counts)), counts)
-    boxes, int_edge = constrain_corners(
-        raw,
-        np.array(sizes, dtype=np.float64).reshape(-1, 2)[image],
-        np.array([[type(v) is int for v in wh] for wh in sizes], dtype=bool).reshape(-1, 2)[image],
-    )
+    boxes, int_edge = constrain_corners(raw, *row_sizes(sizes, image))
     return BoxSet(
         boxes,
         np.concatenate(([0], np.cumsum(counts, dtype=np.intp))),
@@ -365,10 +354,8 @@ def synthesize_truth(
 def build_scenario(truth: Dataset, noise_cfg: NoiseConfig) -> Scenario:
     """Corrupt the truth once to produce the targets the loop will refine."""
     corrupted, _ = corrupt_dataset(truth, noise_cfg)
-    return Scenario(
-        truth=truth,
-        targets={rec.image_id: list(rec.annotations) for rec in corrupted.images},
-    )
+    targets = set_annotations(corrupted.annotations)
+    return Scenario(truth=truth, targets=dict(zip(corrupted.image_ids(), targets)))
 
 
 def _hflip(s: BoxSet, widths: np.ndarray, flipped: np.ndarray) -> BoxSet:

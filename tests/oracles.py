@@ -334,3 +334,151 @@ def draw_ref(truth, sigma, recall, fp_rate, rng, width, height, num_classes):
         box = (cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
         out.append((constrain_ref(box, width, height), label))
     return out
+
+
+class RefFormatError(ValueError):
+    """A malformed file, as :func:`load_ref` reports it."""
+
+
+def _ref_logit(p):
+    p = min(max(p, 1e-6), 1.0 - 1e-6)
+    return math.log(p / (1.0 - p))
+
+
+def _ref_float(value, path, entry, key, field):
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise RefFormatError(
+            f"{path}: {entry} {key}: {field!r} must be a finite number, got {value!r}"
+        ) from None
+    if not math.isfinite(number):
+        raise RefFormatError(
+            f"{path}: {entry} {key}: {field!r} must be a finite number, got {value!r}"
+        )
+    return number
+
+
+def _ref_four(values, path, ann_id, field):
+    if not (isinstance(values, list) and len(values) == 4):
+        raise RefFormatError(f"{path}: annotation {ann_id}: {field} must be a list of 4 numbers")
+    try:
+        out = [float(v) for v in values]
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or not all(math.isfinite(v) for v in out):
+        raise RefFormatError(
+            f"{path}: annotation {ann_id}: {field!r} must be a finite number, got {values!r}"
+        )
+    return out
+
+
+def load_ref(path):
+    """A COCO-subset file read entry by entry, as the loader read it before it
+    gathered columns: every check in file order, the first failure raised.
+
+    Returns ``(class_names, images)``, each image ``(image_id, width, height,
+    annotations, detections)``: annotations ``(x1, y1, x2, y2, label,
+    provenance)``, detections ``(x1, y1, x2, y2, label, prob, logit)`` or
+    ``None`` for an image without any. A corner clipped to the image is its
+    ``int`` size. Raises :class:`RefFormatError` for a malformed file and
+    ``ValueError`` for duplicate image ids after ``str``.
+    """
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise RefFormatError(
+            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from exc
+
+    def require(cond, msg):
+        if not cond:
+            raise RefFormatError(f"{path}: {msg}")
+
+    require(isinstance(raw, dict), "top level must be a JSON object")
+    for key in ("images", "categories", "annotations"):
+        require(key in raw, f"missing required key {key!r}")
+        require(isinstance(raw[key], list), f"{key!r} must be a list")
+    for idx, cat in enumerate(raw["categories"], start=1):
+        require(isinstance(cat, dict),
+                f"category entry {idx} must be an object, got {type(cat).__name__}")
+        require("id" in cat, f"category entry {idx} missing 'id'")
+        require(not isinstance(cat["id"], (list, dict)),
+                f"category entry {idx}: 'id' must not be a list or object, got {cat['id']!r}")
+    try:
+        categories = sorted(raw["categories"], key=lambda c: c["id"])
+    except TypeError:
+        raise RefFormatError(f"{path}: category ids are not mutually comparable") from None
+    require(bool(categories), "categories list is empty")
+    label_of = {cat["id"]: idx for idx, cat in enumerate(categories, start=1)}
+    class_names = [str(cat.get("name", f"class_{idx}")) for idx, cat in enumerate(categories, 1)]
+
+    images, by_id = [], {}
+    for idx, img in enumerate(raw["images"], start=1):
+        require(isinstance(img, dict) and "id" in img, "image entry missing 'id'")
+        require(not isinstance(img["id"], (list, dict)),
+                f"image entry {idx}: 'id' must not be a list or object, got {img['id']!r}")
+        for fld in ("width", "height"):
+            size = img.get(fld)
+            require(isinstance(size, (int, float)) and size > 0,
+                    f"image {img['id']}: missing or non-positive {fld!r}")
+            _ref_float(size, path, "image", img["id"], fld)
+            require(not isinstance(size, bool) and size == int(size),
+                    f"image {img['id']}: {fld!r} must be a whole number, got {size!r}")
+        image = [str(img["id"]), int(img["width"]), int(img["height"]), [], None]
+        require(img["id"] not in by_id, f"duplicate image id {img['id']}")
+        by_id[img["id"]] = image
+        images.append(image)
+
+    for k, entry in enumerate(raw["annotations"]):
+        require(isinstance(entry, dict),
+                f"annotation #{k} must be an object, got {type(entry).__name__}")
+        ann_id = entry["id"] if "id" in entry else f"#{k}"
+        require("image_id" in entry, f"annotation {ann_id}: missing 'image_id'")
+        try:
+            image = by_id.get(entry["image_id"])
+        except TypeError:
+            image = None
+        require(image is not None, f"annotation {ann_id}: unknown image_id {entry['image_id']!r}")
+        require("category_id" in entry, f"annotation {ann_id}: missing 'category_id'")
+        try:
+            label = label_of.get(entry["category_id"])
+        except TypeError:
+            label = None
+        require(label is not None,
+                f"annotation {ann_id}: unknown category_id {entry['category_id']!r}")
+        if entry.get("bbox_xyxy") is not None:
+            x1, y1, x2, y2 = _ref_four(entry["bbox_xyxy"], path, ann_id, "bbox_xyxy")
+            require(x1 <= x2 and y1 <= y2, f"annotation {ann_id}: bbox_xyxy corners not canonical")
+        else:
+            x1, y1, w, h = _ref_four(entry.get("bbox"), path, ann_id, "bbox")
+            require(w >= 0.0 and h >= 0.0, f"annotation {ann_id}: negative bbox size {w}x{h}")
+            x2, y2 = x1 + w, y1 + h
+        width, height = image[1], image[2]
+        corners = tuple(
+            min(max(v, 0.0), limit) for v, limit in zip((x1, y1, x2, y2), (width, height) * 2)
+        )
+        if "score" in entry:
+            score = _ref_float(entry["score"], path, "annotation", ann_id, "score")
+            require(0.0 <= score <= 1.0, f"annotation {ann_id}: score {score} outside [0, 1]")
+            if "logit" in entry:
+                logit = _ref_float(entry["logit"], path, "annotation", ann_id, "logit")
+            else:
+                logit = _ref_logit(score)
+            if image[4] is None:
+                image[4] = []
+            image[4].append((*corners, label, score, logit))
+        else:
+            provenance = entry.get("provenance", "original")
+            require(provenance in ("original", "corrected", "mined"),
+                    f"annotation {ann_id}: unknown provenance {provenance!r}")
+            image[3].append((*corners, label, provenance))
+
+    seen, dupes = set(), []
+    for image in images:
+        if image[0] in seen:
+            dupes.append(image[0])
+        seen.add(image[0])
+    if dupes:
+        raise ValueError(f"duplicate image ids: {sorted(set(dupes))}")
+    return class_names, [tuple(image) for image in images]

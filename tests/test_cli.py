@@ -977,3 +977,34 @@ def test_cli_import_stays_light():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_file_pipeline_builds_no_object_per_box(tmp_path, monkeypatch):
+    """inject-noise, correct and evaluate keep their boxes in columns from
+    file to file: no Box, Annotation, Detection or ImageRecord is built."""
+    from test_golden import write_inputs
+
+    write_inputs(tmp_path)
+    built = dict.fromkeys((Box, Annotation, Detection, ImageRecord), 0)
+    for cls in built:
+        check = cls.__post_init__
+
+        def counted(self, cls=cls, check=check):
+            built[cls] += 1
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    monkeypatch.chdir(tmp_path)
+    runs = (
+        ["inject-noise", "--profile", "nb20-ns50", "--superfluous", "on",
+         "--input", "clean.json", "--out", "noisy"],
+        ["correct", "--profile", "nb20-ns50", "--targets", "noisy/annotations.json",
+         "--detections", "dets.json", "--out", "corrected"],
+        ["correct", "--profile", "edmonton", "--targets", "order-targets.json",
+         "--detections", "order-dets.json", "--out", "corrected-order"],
+        ["evaluate", "--ground-truth", "order-gt.json", "--predictions", "order-dets.json",
+         "--annotations", "corrected-order/corrected.json", "--out", "metrics"],
+    )
+    for argv in runs:
+        assert main(argv) == 0, argv
+    assert built == dict.fromkeys(built, 0)

@@ -70,6 +70,63 @@ def write_inputs(root: Path, seed: int = 2022) -> None:
         ],
     }
     (root / "odd.json").write_text(json.dumps(odd), encoding="utf-8")
+    write_order_inputs(root, rng)
+
+
+def write_order_inputs(root: Path, rng: np.random.Generator) -> None:
+    """Files whose images come in different orders and whose entries are
+    interleaved across images: pairing and sum order must follow the ground
+    truth's image order, except where a file's own order is specified."""
+    side = (200, 160)
+    ids = ["p0", "p1", "p2", "p3"]
+    truth = {i: [] for i in ids}
+    for image_id in ids:
+        for _ in range(10):
+            w, h = rng.uniform(20.0, 60.0, 2)
+            x, y = rng.uniform(0.0, side[0] - w), rng.uniform(0.0, side[1] - h)
+            truth[image_id].append(([float(x), float(y), float(w), float(h)],
+                                    int(rng.integers(1, 3))))
+
+    def interleave(per_image: dict[str, list[dict]]) -> list[dict]:
+        # image after image within each round: p0's first, p1's first, ...
+        rounds = max(len(v) for v in per_image.values())
+        out = [v[k] for k in range(rounds) for v in per_image.values() if k < len(v)]
+        for k, entry in enumerate(out, start=1):
+            entry["id"] = k
+        return out
+
+    def images(order: list[str]) -> list[dict]:
+        return [{"id": i, "width": side[0], "height": side[1]} for i in order]
+
+    gt = {i: [{"image_id": i, "category_id": c, "bbox": b} for b, c in truth[i]] for i in ids}
+    targets = {
+        i: [{"image_id": i, "category_id": c,
+             "bbox": (np.asarray(b) + rng.normal(0.0, 4.0, 4)).clip(1.0).tolist()}
+            for b, c in truth[i][:8]]
+        for i in ids
+    }
+    # wholly past the right edge: clipped to the int width, so zero wide
+    targets["p2"].append({"image_id": "p2", "category_id": 1,
+                          "bbox_xyxy": [230.5, 10.0, 260.0, 40.0]})
+    dets: dict[str, list[dict]] = {i: [] for i in ids}
+    for i in ("p0", "p2", "p3"):  # p1 has no detections
+        for b, c in truth[i]:
+            for _ in range(2):
+                x, y, w, h = (np.asarray(b) + rng.normal(0.0, 3.0, 4)).tolist()
+                # few distinct scores: ties across images keep the image order
+                dets[i].append({"image_id": i, "category_id": c, "bbox": [x, y, abs(w), abs(h)],
+                                "score": float(rng.choice([0.55, 0.8, 0.95]))})
+        # a plain annotation mixed into the detections file
+        dets[i].append({"image_id": i, "category_id": 2, "bbox": [5.0, 5.0, 10.0, 10.0]})
+    categories = [{"id": 1, "name": "one"}, {"id": 2, "name": "two"}]
+    for name, order, per_image in (
+        ("order-gt.json", ids, gt),
+        ("order-targets.json", ["p2", "p0", "p3", "p1"], targets),
+        ("order-dets.json", ["p3", "p1", "p0", "p2"], dets),
+    ):
+        payload = {"images": images(order), "categories": categories,
+                   "annotations": interleave({i: per_image[i] for i in order[::-1]})}
+        (root / name).write_text(json.dumps(payload), encoding="utf-8")
 
 
 RUNS: tuple[tuple[str, ...], ...] = (
@@ -103,6 +160,12 @@ RUNS: tuple[tuple[str, ...], ...] = (
      "--ground-truth", "clean.json", "--out", "svg"),
     ("render", "--dataset", "odd.json", "--detections", "odd.json",
      "--ground-truth", "odd.json", "--out", "svg-odd"),
+    # images in a different order in each file, entries interleaved across
+    # images, an image without detections, a box clipped wholly past an edge
+    ("correct", "--profile", "nb20-ns50", "--targets", "order-targets.json",
+     "--detections", "order-dets.json", "--out", "order-corrected"),
+    ("evaluate", "--ground-truth", "order-gt.json", "--predictions", "order-dets.json",
+     "--annotations", "order-corrected/corrected.json", "--out", "order-metrics"),
 )
 
 
@@ -127,7 +190,7 @@ def run_all(root: Path) -> dict[str, str]:
 # render and ``simulate --render`` outputs were recorded before SVG escaping
 # moved into the package, the ``*-default`` outputs before the CLI derived its
 # defaults from the config dataclasses, ``sim-edges`` before the loop kept its
-# boxes in columns
+# boxes in columns, the ``order-*`` outputs before datasets were held in columns
 GOLDEN: dict[str, str] = {
     "corrected-default/config.json":
         "51b8c2827cde5cbc754f38bf2ea77ad342f92c3f366382c590e09fa853f759ad",
@@ -165,6 +228,18 @@ GOLDEN: dict[str, str] = {
         "5814ed13d0fc8f59fe6205c6b02c8ebca59b08c0cc92e2bac29406aa526b54d2",
     "noisy/summary.json":
         "42ceebe51e62c9015a20ee549e8f201d5e1ea783439ca914462c19ed8cb1eaad",
+    "order-corrected/config.json":
+        "c0b1f0abfa52703e71d895ec4007c636f5f8c70549fdbdebcc6d11f420554c9b",
+    "order-corrected/corrected.json":
+        "b3624c94f6c0fe55aaaa227f2d9c0e55f4b5b1d429774a1cde630d744ac621b1",
+    "order-corrected/report.json":
+        "fa2ea20d4bbf3fdf74e37170693fb4a253885907499872458beeea7d596a6d7b",
+    "order-metrics/config.json":
+        "b8b92bbb138de48cf33c4eed8c1e7f6a26128cf7f8c661db28a5ca03b0dc4c5b",
+    "order-metrics/metrics.json":
+        "397f3194501448f38f37a5710ed7520ace30374ccfff692f5f31a8fff6fc4718",
+    "order-metrics/per_class_ap.csv":
+        "7e7eb50f1bcddb81f48be7f79b3105b490eaf69525d94fb75296b76ade2256fa",
     "sim-default/config.json":
         "4513c134175eeb7b61ce15a7bf73b00cae0b0d4465277c9958cf3bfb23b61f98",
     "sim-default/corrected_final.json":

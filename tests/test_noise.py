@@ -19,6 +19,8 @@ from boxrefine.noise import (
     sparsify,
 )
 
+from oracles import constrain_ref
+
 
 def interior_annotations(rng, count, width=512.0, height=512.0, labels=3):
     """Boxes placed so that even 50% displacement cannot touch the border."""
@@ -97,7 +99,7 @@ class TestDisplaceBoxes:
                 x2 = b.x2 + rng.uniform(-dx, dx)
                 y1 = b.y1 + rng.uniform(-dy, dy)
                 y2 = b.y2 + rng.uniform(-dy, dy)
-                box = constrain_box(Box.spanning(x1, y1, x2, y2), *size)
+                box = Box(*constrain_ref(Box.spanning(x1, y1, x2, y2).as_tuple(), *size))
                 out.append(Annotation(box=box, label=ann.label, provenance=ann.provenance))
             return out
 
