@@ -434,8 +434,9 @@ def _read_boxes(coords: list, xywh: list[bool]) -> tuple[np.ndarray, np.ndarray,
     bad = ~np.isfinite(boxes).all(axis=1)
     bad |= np.where(xywh, ~((c >= 0.0) & (d >= 0.0)), ~((x1 <= c) & (y1 <= d)))
     # x2 = x1 + w and y2 = y1 + h where the entry gives a size; a sum past
-    # the largest float is inf and clips to the image, as in Python
-    with np.errstate(over="ignore"):
+    # the largest float is inf and clips to the image, as in Python, and a
+    # row with a non-finite value fails its check before it is used
+    with np.errstate(over="ignore", invalid="ignore"):
         boxes[xywh, 2:] += boxes[xywh, :2]
     return boxes, bad, ok
 
