@@ -12,53 +12,41 @@ the teacher-student training loop. See the individual modules:
 - ``evaluation``: AP50, quality statistics, error breakdown
 - ``simloop``: simulated teacher-student refinement loop
 - ``cli``: reproducible command-line runs
+
+Importing the package loads none of them: each name below is imported from
+its module the first time it is read, so a CLI process loads only the
+modules its subcommand runs.
 """
 
-from .correction import CorrectionConfig, CorrectionReport, correct_boxes, correct_targets, mine_labels
-from .datamodel import Annotation, Dataset, Detection, ImageRecord, load_annotations, save_annotations
-from .evaluation import ErrorBreakdown, EvalResult, QualityStats, error_breakdown, evaluate_ap50, quality_stats
-from .geometry import Box, GeoTransform, center_distance_normalized, giou_distance, iou, iou_distance, nms
-from .noise import NoiseConfig, SuperfluousConfig, corrupt_dataset, displace_boxes, inject_superfluous, sparsify
-from .simloop import EmaState, LoopConfig, SimDetectorParams, ema_update, run_loop, simulate_predictions
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Annotation",
-    "Box",
-    "CorrectionConfig",
-    "CorrectionReport",
-    "Dataset",
-    "Detection",
-    "EmaState",
-    "ErrorBreakdown",
-    "EvalResult",
-    "GeoTransform",
-    "ImageRecord",
-    "LoopConfig",
-    "NoiseConfig",
-    "QualityStats",
-    "SimDetectorParams",
-    "SuperfluousConfig",
-    "center_distance_normalized",
-    "correct_boxes",
-    "correct_targets",
-    "corrupt_dataset",
-    "displace_boxes",
-    "ema_update",
-    "error_breakdown",
-    "evaluate_ap50",
-    "giou_distance",
-    "inject_superfluous",
-    "iou",
-    "iou_distance",
-    "load_annotations",
-    "mine_labels",
-    "nms",
-    "quality_stats",
-    "run_loop",
-    "save_annotations",
-    "simulate_predictions",
-    "sparsify",
-    "__version__",
-]
+_EXPORTS = {
+    "correction": ("CorrectionConfig", "CorrectionReport", "correct_boxes", "correct_targets",
+                   "mine_labels"),
+    "datamodel": ("Annotation", "Dataset", "Detection", "ImageRecord", "load_annotations",
+                  "save_annotations"),
+    "evaluation": ("ErrorBreakdown", "EvalResult", "QualityStats", "error_breakdown",
+                   "evaluate_ap50", "quality_stats"),
+    "geometry": ("Box", "GeoTransform", "center_distance_normalized", "giou_distance", "iou",
+                 "iou_distance", "nms"),
+    "noise": ("NoiseConfig", "SuperfluousConfig", "corrupt_dataset", "displace_boxes",
+              "inject_superfluous", "sparsify"),
+    "simloop": ("EmaState", "LoopConfig", "SimDetectorParams", "ema_update", "run_loop",
+                "simulate_predictions"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*sorted(_SOURCE), "__version__"]
+
+
+def __getattr__(name: str) -> object:
+    # the modules above stay reachable as attributes, as when this imported them
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_SOURCE[name]}", __name__), name)
+    globals()[name] = value
+    return value

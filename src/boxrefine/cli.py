@@ -19,46 +19,63 @@ import math
 import re
 import sys
 from dataclasses import asdict, dataclass, fields
+from importlib import import_module
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Sequence
 
-# ``correct_targets`` is not called here; it stays bound because
-# bench/spans.py traces calls through each module's own names
-from .correction import (  # noqa: F401
-    DISTANCE_CENTER,
-    DISTANCE_GIOU,
-    DISTANCE_IOU,
-    ConfigError,
-    CorrectionConfig,
-    correct_sets,
-    correct_targets,
-)
+# every subcommand reads datasets, and noise holds the seed default and the
+# noise section; the correction, evaluation and simloop modules are imported
+# only by the subcommands that run them
 from .datamodel import (
     PROVENANCE_CODES,
     PROVENANCE_CORRECTED,
     Annotation,
     Dataset,
-    DatasetFormatError,
     ImageRecord,
     LAYER_COLORS,
     annotation_set,
-    load_annotations,
     materialize_points,
     render_svg,
-    save_annotations,
 )
-from .evaluation import error_breakdown, evaluate_ap50, quality_stats
-from .noise import SPARSITY_EXTREME, NoiseConfig, SuperfluousConfig, corrupt_dataset
-from .simloop import (
-    DEFAULT_SCHEDULE,
-    LoopConfig,
-    build_scenario,
-    check_image_size,
-    run_loop,
-    synthesize_truth,
-)
+from .noise import SPARSITY_EXTREME, NoiseConfig, SuperfluousConfig
+
+if TYPE_CHECKING:
+    from .correction import CorrectionConfig
+    from .simloop import LoopConfig
 
 __all__ = ["RunConfig", "PROFILES", "main", "console_main"]
+
+# The work the subcommands run, by defining module. Each name is imported the
+# first time it is read from this module (``__getattr__``), so a process loads
+# only the modules its subcommand runs; a new work function goes here, not
+# into a top-level import. The subcommands call these as ``_cli.<name>``, so
+# a function replaced on this module is the one called: bench/spans.py traces
+# each one that way (``correct_targets`` too, which no subcommand calls).
+_WORK = {
+    "load_annotations": "datamodel",
+    "save_annotations": "datamodel",
+    "corrupt_dataset": "noise",
+    "correct_sets": "correction",
+    "correct_targets": "correction",
+    "evaluate_ap50": "evaluation",
+    "error_breakdown": "evaluation",
+    "quality_stats": "evaluation",
+    "synthesize_truth": "simloop",
+    "build_scenario": "simloop",
+    "run_loop": "simloop",
+}
+
+
+def __getattr__(name: str) -> object:
+    if name not in _WORK:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_WORK[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+# this module, through which the subcommands call the work above
+_cli = sys.modules[__name__]
 
 
 def _fields(cls, attr: str, *names: str) -> dict:
@@ -67,24 +84,64 @@ def _fields(cls, attr: str, *names: str) -> dict:
     return {f.name: getattr(f, attr) for f in fields(cls) if not names or f.name in names}
 
 
+class _Sections(Mapping):
+    """The settings tree by section, each section read from its module the
+    first time it is needed."""
+
+    def __init__(self, **readers: Callable[[], object]) -> None:
+        self._readers, self._read = readers, {}
+
+    def __getitem__(self, section: str) -> object:
+        if section not in self._read:
+            self._read[section] = self._readers[section]()
+        return self._read[section]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._readers)
+
+    def __len__(self) -> int:
+        return len(self._readers)
+
+
+def _correction_fields(attr: str) -> dict:
+    from .correction import CorrectionConfig
+
+    return _fields(CorrectionConfig, attr)
+
+
 # the loop section's keys for the arguments of ``synthesize_truth``
 _TRUTH_ARGS = {"images": "num_images", "boxes_per_image": "boxes_per_image",
                "classes": "num_classes", "image_size": "image_size"}
-_TRUTH_PARAMS = inspect.signature(synthesize_truth).parameters
-# defaults of the evaluate and point-input options, which config files do not set
-_SCORE_FLOOR = inspect.signature(error_breakdown).parameters["score_floor"].default
+
+
+def _loop_fields(attr: str) -> dict:
+    from .simloop import LoopConfig, synthesize_truth
+
+    params = inspect.signature(synthesize_truth).parameters
+    param_attr = "annotation" if attr == "type" else attr
+    return {
+        **_fields(LoopConfig, attr, "iterations", "keep_rate"),
+        **{key: getattr(params[arg], param_attr) for key, arg in _TRUTH_ARGS.items()},
+    }
+
+
+def _score_floor() -> float:
+    """The evaluate option's default, which config files do not set."""
+    from .evaluation import error_breakdown
+
+    return inspect.signature(error_breakdown).parameters["score_floor"].default
+
+
+# the default of the point-input option, which config files do not set
 _POINT_SIDE = 60.0
 
 # every built-in default comes from the config dataclasses and synthesize_truth
-DEFAULTS: dict = {
-    "seed": NoiseConfig.seed,
-    "noise": _fields(NoiseConfig, "default", "box_noise", "sparsity", "superfluous"),
-    "correction": _fields(CorrectionConfig, "default"),
-    "loop": {
-        **_fields(LoopConfig, "default", "iterations", "keep_rate"),
-        **{key: _TRUTH_PARAMS[arg].default for key, arg in _TRUTH_ARGS.items()},
-    },
-}
+DEFAULTS: Mapping = _Sections(
+    seed=lambda: NoiseConfig.seed,
+    noise=lambda: _fields(NoiseConfig, "default", "box_noise", "sparsity", "superfluous"),
+    correction=lambda: _correction_fields("default"),
+    loop=lambda: _loop_fields("default"),
+)
 
 # noise.superfluous is off (null) by default; a flag that sets one of its
 # fields switches it on with these defaults
@@ -92,18 +149,15 @@ _SUPERFLUOUS = _fields(SuperfluousConfig, "default")
 
 # the type annotation of every setting a config file may give, from the same
 # sources; noise.superfluous holds SuperfluousConfig's fields or is null
-_TYPES: dict = {
-    "seed": _fields(NoiseConfig, "type", "seed")["seed"],
-    "noise": {
+_TYPES: Mapping = _Sections(
+    seed=lambda: _fields(NoiseConfig, "type", "seed")["seed"],
+    noise=lambda: {
         **_fields(NoiseConfig, "type", "box_noise", "sparsity"),
         "superfluous": _fields(SuperfluousConfig, "type"),
     },
-    "correction": _fields(CorrectionConfig, "type"),
-    "loop": {
-        **_fields(LoopConfig, "type", "iterations", "keep_rate"),
-        **{key: _TRUTH_PARAMS[arg].annotation for key, arg in _TRUTH_ARGS.items()},
-    },
-}
+    correction=lambda: _correction_fields("type"),
+    loop=lambda: _loop_fields("type"),
+)
 
 
 def _is_number(value: object) -> bool:
@@ -243,12 +297,13 @@ class _Flag(NamedTuple):
 
     Its text is read and checked as the config-file value of the setting's
     type (:func:`_read_flag`). ``{}`` in ``help`` becomes the default.
+    ``choices`` may be a function, called when the flag is added.
     """
 
     section: str
     key: str
     help: str | None = None
-    choices: tuple[str, ...] | None = None
+    choices: tuple[str, ...] | Callable[[], tuple[str, ...]] | None = None
 
     @property
     def option(self) -> str:
@@ -257,6 +312,12 @@ class _Flag(NamedTuple):
     @property
     def dest(self) -> str:
         return self.key.replace(".", "_")
+
+
+def _distances() -> tuple[str, ...]:
+    from .correction import DISTANCE_CENTER, DISTANCE_GIOU, DISTANCE_IOU
+
+    return (DISTANCE_IOU, DISTANCE_GIOU, DISTANCE_CENTER)
 
 
 # every hyperparameter flag, declared and applied from this one table; a
@@ -270,8 +331,7 @@ _FLAGS: tuple[_Flag, ...] = (
     _Flag("noise", "superfluous.success"),
     _Flag("noise", "superfluous.min_side"),
     _Flag("noise", "superfluous.max_side"),
-    _Flag("correction", "distance", "assignment distance",
-          (DISTANCE_IOU, DISTANCE_GIOU, DISTANCE_CENTER)),
+    _Flag("correction", "distance", "assignment distance", _distances),
     _Flag("correction", "center_norm", "center-distance scale, or 'none'"),
     _Flag("correction", "distance_limit", "assignment radius d, or 'none' to disable"),
     _Flag("correction", "temperature", "softmax temperature"),
@@ -438,8 +498,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             seed=run.seed,
         )
     if "correction" in sections:
+        from .correction import CorrectionConfig
+
         run.correction = CorrectionConfig(**resolved["correction"])
     if "loop" in sections:
+        from .simloop import DEFAULT_SCHEDULE, LoopConfig, check_image_size
+
         loop = resolved["loop"]
         try:
             check_image_size(loop["image_size"])
@@ -457,7 +521,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 def _load_boxes_dataset(run: RunConfig, path: str) -> Dataset:
     fmt = run.resolved.get("format", "coco-json")
-    dataset = load_annotations(path, fmt=fmt)
+    dataset = _cli.load_annotations(path, fmt=fmt)
     if fmt == "point-csv":
         dataset = materialize_points(dataset, run.resolved.get("point_side", _POINT_SIDE))
     return dataset
@@ -465,8 +529,8 @@ def _load_boxes_dataset(run: RunConfig, path: str) -> Dataset:
 
 def cmd_inject_noise(run: RunConfig) -> None:
     dataset = _load_boxes_dataset(run, run.resolved["inputs"]["input"])
-    corrupted, summary = corrupt_dataset(dataset, run.noise)
-    save_annotations(corrupted, run.out / "annotations.json")
+    corrupted, summary = _cli.corrupt_dataset(dataset, run.noise)
+    _cli.save_annotations(corrupted, run.out / "annotations.json")
     _write_json(
         run.out / "summary.json", {"seed": run.seed, **run.resolved["noise"], **summary}
     )
@@ -482,7 +546,7 @@ def cmd_correct(run: RunConfig) -> None:
     detections_path = Path(inputs["detections"])
     if not detections_path.exists():
         raise CliError(f"detections file not found: {detections_path}")
-    detections_ds = load_annotations(detections_path)
+    detections_ds = _cli.load_annotations(detections_path)
     image_ids, sizes = targets_ds.image_ids(), targets_ds.image_sizes()
     position = _positions(detections_ds)
     unknown = sorted(set(position) - set(image_ids))
@@ -490,9 +554,9 @@ def cmd_correct(run: RunConfig) -> None:
         raise CliError(f"detections reference unknown image ids: {unknown}")
     # each target image's detections, in the targets' image order
     detections = detections_ds.detections.select([position.get(i, -1) for i in image_ids])
-    refined, _, reports = correct_sets(targets_ds.annotations, detections, run.correction)
+    refined, _, reports = _cli.correct_sets(targets_ds.annotations, detections, run.correction)
     refined = refined.clip(sizes)
-    save_annotations(
+    _cli.save_annotations(
         Dataset.from_columns(list(targets_ds.class_names), image_ids, sizes, refined),
         run.out / "corrected.json",
     )
@@ -524,8 +588,8 @@ def cmd_correct(run: RunConfig) -> None:
 
 def cmd_evaluate(run: RunConfig) -> None:
     inputs = run.resolved["inputs"]
-    gt = load_annotations(inputs["ground-truth"])
-    preds_ds = load_annotations(inputs["predictions"])
+    gt = _cli.load_annotations(inputs["ground-truth"])
+    preds_ds = _cli.load_annotations(inputs["predictions"])
     gt_ids = gt.image_ids()
     position = _positions(preds_ds)
     if set(gt_ids) != set(position):
@@ -537,9 +601,9 @@ def cmd_evaluate(run: RunConfig) -> None:
         )
     # in the ground truth's image order, which decides ranking ties
     predictions = preds_ds.detections.select([position[i] for i in gt_ids])
-    score_floor = run.resolved.get("score_floor", _SCORE_FLOOR)
-    result = evaluate_ap50(gt.annotations, predictions)
-    breakdown = error_breakdown(gt.annotations, predictions, score_floor)
+    score_floor = run.resolved.get("score_floor", _score_floor())
+    result = _cli.evaluate_ap50(gt.annotations, predictions)
+    breakdown = _cli.error_breakdown(gt.annotations, predictions, score_floor)
     metrics: dict = {
         "ap50": {
             "map": result.map50,
@@ -552,8 +616,8 @@ def cmd_evaluate(run: RunConfig) -> None:
         "score_floor": score_floor,
     }
     if "annotations" in inputs:
-        ann_ds = load_annotations(inputs["annotations"])
-        metrics["quality"] = asdict(quality_stats(gt, ann_ds))
+        ann_ds = _cli.load_annotations(inputs["annotations"])
+        metrics["quality"] = asdict(_cli.quality_stats(gt, ann_ds))
     _write_json(run.out / "metrics.json", metrics)
     with (run.out / "per_class_ap.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -607,11 +671,11 @@ def _render_records(
 
 def cmd_simulate(run: RunConfig) -> None:
     loop = run.resolved["loop"]
-    truth = synthesize_truth(
+    truth = _cli.synthesize_truth(
         **{arg: loop[key] for key, arg in _TRUTH_ARGS.items()}, seed=run.seed
     )
-    scenario = build_scenario(truth, run.noise)
-    save_annotations(truth, run.out / "truth.json")
+    scenario = _cli.build_scenario(truth, run.noise)
+    _cli.save_annotations(truth, run.out / "truth.json")
     targets_ds = Dataset(
         class_names=list(truth.class_names),
         images=[
@@ -624,7 +688,7 @@ def cmd_simulate(run: RunConfig) -> None:
             for rec in truth.images
         ],
     )
-    save_annotations(targets_ds, run.out / "targets.json")
+    _cli.save_annotations(targets_ds, run.out / "targets.json")
 
     truth_by_id = {rec.image_id: rec.annotations for rec in truth.images}
     dims = {rec.image_id: (rec.width, rec.height) for rec in truth.images}
@@ -648,7 +712,7 @@ def cmd_simulate(run: RunConfig) -> None:
             truth.class_names,
         )
 
-    trace, final = run_loop(
+    trace, final = _cli.run_loop(
         scenario, run.loop, hook=render if run.resolved.get("render") else None
     )
     with (run.out / "trace.jsonl").open("w", encoding="utf-8", newline="\n") as fh:
@@ -659,7 +723,7 @@ def cmd_simulate(run: RunConfig) -> None:
     final_ds = Dataset.from_columns(
         list(truth.class_names), truth.image_ids(), sizes, final_set.clip(sizes)
     )
-    save_annotations(final_ds, run.out / "corrected_final.json")
+    _cli.save_annotations(final_ds, run.out / "corrected_final.json")
 
 
 def cmd_render(run: RunConfig) -> None:
@@ -667,7 +731,7 @@ def cmd_render(run: RunConfig) -> None:
     dataset = _load_boxes_dataset(run, inputs["dataset"])
     by_id = dataset.by_id()
     if "detections" in inputs:
-        det_ds = load_annotations(inputs["detections"])
+        det_ds = _cli.load_annotations(inputs["detections"])
         unknown = sorted(set(det_ds.image_ids()) - set(by_id))
         if unknown:
             raise CliError(f"detections reference unknown image ids: {unknown}")
@@ -676,7 +740,7 @@ def cmd_render(run: RunConfig) -> None:
                 by_id[rec.image_id].detections = list(rec.detections)
     truth_by_id = None
     if "ground-truth" in inputs:
-        gt_ds = load_annotations(inputs["ground-truth"])
+        gt_ds = _cli.load_annotations(inputs["ground-truth"])
         truth_by_id = {rec.image_id: rec.annotations for rec in gt_ds.images}
     layers_text = run.resolved.get("layers", ",".join(LAYER_COLORS))
     layers = [part.strip() for part in layers_text.split(",") if part.strip()]
@@ -713,7 +777,7 @@ def _add_hyperparameter_flags(parser: argparse.ArgumentParser, command: str) -> 
             default = DEFAULTS[flag.section].get(flag.key)
             parser.add_argument(
                 flag.option,
-                choices=flag.choices,
+                choices=flag.choices() if callable(flag.choices) else flag.choices,
                 help=flag.help and flag.help.format(default),
             )
 
@@ -728,68 +792,91 @@ def _add_format_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+# each subcommand's line in the top-level help
+_HELP = {
+    "inject-noise": "corrupt a clean dataset",
+    "correct": "refine targets against detections",
+    "evaluate": "score predictions against ground truth",
+    "simulate": "run the teacher-student surrogate loop",
+    "render": "render dataset boxes as SVG",
+}
+
+
+def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
+    _add_common(p)
+    if command in ("inject-noise", "correct", "render"):
+        _add_format_flags(p)
+    _add_hyperparameter_flags(p, command)
+    if command == "inject-noise":
+        p.add_argument("--input", required=True, help="clean annotations file")
+    elif command == "correct":
+        p.add_argument("--targets", required=True, help="noisy annotations file")
+        p.add_argument("--detections", required=True, help="model detections file")
+    elif command == "evaluate":
+        p.add_argument("--ground-truth", required=True)
+        p.add_argument("--predictions", required=True)
+        p.add_argument(
+            "--annotations", help="annotation set for quality statistics (optional)"
+        )
+        p.add_argument(
+            "--score-floor", dest="score_floor",
+            help=f"confidence floor for the error breakdown (default {_score_floor()})",
+        )
+    elif command == "simulate":
+        p.add_argument(
+            "--render", action="store_const", const=True,
+            help="write per-iteration SVG renders",
+        )
+    else:  # render
+        p.add_argument("--dataset", required=True, help="annotations to draw")
+        p.add_argument("--detections", help="detections overlay (optional)")
+        p.add_argument("--ground-truth", help="ground-truth overlay (optional)")
+        p.add_argument(
+            "--layers",
+            help=f"comma-separated subset of: {', '.join(LAYER_COLORS)}",
+        )
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser. With ``pending`` set to its subcommand, it adds
+    that subcommand's arguments the first time it parses, so only the
+    subcommand named on the command line imports what its options need."""
+
+    pending: str | None = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.pending is not None:
+            command, self.pending = self.pending, None
+            _add_arguments(self, command)
+        return super().parse_known_args(args, namespace)
+
+
+def build_parser(lazy: bool = False) -> argparse.ArgumentParser:
+    """The command-line parser; ``lazy`` defers each subcommand's arguments
+    until that subcommand is parsed, which changes no help text or result."""
     parser = argparse.ArgumentParser(
         prog="boxrefine",
         description="Refine noisy and incomplete bounding-box annotations.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("inject-noise", help="corrupt a clean dataset")
-    _add_common(p)
-    _add_format_flags(p)
-    _add_hyperparameter_flags(p, "inject-noise")
-    p.add_argument("--input", required=True, help="clean annotations file")
-
-    p = sub.add_parser("correct", help="refine targets against detections")
-    _add_common(p)
-    _add_format_flags(p)
-    _add_hyperparameter_flags(p, "correct")
-    p.add_argument("--targets", required=True, help="noisy annotations file")
-    p.add_argument("--detections", required=True, help="model detections file")
-
-    p = sub.add_parser("evaluate", help="score predictions against ground truth")
-    _add_common(p)
-    p.add_argument("--ground-truth", required=True)
-    p.add_argument("--predictions", required=True)
-    p.add_argument(
-        "--annotations", help="annotation set for quality statistics (optional)"
-    )
-    p.add_argument(
-        "--score-floor", dest="score_floor",
-        help=f"confidence floor for the error breakdown (default {_SCORE_FLOOR})",
-    )
-
-    p = sub.add_parser("simulate", help="run the teacher-student surrogate loop")
-    _add_common(p)
-    _add_hyperparameter_flags(p, "simulate")
-    p.add_argument(
-        "--render", action="store_const", const=True,
-        help="write per-iteration SVG renders",
-    )
-
-    p = sub.add_parser("render", help="render dataset boxes as SVG")
-    _add_common(p)
-    _add_format_flags(p)
-    p.add_argument("--dataset", required=True, help="annotations to draw")
-    p.add_argument("--detections", help="detections overlay (optional)")
-    p.add_argument("--ground-truth", help="ground-truth overlay (optional)")
-    p.add_argument(
-        "--layers",
-        help=f"comma-separated subset of: {', '.join(LAYER_COLORS)}",
-    )
-
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    for command, help_text in _HELP.items():
+        p = sub.add_parser(command, help=help_text)
+        if lazy:
+            p.pending = command
+        else:
+            _add_arguments(p, command)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    parser = build_parser(lazy=True)
     args = parser.parse_args(argv)
     try:
         run = resolve_config(args)
         run.write_config()
         COMMANDS[run.command](run)
-    except (CliError, ConfigError, DatasetFormatError, ValueError, OSError) as exc:
+    # CliError, ConfigError and DatasetFormatError are ValueErrors
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -601,6 +601,10 @@ def _load_coco(path: Path) -> Dataset:
     detections = _grouped(
         det_image, len(image_ids), det_boxes, labels=det_labels, probs=scores, logits=logits
     )
+    # ids unique in the file, such as 100 and "100", can load as one string
+    if len(set(image_ids)) < len(image_ids):
+        dupes = sorted({i for i in image_ids if image_ids.count(i) > 1})
+        raise DatasetFormatError(f"{path}: duplicate image ids once read as text: {dupes}")
     return Dataset.from_columns(
         class_names, image_ids, sizes, annotations.clip(sizes), detections.clip(sizes)
     )

@@ -8,7 +8,6 @@ processed serially or in parallel, and in any order.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -94,6 +93,9 @@ class NoiseConfig:
 
 def derive_rng(seed: int, *keys: object) -> np.random.Generator:
     """PCG64 generator for the substream named by ``keys`` under ``seed``."""
+    # imported here: hashlib loads OpenSSL, which only the noisy stages need
+    import hashlib
+
     h = hashlib.blake2b(digest_size=8)
     h.update(str(seed).encode())
     for k in keys:

@@ -381,8 +381,8 @@ def load_ref(path):
     annotations, detections)``: annotations ``(x1, y1, x2, y2, label,
     provenance)``, detections ``(x1, y1, x2, y2, label, prob, logit)`` or
     ``None`` for an image without any. A corner clipped to the image is its
-    ``int`` size. Raises :class:`RefFormatError` for a malformed file and
-    ``ValueError`` for duplicate image ids after ``str``.
+    ``int`` size. Raises :class:`RefFormatError` for a malformed file,
+    including one whose image ids repeat after ``str``.
     """
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -480,5 +480,7 @@ def load_ref(path):
             dupes.append(image[0])
         seen.add(image[0])
     if dupes:
-        raise ValueError(f"duplicate image ids: {sorted(set(dupes))}")
+        raise RefFormatError(
+            f"{path}: duplicate image ids once read as text: {sorted(set(dupes))}"
+        )
     return class_names, [tuple(image) for image in images]

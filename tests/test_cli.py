@@ -412,6 +412,23 @@ class TestEvaluate:
         assert (out / "config.json").exists()
         assert not (out / "metrics.json").exists()
 
+    def test_ids_equal_only_as_text_name_the_file(self, tmp_path, capsys):
+        # 100 and "100" are different JSON values but load as one image id
+        gt = tmp_path / "gt.json"
+        gt.write_text(json.dumps({
+            "images": [{"id": 100, "width": 64, "height": 64},
+                       {"id": "100", "width": 64, "height": 64}],
+            "categories": [{"id": 1, "name": "cat"}],
+            "annotations": [],
+        }), encoding="utf-8")
+        rc = main(
+            ["evaluate", "--ground-truth", str(gt), "--predictions", str(gt),
+             "--out", str(tmp_path / "out")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {gt}: duplicate image ids once read as text: ['100']\n"
+
 
 class TestSimulate:
     def test_outputs_and_trace_length(self, tmp_path):
