@@ -591,10 +591,16 @@ def _load_coco(path: Path) -> Dataset:
     if failed < len(entries):
         _check_entry(path, failed, entries[failed], image_of, label_of)
 
-    # math.log per value, as Detection.from_prob: np.log rounds differently
+    # prob_to_logit of the scores without a logit: the clamp and the ratio are
+    # exact in numpy, but math.log is taken per value, as np.log rounds
+    # differently. No Python float is made per logit, and a file without such
+    # scores skips the numpy calls, whose first use maps memory: both hold
+    # down peak memory.
     missing = [r for r, v in enumerate(det_logits) if v is _NO_LOGIT]
-    for r, logit in zip(missing, map(prob_to_logit, [scores[r] for r in missing])):
-        logits[r] = logit
+    if missing:
+        p = probs[missing].clip(PROB_CLAMP, 1.0 - PROB_CLAMP)
+        logits = np.array(logits, dtype=np.float64)
+        logits[missing] = np.fromiter(map(math.log, p / (1.0 - p)), np.float64, len(missing))
     annotations = _grouped(
         ann_image, len(image_ids), ann_boxes, labels=ann_labels, provenance=ann_codes
     )

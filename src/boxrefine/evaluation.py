@@ -145,7 +145,9 @@ def _same_class_hits(
     best: np.ndarray | None = None,
 ) -> dict[int, list[tuple[int, float]]]:
     """Per detection row, the ``(ground truth row, IoU)`` pairs of its image
-    and class passing ``above(IoU, TP_IOU)``, in ground-truth order.
+    and class passing ``above(IoU, TP_IOU)``, in the order
+    ``geometry.grouped_iou`` yields them, which is not ground-truth order: a
+    caller breaks IoU ties by row itself.
 
     When ``best`` is given, ``best[k]`` is raised to detection k's highest
     IoU with any ground truth of its image.
@@ -191,7 +193,8 @@ def evaluate_ap50(
             continue
         best_overlap, best_gt = 0.0, -1
         for g, overlap in hits[k]:
-            if overlap > best_overlap and not matched[g]:
+            # equal IoU goes to the lower ground-truth row
+            if (overlap, -g) > (best_overlap, -best_gt) and not matched[g]:
                 best_overlap, best_gt = overlap, g
         if best_gt >= 0:
             matched[best_gt] = True
@@ -201,7 +204,8 @@ def evaluate_ap50(
     gt_total = np.bincount(gts.labels)
     per_class_ap: dict[int, float] = {}
     counts: dict[int, ClassCounts] = {}
-    for label in np.union1d(np.flatnonzero(gt_total), det_labels).tolist():
+    # a union of Python ints: np.union1d would import numpy.ma on first use
+    for label in sorted({*np.flatnonzero(gt_total).tolist(), *det_labels.tolist()}):
         tp_flags = tp[rank[det_labels == label]]
         n_gt = int(gt_total[label]) if label < len(gt_total) else 0
         n_tp = int(tp_flags.sum())

@@ -12,7 +12,8 @@ The pairwise functions (``iou_matrix``, ``giou_matrix``,
 (x1, y1, x2, y2), or stacks of images, ``(C, N, 4)`` and ``(C, M, 4)`` to
 ``(C, N, M)``: ``image_chunks`` groups consecutive images so that such a
 padded block stays small, and ``pad_groups`` builds it. ``grouped_iou``
-scores the pairs within each image of two sets at once, as pair lists. Each
+scores, as pair lists, the pairs within each image of two sets whose x
+extents can meet: every pair with positive IoU, and few others. Each
 evaluates its scalar counterpart's formula elementwise in the same operation
 order, so on finite input every entry equals the scalar result bit for bit,
 and the scalar functions remain the reference.
@@ -479,20 +480,26 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def grouped_iou(a: BoxSet, b: BoxSet) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """IoU of every pair of boxes in the same image, many images per numpy call.
+    """IoU of the pairs of boxes in the same image that can overlap, many
+    images per numpy call.
 
-    Image g pairs each box of ``a`` with each box of ``b``: the entries of
-    their ``iou_matrix``. Pairs are visited by ``a`` row, then by ``b`` row,
-    in blocks of about ``_PAIR_BLOCK`` pairs, so an image with a handful of
+    Each box of ``a`` is paired with a window of the boxes of ``b`` in its
+    image: those whose x1 lies in ``[x1 - widest b box - margin, x2 +
+    margin]``, found by ordering ``b`` by (image, x1). The margin grows with
+    the coordinates' magnitude, so every pair with positive IoU is in a
+    window; a box with a non-finite coordinate never has positive IoU and is
+    in none. Pairs are visited by ``a`` row, then in x order of ``b``, in
+    blocks of about ``_PAIR_BLOCK`` pairs, so an image with a handful of
     boxes costs no numpy call of its own. Yields ``(i, j, overlap)`` per
     block: the rows of the two boxes and their IoU, equal to :func:`iou` bit
-    for bit.
+    for bit. Every pair with positive IoU comes exactly once; some pairs of
+    IoU 0 come too.
     """
     if not len(a) or not len(b):
         return
     if len(a.offsets) == len(b.offsets) == 2 and len(a) * len(b) <= _SCALAR_PAIRS:
         # one image a side, and so few pairs that numpy's cost per call
-        # outweighs the work: the scalar formula scores them
+        # outweighs the work: the scalar formula scores them all
         i, j = np.divmod(np.arange(len(a) * len(b)), len(b))
         b_corners = b.boxes.tolist()
         overlap = [_corner_iou(*p, *q) for p in a.boxes.tolist() for q in b_corners]
@@ -500,11 +507,29 @@ def grouped_iou(a: BoxSet, b: BoxSet) -> Iterator[tuple[np.ndarray, np.ndarray, 
         return
     a_planes, b_planes = _planes(a.boxes), _planes(b.boxes)
     row_image = a.image_index
-    width = b.counts[row_image]  # pairs of each a row
+    (b_rows,) = np.isfinite(b_planes).all(axis=0).nonzero()
+    bx1, bx2 = b_planes[0, b_rows], b_planes[2, b_rows]
+    widest = (bx2 - bx1).max(initial=0.0)
+    # at least every |x| of b: an a row further out overlaps no b row, or its
+    # window starts left of every one
+    scale = max(-bx1.min(initial=0.0), bx2.max(initial=0.0)) or 1.0
+    # covers the rounding of the widths and of x1 - widest
+    margin = (scale + widest) * 2.0**-40
+    # x / scale in [-1, 1], plus 4 per image, orders b by (image, x1), and
+    # rounding is monotonic, so the keys keep the order of x
+    b_key = bx1 / scale + 4.0 * b.image_index[b_rows]
+    order = b_key.argsort(kind="stable")
+    b_key, order = b_key[order], b_rows[order]
+    bounds = np.stack((a_planes[0] - widest - margin, a_planes[2] + margin))
+    bounds = (bounds / scale).clip(-1.0, 1.0) + 4.0 * row_image
+    first = b_key.searchsorted(bounds[0])
+    last = b_key.searchsorted(bounds[1], side="right")
+    # pairs of each a row
+    width = np.where(np.isfinite(a_planes).all(axis=0), last - first, 0)
     ends = width.cumsum()
-    # per a row: its first b row less its first pair, so that a pair's b row
-    # is the pair's index plus this
-    shift = b.offsets[row_image] - (ends - width)
+    # per a row: its window's start less its first pair, so that a pair's
+    # place in the order is the pair's index plus this
+    shift = first - (ends - width)
     start, n = 0, len(row_image)
     while start < n:
         done = int(ends[start - 1]) if start else 0
@@ -513,7 +538,7 @@ def grouped_iou(a: BoxSet, b: BoxSet) -> Iterator[tuple[np.ndarray, np.ndarray, 
             stop = max(int(ends.searchsorted(done + _PAIR_BLOCK, side="right")), start + 1)
         w = width[start:stop]
         i = np.arange(start, stop).repeat(w)
-        j = np.arange(done, ends[stop - 1]) + shift[start:stop].repeat(w)
+        j = order[np.arange(done, ends[stop - 1]) + shift[start:stop].repeat(w)]
         overlap = np.zeros(len(i))
         # take along the last axis gathers far faster than fancy indexing
         _iou_into(a_planes.take(i, axis=1), b_planes.take(j, axis=1), overlap)

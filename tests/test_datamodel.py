@@ -125,6 +125,23 @@ class TestCocoLoad:
         assert d.prob == 0.75
         assert d.logit == pytest.approx(prob_to_logit(0.75), abs=1e-12)
 
+    def test_missing_logits_equal_prob_to_logit(self, tmp_path):
+        rng = np.random.default_rng(17)
+        probs = [0.0, 1.0, 1e-7, 1.0 - 1e-7, 0.5, -0.0, *rng.uniform(0.0, 1.0, 400).tolist()]
+        payload = json.loads(json.dumps(MINIMAL))
+        payload["annotations"] = [
+            {"id": k, "image_id": "a", "category_id": 1, "bbox": [0, 0, 10, 10], "score": p}
+            for k, p in enumerate(probs)
+        ]
+        # entries with a logit of their own keep it
+        for entry in payload["annotations"][6::7]:
+            entry["logit"] = 2.5
+        ds = load_annotations(write_coco(tmp_path, payload))
+        assert ds.detections.logits.tolist() == [
+            2.5 if "logit" in entry else prob_to_logit(entry["score"])
+            for entry in payload["annotations"]
+        ]
+
     def test_boxes_clipped_to_image(self, tmp_path):
         payload = json.loads(json.dumps(MINIMAL))
         payload["annotations"] = [

@@ -298,6 +298,15 @@ class TestTiesAndAgreement:
         b = error_breakdown(dataset({"a": self.GT_PAIR[::-1]}), {"a": self.PREDS})
         assert (b.true_positives, b.duplicate) == (2, 0)
 
+    def test_equal_iou_goes_to_lower_gt_index_in_x_order_too(self):
+        # with a second image, pairs are scored in windows, whose ground
+        # truths come in x order: here the lower row lies to the right
+        gt = dataset({"a": self.GT_PAIR[::-1], "b": [ann(0, 0, 10, 10)]})
+        preds = {"a": self.PREDS, "b": [det(0, 0, 10, 10)]}
+        assert evaluate_ap50(gt, preds).counts[1].tp == 3
+        b = error_breakdown(gt, preds)
+        assert (b.true_positives, b.duplicate) == (3, 0)
+
     def test_breakdown_true_positives_equal_ap_true_positives(self):
         rng = np.random.default_rng(47)
         total_tp = 0

@@ -281,6 +281,36 @@ def tricky_boxes(rng: np.random.Generator, n: int) -> list[Box]:
     return out
 
 
+def scaled(boxes: list[Box], factor: float, offset: float) -> list[Box]:
+    return [Box(*(v * factor + offset for v in b.as_tuple())) for b in boxes]
+
+
+def assert_grouped_iou_contract(a_groups: list[list[Box]], b_groups: list[list[Box]]) -> None:
+    """``grouped_iou`` against every pair of each image: each pair with
+    positive IoU comes exactly once with its scalar value; any other pair it
+    yields is of one image and comes with IoU 0. Pairs come by ``a`` row."""
+    got: dict[tuple[int, int], float] = {}
+    rows: list[int] = []
+    for i, j, overlap in grouped_iou(box_set(a_groups), box_set(b_groups)):
+        rows += i.tolist()
+        for pair, value in zip(zip(i.tolist(), j.tolist()), overlap.tolist()):
+            assert pair not in got
+            got[pair] = value
+    assert rows == sorted(rows)
+    a_start = b_start = 0
+    for a, b in zip(a_groups, b_groups):
+        for i, p in enumerate(a, start=a_start):
+            for j, q in enumerate(b, start=b_start):
+                want = iou(p, q)
+                if want > 0.0:
+                    assert got.pop((i, j)) == want
+                elif (i, j) in got:
+                    assert got.pop((i, j)) == 0.0
+        a_start, b_start = a_start + len(a), b_start + len(b)
+    # no pair across images
+    assert got == {}
+
+
 class TestPairwiseMatrices:
     """The array functions must equal the scalar ones exactly, not approximately."""
 
@@ -321,22 +351,63 @@ class TestPairwiseMatrices:
             # blocks smaller than one row's pairs, and rows split across blocks
             monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
         rng = np.random.default_rng(44)
-        # empty groups included
-        a_groups = [tricky_boxes(rng, int(n)) for n in rng.integers(0, 12, 300)]
-        b_groups = [tricky_boxes(rng, int(n)) for n in rng.integers(0, 12, 300)]
-        got: dict[tuple[int, int], float] = {}
-        for i, j, overlap in grouped_iou(box_set(a_groups), box_set(b_groups)):
-            for pair, value in zip(zip(i.tolist(), j.tolist()), overlap.tolist()):
-                assert pair not in got
-                got[pair] = value
-        want: dict[tuple[int, int], float] = {}
-        a_start = b_start = 0
-        for a, b in zip(a_groups, b_groups):
-            for i, p in enumerate(a, start=a_start):
-                for j, q in enumerate(b, start=b_start):
-                    want[(i, j)] = iou(p, q)
-            a_start, b_start = a_start + len(a), b_start + len(b)
-        assert got == want
+        for scale in (1e-6, 1e-3, 1.0, 1e3, 1e15):
+            # empty groups included; every third image shifted partly left of zero
+            a_groups, b_groups = (
+                [
+                    scaled(tricky_boxes(rng, int(n)), scale, -60.0 * scale * (g % 3 == 0))
+                    for g, n in enumerate(rng.integers(0, 12, 150))
+                ]
+                for _ in range(2)
+            )
+            assert_grouped_iou_contract(a_groups, b_groups)
+
+    # widths of finite corners far apart overflow to inf, as in the scalar formula
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_grouped_iou_skips_boxes_of_infinite_extent(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_PAIR_BLOCK", 7)
+        huge, inf = 1e308, float("inf")
+        rng = np.random.default_rng(47)
+        extents = [
+            Box(-huge, 0.0, huge, 1.0),  # finite corners, infinite width
+            Box(-inf, 2.0, inf, 3.0),
+            Box(1.0, -inf, 4.0, inf),
+            Box(5.0, 5.0, inf, 9.0),
+            Box(-inf, -inf, inf, inf),
+        ]
+        a_groups, b_groups = [], []
+        for _ in range(40):
+            a, b = tricky_boxes(rng, int(rng.integers(0, 8))), tricky_boxes(rng, 6)
+            for boxes in (a, b):
+                for k in rng.integers(0, len(extents), int(rng.integers(0, 3))).tolist():
+                    boxes.insert(int(rng.integers(len(boxes) + 1)), extents[k])
+            a_groups.append(a)
+            b_groups.append(b)
+        assert_grouped_iou_contract(a_groups, b_groups)
+        a, b = box_set(a_groups), box_set(b_groups)
+        for i, j, _ in grouped_iou(a, b):
+            assert np.isfinite(a.boxes[i]).all() and np.isfinite(b.boxes[j]).all()
+
+    def test_grouped_iou_window_allows_for_rounded_widths(self):
+        # the width of b rounds down, so that x1 - width lies right of b's x1
+        # although a and b overlap
+        b = Box(-1024.0, 0.0, 2.430188813132612e-05, 1.0)
+        x = 2.4301888131326115e-05
+        assert x - b.width > b.x1
+        a = Box(x, 0.0, x + 1.0, 1.0)
+        assert iou(a, b) > 0.0
+        # a second image keeps the pairs off the scalar path
+        assert_grouped_iou_contract([[a], [a]], [[b], [b]])
+
+    def test_grouped_iou_scores_only_boxes_that_can_overlap(self):
+        # a row of disjoint boxes: each window holds the box itself alone
+        row = [Box(2.0 * k, 0.0, 2.0 * k + 1.0, 1.0) for k in range(100)]
+        pairs = [
+            pair
+            for i, j, _ in grouped_iou(box_set([row]), box_set([row]))
+            for pair in zip(i.tolist(), j.tolist())
+        ]
+        assert pairs == [(k, k) for k in range(100)]
 
     @pytest.mark.parametrize("n, m", [(1, 1), (3, 4), (4, 8), (5, 7), (6, 6), (9, 20)])
     def test_grouped_iou_of_one_image_is_bit_identical(self, n, m):
@@ -344,9 +415,14 @@ class TestPairwiseMatrices:
         rng = np.random.default_rng(n * 100 + m)
         for _ in range(20):
             a, b = tricky_boxes(rng, n), tricky_boxes(rng, m)
-            ((i, j, overlap),) = grouped_iou(box_set([a]), box_set([b]))
-            assert list(zip(i.tolist(), j.tolist())) == [(p, q) for p in range(n) for q in range(m)]
-            assert overlap.tolist() == [iou(p, q) for p in a for q in b]
+            assert_grouped_iou_contract([a], [b])
+            if n * m <= geometry._SCALAR_PAIRS:
+                # the scalar formula scores every pair, in row order
+                ((i, j, overlap),) = grouped_iou(box_set([a]), box_set([b]))
+                assert list(zip(i.tolist(), j.tolist())) == [
+                    (p, q) for p in range(n) for q in range(m)
+                ]
+                assert overlap.tolist() == [iou(p, q) for p in a for q in b]
 
     def test_nms_matches_scalar_greedy(self):
         rng = np.random.default_rng(45)

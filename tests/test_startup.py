@@ -67,6 +67,7 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path):
         assert "boxrefine.datamodel" in loaded, name
         for module, commands in RUN_BY.items():
             assert (module in loaded) == (name in commands), (name, module)
+        assert "numpy.ma" not in loaded, name
         if name in NO_RANDOM:
             assert not loaded & {"_hashlib", "numpy.random"}, name
 
