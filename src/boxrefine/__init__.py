@@ -5,7 +5,7 @@ annotations missing from sparse labels, simulates annotation noise for
 benchmarking, evaluates detection quality, and runs a desk-scale surrogate of
 the teacher-student training loop. See the individual modules:
 
-- ``geometry``: boxes, overlap distances, NMS, transforms
+- ``geometry``: boxes, overlap distances, NMS
 - ``datamodel``: records, COCO-subset and point-CSV I/O, SVG rendering
 - ``noise``: displacement, sparsification, superfluous-box injection
 - ``correction``: iterative box correction and label mining
@@ -29,7 +29,7 @@ _EXPORTS = {
                   "save_annotations"),
     "evaluation": ("ErrorBreakdown", "EvalResult", "QualityStats", "error_breakdown",
                    "evaluate_ap50", "quality_stats"),
-    "geometry": ("Box", "GeoTransform", "center_distance_normalized", "giou_distance", "iou",
+    "geometry": ("Box", "center_distance_normalized", "giou_distance", "iou",
                  "iou_distance", "nms"),
     "noise": ("NoiseConfig", "SuperfluousConfig", "corrupt_dataset", "displace_boxes",
               "inject_superfluous", "sparsify"),

@@ -33,7 +33,6 @@ from .datamodel import (
     Dataset,
     ImageRecord,
     LAYER_COLORS,
-    annotation_set,
     materialize_points,
     render_svg,
 )
@@ -488,6 +487,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     # the config objects check their ranges here, before config.json is
     # written, as the values' types were checked above
     run = RunConfig(command=args.command, out=Path(args.out), resolved=resolved)
+    if resolved.get("point_side", _POINT_SIDE) <= 0:
+        raise CliError(f"--point-side must be positive, got {resolved['point_side']}")
     if "noise" in sections:
         noise = resolved["noise"]
         sup = noise["superfluous"]
@@ -502,13 +503,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
         run.correction = CorrectionConfig(**resolved["correction"])
     if "loop" in sections:
-        from .simloop import DEFAULT_SCHEDULE, LoopConfig, check_image_size
+        from .simloop import DEFAULT_SCHEDULE, LoopConfig, check_truth_arg
 
         loop = resolved["loop"]
-        try:
-            check_image_size(loop["image_size"])
-        except ValueError as exc:
-            raise CliError(f"--image-size: {exc}") from exc
+        for key, arg in _TRUTH_ARGS.items():
+            try:
+                check_truth_arg(arg, loop[key])
+            except ValueError as exc:
+                raise CliError(f"--{key.replace('_', '-')}: {exc}") from exc
         run.loop = LoopConfig(
             iterations=loop["iterations"],
             keep_rate=loop["keep_rate"],
@@ -676,37 +678,16 @@ def cmd_simulate(run: RunConfig) -> None:
     )
     scenario = _cli.build_scenario(truth, run.noise)
     _cli.save_annotations(truth, run.out / "truth.json")
-    targets_ds = Dataset(
-        class_names=list(truth.class_names),
-        images=[
-            ImageRecord(
-                image_id=rec.image_id,
-                width=rec.width,
-                height=rec.height,
-                annotations=scenario.targets[rec.image_id],
-            )
-            for rec in truth.images
-        ],
+    names, image_ids, sizes = list(truth.class_names), truth.image_ids(), truth.image_sizes()
+    _cli.save_annotations(
+        Dataset.from_columns(names, image_ids, sizes, scenario.targets), run.out / "targets.json"
     )
-    _cli.save_annotations(targets_ds, run.out / "targets.json")
-
-    truth_by_id = {rec.image_id: rec.annotations for rec in truth.images}
-    dims = {rec.image_id: (rec.width, rec.height) for rec in truth.images}
 
     def render(iteration, corrected, predictions):
-        records = [
-            ImageRecord(
-                image_id=image_id,
-                width=dims[image_id][0],
-                height=dims[image_id][1],
-                annotations=list(anns),
-                detections=list(predictions[image_id]),
-            )
-            for image_id, anns in corrected.items()
-        ]
+        truth_by_id = {rec.image_id: rec.annotations for rec in truth.images}
         _render_records(
             run.out / "render" / f"iter_{iteration:03d}",
-            records,
+            Dataset.from_columns(names, image_ids, sizes, corrected, predictions).images,
             list(LAYER_COLORS),
             truth_by_id,
             truth.class_names,
@@ -718,12 +699,10 @@ def cmd_simulate(run: RunConfig) -> None:
     with (run.out / "trace.jsonl").open("w", encoding="utf-8", newline="\n") as fh:
         for record in trace:
             fh.write(json.dumps(asdict(record), sort_keys=True) + "\n")
-    sizes = truth.image_sizes()
-    final_set = annotation_set([final[image_id] for image_id in truth.image_ids()])
-    final_ds = Dataset.from_columns(
-        list(truth.class_names), truth.image_ids(), sizes, final_set.clip(sizes)
+    _cli.save_annotations(
+        Dataset.from_columns(names, image_ids, sizes, final.clip(sizes)),
+        run.out / "corrected_final.json",
     )
-    _cli.save_annotations(final_ds, run.out / "corrected_final.json")
 
 
 def cmd_render(run: RunConfig) -> None:

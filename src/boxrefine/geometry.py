@@ -1,4 +1,4 @@
-"""Axis-aligned box arithmetic: overlap distances, suppression, geometric transforms.
+"""Axis-aligned box arithmetic: overlap distances and suppression.
 
 Boxes live in continuous pixel coordinates with the origin at the top-left
 corner, x growing right and y growing down. A box is the closed rectangle
@@ -36,7 +36,6 @@ if TYPE_CHECKING:
 __all__ = [
     "Box",
     "BoxSet",
-    "GeoTransform",
     "iou",
     "iou_distance",
     "giou_distance",
@@ -53,9 +52,6 @@ __all__ = [
     "clip_values",
     "nms",
     "grouped_nms",
-    "apply_transform",
-    "apply_transforms",
-    "invert_transforms",
 ]
 
 
@@ -665,72 +661,3 @@ def grouped_nms(found: BoxSet, iou_threshold: float) -> np.ndarray:
             suppressed.add(m)
     gone = {rivals[k] for k in suppressed}
     return np.array([r for r in visit if r not in gone], dtype=np.intp)
-
-
-_TRANSFORM_KINDS = ("hflip", "vflip", "scale")
-
-
-@dataclass(frozen=True)
-class GeoTransform:
-    """Invertible box-level transform: horizontal flip, vertical flip, or axis scaling.
-
-    ``params`` holds (width,) for hflip, (height,) for vflip and (sx, sy)
-    for scale. Flips are their own inverse; scaling inverts to reciprocal
-    factors, so zero factors are rejected.
-    """
-
-    kind: str
-    params: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if self.kind not in _TRANSFORM_KINDS:
-            raise ValueError(f"unknown transform kind: {self.kind!r}")
-        expected = 2 if self.kind == "scale" else 1
-        if len(self.params) != expected:
-            raise ValueError(
-                f"{self.kind} takes {expected} parameter(s), got {len(self.params)}"
-            )
-        if self.kind == "scale" and (self.params[0] == 0.0 or self.params[1] == 0.0):
-            raise ValueError("scale factors must be nonzero")
-
-    @classmethod
-    def hflip(cls, width: float) -> "GeoTransform":
-        return cls("hflip", (float(width),))
-
-    @classmethod
-    def vflip(cls, height: float) -> "GeoTransform":
-        return cls("vflip", (float(height),))
-
-    @classmethod
-    def scale(cls, sx: float, sy: float) -> "GeoTransform":
-        return cls("scale", (float(sx), float(sy)))
-
-    def inverse(self) -> "GeoTransform":
-        if self.kind == "scale":
-            sx, sy = self.params
-            return GeoTransform.scale(1.0 / sx, 1.0 / sy)
-        return self
-
-
-def apply_transform(t: GeoTransform, b: Box) -> Box:
-    """Transformed copy of ``b``; corners are re-canonicalised after mapping."""
-    if t.kind == "hflip":
-        (w,) = t.params
-        return Box(w - b.x2, b.y1, w - b.x1, b.y2)
-    if t.kind == "vflip":
-        (h,) = t.params
-        return Box(b.x1, h - b.y2, b.x2, h - b.y1)
-    sx, sy = t.params
-    return Box.spanning(b.x1 * sx, b.y1 * sy, b.x2 * sx, b.y2 * sy)
-
-
-def apply_transforms(ts: Sequence[GeoTransform], b: Box) -> Box:
-    """Apply a sequence of transforms left to right."""
-    for t in ts:
-        b = apply_transform(t, b)
-    return b
-
-
-def invert_transforms(ts: Sequence[GeoTransform]) -> list[GeoTransform]:
-    """Inverse of a transform sequence: reversed order, each element inverted."""
-    return [t.inverse() for t in reversed(ts)]

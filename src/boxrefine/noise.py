@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .datamodel import Annotation, Dataset, ImageRecord, annotation_set, set_annotations
-from .geometry import Box, BoxSet, clip_values, row_sizes, spanning
+from .geometry import BoxSet, clip_values, row_sizes, spanning
 
 __all__ = [
     "SPARSITY_EXTREME",
@@ -23,7 +23,6 @@ __all__ = [
     "SuperfluousConfig",
     "NoiseConfig",
     "derive_rng",
-    "constrain_box",
     "constrain_corners",
     "displace_boxes",
     "sparsify",
@@ -139,15 +138,6 @@ def constrain_corners(
             (wide & hi_int) | (low & (limit < MIN_BOX_SIDE)) | high
         )
     return boxes, int_edge
-
-
-def constrain_box(box: Box, width: float, height: float) -> Box:
-    """Clip to the image and widen degenerate spans to ``MIN_BOX_SIDE``: the
-    one-row case of :func:`constrain_corners`."""
-    corners, int_edge = constrain_corners(
-        np.array([box.as_tuple()]), *row_sizes([(width, height)], np.zeros(1, dtype=np.intp))
-    )
-    return BoxSet(corners, np.array([0, 1]), int_edge=int_edge).to_boxes()[0]
 
 
 def _displaced(

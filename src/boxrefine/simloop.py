@@ -17,24 +17,17 @@ import numpy as np
 
 # ``correct_targets`` and ``iou`` are not called here; they stay bound because
 # bench/spans.py traces and counts calls through each module's own names
-from .correction import (  # noqa: F401
-    CorrectionConfig,
-    correct_sets,
-    correct_targets,
-    refined_annotations,
-)
+from .correction import CorrectionConfig, correct_sets, correct_targets  # noqa: F401
 from .datamodel import (
     Annotation,
     Dataset,
     Detection,
-    ImageRecord,
     annotation_set,
-    set_annotations,
     set_detections,
     sigmoid,
 )
 from .evaluation import evaluate_ap50, mean_best_iou
-from .geometry import Box, BoxSet, best_iou, iou, row_sizes, spanning  # noqa: F401
+from .geometry import BoxSet, best_iou, iou, row_sizes, spanning  # noqa: F401
 from .noise import NoiseConfig, constrain_corners, corrupt_dataset, derive_rng
 
 __all__ = [
@@ -48,7 +41,7 @@ __all__ = [
     "IterationRecord",
     "TRUTH_MIN_SIDE",
     "TRUTH_MAX_SIDE",
-    "check_image_size",
+    "check_truth_arg",
     "draw_predictions",
     "simulate_predictions",
     "synthesize_truth",
@@ -287,10 +280,11 @@ class LoopConfig:
 
 @dataclass
 class Scenario:
-    """A hidden truth plus the noisy targets the loop is allowed to see."""
+    """A hidden truth plus the noisy targets the loop is allowed to see, in
+    the truth's image order."""
 
     truth: Dataset
-    targets: dict[str, list[Annotation]]
+    targets: BoxSet
 
 
 @dataclass
@@ -303,14 +297,23 @@ class IterationRecord:
     mined: int
 
 
-def check_image_size(image_size: tuple[int, int]) -> None:
-    """Raise ValueError unless every synthetic true box fits an image of this size."""
-    if min(image_size) < TRUTH_MAX_SIDE:
-        side = f"{TRUTH_MAX_SIDE:g}"
-        raise ValueError(
-            f"image_size must be at least {side}x{side}, the largest synthetic box, "
-            f"got {image_size[0]}x{image_size[1]}"
-        )
+# the least value of each count argument of synthesize_truth
+_TRUTH_MINIMA = {"num_images": 0, "boxes_per_image": 0, "num_classes": 1}
+
+
+def check_truth_arg(name: str, value: object) -> None:
+    """Raise ValueError unless ``value`` is an argument ``name`` that
+    :func:`synthesize_truth` can draw from: a count no smaller than its
+    minimum, or an image size that every synthetic true box fits."""
+    if name == "image_size":
+        if min(value) < TRUTH_MAX_SIDE:
+            side = f"{TRUTH_MAX_SIDE:g}"
+            raise ValueError(
+                f"image_size must be at least {side}x{side}, the largest synthetic box, "
+                f"got {value[0]}x{value[1]}"
+            )
+    elif value < _TRUTH_MINIMA[name]:
+        raise ValueError(f"{name} must be at least {_TRUTH_MINIMA[name]}, got {value}")
 
 
 def synthesize_truth(
@@ -323,45 +326,44 @@ def synthesize_truth(
     """Random ground truth: boxes fully inside the image, uniform labels.
 
     Raises:
-        ValueError: if ``image_size`` is smaller than ``TRUTH_MAX_SIDE`` on a side.
+        ValueError: if a count is negative, ``num_classes`` is below 1, or
+            ``image_size`` is smaller than ``TRUTH_MAX_SIDE`` on a side.
     """
-    check_image_size(image_size)
+    for name, value in (("num_images", num_images), ("boxes_per_image", boxes_per_image),
+                        ("num_classes", num_classes), ("image_size", image_size)):
+        check_truth_arg(name, value)
     width, height = image_size
-    images: list[ImageRecord] = []
-    for i in range(num_images):
-        image_id = f"img_{i:04d}"
+    image_ids = [f"img_{i:04d}" for i in range(num_images)]
+    corners: list[float] = []
+    labels: list[int] = []
+    for image_id in image_ids:
         rng = derive_rng(seed, "truth", image_id)
-        anns: list[Annotation] = []
         for _ in range(boxes_per_image):
             w = rng.uniform(TRUTH_MIN_SIDE, TRUTH_MAX_SIDE)
             h = rng.uniform(TRUTH_MIN_SIDE, TRUTH_MAX_SIDE)
             cx = rng.uniform(w / 2.0, width - w / 2.0)
             cy = rng.uniform(h / 2.0, height - h / 2.0)
-            label = int(rng.integers(1, num_classes + 1))
-            anns.append(
-                Annotation(
-                    box=Box(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0),
-                    label=label,
-                )
-            )
-        images.append(
-            ImageRecord(image_id=image_id, width=width, height=height, annotations=anns)
-        )
+            labels.append(int(rng.integers(1, num_classes + 1)))
+            corners += (cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
+    boxes = BoxSet(
+        np.array(corners, dtype=np.float64).reshape(-1, 4),
+        np.arange(num_images + 1, dtype=np.intp) * boxes_per_image,
+        labels=np.array(labels, dtype=np.int64),
+        provenance=np.zeros(len(labels), dtype=np.int8),
+    )
     names = [f"class_{i}" for i in range(1, num_classes + 1)]
-    return Dataset(class_names=names, images=images)
+    return Dataset.from_columns(names, image_ids, [(width, height)] * num_images, boxes)
 
 
 def build_scenario(truth: Dataset, noise_cfg: NoiseConfig) -> Scenario:
     """Corrupt the truth once to produce the targets the loop will refine."""
     corrupted, _ = corrupt_dataset(truth, noise_cfg)
-    targets = set_annotations(corrupted.annotations)
-    return Scenario(truth=truth, targets=dict(zip(corrupted.image_ids(), targets)))
+    return Scenario(truth=truth, targets=corrupted.annotations)
 
 
 def _hflip(s: BoxSet, widths: np.ndarray, flipped: np.ndarray) -> BoxSet:
-    """``s`` with the boxes of the ``flipped`` images mirrored, as
-    ``apply_transform`` with ``GeoTransform.hflip(width)`` maps a box: x1 and
-    x2 become ``width - x2`` and ``width - x1``, floats; y stays as it is."""
+    """``s`` with the boxes of the ``flipped`` images mirrored: x1 and x2
+    become ``width - x2`` and ``width - x1``, floats; y stays as it is."""
     rows = flipped[s.image_index]
     w = widths[s.image_index][rows]
     boxes = s.boxes.copy()
@@ -377,11 +379,8 @@ def _hflip(s: BoxSet, widths: np.ndarray, flipped: np.ndarray) -> BoxSet:
 def run_loop(
     scenario: Scenario,
     cfg: LoopConfig,
-    hook: Callable[
-        [int, dict[str, list[Annotation]], dict[str, list[Detection]]], None
-    ]
-    | None = None,
-) -> tuple[list[IterationRecord], dict[str, list[Annotation]]]:
+    hook: Callable[[int, BoxSet, BoxSet], None] | None = None,
+) -> tuple[list[IterationRecord], BoxSet]:
     """Run the teacher-student refinement loop over a scenario.
 
     Per iteration and image: a weak view (random horizontal flip) is chosen,
@@ -398,22 +397,19 @@ def run_loop(
     results do not depend on image order.
 
     A refined target that did not move (the moved mask of ``correct_sets``)
-    keeps its exact original coordinates and object; only boxes the
+    keeps its exact original corners and int edges; only boxes the
     correction moved or mined go through view-transform round trips.
-    ``Annotation`` and ``Detection`` objects are built only for ``hook``,
-    when given, which receives each iteration's refined targets and
-    predictions per image, and once for the final refined targets.
+    ``hook``, when given, receives each iteration's refined targets and
+    predictions, in the original frame.
 
-    Returns the trace and the last iteration's refined targets per image.
+    Returns the trace and the last iteration's refined targets: each image's
+    targets in order, then its mined boxes, with provenance codes.
     """
-    images = scenario.truth.images
-    image_ids = [rec.image_id for rec in images]
+    image_ids = scenario.truth.image_ids()
     seed = cfg.noise.seed
-    targets = [scenario.targets[image_id] for image_id in image_ids]
-    truth = annotation_set([rec.annotations for rec in images])
-    target_set = annotation_set(targets)
-    sizes = [(rec.width, rec.height) for rec in images]
-    widths = np.array([float(rec.width) for rec in images])
+    truth, target_set = scenario.truth.annotations, scenario.targets
+    sizes = scenario.truth.image_sizes()
+    widths = np.array([float(width) for width, _ in sizes])
     start_vec = cfg.schedule.start.to_vector()
     state = EmaState(teacher=start_vec, student=start_vec, keep_rate=cfg.keep_rate)
     trace: list[IterationRecord] = []
@@ -421,7 +417,7 @@ def run_loop(
     for it in range(cfg.iterations):
         teacher = SimDetectorParams.from_vector(state.teacher)
         rngs = []
-        flipped = np.zeros(len(images), dtype=bool)
+        flipped = np.zeros(len(image_ids), dtype=bool)
         for k, image_id in enumerate(image_ids):
             rng = derive_rng(seed, "loop", it, image_id)
             flipped[k] = rng.integers(2)
@@ -447,11 +443,7 @@ def run_loop(
         quality, _ = mean_best_iou(refined, truth)
         ap50 = evaluate_ap50(truth, preds).map50
         if hook is not None:
-            hook(
-                it,
-                dict(zip(image_ids, refined_annotations(refined, targets, moved))),
-                dict(zip(image_ids, set_detections(preds))),
-            )
+            hook(it, refined, preds)
         trace.append(
             IterationRecord(
                 iteration=it,
@@ -462,5 +454,4 @@ def run_loop(
         )
         student = cfg.schedule.at(quality)
         state = ema_update(replace(state, student=student.to_vector()))
-    return trace, dict(zip(image_ids, refined_annotations(refined, targets, moved)))
-
+    return trace, refined

@@ -336,6 +336,36 @@ def draw_ref(truth, sigma, recall, fp_rate, rng, width, height, num_classes):
     return out
 
 
+# the side lengths of synthetic true boxes
+TRUTH_SIDES = (28.0, 80.0)
+
+
+def truth_ref(num_images, boxes_per_image, num_classes, image_size, seed, derive_rng):
+    """The surrogate loop's synthetic ground truth, drawn box by box.
+
+    Image i is ``img_{i:04d}`` of size ``image_size``, drawn from
+    ``derive_rng(seed, "truth", image_id)``: per box a width, height, center
+    x, center y and label, the box fully inside the image. Returns the class
+    names and, per image, ``(image_id, (width, height), [(corners, label),
+    ...])``.
+    """
+    width, height = image_size
+    images = []
+    for i in range(num_images):
+        image_id = f"img_{i:04d}"
+        rng = derive_rng(seed, "truth", image_id)
+        boxes = []
+        for _ in range(boxes_per_image):
+            w = rng.uniform(*TRUTH_SIDES)
+            h = rng.uniform(*TRUTH_SIDES)
+            cx = rng.uniform(w / 2.0, width - w / 2.0)
+            cy = rng.uniform(h / 2.0, height - h / 2.0)
+            label = int(rng.integers(1, num_classes + 1))
+            boxes.append(((cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0), label))
+        images.append((image_id, (width, height), boxes))
+    return [f"class_{i}" for i in range(1, num_classes + 1)], images
+
+
 class RefFormatError(ValueError):
     """A malformed file, as :func:`load_ref` reports it."""
 

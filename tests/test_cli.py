@@ -854,6 +854,11 @@ def test_flag_values_keep_their_types(tmp_path):
         ("simulate", ["--dedup-iou", "3"], "dedup_iou"),
         ("inject-noise", ["--box-noise", "-1"], "box_noise"),
         ("correct", ["--temperature", "0"], "temperature"),
+        ("inject-noise", ["--point-side", "-5"], "--point-side"),
+        ("inject-noise", ["--point-side", "0"], "--point-side"),
+        ("simulate", ["--images", "-2"], "--images"),
+        ("simulate", ["--boxes-per-image", "-1"], "--boxes-per-image"),
+        ("simulate", ["--classes", "0"], "--classes"),
     ],
 )
 def test_range_checks_run_before_config_is_written(tmp_path, capsys, command, args, name):
@@ -996,14 +1001,11 @@ def test_cli_import_stays_light():
     assert out.stdout.strip() == "[]"
 
 
-def test_file_pipeline_builds_no_object_per_box(tmp_path, monkeypatch):
-    """inject-noise, correct and evaluate keep their boxes in columns from
-    file to file: no Box, Annotation, Detection or ImageRecord is built."""
-    from test_golden import write_inputs
-
-    write_inputs(tmp_path)
-    built = dict.fromkeys((Box, Annotation, Detection, ImageRecord), 0)
-    for cls in built:
+def count_built(monkeypatch, *classes) -> dict:
+    """How many objects of each of ``classes`` are built from now on, as a
+    dict that fills while the test runs."""
+    built = dict.fromkeys(classes, 0)
+    for cls in classes:
         check = cls.__post_init__
 
         def counted(self, cls=cls, check=check):
@@ -1011,6 +1013,16 @@ def test_file_pipeline_builds_no_object_per_box(tmp_path, monkeypatch):
             check(self)
 
         monkeypatch.setattr(cls, "__post_init__", counted)
+    return built
+
+
+def test_file_pipeline_builds_no_object_per_box(tmp_path, monkeypatch):
+    """inject-noise, correct and evaluate keep their boxes in columns from
+    file to file: no Box, Annotation, Detection or ImageRecord is built."""
+    from test_golden import write_inputs
+
+    write_inputs(tmp_path)
+    built = count_built(monkeypatch, Box, Annotation, Detection, ImageRecord)
     monkeypatch.chdir(tmp_path)
     runs = (
         ["inject-noise", "--profile", "nb20-ns50", "--superfluous", "on",
@@ -1025,3 +1037,18 @@ def test_file_pipeline_builds_no_object_per_box(tmp_path, monkeypatch):
     for argv in runs:
         assert main(argv) == 0, argv
     assert built == dict.fromkeys(built, 0)
+
+
+@pytest.mark.parametrize("render", [False, True])
+def test_simulate_builds_objects_only_to_render(tmp_path, monkeypatch, render):
+    """simulate keeps its boxes in columns from synthesis to the written
+    files; Box, Annotation and ImageRecord objects are built only to draw
+    the SVGs of ``--render``."""
+    built = count_built(monkeypatch, Box, Annotation, ImageRecord)
+    argv = ["simulate", "--profile", "nb40-ex", "--images", "3", "--boxes-per-image", "4",
+            "--iterations", "2", "--out", str(tmp_path / "sim")]
+    assert main(argv + ["--render"] * render) == 0
+    if render:
+        assert all(built.values()), built
+    else:
+        assert built == dict.fromkeys(built, 0)

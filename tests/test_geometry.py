@@ -1,4 +1,4 @@
-"""Geometry primitives: boxes, distances, NMS, transforms."""
+"""Geometry primitives: boxes, distances, NMS."""
 
 from __future__ import annotations
 
@@ -10,9 +10,6 @@ from boxrefine.datamodel import Detection, detection_set
 from boxrefine.geometry import (
     Box,
     BoxSet,
-    GeoTransform,
-    apply_transform,
-    apply_transforms,
     best_iou,
     center_distance_matrix,
     center_distance_normalized,
@@ -21,7 +18,6 @@ from boxrefine.geometry import (
     grouped_iou,
     grouped_nms,
     image_chunks,
-    invert_transforms,
     iou,
     iou_distance,
     iou_matrix,
@@ -545,65 +541,3 @@ class TestImageStacks:
                 for g in range(len(groups))
             ]
             assert got == [scalar_nms(g, threshold) for g in groups]
-
-
-class TestTransforms:
-    def test_hflip_fixture(self):
-        t = GeoTransform.hflip(100.0)
-        assert apply_transform(t, Box(10, 0, 30, 10)) == Box(70, 0, 90, 10)
-
-    def test_vflip_fixture(self):
-        t = GeoTransform.vflip(50.0)
-        assert apply_transform(t, Box(0, 10, 10, 20)) == Box(0, 30, 10, 40)
-
-    def test_identity_scale(self):
-        t = GeoTransform.scale(1.0, 1.0)
-        b = Box(3.25, 4.5, 17.75, 20.125)
-        assert apply_transform(t, b) == b
-
-    def test_scale_doubles(self):
-        t = GeoTransform.scale(2.0, 0.5)
-        assert apply_transform(t, Box(1, 2, 3, 4)) == Box(2, 1, 6, 2)
-
-    def test_negative_scale_recanonicalises(self):
-        t = GeoTransform.scale(-1.0, 1.0)
-        assert apply_transform(t, Box(1, 0, 3, 2)) == Box(-3, 0, -1, 2)
-
-    def test_zero_scale_rejected(self):
-        with pytest.raises(ValueError):
-            GeoTransform.scale(0.0, 1.0)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            GeoTransform("rotate", (90.0,))
-
-    def test_inverse_round_trip_within_tolerance(self):
-        rng = np.random.default_rng(17)
-        transforms = [
-            GeoTransform.hflip(512.0),
-            GeoTransform.vflip(512.0),
-            GeoTransform.scale(2.0, 3.0),
-            GeoTransform.scale(0.3, 1.7),
-        ]
-        for _ in range(300):
-            b = random_box(rng, 512.0)
-            t = transforms[int(rng.integers(len(transforms)))]
-            back = apply_transform(t.inverse(), apply_transform(t, b))
-            np.testing.assert_allclose(back.as_tuple(), b.as_tuple(), atol=1e-9)
-
-    def test_sequence_round_trip(self):
-        rng = np.random.default_rng(18)
-        seq = [
-            GeoTransform.hflip(512.0),
-            GeoTransform.scale(1.5, 0.75),
-            GeoTransform.vflip(384.0),
-        ]
-        for _ in range(100):
-            b = random_box(rng, 300.0)
-            fwd = apply_transforms(seq, b)
-            back = apply_transforms(invert_transforms(seq), fwd)
-            np.testing.assert_allclose(back.as_tuple(), b.as_tuple(), atol=1e-9)
-
-    def test_flips_are_involutions(self):
-        assert GeoTransform.hflip(100.0).inverse() == GeoTransform.hflip(100.0)
-        assert GeoTransform.scale(2.0, 4.0).inverse() == GeoTransform.scale(0.5, 0.25)

@@ -11,7 +11,7 @@ from boxrefine.noise import (
     MIN_BOX_SIDE,
     NoiseConfig,
     SuperfluousConfig,
-    constrain_box,
+    constrain_corners,
     corrupt_dataset,
     derive_rng,
     displace_boxes,
@@ -286,20 +286,30 @@ class TestCorruptDataset:
 
 
 class TestConstrainBox:
+    """One box clipped and widened by ``constrain_corners``."""
+
+    @staticmethod
+    def constrain(corners, width, height):
+        boxes, int_edge = constrain_corners(
+            np.array([corners]), np.array([[width, height]]), np.zeros((1, 2), dtype=bool)
+        )
+        assert not int_edge.any()
+        return Box(*boxes[0].tolist())
+
     def test_degenerate_box_padded(self):
-        out = constrain_box(Box(10.0, 10.0, 10.0, 10.0), 512.0, 512.0)
+        out = self.constrain((10.0, 10.0, 10.0, 10.0), 512.0, 512.0)
         assert out.width == pytest.approx(MIN_BOX_SIDE)
         assert out.height == pytest.approx(MIN_BOX_SIDE)
 
     def test_padding_respects_borders(self):
-        out = constrain_box(Box(0.0, 511.9, 0.2, 512.0), 512.0, 512.0)
+        out = self.constrain((0.0, 511.9, 0.2, 512.0), 512.0, 512.0)
         assert out.x1 >= 0.0 and out.y2 <= 512.0
         assert out.width >= MIN_BOX_SIDE - 1e-12
         assert out.height >= MIN_BOX_SIDE - 1e-12
 
     def test_in_bounds_box_untouched(self):
         b = Box(10.0, 20.0, 30.0, 40.0)
-        assert constrain_box(b, 512.0, 512.0) == b
+        assert self.constrain(b.as_tuple(), 512.0, 512.0) == b
 
 
 class TestDeriveRng:

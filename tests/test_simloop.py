@@ -7,7 +7,7 @@ import pytest
 
 from boxrefine import geometry
 from boxrefine.correction import CorrectionConfig
-from boxrefine.datamodel import Annotation
+from boxrefine.datamodel import Annotation, ImageRecord
 from boxrefine.geometry import Box, BoxSet
 from boxrefine.noise import NoiseConfig, derive_rng
 from boxrefine.simloop import (
@@ -25,7 +25,7 @@ from boxrefine.simloop import (
     synthesize_truth,
 )
 
-from oracles import draw_ref
+from oracles import draw_ref, truth_ref
 
 PERFECT = SimDetectorParams(
     localization_sigma=0.0, recall=1.0, fp_rate=0.0, score_sharpness=8.0
@@ -318,20 +318,65 @@ class TestSynthesizeTruth:
         assert a.images[0].annotations != b.images[0].annotations
 
 
+def columns(s: BoxSet) -> tuple:
+    """Every column of ``s`` as Python values, coordinate types included."""
+    return (
+        s.offsets.tolist(),
+        [typed(c) for c in s.corners()],
+        *(None if col is None else col.tolist()
+          for col in (s.labels, s.probs, s.logits, s.provenance)),
+    )
+
+
+class TestTruthOracle:
+    """The columnar truth equals the box-by-box draw, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "seed, num_images, boxes_per_image, num_classes, image_size",
+        [
+            (0, 8, 6, 3, (512, 512)),
+            (1, 5, 7, 1, (640, 480)),
+            (2, 3, 0, 3, (512, 512)),
+            (3, 0, 6, 2, (512, 512)),
+            (4, 6, 9, 4, (int(TRUTH_MAX_SIDE), int(TRUTH_MAX_SIDE))),
+            (5, 4, 3, 5, (int(TRUTH_MAX_SIDE), 300)),
+        ],
+    )
+    def test_columnar_truth_equals_box_by_box(
+        self, seed, num_images, boxes_per_image, num_classes, image_size
+    ):
+        ds = synthesize_truth(num_images, boxes_per_image, num_classes, image_size, seed)
+        names, images = truth_ref(
+            num_images, boxes_per_image, num_classes, image_size, seed, derive_rng
+        )
+        assert ds.class_names == names
+        assert ds.image_ids() == [image_id for image_id, _, _ in images]
+        assert ds.image_sizes() == [size for _, size, _ in images]
+        s = ds.annotations
+        corners, labels, bounds = s.corners(), s.labels.tolist(), s.offsets.tolist()
+        assert [
+            [(typed(corners[r]), labels[r]) for r in range(start, stop)]
+            for start, stop in zip(bounds, bounds[1:])
+        ] == [[(typed(c), label) for c, label in boxes] for _, _, boxes in images]
+
+
 class TestBuildScenario:
     def test_zero_noise_targets_equal_truth(self):
         truth = synthesize_truth(num_images=3)
         scenario = build_scenario(truth, NoiseConfig())
-        for rec in truth.images:
-            assert scenario.targets[rec.image_id] == rec.annotations
+        assert columns(scenario.targets) == columns(truth.annotations)
 
     def test_noise_perturbs_targets(self):
         truth = synthesize_truth(num_images=3)
         scenario = build_scenario(truth, NoiseConfig(box_noise=0.4, seed=5))
-        changed = sum(
-            scenario.targets[rec.image_id] != rec.annotations for rec in truth.images
-        )
-        assert changed == 3
+        targets, true = scenario.targets, truth.annotations
+        assert targets.offsets.tolist() == true.offsets.tolist()
+        changed = {
+            image
+            for image, a, b in zip(targets.image_index.tolist(), targets.boxes, true.boxes)
+            if (a != b).any()
+        }
+        assert changed == {0, 1, 2}
 
 
 def small_loop_cfg(**kw):
@@ -361,9 +406,10 @@ class TestRunLoop:
         truth = synthesize_truth(num_images=3, boxes_per_image=4)
         cfg = small_loop_cfg(iterations=4)
         scenario = build_scenario(truth, cfg.noise)
-        a = run_loop(scenario, cfg)
-        b = run_loop(build_scenario(truth, cfg.noise), cfg)
-        assert a == b
+        trace_a, final_a = run_loop(scenario, cfg)
+        trace_b, final_b = run_loop(build_scenario(truth, cfg.noise), cfg)
+        assert trace_a == trace_b
+        assert columns(final_a) == columns(final_b)
 
     def test_image_chunks_do_not_change_results(self, monkeypatch):
         truth = synthesize_truth(num_images=7, boxes_per_image=5, seed=2)
@@ -372,11 +418,11 @@ class TestRunLoop:
         for budget in (1, 60, 1 << 40):
             monkeypatch.setattr(geometry, "_CHUNK_ENTRIES", budget)
             seen = []
-            trace = run_loop(
+            trace, final = run_loop(
                 build_scenario(truth, cfg.noise), cfg,
-                hook=lambda it, c, p: seen.append((c, p)),
+                hook=lambda it, c, p: seen.append((columns(c), columns(p))),
             )
-            runs.append((trace, seen))
+            runs.append((trace, columns(final), seen))
         assert runs[0] == runs[1] == runs[2]
 
     def test_correction_disabled_is_exactly_flat(self):
@@ -393,11 +439,9 @@ class TestRunLoop:
         trace, _ = run_loop(scenario, cfg, hook=hook)
         assert len({r.target_quality for r in trace}) == 1
         assert all(r.mined == 0 for r in trace)
+        # unmoved targets keep their corners, int edges included, and labels
         for corrected in seen:
-            for image_id, anns in corrected.items():
-                originals = scenario.targets[image_id]
-                assert all(a is b for a, b in zip(anns, originals))
-                assert len(anns) == len(originals)
+            assert columns(corrected) == columns(scenario.targets)
 
     def test_clean_targets_without_correction_score_one(self):
         truth = synthesize_truth(num_images=3, boxes_per_image=3)
@@ -422,15 +466,14 @@ class TestRunLoop:
         cfg = small_loop_cfg(iterations=5)
         scenario = build_scenario(truth, cfg.noise)
         calls = []
-        run_loop(scenario, cfg, hook=lambda it, c, p: calls.append((it, sorted(c), sorted(p))))
-        assert [c[0] for c in calls] == list(range(5))
-        ids = sorted(r.image_id for r in truth.images)
-        for _, c_ids, p_ids in calls:
-            assert c_ids == ids and p_ids == ids
+        run_loop(
+            scenario, cfg, hook=lambda it, c, p: calls.append((it, c.num_images, p.num_images))
+        )
+        assert calls == [(it, 2, 2) for it in range(5)]
 
     def test_no_objects_built_without_a_hook(self, monkeypatch):
         truth = synthesize_truth(num_images=5, boxes_per_image=6, seed=4)
-        built = {Box: 0, Annotation: 0}
+        built = {Box: 0, Annotation: 0, ImageRecord: 0}
         for cls in built:
             check = cls.__post_init__
 
@@ -442,16 +485,11 @@ class TestRunLoop:
         for iterations in (1, 4):
             cfg = small_loop_cfg(iterations=iterations)
             scenario = build_scenario(truth, cfg.noise)
-            originals = {id(a) for anns in scenario.targets.values() for a in anns}
-            built.update(dict.fromkeys(built, 0))
             _, final = run_loop(scenario, cfg)
-            # only the final targets that are not the originals are built
-            new = sum(id(a) not in originals for anns in final.values() for a in anns)
-            assert new > 0
-            assert built == {Box: new, Annotation: new}
-        built.update(dict.fromkeys(built, 0))
-        run_loop(scenario, cfg, hook=lambda *args: None)
-        assert built[Box] > new
+            # the loop refined targets, and built no object for them
+            assert (final.provenance != 0).any()
+            run_loop(scenario, cfg, hook=lambda *args: None)
+        assert built == {Box: 0, Annotation: 0, ImageRecord: 0}
 
     def test_loop_config_validated(self):
         with pytest.raises(ValueError, match="iterations"):
