@@ -487,6 +487,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     # the config objects check their ranges here, before config.json is
     # written, as the values' types were checked above
     run = RunConfig(command=args.command, out=Path(args.out), resolved=resolved)
+    if "point_side" in resolved and resolved.get("format") != "point-csv":
+        raise CliError("--point-side applies only with --format point-csv")
     if resolved.get("point_side", _POINT_SIDE) <= 0:
         raise CliError(f"--point-side must be positive, got {resolved['point_side']}")
     if "noise" in sections:
@@ -511,6 +513,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                 check_truth_arg(arg, loop[key])
             except ValueError as exc:
                 raise CliError(f"--{key.replace('_', '-')}: {exc}") from exc
+        for key in ("images", "boxes_per_image"):
+            # AP and target quality are undefined without a true box
+            if loop[key] == 0:
+                raise CliError(f"--{key.replace('_', '-')} must be at least 1 to simulate, got 0")
         run.loop = LoopConfig(
             iterations=loop["iterations"],
             keep_rate=loop["keep_rate"],

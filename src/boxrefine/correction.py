@@ -14,9 +14,12 @@ near-duplicates among them with class-wise NMS, drops survivors that overlap
 an existing same-class target, and appends the rest as new annotations.
 
 :func:`correct_sets` runs both stages over whole box sets
-(``geometry.BoxSet``): the pairwise steps of consecutive images share one
-padded numpy block (see ``geometry.image_chunks``). :func:`correct_images`
-converts ``(targets, predictions)`` pairs of objects to sets and back, and
+(``geometry.BoxSet``) in one flat pass over all images. Box correction
+scores only the (prediction, target) pairs of one image and class that can
+decide an assignment: those in a window about each prediction (see
+``geometry.x_windows``), and a prediction's whole row of targets where its
+window cannot settle its nearest one. :func:`correct_images` converts
+``(targets, predictions)`` pairs of objects to sets and back, and
 :func:`correct_targets`, :func:`correct_boxes` and :func:`mine_labels` are
 its one-image cases.
 """
@@ -46,15 +49,17 @@ from .datamodel import (
 from .geometry import (  # noqa: F401
     Box,
     BoxSet,
-    center_distance_matrix,
-    giou_matrix,
+    center_distance_pairs,
+    class_groups,
+    giou_pairs,
     grouped_iou,
     grouped_nms,
-    image_chunks,
     iou,
-    iou_matrix,
+    iou_pairs,
     nms,
-    pad_groups,
+    overlap_windows,
+    pair_blocks,
+    x_windows,
 )
 
 __all__ = [
@@ -146,24 +151,26 @@ class CorrectionConfig:
         if self.fixed_size is not None and not self.fixed_size > 0.0:
             raise ConfigError(f"fixed_size must be positive, got {self.fixed_size}")
 
-    def distance_matrix(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-        """Pairwise distance: ``(N, 4)`` and ``(M, 4)`` corner arrays to ``(N, M)``,
-        or stacks of them, ``(C, N, 4)`` and ``(C, M, 4)`` to ``(C, N, M)``.
-
-        Entries equal the scalar ``iou_distance``, ``giou_distance`` or
-        ``center_distance_normalized`` of the same pair.
-        """
+    def pair_distance(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """Distance of box k of ``a`` and box k of ``b``, ``(4, K)`` corner
+        planes, equal to the scalar ``iou_distance``, ``giou_distance`` or
+        ``center_distance_normalized`` of the pair."""
         if self.distance == DISTANCE_IOU:
-            return lambda a, b: _complement(iou_matrix(a, b))
+            return lambda a, b: 1.0 - iou_pairs(a, b)
         if self.distance == DISTANCE_GIOU:
-            return lambda a, b: _complement(giou_matrix(a, b))
+            return lambda a, b: 1.0 - giou_pairs(a, b)
         norm = self.center_norm
-        return lambda a, b: center_distance_matrix(a, b, norm)
+        return lambda a, b: center_distance_pairs(a, b, norm)
 
-
-def _complement(m: np.ndarray) -> np.ndarray:
-    """1 - m, in place."""
-    return np.subtract(1.0, m, out=m)
+    def window_bound(self) -> float:
+        """A distance below which a windowed minimum (``_windows``) is the true
+        one: targets outside are at exactly 1.0 under IoU, at 1.0 less
+        rounding under GIoU and beyond ``distance_limit`` under center distance."""
+        if self.distance == DISTANCE_IOU:
+            return 1.0
+        if self.distance == DISTANCE_GIOU:
+            return 1.0 - 2.0**-40
+        return float(np.nextafter(self.distance_limit, np.inf))
 
 
 @dataclass
@@ -180,177 +187,213 @@ class CorrectionReport:
     mined: int = 0
 
 
-def _softmax(xs: Sequence[float]) -> list[float]:
-    # math.exp, not np.exp: the two round differently on a few percent of inputs
-    m = max(xs)
-    exps = [math.exp(x - m) for x in xs]
-    total = sum(exps)
-    return [e / total for e in exps]
-
-
-def _square_about(cx: float, cy: float, side: float) -> list[float]:
+def _square_about(cx, cy, side: float) -> list:
     half = side / 2.0
     return [cx - half, cy - half, cx + half, cy + half]
 
 
-def _center(box: Sequence[float]) -> tuple[float, float]:
-    return ((box[0] + box[2]) / 2.0, (box[1] + box[3]) / 2.0)
+def _centers(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Center x and y of corner planes ``p``."""
+    return (p[0] + p[2]) / 2.0, (p[1] + p[3]) / 2.0
 
 
-def _update_class(
-    current: list[list[float]],
-    picks: list[int],
-    pred_ids: list[int],
-    logits: list[float],
-    coords: list[list[float]],
+def _windows(
+    cfg: CorrectionConfig, preds: np.ndarray, p_group: np.ndarray,
+    targets: np.ndarray, t_group: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``geometry.x_windows`` of the targets of each prediction's group that
+    can be nearer than ``cfg.window_bound()``: under (G)IoU those whose x
+    extents can meet its own, under center distance those whose center x is
+    within ``distance_limit * center_norm`` of its own, plus a rounding margin."""
+    if cfg.distance != DISTANCE_CENTER:
+        return overlap_windows(preds, p_group, targets, t_group)
+    tx = _centers(targets)[0]
+    (rows,) = np.isfinite(tx).nonzero()
+    tx = tx[rows]
+    scale = np.abs(tx).max(initial=0.0) or 1.0
+    reach = cfg.distance_limit * cfg.center_norm
+    reach += (scale + reach) * 2.0**-40
+    px = _centers(preds)[0]
+    order, first, width = x_windows(px - reach, px + reach, p_group, tx, t_group[rows], scale)
+    return rows[order], first, width
+
+
+def _nearest(
+    distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    preds: np.ndarray,
+    targets: np.ndarray,
+    windows: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per prediction, the distance to its nearest target in its window and
+    that target, the lowest one on ties as ``argmin`` takes it; ``inf`` and
+    -1 for an empty window."""
+    low = np.full(preds.shape[1], np.inf)
+    best = np.full(preds.shape[1], -1)
+    for i, j in pair_blocks(*windows):
+        if not len(i):
+            continue
+        d = distance(targets.take(j, axis=1), preds.take(i, axis=1))
+        # a block holds whole rows, each row's pairs in one run
+        starts = np.flatnonzero(np.diff(i, prepend=-1))
+        rows = i[starts]
+        low[rows] = np.minimum.reduceat(d, starts)
+        tied = np.where(d == low[i], j, targets.shape[1])
+        best[rows] = np.minimum.reduceat(tied, starts)
+    return low, best
+
+
+def _run_sums(values: np.ndarray, starts: np.ndarray, runs: np.ndarray) -> np.ndarray:
+    """Sum of each run of columns of ``values``, ``runs[r]`` long from
+    ``starts[r]``, added one column at a time from 0.0 in run order: the
+    order of ``builtins.sum`` on Python 3.11, so the bits are its bits."""
+    total = np.zeros((*values.shape[:-1], len(starts)))
+    for k in range(int(runs.max(initial=0))):
+        live = runs > k
+        total[..., live] += values[..., starts[live] + k]
+    return total
+
+
+def _updated(
+    pairs: tuple[np.ndarray, np.ndarray],
+    preds: np.ndarray,
+    logits: np.ndarray,
     cfg: CorrectionConfig,
-) -> float:
-    """Move each picked target to the softmax-weighted average of its predictions.
-
-    ``picks[k]`` is the target assigned to prediction ``pred_ids[k]``, or -1.
-    Updates ``current`` in place and returns the largest coordinate change.
-    """
-    members: dict[int, list[int]] = {}
-    for pi, t in zip(pred_ids, picks):
-        if t >= 0:
-            members.setdefault(t, []).append(pi)
-    moved = 0.0
-    for t, group in members.items():
-        weights = _softmax([logits[pi] / cfg.temperature for pi in group])
-        if cfg.fixed_size is not None:
-            centers = [_center(coords[pi]) for pi in group]
-            cx = sum(w * c[0] for w, c in zip(weights, centers))
-            cy = sum(w * c[1] for w, c in zip(weights, centers))
-            nb = _square_about(cx, cy, cfg.fixed_size)
-        else:
-            nb = [
-                sum(w * coords[pi][k] for w, pi in zip(weights, group))
-                for k in range(4)
-            ]
-        moved = max(moved, *(abs(n - o) for n, o in zip(nb, current[t])))
-        current[t] = nb
-    return moved
+) -> tuple[np.ndarray, np.ndarray]:
+    """The targets of (prediction, target) ``pairs``, sorted by target and
+    then prediction, and their new corner planes: the softmax-weighted
+    average of their predictions, summed in that order."""
+    p, t = pairs
+    starts = np.flatnonzero(np.diff(t, prepend=-1))
+    runs = np.diff(starts, append=len(t))
+    scaled = logits[p] / cfg.temperature
+    top = np.maximum.reduceat(scaled, starts)
+    # math.exp, not np.exp: the two round differently on a few percent of inputs
+    shifted = (scaled - top.repeat(runs)).tolist()
+    exps = np.fromiter(map(math.exp, shifted), dtype=np.float64, count=len(shifted))
+    weights = exps / _run_sums(exps, starts, runs).repeat(runs)
+    boxes = preds.take(p, axis=1)
+    if cfg.fixed_size is None:
+        return t[starts], _run_sums(weights * boxes, starts, runs)
+    cx, cy = _run_sums(weights * np.stack(_centers(boxes)), starts, runs)
+    return t[starts], np.stack(_square_about(cx, cy, cfg.fixed_size))
 
 
-# one image's targets and predictions
-_Image = tuple[Sequence[Annotation], Sequence[Detection]]
-
-
-def _correct_chunk(
-    targets: BoxSet,
-    preds: BoxSet,
-    ks: np.ndarray,
-    reports: Sequence[CorrectionReport],
-    cfg: CorrectionConfig,
-) -> np.ndarray:
-    """Box correction of images ``ks``, which all have targets and predictions.
-
-    The images share one padded block per round: row c, t, j of the distance
-    stack pairs target t and prediction j of image ``ks[c]``. Classes of an
-    image are corrected together; a prediction only ever looks at targets of
-    its own class and image, so every (image, class) group stops on its own.
-    Returns the final working boxes, ``(C, W, 4)`` padded like the targets.
-    """
-    distance = cfg.distance_matrix()
-    target_boxes = pad_groups(targets.boxes, targets.offsets, ks, 0.0)
-    pred_boxes = pad_groups(preds.boxes, preds.offsets, ks, 0.0)
-    n, width, p_width = pred_boxes.shape[0], target_boxes.shape[1], pred_boxes.shape[1]
-    # padding is labelled 0 among targets and -1 among predictions, so no
-    # pair with a padding row is of the same class: the class mask, not the
-    # padding's distance, keeps padding out
-    pred_labels = pad_groups(preds.labels, preds.offsets, ks, -1)
-    same_class = (
-        pad_groups(targets.labels, targets.offsets, ks, 0)[:, :, None]
-        == pred_labels[:, None, :]
-    )
-    dist: np.ndarray | None = distance(target_boxes, pred_boxes)
-    # eligibility is pinned to the input boxes, not the moving working boxes
-    eligible = dist <= cfg.distance_limit
-    eligible &= same_class
-    # targets and predictions by flat index: image c's row t is c * width + t
-    coords = pred_boxes.reshape(-1, 4).tolist()
-    logits = pad_groups(preds.logits, preds.offsets, ks, 0.0).ravel().tolist()
-    if cfg.fixed_size is not None:
-        current = [
-            _square_about(*_center(b), cfg.fixed_size)
-            for b in target_boxes.reshape(-1, 4).tolist()
-        ]
-        dist = None
-    else:
-        current = target_boxes.reshape(-1, 4).tolist()
-    # the predictions of each (image, class) that has a target of its class
-    running: dict[tuple[int, int], list[int]] = {}
-    cs, js = np.nonzero(same_class.any(axis=1))
-    for c, j, label in zip(cs.tolist(), js.tolist(), pred_labels[cs, js].tolist()):
-        running.setdefault((c, label), []).append(c * p_width + j)
-    rounds = dict.fromkeys(running, 0)
-    prev_picks: dict[tuple[int, int], list[int]] = {}
-    offsets = np.arange(0, n * width, width)[:, None]
-    while running:
-        if dist is None:
-            dist = distance(np.array(current).reshape(n, width, 4), pred_boxes)
-        # argmin takes the first minimum: distance ties go to the lower target index
-        nearest = np.where(same_class, dist, np.inf).argmin(axis=1)
-        ok = np.take_along_axis(eligible, nearest[:, None, :], axis=1)[:, 0, :]
-        assign = np.where(ok, nearest + offsets, -1).ravel().tolist()
-        changed = False
-        for key, pred_ids in list(running.items()):
-            picks = [assign[j] for j in pred_ids]
-            if picks == prev_picks.get(key):
-                converged = True
-            elif rounds[key] >= cfg.max_iterations:
-                converged = False
-            else:
-                moved = _update_class(current, picks, pred_ids, logits, coords, cfg)
-                rounds[key] += 1
-                prev_picks[key] = picks
-                changed = changed or moved > 0.0
-                if moved >= cfg.convergence_eps:
-                    continue
-                converged = True
-            del running[key]
-            report = reports[ks[key[0]]]
-            base = key[0] * width
-            for t in picks:
-                if t >= 0:
-                    report.assignment_sizes[t - base] += 1
-            report.iterations = max(report.iterations, rounds[key])
-            report.converged = report.converged and converged
-        if changed:
-            dist = None
-    return np.array(current).reshape(n, width, 4)
+def _groups(targets: BoxSet, preds: BoxSet) -> list[np.ndarray]:
+    """The rows of the (image, class) groups with targets and predictions and
+    their group numbers, targets' then predictions', by group and then row."""
+    sides = class_groups(targets, preds)
+    # np.intersect1d would import numpy.ma on first use
+    n = len(targets) + len(preds)
+    shared = np.logical_and(*(np.bincount(side, minlength=n) > 0 for side in sides))
+    number, out = shared.cumsum() - 1, []
+    for side in sides:
+        (rows,) = shared[side].nonzero()
+        rows = rows[side[rows].argsort(kind="stable")]
+        out += [rows, number[side[rows]]]
+    return out
 
 
 def _correct_stage(
     targets: BoxSet, preds: BoxSet, reports: Sequence[CorrectionReport], cfg: CorrectionConfig
 ) -> tuple[BoxSet, np.ndarray]:
-    """Box correction of every image, in chunks of :func:`image_chunks`.
+    """Box correction of every image in one flat pass; every (image, class)
+    group stops on its own.
+
+    A prediction without an eligible target sits the rounds out. Each round
+    the others look for their nearest working box in their ``_windows``;
+    where the windowed minimum does not beat ``cfg.window_bound()``, every
+    target is at 1.0 under IoU distance, so the first is nearest, and under
+    the other distances the whole row of the group's targets is scored.
+    Eligibility is found the same way on the input boxes.
 
     Returns the corrected targets and which of them moved. A moved target's
-    coordinates are floats; an unmoved one keeps its row, and an image
-    without targets or predictions keeps all of them.
+    coordinates are floats; an unmoved one keeps its row.
     """
-    boxes = targets.boxes.copy()
-    moved = np.zeros(len(targets), dtype=bool)
-    t_counts, p_counts = targets.counts, preds.counts
-    todo = np.flatnonzero((t_counts > 0) & (p_counts > 0))
-    for chunk in image_chunks(t_counts[todo].tolist(), p_counts[todo].tolist()):
-        ks = todo[chunk.start : chunk.stop]
-        current = _correct_chunk(targets, preds, ks, reports, cfg)
-        real = np.arange(current.shape[1]) < t_counts[ks][:, None]
-        rows = (targets.offsets[ks][:, None] + np.arange(current.shape[1]))[real]
-        new = current[real]
-        # a box equal to its input, -0.0 against 0.0 included, did not move
-        moves = (new != boxes[rows]).any(axis=1)
-        boxes[rows[moves]] = new[moves]
-        moved[rows[moves]] = True
+    distance, bound, limit = cfg.pair_distance(), cfg.window_bound(), cfg.distance_limit
+    t_rows, t_group, p_rows, p_group = _groups(targets, preds)
+    n_groups = int(t_group.max(initial=-1)) + 1
+    t_start = np.searchsorted(t_group, np.arange(n_groups + 1))
+    inputs = np.ascontiguousarray(targets.boxes[t_rows].T)
+    pred_boxes = np.ascontiguousarray(preds.boxes[p_rows].T)
+    logits = preds.logits[p_rows]
+    final = targets.boxes.copy()
+    if cfg.fixed_size is not None:
+        # every target of an image with predictions starts as a square
+        (rows,) = (preds.counts > 0)[targets.image_index].nonzero()
+        final[rows] = np.stack(_square_about(*_centers(final[rows].T), cfg.fixed_size), axis=1)
+    work = np.ascontiguousarray(final[t_rows].T)
+
+    def whole_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        g = p_group[rows]
+        return np.arange(len(t_group)), t_start[g], t_start[g + 1] - t_start[g]
+
+    if limit < bound:
+        first_look = _windows(cfg, pred_boxes, p_group, inputs, t_group)
+    else:
+        first_look = whole_rows(np.arange(len(p_group)))
+    eligible = _nearest(distance, pred_boxes, inputs, first_look)[0] <= limit
+
+    rounds = np.zeros(n_groups, dtype=np.intp)
+    converged = np.ones(n_groups, dtype=bool)
+    running = np.ones(n_groups, dtype=bool)
+    prev = np.full(len(p_group), -1)
+    sizes = np.zeros(len(t_group), dtype=np.intp)
+    while running.any():
+        (act,) = (eligible & running[p_group]).nonzero()
+        (live,) = running[t_group].nonzero()
+        mine, group = pred_boxes[:, act], p_group[act]
+        order, first, width = _windows(cfg, mine, group, work[:, live], t_group[live])
+        low, near = _nearest(distance, mine, work, (live[order], first, width))
+        (open_,) = (~(low < bound)).nonzero()
+        if cfg.distance == DISTANCE_IOU:
+            near[open_] = t_start[group[open_]]
+        elif len(open_):
+            near[open_] = _nearest(distance, mine[:, open_], work, whole_rows(act[open_]))[1]
+        ok = distance(inputs.take(near, axis=1), mine) <= limit
+        pick = np.where(ok, near, -1)
+        changed = np.bincount(group, weights=pick != prev[act], minlength=n_groups) > 0
+        # picks can repeat only after a group's first round
+        same = running & ~changed & (rounds > 0)
+        capped = running & ~same & (rounds >= cfg.max_iterations)
+        update = running & ~same & ~capped
+        prev[act] = pick
+        moved = np.zeros(n_groups)
+        (sel,) = (update[group] & (pick >= 0)).nonzero()
+        # by target, then by prediction: act is ascending
+        sel = sel[pick[sel].argsort(kind="stable")]
+        if len(sel):
+            hit, boxes = _updated((act[sel], pick[sel]), pred_boxes, logits, cfg)
+            np.maximum.at(moved, t_group[hit], np.abs(boxes - work[:, hit]).max(axis=0))
+            work[:, hit] = boxes
+        rounds[update] += 1
+        converged &= ~capped
+        stop = same | capped | (update & ~(moved >= cfg.convergence_eps))
+        done = pick[stop[group] & (pick >= 0)]
+        sizes += np.bincount(done, minlength=len(t_group))
+        running &= ~stop
+
+    final[t_rows] = work.T
+    # a box equal to its input, -0.0 against 0.0 included, did not move
+    moved_rows = (final != targets.boxes).any(axis=1)
+    boxes = np.where(moved_rows[:, None], final, targets.boxes)
+    image = targets.image_index[t_rows[t_start[:-1]]]
+    iterations = np.zeros(targets.num_images, dtype=np.intp)
+    np.maximum.at(iterations, image, rounds)
+    failed = np.bincount(image, weights=~converged, minlength=targets.num_images)
+    all_sizes = np.zeros(len(targets), dtype=np.intp)
+    all_sizes[t_rows] = sizes
+    bounds = targets.offsets.tolist()
+    # every group runs at least one round
+    for g in iterations.nonzero()[0].tolist():
+        reports[g].iterations, reports[g].converged = int(iterations[g]), not failed[g]
+        reports[g].assignment_sizes = all_sizes[bounds[g] : bounds[g + 1]].tolist()
     int_edge, provenance = targets.int_edge, targets.provenance
     if int_edge is not None:
-        int_edge = int_edge & ~moved[:, None]
+        int_edge = int_edge & ~moved_rows[:, None]
     if provenance is not None:
-        provenance = np.where(moved, PROVENANCE_CODES[PROVENANCE_CORRECTED], provenance)
+        provenance = np.where(moved_rows, PROVENANCE_CODES[PROVENANCE_CORRECTED], provenance)
         provenance = provenance.astype(np.int8)
-    return replace(targets, boxes=boxes, int_edge=int_edge, provenance=provenance), moved
+    return replace(targets, boxes=boxes, int_edge=int_edge, provenance=provenance), moved_rows
 
 
 def _mine_stage(targets: BoxSet, preds: BoxSet, cfg: CorrectionConfig) -> np.ndarray:
@@ -504,6 +547,10 @@ def correct_targets(
     comes back untouched.
     """
     return correct_images([(targets, preds)], cfg)[0]
+
+
+# one image's targets and predictions
+_Image = tuple[Sequence[Annotation], Sequence[Detection]]
 
 
 def correct_images(

@@ -21,7 +21,7 @@ import numpy as np
 from .datamodel import Dataset, Detection, detection_set
 # ``iou`` is not called here; it stays bound because bench/spans.py counts
 # scalar IoU calls through each module's own name
-from .geometry import BoxSet, best_iou, grouped_iou, iou  # noqa: F401
+from .geometry import BoxSet, best_iou, class_groups, grouped_iou, iou  # noqa: F401
 
 __all__ = [
     "TP_IOU",
@@ -139,28 +139,49 @@ def _average_precision(tp_flags: np.ndarray, n_gt: int) -> float:
 
 
 def _same_class_hits(
-    dets: BoxSet,
-    gts: BoxSet,
-    above: Callable[[np.ndarray, float], np.ndarray],
-    best: np.ndarray | None = None,
-) -> dict[int, list[tuple[int, float]]]:
-    """Per detection row, the ``(ground truth row, IoU)`` pairs of its image
-    and class passing ``above(IoU, TP_IOU)``, in the order
-    ``geometry.grouped_iou`` yields them, which is not ground-truth order: a
-    caller breaks IoU ties by row itself.
+    dets: BoxSet, gts: BoxSet, above: Callable[[np.ndarray, float], np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ground truth rows that each detection row can hit: those of its
+    image and class whose IoU with it passes ``above(IoU, TP_IOU)``.
 
-    When ``best`` is given, ``best[k]`` is raised to detection k's highest
-    IoU with any ground truth of its image.
+    Returns ``(gt, begin)``: detection k's hits are ``gt[begin[k]:begin[k +
+    1]]``, by descending IoU and on equal IoU by row, so that its first
+    unclaimed hit is the one a greedy match takes.
     """
-    hits: dict[int, list[tuple[int, float]]] = {}
-    for i, j, overlap in grouped_iou(dets, gts):
-        if best is not None:
-            np.maximum.at(best, i, overlap)
+    # both sets regrouped by (image, class), as sets whose images are the groups
+    groups = class_groups(dets, gts)
+    every = np.arange(max(g.max(initial=-1) for g in groups) + 2)
+    d_rows, g_rows = (g.argsort(kind="stable") for g in groups)
+    d_set = BoxSet(dets.boxes[d_rows], groups[0][d_rows].searchsorted(every))
+    g_set = BoxSet(gts.boxes[g_rows], groups[1][g_rows].searchsorted(every))
+    none = np.zeros(0, dtype=np.intp)
+    pairs = [(none, none, np.zeros(0))]
+    for i, j, overlap in grouped_iou(d_set, g_set):
         sel = above(overlap, TP_IOU)
-        sel &= dets.labels[i] == gts.labels[j]
-        for k, g, ov in zip(i[sel].tolist(), j[sel].tolist(), overlap[sel].tolist()):
-            hits.setdefault(k, []).append((g, ov))
-    return hits
+        pairs.append((d_rows[i[sel]], g_rows[j[sel]], overlap[sel]))
+    det, gt, overlap = (np.concatenate(c) for c in zip(*pairs))
+    order = np.lexsort((gt, -overlap, det))
+    return gt[order], det[order].searchsorted(np.arange(len(dets) + 1))
+
+
+def _greedy_match(
+    hits: tuple[np.ndarray, np.ndarray], visit: np.ndarray, n_gt: int
+) -> np.ndarray:
+    """Which detections claim a ground truth when each, in ``visit`` order,
+    takes its first hit (:func:`_same_class_hits`) that no earlier one took."""
+    gt, begin = hits
+    visit = visit[begin[visit + 1] > begin[visit]].tolist()
+    gt, bounds = gt.tolist(), begin.tolist()
+    claimed, matched = [False] * n_gt, []
+    for k in visit:
+        for g in gt[bounds[k] : bounds[k + 1]]:
+            if not claimed[g]:
+                claimed[g] = True
+                matched.append(k)
+                break
+    out = np.zeros(len(bounds) - 1, dtype=bool)
+    out[matched] = True
+    return out
 
 
 def evaluate_ap50(
@@ -186,19 +207,7 @@ def evaluate_ap50(
     hits = _same_class_hits(dets, gts, np.greater_equal)
     # classes never share a ground truth, so one ranking serves them all
     rank = np.argsort(-dets.probs, kind="stable")
-    matched = [False] * len(gts)
-    tp = np.zeros(len(dets), dtype=bool)
-    for k in rank.tolist():
-        if k not in hits:
-            continue
-        best_overlap, best_gt = 0.0, -1
-        for g, overlap in hits[k]:
-            # equal IoU goes to the lower ground-truth row
-            if (overlap, -g) > (best_overlap, -best_gt) and not matched[g]:
-                best_overlap, best_gt = overlap, g
-        if best_gt >= 0:
-            matched[best_gt] = True
-            tp[k] = True
+    tp = _greedy_match(hits, rank, len(gts))
 
     det_labels = dets.labels[rank]
     gt_total = np.bincount(gts.labels)
@@ -287,23 +296,13 @@ def error_breakdown(
     gts, dets = _sets(ground_truth, predictions)
     confident = np.flatnonzero(dets.probs >= score_floor)
     dets = dets.take(confident)
-    best_any = np.zeros(len(dets))
-    hits = _same_class_hits(dets, gts, np.greater, best_any)
-    result = ErrorBreakdown()
-    claimed = [False] * len(gts)
+    hits = _same_class_hits(dets, gts, np.greater)
     # per image, descending probability; lexsort is stable, so ties keep input order
-    for k in np.lexsort((-dets.probs, dets.image_index)).tolist():
-        if k not in hits:
-            continue
-        open_hits = [(ov, g) for g, ov in hits[k] if not claimed[g]]
-        if open_hits:
-            _, g = max(open_hits, key=lambda p: (p[0], -p[1]))
-            claimed[g] = True
-            result.true_positives += 1
-        else:
-            result.duplicate += 1
+    tp = _greedy_match(hits, np.lexsort((-dets.probs, dets.image_index)), len(gts))
+    hit = np.diff(hits[1]) > 0
+    result = ErrorBreakdown(true_positives=int(tp.sum()), duplicate=int((hit & ~tp).sum()))
     # a prediction without a same-class hit is bucketed by its best overlap
-    best = np.delete(best_any, list(hits))
+    best = best_iou(dets.take(np.flatnonzero(~hit)), gts)[0]
     result.classification = int((best > TP_IOU).sum())
     result.localization = int(((best > BACKGROUND_IOU) & (best <= TP_IOU)).sum())
     result.background = int((best <= BACKGROUND_IOU).sum())

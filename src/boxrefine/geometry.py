@@ -7,16 +7,17 @@ area.
 
 The hot paths hold boxes as a :class:`BoxSet`: the boxes of a whole dataset
 in columns, image after image, with ``Box`` objects built only at the edge.
-The pairwise functions (``iou_matrix``, ``giou_matrix``,
-``center_distance_matrix``) take ``(N, 4)`` float64 arrays of corners
-(x1, y1, x2, y2), or stacks of images, ``(C, N, 4)`` and ``(C, M, 4)`` to
-``(C, N, M)``: ``image_chunks`` groups consecutive images so that such a
-padded block stays small, and ``pad_groups`` builds it. ``grouped_iou``
+The per-pair kernels (``iou_pairs``, ``giou_pairs``,
+``center_distance_pairs``) score box k of one corner array against box k of
+another. Callers choose the pairs: ``x_windows`` pairs each row with the
+rows of its image in an interval of x, found by one sort and two binary
+searches, ``overlap_windows`` with those whose x extents can meet, and
+``pair_blocks`` visits the pairs in blocks of bounded size. ``grouped_iou``
 scores, as pair lists, the pairs within each image of two sets whose x
 extents can meet: every pair with positive IoU, and few others. Each
-evaluates its scalar counterpart's formula elementwise in the same operation
-order, so on finite input every entry equals the scalar result bit for bit,
-and the scalar functions remain the reference.
+kernel evaluates its scalar counterpart's formula elementwise in the same
+operation order, so on finite input every entry equals the scalar result
+bit for bit, and the scalar functions remain the reference.
 """
 
 from __future__ import annotations
@@ -40,13 +41,15 @@ __all__ = [
     "iou_distance",
     "giou_distance",
     "center_distance_normalized",
-    "iou_matrix",
+    "iou_pairs",
+    "giou_pairs",
+    "center_distance_pairs",
+    "class_groups",
+    "x_windows",
+    "overlap_windows",
+    "pair_blocks",
     "grouped_iou",
     "best_iou",
-    "giou_matrix",
-    "center_distance_matrix",
-    "image_chunks",
-    "pad_groups",
     "row_sizes",
     "spanning",
     "clip_values",
@@ -332,6 +335,16 @@ class BoxSet:
         return [Box(*c) for c in self.corners()]
 
 
+def class_groups(a: BoxSet, b: BoxSet) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``a`` and of ``b``, the number of its (image, label) among
+    those of both sets, in image and then label order."""
+    # with return_inverse, np.unique does not import numpy.ma on first use
+    _, code = np.unique(np.concatenate((a.labels, b.labels)), return_inverse=True)
+    key = np.concatenate((a.image_index, b.image_index)) * (code.max(initial=0) + 1)
+    _, group = np.unique(key + code, return_inverse=True)
+    return group[: len(a)], group[len(a) :]
+
+
 def row_sizes(
     sizes: Sequence[tuple[float, float]], image: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -367,65 +380,11 @@ def clip_values(v: np.ndarray, limit: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.where(over, limit, v), low, over
 
 
-# rows of the first operand per step of a pairwise function: temporaries stay
-# at 64 x M entries however many boxes an image holds
-_ROW_BLOCK = 64
-# pairs per step of grouped_iou, for the same reason
+# pairs per step of pair_blocks: temporaries stay at a few hundred kilobytes
+# however many boxes an image holds
 _PAIR_BLOCK = 1 << 13
 # at most this many pairs of one image, grouped_iou scores pairs one by one
 _SCALAR_PAIRS = 32
-# padded (images x rows x columns) entries per chunk of image_chunks
-_CHUNK_ENTRIES = 1 << 15
-
-
-def image_chunks(rows: Sequence[int], cols: Sequence[int]) -> Iterator[range]:
-    """Split images into runs of consecutive ones that share a padded block.
-
-    Image k contributes a ``rows[k]`` x ``cols[k]`` pairwise matrix. A run
-    grows while (images x largest rows x largest columns) stays within
-    ``_CHUNK_ENTRIES``; an image larger than that forms a run of its own, so
-    its block is exactly its own matrix.
-    """
-    start, n = 0, len(rows)
-    while start < n:
-        r, c, stop = rows[start], cols[start], start + 1
-        while stop < n:
-            r2, c2 = max(r, rows[stop]), max(c, cols[stop])
-            if (stop + 1 - start) * r2 * c2 > _CHUNK_ENTRIES:
-                break
-            r, c, stop = r2, c2, stop + 1
-        yield range(start, stop)
-        start = stop
-
-
-def pad_groups(
-    values: np.ndarray, offsets: np.ndarray, groups: Sequence[int], fill: object
-) -> np.ndarray:
-    """``(C, W, ...)`` rows of C groups of ``values``, W the longest group.
-
-    Group g is ``values[offsets[g]:offsets[g + 1]]``; shorter groups are
-    padded with ``fill``, which carries no meaning: the caller masks it out.
-    """
-    groups = np.asarray(groups, dtype=np.intp)
-    starts = offsets[groups]
-    counts = offsets[groups + 1] - starts
-    width = int(counts.max(initial=0))
-    columns = np.arange(width)
-    real = columns < counts[:, None]
-    out = np.full((len(groups), width, *values.shape[1:]), fill, dtype=values.dtype)
-    out[real] = values[(starts[:, None] + columns)[real]]
-    return out
-
-
-def _row_blocks(a: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
-    for start in range(0, a.shape[-2], _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        yield rows, a[..., rows, :]
-
-
-def _planes(boxes: np.ndarray) -> np.ndarray:
-    """Corners as four contiguous planes x1, y1, x2, y2: shape ``(4, ..., N)``."""
-    return np.ascontiguousarray(boxes.transpose(-1, *range(boxes.ndim - 1)))
 
 
 def _area(p: np.ndarray) -> np.ndarray:
@@ -434,62 +393,135 @@ def _area(p: np.ndarray) -> np.ndarray:
 
 
 def _overlap(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Signed intersection width and height of corner planes ``a`` and ``b``.
-
-    ``a[k]`` and ``b[k]`` (x1, y1, x2, y2 for k = 0..3) broadcast together.
-    """
+    """Signed intersection width and height of corner planes ``a`` and ``b``."""
     side = np.minimum(a[2:], b[2:])
     side -= np.maximum(a[:2], b[:2])
     return side[0], side[1]
 
 
-def _iou_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """Write into the zeroed ``out`` the IoU of corner planes ``a`` and ``b``.
-
-    The steps follow :func:`iou`, so every entry equals its scalar value.
-    """
+def iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`iou` of box k of ``a`` and box k of ``b``, for every k, in its
+    steps; ``a`` and ``b`` are ``(4, K)`` float64 planes x1, y1, x2, y2."""
     iw, ih = _overlap(a, b)
     keep = np.minimum(iw, ih) > 0.0
     inter = iw * ih
     union = _area(a) + _area(b)
     union -= inter
     keep &= union > 0.0
-    np.divide(inter, union, out=out, where=keep)
+    return np.divide(inter, union, out=np.zeros_like(inter), where=keep)
 
 
-def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise :func:`iou`: entry (i, j) is the IoU of box ``a[i]`` and box ``b[j]``.
+def giou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Generalized IoU, in [-1, 1], of box k of ``a`` and box k of ``b``, as
+    :func:`iou_pairs`; ``1.0 - giou_pairs(a, b)`` is the :func:`giou_distance`."""
+    iw, ih = _overlap(a, b)
+    inter = np.multiply(iw, ih, out=np.zeros_like(iw), where=np.minimum(iw, ih) > 0.0)
+    union = _area(a) + _area(b)
+    union -= inter
+    hull = np.maximum(a[2], b[2])
+    hull -= np.minimum(a[0], b[0])
+    hull_h = np.maximum(a[3], b[3])
+    hull_h -= np.minimum(a[1], b[1])
+    hull *= hull_h
+    keep = (union > 0.0) & (hull > 0.0)
+    # inter / union - (hull - union) / hull, in the scalar order
+    ratio = np.divide(inter, union, out=inter, where=keep)
+    uncovered = np.subtract(hull, union, out=union)
+    np.divide(uncovered, hull, out=uncovered, where=keep)
+    return np.subtract(ratio, uncovered, out=np.zeros_like(ratio), where=keep)
 
-    Args:
-        a, b: ``(N, 4)`` and ``(M, 4)`` float64 corner arrays, or stacks of
-            them, ``(C, N, 4)`` and ``(C, M, 4)``.
 
-    Returns:
-        ``(N, M)`` (or ``(C, N, M)``) float64 array; ``1.0 - iou_matrix(a, b)``
-        is the pairwise :func:`iou_distance`.
+def center_distance_pairs(a: np.ndarray, b: np.ndarray, norm: float) -> np.ndarray:
+    """:func:`center_distance_normalized` of box k of ``a`` and box k of ``b``,
+    as :func:`iou_pairs`. The norm is ``math.hypot`` per pair, which
+    ``np.hypot`` does not equal on a fraction of inputs.
+
+    Raises:
+        ValueError: if ``norm`` is not strictly positive.
     """
-    out = np.zeros(a.shape[:-1] + b.shape[-2:-1])
-    b_planes = _planes(b)[..., None, :]
-    for rows, blk in _row_blocks(a):
-        _iou_into(_planes(blk)[..., None], b_planes, out[..., rows, :])
-    return out
+    if norm <= 0.0:
+        raise ValueError(f"norm must be positive, got {norm}")
+    dx = (a[0] + a[2]) / 2.0 - (b[0] + b[2]) / 2.0
+    dy = (a[1] + a[3]) / 2.0 - (b[1] + b[3]) / 2.0
+    hyp = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), dtype=np.float64, count=len(dx))
+    return hyp / norm
+
+
+def x_windows(
+    lo: np.ndarray, hi: np.ndarray, a_image: np.ndarray, x: np.ndarray, b_image: np.ndarray,
+    scale: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row i of a, the rows j of b in its image with ``lo[i] <= x[j] <=
+    hi[i]``, and a few more that rounding blurs; ``x`` is finite and
+    ``scale`` at least its largest ``|x|``. Returns ``(order, first,
+    width)``: row i's window is ``order[first[i]:first[i] + width[i]]``,
+    empty where a bound is NaN.
+    """
+    # x / scale in [-1, 1], plus 4 per image, orders b by (image, x), and
+    # rounding is monotonic, so the keys keep the order of x
+    b_key = x / scale + 4.0 * b_image
+    order = b_key.argsort(kind="stable")
+    b_key = b_key[order]
+    bounds = (np.stack((lo, hi)) / scale).clip(-1.0, 1.0) + 4.0 * a_image
+    first = b_key.searchsorted(bounds[0])
+    last = b_key.searchsorted(bounds[1], side="right")
+    return order, first, np.where(lo <= hi, last - first, 0)
+
+
+def overlap_windows(
+    a: np.ndarray, a_image: np.ndarray, b: np.ndarray, b_image: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`x_windows` of the boxes of b (corner planes) whose x1 lies in
+    ``[x1 - widest b box - margin, x2 + margin]`` of each box of a. The
+    margin grows with the coordinates' magnitude, so every pair with
+    positive IoU is in a window, and a pair in none is apart in x by more
+    than the margin. A box with a non-finite coordinate is in no window.
+    """
+    (b_rows,) = np.isfinite(b).all(axis=0).nonzero()
+    bx1, bx2 = b[0, b_rows], b[2, b_rows]
+    widest = (bx2 - bx1).max(initial=0.0)
+    # at least every |x| of b: an a row further out overlaps no b row, or its
+    # window starts left of every one
+    scale = max(-bx1.min(initial=0.0), bx2.max(initial=0.0)) or 1.0
+    # covers the rounding of the widths and of x1 - widest
+    margin = (scale + widest) * 2.0**-40
+    lo = np.where(np.isfinite(a).all(axis=0), a[0] - widest - margin, np.nan)
+    order, first, width = x_windows(lo, a[2] + margin, a_image, bx1, b_image[b_rows], scale)
+    return b_rows[order], first, width
+
+
+def pair_blocks(
+    order: np.ndarray, first: np.ndarray, width: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The ``(i, j)`` pairs of windows as in :func:`x_windows`, by row i, in
+    blocks of whole rows of about ``_PAIR_BLOCK`` pairs (a longer row
+    alone), so that an image with a handful of boxes costs no numpy call."""
+    ends = width.cumsum()
+    # per a row: its window's start less its first pair, so that a pair's
+    # place in the order is the pair's index plus this
+    shift = first - (ends - width)
+    start, n = 0, len(width)
+    while start < n:
+        done = int(ends[start - 1]) if start else 0
+        stop = n
+        if ends[-1] - done > _PAIR_BLOCK:
+            stop = max(int(ends.searchsorted(done + _PAIR_BLOCK, side="right")), start + 1)
+        w = width[start:stop]
+        yield np.arange(start, stop).repeat(w), order[
+            np.arange(done, ends[stop - 1]) + shift[start:stop].repeat(w)
+        ]
+        start = stop
 
 
 def grouped_iou(a: BoxSet, b: BoxSet) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """IoU of the pairs of boxes in the same image that can overlap, many
     images per numpy call.
 
-    Each box of ``a`` is paired with a window of the boxes of ``b`` in its
-    image: those whose x1 lies in ``[x1 - widest b box - margin, x2 +
-    margin]``, found by ordering ``b`` by (image, x1). The margin grows with
-    the coordinates' magnitude, so every pair with positive IoU is in a
-    window; a box with a non-finite coordinate never has positive IoU and is
-    in none. Pairs are visited by ``a`` row, then in x order of ``b``, in
-    blocks of about ``_PAIR_BLOCK`` pairs, so an image with a handful of
-    boxes costs no numpy call of its own. Yields ``(i, j, overlap)`` per
-    block: the rows of the two boxes and their IoU, equal to :func:`iou` bit
-    for bit. Every pair with positive IoU comes exactly once; some pairs of
-    IoU 0 come too.
+    Each box of ``a`` is paired with its :func:`overlap_windows` window of
+    the boxes of ``b``, and the pairs are visited in :func:`pair_blocks`.
+    Yields ``(i, j, overlap)`` per block: the rows of the two boxes and
+    their IoU, equal to :func:`iou` bit for bit. Every pair with positive
+    IoU comes exactly once; some pairs of IoU 0 come too.
     """
     if not len(a) or not len(b):
         return
@@ -501,45 +533,11 @@ def grouped_iou(a: BoxSet, b: BoxSet) -> Iterator[tuple[np.ndarray, np.ndarray, 
         overlap = [_corner_iou(*p, *q) for p in a.boxes.tolist() for q in b_corners]
         yield i, j, np.array(overlap, dtype=np.float64)
         return
-    a_planes, b_planes = _planes(a.boxes), _planes(b.boxes)
-    row_image = a.image_index
-    (b_rows,) = np.isfinite(b_planes).all(axis=0).nonzero()
-    bx1, bx2 = b_planes[0, b_rows], b_planes[2, b_rows]
-    widest = (bx2 - bx1).max(initial=0.0)
-    # at least every |x| of b: an a row further out overlaps no b row, or its
-    # window starts left of every one
-    scale = max(-bx1.min(initial=0.0), bx2.max(initial=0.0)) or 1.0
-    # covers the rounding of the widths and of x1 - widest
-    margin = (scale + widest) * 2.0**-40
-    # x / scale in [-1, 1], plus 4 per image, orders b by (image, x1), and
-    # rounding is monotonic, so the keys keep the order of x
-    b_key = bx1 / scale + 4.0 * b.image_index[b_rows]
-    order = b_key.argsort(kind="stable")
-    b_key, order = b_key[order], b_rows[order]
-    bounds = np.stack((a_planes[0] - widest - margin, a_planes[2] + margin))
-    bounds = (bounds / scale).clip(-1.0, 1.0) + 4.0 * row_image
-    first = b_key.searchsorted(bounds[0])
-    last = b_key.searchsorted(bounds[1], side="right")
-    # pairs of each a row
-    width = np.where(np.isfinite(a_planes).all(axis=0), last - first, 0)
-    ends = width.cumsum()
-    # per a row: its window's start less its first pair, so that a pair's
-    # place in the order is the pair's index plus this
-    shift = first - (ends - width)
-    start, n = 0, len(row_image)
-    while start < n:
-        done = int(ends[start - 1]) if start else 0
-        stop = n
-        if ends[-1] - done > _PAIR_BLOCK:
-            stop = max(int(ends.searchsorted(done + _PAIR_BLOCK, side="right")), start + 1)
-        w = width[start:stop]
-        i = np.arange(start, stop).repeat(w)
-        j = order[np.arange(done, ends[stop - 1]) + shift[start:stop].repeat(w)]
-        overlap = np.zeros(len(i))
+    a_planes, b_planes = np.ascontiguousarray(a.boxes.T), np.ascontiguousarray(b.boxes.T)
+    windows = overlap_windows(a_planes, a.image_index, b_planes, b.image_index)
+    for i, j in pair_blocks(*windows):
         # take along the last axis gathers far faster than fancy indexing
-        _iou_into(a_planes.take(i, axis=1), b_planes.take(j, axis=1), overlap)
-        yield i, j, overlap
-        start = stop
+        yield i, j, iou_pairs(a_planes.take(i, axis=1), b_planes.take(j, axis=1))
 
 
 def best_iou(a: BoxSet, b: BoxSet) -> tuple[np.ndarray, np.ndarray]:
@@ -551,62 +549,6 @@ def best_iou(a: BoxSet, b: BoxSet) -> tuple[np.ndarray, np.ndarray]:
         np.maximum.at(forward, i, overlap)
         np.maximum.at(backward, j, overlap)
     return forward, backward
-
-
-def giou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise generalized IoU, in [-1, 1].
-
-    ``1.0 - giou_matrix(a, b)`` is the pairwise :func:`giou_distance`; pairs
-    where the union or the hull has no area get 0.0 (distance 1.0). Shapes
-    as for :func:`iou_matrix`.
-    """
-    out = np.zeros(a.shape[:-1] + b.shape[-2:-1])
-    bp = _planes(b)[..., None, :]
-    for rows, blk in _row_blocks(a):
-        ap = _planes(blk)[..., None]
-        iw, ih = _overlap(ap, bp)
-        inter = np.multiply(iw, ih, out=np.zeros_like(iw), where=np.minimum(iw, ih) > 0.0)
-        union = _area(ap) + _area(bp)
-        union -= inter
-        hull = np.maximum(ap[2], bp[2])
-        hull -= np.minimum(ap[0], bp[0])
-        hull_h = np.maximum(ap[3], bp[3])
-        hull_h -= np.minimum(ap[1], bp[1])
-        hull *= hull_h
-        keep = (union > 0.0) & (hull > 0.0)
-        # inter / union - (hull - union) / hull, in the scalar order
-        ratio = np.divide(inter, union, out=inter, where=keep)
-        uncovered = np.subtract(hull, union, out=union)
-        np.divide(uncovered, hull, out=uncovered, where=keep)
-        np.subtract(ratio, uncovered, out=out[..., rows, :], where=keep)
-    return out
-
-
-def center_distance_matrix(a: np.ndarray, b: np.ndarray, norm: float) -> np.ndarray:
-    """Pairwise :func:`center_distance_normalized`.
-
-    The Euclidean norm is ``math.hypot`` per entry: ``np.hypot`` rounds
-    differently on a fraction of inputs, and the result must equal the scalar
-    function exactly. Shapes as for :func:`iou_matrix`.
-
-    Raises:
-        ValueError: if ``norm`` is not strictly positive.
-    """
-    if norm <= 0.0:
-        raise ValueError(f"norm must be positive, got {norm}")
-    out = np.empty(a.shape[:-1] + b.shape[-2:-1])
-    bx = ((b[..., 0] + b[..., 2]) / 2.0)[..., None, :]
-    by = ((b[..., 1] + b[..., 3]) / 2.0)[..., None, :]
-    for rows, blk in _row_blocks(a):
-        dx = ((blk[..., 0] + blk[..., 2]) / 2.0)[..., None] - bx
-        dy = ((blk[..., 1] + blk[..., 3]) / 2.0)[..., None] - by
-        hyp = np.fromiter(
-            map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist()),
-            dtype=np.float64,
-            count=dx.size,
-        )
-        np.divide(hyp.reshape(dx.shape), norm, out=out[..., rows, :])
-    return out
 
 
 def nms(dets: Sequence["Detection"], iou_threshold: float) -> list["Detection"]:

@@ -859,6 +859,11 @@ def test_flag_values_keep_their_types(tmp_path):
         ("simulate", ["--images", "-2"], "--images"),
         ("simulate", ["--boxes-per-image", "-1"], "--boxes-per-image"),
         ("simulate", ["--classes", "0"], "--classes"),
+        ("simulate", ["--images", "0"], "--images"),
+        ("simulate", ["--boxes-per-image", "0"], "--boxes-per-image"),
+        ("inject-noise", ["--format", "coco-json", "--point-side", "30"], "--format point-csv"),
+        ("correct", ["--point-side", "30"], "--format point-csv"),
+        ("render", ["--point-side", "30"], "--point-side"),
     ],
 )
 def test_range_checks_run_before_config_is_written(tmp_path, capsys, command, args, name):

@@ -7,17 +7,18 @@ import math
 import numpy as np
 import pytest
 
-from boxrefine import geometry
+from boxrefine import correction, geometry
 from boxrefine.correction import (
     ConfigError,
     CorrectionConfig,
     correct_boxes,
     correct_images,
+    correct_sets,
     correct_targets,
     mine_labels,
 )
 from boxrefine.datamodel import Annotation, Detection
-from boxrefine.geometry import Box, iou
+from boxrefine.geometry import Box, BoxSet, iou
 
 from oracles import (
     center_distance_ref,
@@ -502,7 +503,7 @@ def oracle_dataset(seed: int, n_images: int = 40) -> list[tuple[list, list]]:
     Some images have no targets or no predictions; some repeat a target
     exactly, so predictions near it are equidistant to two targets. In every
     fourth image the stray predictions take a target's class and lie near
-    the origin, where the zero boxes that pad a stack of images are.
+    the origin.
     """
     rng = np.random.default_rng(seed)
     images = []
@@ -542,8 +543,8 @@ def oracle_dataset(seed: int, n_images: int = 40) -> list[tuple[list, list]]:
 
 ORACLE_CONFIGS = {
     "iou": CorrectionConfig(distance_limit=0.6),
-    # a limit above 1 makes every same-class pair eligible, padding included
-    # unless it is masked
+    # a limit above 1 makes every same-class pair eligible: whole rows are
+    # scored for eligibility
     "giou-wide": CorrectionConfig(distance="giou", distance_limit=1.5, temperature=0.5),
     "center-fixed": CorrectionConfig(
         distance="center-normalized", center_norm=30.0, distance_limit=2.5, fixed_size=30.0
@@ -567,14 +568,15 @@ def reference_distance(cfg: CorrectionConfig):
 class TestCorrectImagesOracle:
     """The dataset-level pass equals a naive per-image, per-class loop exactly."""
 
-    # one image per chunk, chunks of a few images, the default, one chunk
+    # pairs per block of geometry.pair_blocks: one prediction's pairs per
+    # block, a few predictions', the default, all of them in one block
     BUDGETS = (1, 150, None, 1 << 40)
 
     @pytest.mark.parametrize("budget", BUDGETS)
     @pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
     def test_correction_matches_oracle(self, monkeypatch, budget, name):
         if budget is not None:
-            monkeypatch.setattr(geometry, "_CHUNK_ENTRIES", budget)
+            monkeypatch.setattr(geometry, "_PAIR_BLOCK", budget)
         cfg = ORACLE_CONFIGS[name]
         images = oracle_dataset(37 + len(name))
         results = correct_images(images, cfg)
@@ -608,7 +610,7 @@ class TestCorrectImagesOracle:
     @pytest.mark.parametrize("budget", BUDGETS)
     def test_mining_matches_oracle(self, monkeypatch, budget):
         if budget is not None:
-            monkeypatch.setattr(geometry, "_CHUNK_ENTRIES", budget)
+            monkeypatch.setattr(geometry, "_PAIR_BLOCK", budget)
         cfg = CorrectionConfig(distance_limit=0.6, mining_threshold=0.7, mining_nms_iou=0.4)
         images = oracle_dataset(38)
         mined_total = 0
@@ -632,3 +634,159 @@ class TestCorrectImagesOracle:
         images = oracle_dataset(39, n_images=12)
         for (targets, preds), batched in zip(images, correct_images(images, cfg)):
             assert correct_targets(targets, preds, cfg) == batched
+
+
+def flat_images(rng: np.random.Generator, scale: float, n_images: int = 80):
+    """Images as oracle tuples, ``(box, label)`` targets and ``(box, label,
+    logit)`` predictions, at ``scale`` times unit coordinates.
+
+    Some targets are exact copies, and some images put boxes on an integer
+    grid, so that distances tie and centers lie exactly ``distance_limit``
+    apart; some predictions lie far from every target, and logits repeat.
+    """
+    images = []
+    for k in range(n_images):
+        grid = k % 3 == 0
+        targets = []
+        for _ in range(int(rng.integers(0, 9))):
+            if grid:
+                x, y = rng.integers(0, 6, 2).tolist()
+                w, h = rng.integers(1, 4, 2).tolist()
+            else:
+                x, y = rng.uniform(0.0, 8.0, 2).tolist()
+                w, h = rng.uniform(0.5, 2.0, 2).tolist()
+            box = (float(x), float(y), float(x + w), float(y + h))
+            targets.append((box, int(rng.integers(1, 3))))
+        if targets and k % 4 == 1:
+            targets.append(targets[int(rng.integers(len(targets)))])
+        preds = []
+        for box, label in targets:
+            for _ in range(int(rng.integers(0, 3))):
+                if grid:
+                    jitter = rng.integers(-1, 2, 4).astype(float)
+                else:
+                    jitter = rng.normal(0.0, 0.3, 4)
+                xa, ya, xb, yb = (np.array(box) + jitter).tolist()
+                corners = (min(xa, xb), min(ya, yb), max(xa, xb), max(ya, yb))
+                logit = float(rng.choice([0.0, 1.0, rng.normal()]))
+                preds.append((corners, label if rng.random() < 0.9 else 3, logit))
+        for _ in range(int(rng.integers(0, 4))):
+            if grid:
+                x, y = rng.integers(-3, 9, 2).tolist()
+                w, h = rng.integers(1, 4, 2).tolist()
+            else:
+                x, y = rng.uniform(-20.0, 30.0, 2).tolist()
+                w, h = 1.5, 1.0
+            box = (float(x), float(y), float(x + w), float(y + h))
+            preds.append((box, int(rng.integers(1, 3)), float(rng.normal())))
+        rng.shuffle(preds)
+
+        def scaled(box):
+            return tuple(v * scale for v in box)
+
+        images.append(
+            (
+                [(scaled(box), label) for box, label in targets],
+                [(scaled(box), label, logit) for box, label, logit in preds],
+            )
+        )
+    return images
+
+
+def columns(side: list[list[tuple]], *extra: str) -> BoxSet:
+    counts = [len(image) for image in side]
+    rows = [row for image in side for row in image]
+    out = BoxSet(
+        np.array([row[0] for row in rows], dtype=np.float64).reshape(-1, 4),
+        np.concatenate(([0], np.cumsum(counts))).astype(np.intp),
+        labels=np.array([row[1] for row in rows], dtype=np.int64),
+    )
+    if extra:
+        out.logits = np.array([row[2] for row in rows], dtype=np.float64)
+    return out
+
+
+def flat_configs(scale: float) -> dict[str, CorrectionConfig]:
+    return {
+        "iou": CorrectionConfig(distance_limit=0.6),
+        "iou-capped-eps0": CorrectionConfig(
+            distance_limit=0.9, max_iterations=1, convergence_eps=0.0
+        ),
+        "giou": CorrectionConfig(distance="giou", distance_limit=0.7, temperature=0.5),
+        "giou-1": CorrectionConfig(distance="giou", distance_limit=1.0),
+        "giou-wide": CorrectionConfig(distance="giou", distance_limit=1.6, max_iterations=2),
+        "center": CorrectionConfig(
+            distance="center-normalized", center_norm=1.5 * scale, distance_limit=2.0,
+            convergence_eps=0.0,
+        ),
+        "center-fixed": CorrectionConfig(
+            distance="center-normalized", center_norm=2.0 * scale, distance_limit=1.5,
+            fixed_size=1.5 * scale,
+        ),
+        # on the integer grid many centers lie exactly distance_limit apart
+        "center-edge": CorrectionConfig(
+            distance="center-normalized", center_norm=1.0 * scale, distance_limit=2.0,
+        ),
+        "iou-fixed": CorrectionConfig(
+            distance_limit=0.8, fixed_size=2.0 * scale, max_iterations=1
+        ),
+    }
+
+
+class TestFlatPassProperty:
+    """The flat pass, which scores only windows of pairs, equals the naive
+    dense formula on every box, moved flag and report field."""
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e15])
+    def test_flat_pass_matches_dense_formula(self, scale):
+        rng = np.random.default_rng(int(math.log10(scale)) + 100)
+        images = flat_images(rng, scale)
+        targets = columns([t for t, _ in images])
+        preds = columns([p for _, p in images], "logits")
+        for name, cfg in flat_configs(scale).items():
+            refined, moved, reports = correct_sets(targets, preds, cfg)
+            assert len(refined) == len(targets)
+            bounds = refined.offsets.tolist()
+            for g, (t_img, p_img) in enumerate(images):
+                boxes, iterations, converged, sizes = correct_ref(
+                    t_img, p_img, reference_distance(cfg), cfg.distance_limit,
+                    cfg.temperature, cfg.max_iterations, cfg.convergence_eps, cfg.fixed_size,
+                )
+                rows = slice(bounds[g], bounds[g + 1])
+                assert [tuple(b) for b in refined.boxes[rows].tolist()] == boxes, (name, g)
+                assert moved[rows].tolist() == [b != t for b, (t, _) in zip(boxes, t_img)]
+                report = reports[g]
+                assert report.iterations == iterations, (name, g)
+                assert report.converged == converged, (name, g)
+                assert report.assignment_sizes == sizes, (name, g)
+                assert report.mined == 0
+
+
+def test_flat_pass_scores_few_pairs(monkeypatch):
+    """Spread-out boxes: the windows hold a small share of the pairs that
+    the dense formula scores, once for eligibility and once per round."""
+    rng = np.random.default_rng(61)
+    images = []
+    for _ in range(2):
+        targets, preds = [], []
+        for _ in range(1000):
+            x, y = rng.uniform(0.0, 3000.0, 2).tolist()
+            w, h = rng.uniform(10.0, 30.0, 2).tolist()
+            label = int(rng.integers(1, 4))
+            targets.append(((x, y, x + w, y + h), label))
+            jx1, jy1, jx2, jy2 = rng.normal(0.0, 2.0, 4).tolist()
+            box = (x + jx1, y + jy1, x + w + jx2, y + h + jy2)
+            preds.append((box, label, float(rng.normal())))
+        images.append((targets, preds))
+    scored = []
+    pairs = correction.iou_pairs
+    monkeypatch.setattr(
+        correction, "iou_pairs", lambda a, b: scored.append(a.shape[1]) or pairs(a, b)
+    )
+    _, moved, reports = correct_sets(
+        columns([t for t, _ in images]), columns([p for _, p in images], "logits"),
+        CorrectionConfig(distance_limit=0.6),
+    )
+    assert moved.sum() > 1500
+    dense = sum(1000 * 1000 * (1 + r.iterations) for r in reports)
+    assert 0 < sum(scored) < 0.05 * dense

@@ -11,18 +11,16 @@ from boxrefine.geometry import (
     Box,
     BoxSet,
     best_iou,
-    center_distance_matrix,
     center_distance_normalized,
+    center_distance_pairs,
     giou_distance,
-    giou_matrix,
+    giou_pairs,
     grouped_iou,
     grouped_nms,
-    image_chunks,
     iou,
     iou_distance,
-    iou_matrix,
+    iou_pairs,
     nms,
-    pad_groups,
 )
 
 from oracles import iou_ref
@@ -36,9 +34,12 @@ def box_array(boxes: list[Box]) -> np.ndarray:
     return box_set([boxes]).boxes
 
 
-def stack_boxes(groups: list[list[Box]]) -> np.ndarray:
-    s = box_set(groups)
-    return pad_groups(s.boxes, s.offsets, range(len(groups)), 0.0)
+def pair_matrix(kernel, a: list[Box], b: list[Box]) -> np.ndarray:
+    """``(N, M)`` matrix of a per-pair kernel, entry (i, j) for a[i] and b[j],
+    scored as one list of all N * M pairs."""
+    i, j = np.divmod(np.arange(len(a) * len(b)), max(len(b), 1))
+    a_planes, b_planes = box_array(a).T, box_array(b).T
+    return kernel(a_planes[:, i], b_planes[:, j]).reshape(len(a), len(b))
 
 
 def random_box(rng: np.random.Generator, span: float = 100.0) -> Box:
@@ -308,7 +309,8 @@ def assert_grouped_iou_contract(a_groups: list[list[Box]], b_groups: list[list[B
 
 
 class TestPairwiseMatrices:
-    """The array functions must equal the scalar ones exactly, not approximately."""
+    """The per-pair kernels must equal the scalar functions exactly, not
+    approximately, on every entry of a pairwise matrix."""
 
     def cases(self, seed: int):
         rng = np.random.default_rng(seed)
@@ -317,29 +319,29 @@ class TestPairwiseMatrices:
 
     def test_iou_matrix_is_bit_identical(self):
         for a, b in self.cases(41):
-            got = iou_matrix(box_array(a), box_array(b))
+            got = pair_matrix(iou_pairs, a, b)
             assert got.shape == (len(a), len(b))
             assert got.tolist() == [[iou(p, q) for q in b] for p in a]
             assert (1.0 - got).tolist() == [[iou_distance(p, q) for q in b] for p in a]
 
     def test_giou_matrix_is_bit_identical(self):
         for a, b in self.cases(42):
-            got = 1.0 - giou_matrix(box_array(a), box_array(b))
+            got = 1.0 - pair_matrix(giou_pairs, a, b)
             assert got.shape == (len(a), len(b))
             assert got.tolist() == [[giou_distance(p, q) for q in b] for p in a]
 
     def test_center_distance_matrix_is_bit_identical(self):
         for norm in (60.0, 7.3):
             for a, b in self.cases(43):
-                got = center_distance_matrix(box_array(a), box_array(b), norm)
+                got = pair_matrix(lambda x, y: center_distance_pairs(x, y, norm), a, b)
                 assert got.shape == (len(a), len(b))
                 want = [[center_distance_normalized(p, q, norm) for q in b] for p in a]
                 assert got.tolist() == want
 
     def test_center_distance_matrix_rejects_non_positive_norm(self):
-        boxes = box_array([Box(0, 0, 1, 1)])
+        boxes = box_array([Box(0, 0, 1, 1)]).T
         with pytest.raises(ValueError):
-            center_distance_matrix(boxes, boxes, 0.0)
+            center_distance_pairs(boxes, boxes, 0.0)
 
     @pytest.mark.parametrize("block", [7, None])
     def test_grouped_iou_covers_each_group_once(self, monkeypatch, block):
@@ -472,56 +474,13 @@ class TestBoxSet:
 
 
 class TestImageStacks:
-    """Stacks of images: each image's block equals its own matrix exactly."""
+    """Many images per numpy call: each image's result equals its own."""
 
-    def test_stacked_matrices_equal_per_image_matrices(self):
-        rng = np.random.default_rng(46)
-        # an image of 70 rows spans two row blocks; empty images pad fully
-        sizes = [(3, 5), (0, 2), (70, 4), (1, 0), (6, 6)]
-        a_groups = [tricky_boxes(rng, n) for n, _ in sizes]
-        b_groups = [tricky_boxes(rng, m) for _, m in sizes]
-        a, b = stack_boxes(a_groups), stack_boxes(b_groups)
-        assert a.shape == (5, 70, 4) and b.shape == (5, 6, 4)
-        for fn in (
-            iou_matrix,
-            giou_matrix,
-            lambda x, y: center_distance_matrix(x, y, 7.3),
-        ):
-            stacked = fn(a, b)
-            assert stacked.shape == (5, 70, 6)
-            for c, (ga, gb) in enumerate(zip(a_groups, b_groups)):
-                block = stacked[c, : len(ga), : len(gb)]
-                assert block.tolist() == fn(box_array(ga), box_array(gb)).tolist()
-
-    def test_padding_is_zero_boxes(self):
-        stacked = stack_boxes([[Box(1, 2, 3, 4)], []])
-        assert stacked.dtype == np.float64
-        assert stacked.tolist() == [[[1.0, 2.0, 3.0, 4.0]], [[0.0, 0.0, 0.0, 0.0]]]
-        assert stack_boxes([]).shape == (0, 0, 4)
-
-    @pytest.mark.parametrize("budget", [1, 24, 100])
-    def test_image_chunks_fill_the_budget_in_order(self, monkeypatch, budget):
-        monkeypatch.setattr(geometry, "_CHUNK_ENTRIES", budget)
-        rng = np.random.default_rng(47)
-        rows = rng.integers(0, 9, 200).tolist()
-        cols = rng.integers(0, 9, 200).tolist()
-        chunks = list(image_chunks(rows, cols))
-        assert [k for chunk in chunks for k in chunk] == list(range(200))
-
-        def entries(start: int, stop: int) -> int:
-            return (stop - start) * max(rows[start:stop]) * max(cols[start:stop])
-
-        for chunk in chunks:
-            # within the budget unless a lone image is larger on its own
-            assert len(chunk) == 1 or entries(chunk.start, chunk.stop) <= budget
-            # and the next image would not have fitted
-            if chunk.stop < 200:
-                assert entries(chunk.start, chunk.stop + 1) > budget
-
+    # pairs per block of geometry.pair_blocks: one box's pairs, a few boxes', the default
     @pytest.mark.parametrize("budget", [1, 50, None])
     def test_grouped_nms_equals_scalar_greedy_per_group(self, monkeypatch, budget):
         if budget is not None:
-            monkeypatch.setattr(geometry, "_CHUNK_ENTRIES", budget)
+            monkeypatch.setattr(geometry, "_PAIR_BLOCK", budget)
         rng = np.random.default_rng(48)
         groups = []
         for _ in range(80):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from boxrefine import geometry
 from boxrefine.correction import CorrectionConfig
 from boxrefine.datamodel import Annotation, ImageRecord
 from boxrefine.geometry import Box, BoxSet
@@ -410,20 +409,6 @@ class TestRunLoop:
         trace_b, final_b = run_loop(build_scenario(truth, cfg.noise), cfg)
         assert trace_a == trace_b
         assert columns(final_a) == columns(final_b)
-
-    def test_image_chunks_do_not_change_results(self, monkeypatch):
-        truth = synthesize_truth(num_images=7, boxes_per_image=5, seed=2)
-        cfg = small_loop_cfg(iterations=3)
-        runs = []
-        for budget in (1, 60, 1 << 40):
-            monkeypatch.setattr(geometry, "_CHUNK_ENTRIES", budget)
-            seen = []
-            trace, final = run_loop(
-                build_scenario(truth, cfg.noise), cfg,
-                hook=lambda it, c, p: seen.append((columns(c), columns(p))),
-            )
-            runs.append((trace, columns(final), seen))
-        assert runs[0] == runs[1] == runs[2]
 
     def test_correction_disabled_is_exactly_flat(self):
         truth = synthesize_truth(num_images=4, boxes_per_image=4)

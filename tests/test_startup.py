@@ -35,7 +35,8 @@ ARGV = {
     "inject-noise": ["inject-noise", "--input", "clean.json", "--box-noise", "0.2",
                      "--out", "noisy"],
     "correct": ["correct", "--targets", "noisy/annotations.json",
-                "--detections", "dets.json", "--out", "corrected"],
+                "--detections", "dets.json", "--distance-limit", "0.6",
+                "--mining-threshold", "0.5", "--out", "corrected"],
     "evaluate": ["evaluate", "--ground-truth", "clean.json", "--predictions", "dets.json",
                  "--annotations", "corrected/corrected.json", "--out", "metrics"],
     "render": ["render", "--dataset", "clean.json", "--detections", "dets.json",
