@@ -20,6 +20,8 @@ import re
 import sys
 from dataclasses import asdict, dataclass, fields
 from importlib import import_module
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -568,30 +570,36 @@ def cmd_correct(run: RunConfig) -> None:
         Dataset.from_columns(list(targets_ds.class_names), image_ids, sizes, refined),
         run.out / "corrected.json",
     )
-    per_image = {
-        image_id: {
-            "iterations": report.iterations,
-            "converged": report.converged,
-            "assignment_sizes": report.assignment_sizes,
-            "mined": report.mined,
-        }
-        for image_id, report in zip(image_ids, reports)
+    totals = {
+        "images": len(image_ids),
+        "corrected": int((refined.provenance == PROVENANCE_CODES[PROVENANCE_CORRECTED]).sum()),
+        "mined": sum(report.mined for report in reports),
+        "max_iterations": max((r.iterations for r in reports), default=0),
+        "all_converged": all(r.converged for r in reports),
     }
-    _write_json(
-        run.out / "report.json",
-        {
-            "images": per_image,
-            "totals": {
-                "images": len(image_ids),
-                "corrected": int(
-                    (refined.provenance == PROVENANCE_CODES[PROVENANCE_CORRECTED]).sum()
-                ),
-                "mined": sum(report.mined for report in reports),
-                "max_iterations": max((r.iterations for r in reports), default=0),
-                "all_converged": all(r.converged for r in reports),
-            },
-        },
+    # the bytes of json.dumps(..., sort_keys=True, indent=2), whose indenting
+    # encoder is pure Python: each image's entry comes from a template
+    entries = [
+        f"    {encode_basestring_ascii(image_id)}: {{\n"
+        f'      "assignment_sizes": {_json_ints(report.assignment_sizes)},\n'
+        f'      "converged": {"true" if report.converged else "false"},\n'
+        f'      "iterations": {int.__repr__(report.iterations)},\n'
+        f'      "mined": {int.__repr__(report.mined)}\n'
+        "    }"
+        for image_id, report in sorted(zip(image_ids, reports), key=itemgetter(0))
+    ]
+    images = "{\n" + ",\n".join(entries) + "\n  }" if entries else "{}"
+    totals_text = json.dumps(totals, sort_keys=True, indent=2).replace("\n", "\n  ")
+    (run.out / "report.json").write_text(
+        f'{{\n  "images": {images},\n  "totals": {totals_text}\n}}\n', encoding="utf-8"
     )
+
+
+def _json_ints(values: list[int]) -> str:
+    """A list of ints as json's ``indent=2`` encoder writes it, six deep."""
+    if not values:
+        return "[]"
+    return "[\n        " + ",\n        ".join(map(int.__repr__, values)) + "\n      ]"
 
 
 def cmd_evaluate(run: RunConfig) -> None:

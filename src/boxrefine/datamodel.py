@@ -14,7 +14,9 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii
+from operator import is_, itemgetter, not_
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -402,71 +404,91 @@ def _check_entry(path: Path, k: int, entry: object, image_of: dict, label_of: di
     raise AssertionError(f"{path}: annotation #{k} passes every check")
 
 
-# a detection entry without a logit
-_NO_LOGIT = object()
+# what gathering raises for an entry whose fields cannot be gathered
+_UNGATHERED = (KeyError, TypeError, ValueError, OverflowError)
 
 
-def _floats(values: list, width: int) -> tuple[list[float], int]:
-    """``values``, ``width`` to a row, through ``float()`` as the entry check
-    takes them: the values of the rows before the first row holding one that
-    ``float()`` refuses, and the number of those rows (all rows if none)."""
-    try:
-        return list(map(float, values)), len(values) // width
-    except (TypeError, ValueError, OverflowError):
-        out: list[float] = []
-        for v in values:
-            try:
-                out.append(float(v))
-            except (TypeError, ValueError, OverflowError):
-                break
-        rows = len(out) // width
-        return out[: rows * width], rows
+def _gather(entries: list, image_of: dict, label_of: dict) -> tuple:
+    """The columns of ``entries``, each field gathered for all entries at once.
 
-
-def _read_boxes(coords: list, xywh: list[bool]) -> tuple[np.ndarray, np.ndarray, int]:
-    """The corner rows of ``bbox``/``bbox_xyxy`` values, which rows fail the
-    finite and canonical-order (or non-negative size) checks, and the rows
-    before the first value that ``float()`` refuses."""
-    values, ok = _floats(coords, 4)
-    boxes = np.array(values, dtype=np.float64).reshape(-1, 4)
-    xywh = np.array(xywh[:ok], dtype=bool)
-    x1, y1, c, d = boxes.T
-    bad = ~np.isfinite(boxes).all(axis=1)
-    bad |= np.where(xywh, ~((c >= 0.0) & (d >= 0.0)), ~((x1 <= c) & (y1 <= d)))
-    # x2 = x1 + w and y2 = y1 + h where the entry gives a size; a sum past
-    # the largest float is inf and clips to the image, as in Python, and a
-    # row with a non-finite value fails its check before it is used
-    with np.errstate(over="ignore", invalid="ignore"):
-        boxes[xywh, 2:] += boxes[xywh, :2]
-    return boxes, bad, ok
-
-
-def _transpose(rows: list[tuple], width: int) -> list[list]:
-    """The columns of ``rows``, which have ``width`` fields each."""
-    return [list(col) for col in zip(*rows)] or [[] for _ in range(width)]
-
-
-def _first(bad: np.ndarray, ok: int, total: int) -> int:
-    """The first failing row: the first of ``bad`` (the rows before ``ok``), or
-    ``ok`` when a later check already failed there, or ``total`` if none."""
-    (rows,) = bad.nonzero()
-    return int(rows[0]) if len(rows) else ok if ok < total else total
+    Per entry: its image row, its label, whether it is a detection (it has a
+    ``score``) and whether its box is a ``bbox`` size rather than corners;
+    the values of the ``bbox_xyxy`` boxes and of the ``bbox`` boxes, each
+    in entry order; the detections' scores, which of them give a logit, and
+    those logits; the annotations' provenance codes. Values go through
+    ``float()`` as the entry check takes them. Raises one of ``_UNGATHERED``
+    if some entry's fields cannot be gathered.
+    """
+    image = map(image_of.__getitem__, map(itemgetter("image_id"), entries))
+    label = map(label_of.__getitem__, map(itemgetter("category_id"), entries))
+    is_det = list(map(dict.__contains__, entries, repeat("score")))
+    corners = list(map(dict.get, entries, repeat("bbox_xyxy")))
+    xywh = list(map(is_, corners, repeat(None)))
+    corners = list(compress(corners, map(not_, xywh)))
+    sized = list(map(itemgetter("bbox"), compress(entries, xywh)))
+    boxes = corners + sized
+    if not (set(map(type, boxes)) <= {list} and set(map(len, boxes)) <= {4}):
+        raise TypeError("a box is not a list of 4 values")
+    dets = list(compress(entries, is_det))
+    has_logit = list(map(dict.__contains__, dets, repeat("logit")))
+    provenance = map(dict.get, compress(entries, map(not_, is_det)), repeat("provenance"),
+                     repeat(PROVENANCE_ORIGINAL))
+    return (
+        np.fromiter(image, np.intp), np.fromiter(label, np.int64), is_det, xywh,
+        np.fromiter(map(float, chain.from_iterable(corners)), np.float64),
+        np.fromiter(map(float, chain.from_iterable(sized)), np.float64),
+        np.fromiter(map(float, map(itemgetter("score"), dets)), np.float64),
+        has_logit,
+        np.fromiter(map(float, map(itemgetter("logit"), compress(dets, has_logit))), np.float64),
+        list(map(PROVENANCE_CODES.__getitem__, provenance)),
+    )
 
 
 # the type of each column of the loaded sets
 _DTYPES = {"labels": np.int64, "probs": np.float64, "logits": np.float64, "provenance": np.int8}
 
 
-def _grouped(image: list[int], num_images: int, boxes: np.ndarray, **columns: list) -> BoxSet:
+def _grouped(image: np.ndarray, num_images: int, boxes: np.ndarray, **columns: object) -> BoxSet:
     """A set of rows given in any image order, grouped by image: each
     image's rows keep their order."""
-    image = np.array(image, dtype=np.intp)
     order = np.argsort(image, kind="stable")
     counts = np.bincount(image, minlength=num_images)
     s = BoxSet(boxes[order], np.concatenate(([0], counts.cumsum())).astype(np.intp))
     for name, values in columns.items():
-        setattr(s, name, np.array(values, dtype=_DTYPES[name])[order])
+        setattr(s, name, np.asarray(values, dtype=_DTYPES[name])[order])
     return s
+
+
+def _check_images(path: Path, images: list) -> None:
+    """Raise the error of the first failing entry of ``images``: its first
+    failing check. The loader checks the image table on its columns and
+    calls this only when a check fails, to word the message."""
+    seen: set = set()
+    for idx, img in enumerate(images, start=1):
+        if not (isinstance(img, dict) and "id" in img):
+            raise DatasetFormatError(f"{path}: image entry missing 'id'")
+        if isinstance(img["id"], (list, dict)):
+            raise DatasetFormatError(
+                f"{path}: image entry {idx}: 'id' must not be a list or object, "
+                f"got {img['id']!r}"
+            )
+        for fld in ("width", "height"):
+            size = img.get(fld)
+            if not (isinstance(size, (int, float)) and size > 0):
+                raise DatasetFormatError(
+                    f"{path}: image {img['id']}: missing or non-positive {fld!r}"
+                )
+            _finite(size, path, "image", img["id"], fld)
+            # a pixel count: true would load as 1 and 512.7 as 512
+            if isinstance(size, bool) or size != int(size):
+                raise DatasetFormatError(
+                    f"{path}: image {img['id']}: {fld!r} must be a whole number, "
+                    f"got {size!r}"
+                )
+        if img["id"] in seen:
+            raise DatasetFormatError(f"{path}: duplicate image id {img['id']}")
+        seen.add(img["id"])
+    raise AssertionError(f"{path}: every image passes every check")
 
 
 def _load_coco(path: Path) -> Dataset:
@@ -503,109 +525,82 @@ def _load_coco(path: Path) -> Dataset:
     label_of: dict[object, int] = {}
     class_names: list[str] = []
     for idx, cat in enumerate(categories, start=1):
+        # 1, 1.0 and true are one key: a second class would take the first's boxes
+        _require(cat["id"] not in label_of, path, f"duplicate category id {cat['id']!r}")
         label_of[cat["id"]] = idx
         class_names.append(str(cat.get("name", f"class_{idx}")))
 
-    image_ids: list[str] = []
-    sizes: list[tuple[int, int]] = []
-    image_of: dict[object, int] = {}
-    for idx, img in enumerate(raw["images"], start=1):
-        if not (isinstance(img, dict) and "id" in img):
-            raise DatasetFormatError(f"{path}: image entry missing 'id'")
-        if isinstance(img["id"], (list, dict)):
-            raise DatasetFormatError(
-                f"{path}: image entry {idx}: 'id' must not be a list or object, "
-                f"got {img['id']!r}"
-            )
-        for fld in ("width", "height"):
-            size = img.get(fld)
-            if not (isinstance(size, (int, float)) and size > 0):
-                raise DatasetFormatError(
-                    f"{path}: image {img['id']}: missing or non-positive {fld!r}"
-                )
-            _finite(size, path, "image", img["id"], fld)
-            # a pixel count: true would load as 1 and 512.7 as 512
-            if isinstance(size, bool) or size != int(size):
-                raise DatasetFormatError(
-                    f"{path}: image {img['id']}: {fld!r} must be a whole number, "
-                    f"got {size!r}"
-                )
-        if img["id"] in image_of:
-            raise DatasetFormatError(f"{path}: duplicate image id {img['id']}")
-        image_of[img["id"]] = len(image_ids)
-        image_ids.append(str(img["id"]))
-        sizes.append((int(img["width"]), int(img["height"])))
+    # the image table is checked on its columns; any failure is worded by
+    # the image-by-image check
+    images = raw["images"]
+    try:
+        ids = list(map(itemgetter("id"), images))
+        image_of = dict(zip(ids, range(len(ids))))
+        widths = list(map(dict.get, images, repeat("width")))
+        heights = list(map(dict.get, images, repeat("height")))
+        # exact types: a bool is no pixel count
+        fine = len(image_of) == len(ids) and set(map(type, widths + heights)) <= {int, float}
+        if fine:
+            sides = np.array(list(map(float, widths + heights)), dtype=np.float64)
+            fine = bool((np.isfinite(sides) & (sides > 0.0) & (sides == np.trunc(sides))).all())
+    except _UNGATHERED:
+        fine = False
+    if not fine:
+        _check_images(path, images)
+    image_ids = list(map(str, ids))
+    sizes = list(zip(map(int, widths), map(int, heights)))
 
-    # one pass gathers the entries' fields by kind, stopping at the first
-    # entry whose fields cannot be gathered; the value checks then run on
-    # whole columns
+    # every field is gathered as one column; if some entry cannot be
+    # gathered, the entries before the first such one are
     entries = raw["annotations"]
-    ann_rows: list[tuple] = []  # entry, image, label, xywh, provenance code
-    ann_coords: list = []
-    det_rows: list[tuple] = []  # entry, image, label, xywh, score, logit
-    det_coords: list = []
     stop = len(entries)
-    for k, entry in enumerate(entries):
-        try:
-            image = image_of[entry["image_id"]]
-            label = label_of[entry["category_id"]]
-            box = entry.get("bbox_xyxy")
-            xywh = box is None
-            if xywh:
-                box = entry["bbox"]
-            if type(box) is not list or len(box) != 4:
-                raise TypeError
-            if "score" in entry:
-                det_rows.append(
-                    (k, image, label, xywh, entry["score"], entry.get("logit", _NO_LOGIT))
-                )
-                det_coords += box
-            else:
-                code = PROVENANCE_CODES[entry.get("provenance", PROVENANCE_ORIGINAL)]
-                ann_rows.append((k, image, label, xywh, code))
-                ann_coords += box
-        except (KeyError, TypeError):
-            stop = k
-            break
+    try:
+        columns = _gather(entries, image_of, label_of)
+    except _UNGATHERED:
+        for stop, entry in enumerate(entries):
+            try:
+                _gather([entry], image_of, label_of)
+            except _UNGATHERED:
+                break
+        columns = _gather(entries[:stop], image_of, label_of)
+    image, labels, is_det, xywh, corners, sized, probs, has_logit, given, codes = columns
 
-    ann_entry, ann_image, ann_labels, ann_xywh, ann_codes = _transpose(ann_rows, 5)
-    ann_boxes, bad, ok = _read_boxes(ann_coords, ann_xywh)
-    first_ann = _first(bad, ok, len(ann_rows))
-
-    det_entry, det_image, det_labels, det_xywh, det_scores, det_logits = _transpose(det_rows, 6)
-    det_boxes, bad, ok = _read_boxes(det_coords, det_xywh)
-    scores, ok_scores = _floats(det_scores, 1)
-    given = [0.0 if v is _NO_LOGIT else v for v in det_logits]
-    logits, ok_logits = _floats(given, 1)
-    ok = min(ok, ok_scores, ok_logits)
-    probs = np.array(scores[:ok], dtype=np.float64)
-    bad = bad[:ok] | ~((probs >= 0.0) & (probs <= 1.0))
-    bad |= ~np.isfinite(np.array(logits[:ok], dtype=np.float64))
-    first_det = _first(bad, ok, len(det_rows))
-
-    failed = min(
-        stop,
-        ann_entry[first_ann] if first_ann < len(ann_entry) else stop,
-        det_entry[first_det] if first_det < len(det_entry) else stop,
-    )
+    # the value checks run on the gathered columns, a row per entry
+    is_det, xywh = np.array(is_det, dtype=bool), np.array(xywh, dtype=bool)
+    boxes = np.empty((len(image), 4))
+    boxes[~xywh] = corners.reshape(-1, 4)
+    boxes[xywh] = sized.reshape(-1, 4)
+    x1, y1, c, d = boxes.T
+    bad = ~np.isfinite(boxes).all(axis=1)
+    bad |= np.where(xywh, ~((c >= 0.0) & (d >= 0.0)), ~((x1 <= c) & (y1 <= d)))
+    bad[is_det] |= ~((probs >= 0.0) & (probs <= 1.0))
+    has_logit = np.array(has_logit, dtype=bool)
+    logits = np.zeros(len(probs))
+    logits[has_logit] = given
+    bad[is_det.nonzero()[0][has_logit]] |= ~np.isfinite(logits[has_logit])
+    (failing,) = bad.nonzero()
+    failed = int(failing[0]) if len(failing) else stop
     if failed < len(entries):
         _check_entry(path, failed, entries[failed], image_of, label_of)
 
+    # x2 = x1 + w and y2 = y1 + h where the entry gives a size; a sum past
+    # the largest float is inf and clips to the image, as in Python
+    with np.errstate(over="ignore"):
+        boxes[xywh, 2:] += boxes[xywh, :2]
     # prob_to_logit of the scores without a logit: the clamp and the ratio are
     # exact in numpy, but math.log is taken per value, as np.log rounds
     # differently. No Python float is made per logit, and a file without such
     # scores skips the numpy calls, whose first use maps memory: both hold
     # down peak memory.
-    missing = [r for r, v in enumerate(det_logits) if v is _NO_LOGIT]
-    if missing:
+    missing = ~has_logit
+    if missing.any():
         p = probs[missing].clip(PROB_CLAMP, 1.0 - PROB_CLAMP)
-        logits = np.array(logits, dtype=np.float64)
-        logits[missing] = np.fromiter(map(math.log, p / (1.0 - p)), np.float64, len(missing))
+        logits[missing] = np.fromiter(map(math.log, p / (1.0 - p)), np.float64, len(p))
     annotations = _grouped(
-        ann_image, len(image_ids), ann_boxes, labels=ann_labels, provenance=ann_codes
+        image[~is_det], len(ids), boxes[~is_det], labels=labels[~is_det], provenance=codes
     )
     detections = _grouped(
-        det_image, len(image_ids), det_boxes, labels=det_labels, probs=scores, logits=logits
+        image[is_det], len(ids), boxes[is_det], labels=labels[is_det], probs=probs, logits=logits
     )
     # ids unique in the file, such as 100 and "100", can load as one string
     if len(set(image_ids)) < len(image_ids):

@@ -140,6 +140,29 @@ def constrain_corners(
     return boxes, int_edge
 
 
+def _uniform(
+    rngs: Sequence[np.random.Generator], bounds: list[int], spans: np.ndarray
+) -> np.ndarray:
+    """``rngs[g].uniform(-spans[a:b], spans[a:b])`` for the rows ``a:b =
+    bounds[g]:bounds[g + 1]`` of each image g, bit for bit: one ``random``
+    call per image, then ``uniform``'s own formula ``low + (high - low) * u``
+    on all rows at once. Where ``uniform`` would raise, as ``high - low`` is
+    past the float range, raises ``OverflowError(g, reason)``."""
+    low = -spans
+    with np.errstate(over="ignore"):
+        scale = spans - low
+    wild = np.flatnonzero(~np.isfinite(scale))
+    if len(wild):
+        g = int(np.searchsorted(bounds, wild[0], side="right")) - 1
+        raise OverflowError(g, "box displacement range exceeds the float range")
+    draws = [
+        rngs[g].random(stop - start)
+        for g, (start, stop) in enumerate(zip(bounds, bounds[1:]))
+        if stop > start
+    ]
+    return low + scale * (np.concatenate(draws) if draws else np.zeros(0))
+
+
 def _displaced(
     s: BoxSet,
     box_noise: float,
@@ -158,16 +181,12 @@ def _displaced(
     dx = (b[:, 2] - b[:, 0]) * box_noise
     dy = (b[:, 3] - b[:, 1]) * box_noise
     spans = np.stack([dx, dx, dy, dy], axis=1).ravel()
-    # one call draws the same values, in the same order, as a scalar call each
-    bounds = (s.offsets * 4).tolist()
-    draws = [
-        rngs[g].uniform(-spans[start:stop], spans[start:stop])
-        for g, (start, stop) in enumerate(zip(bounds, bounds[1:]))
-        if stop > start
-    ]
-    d = np.concatenate(draws).reshape(-1, 4) if draws else np.zeros((0, 4))
-    # the offsets come x1, x2, y1, y2
-    raw = spanning(b[:, 0] + d[:, 0], b[:, 1] + d[:, 2], b[:, 2] + d[:, 1], b[:, 3] + d[:, 3])
+    # the same values, in the same order, as a scalar uniform call each
+    d = _uniform(rngs, (s.offsets * 4).tolist(), spans).reshape(-1, 4)
+    # the offsets come x1, x2, y1, y2; a corner moved past the largest float
+    # is inf and clips to the image
+    with np.errstate(over="ignore"):
+        raw = spanning(b[:, 0] + d[:, 0], b[:, 1] + d[:, 2], b[:, 2] + d[:, 1], b[:, 3] + d[:, 3])
     boxes, int_edge = constrain_corners(raw, *row_sizes(sizes, s.image_index))
     return replace(s, boxes=boxes, int_edge=int_edge if int_edge.any() else None)
 
@@ -290,7 +309,13 @@ def corrupt_dataset(dataset: Dataset, cfg: NoiseConfig) -> tuple[Dataset, dict]:
     anns = before = dataset.annotations
     if cfg.box_noise > 0.0:
         rngs = [derive_rng(seed, "displace", image_id) for image_id in image_ids]
-        anns = _displaced(anns, cfg.box_noise, sizes, rngs)
+        try:
+            anns = _displaced(anns, cfg.box_noise, sizes, rngs)
+        except OverflowError as exc:
+            g, reason = exc.args
+            raise ValueError(
+                f"image {image_ids[g]!r}: {reason} at box_noise {cfg.box_noise}"
+            ) from None
 
     if cfg.sparsity == SPARSITY_EXTREME:
         bounds = anns.offsets.tolist()

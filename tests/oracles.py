@@ -442,6 +442,10 @@ def load_ref(path):
     require(bool(categories), "categories list is empty")
     label_of = {cat["id"]: idx for idx, cat in enumerate(categories, start=1)}
     class_names = [str(cat.get("name", f"class_{idx}")) for idx, cat in enumerate(categories, 1)]
+    seen_categories = set()
+    for cat in categories:
+        require(cat["id"] not in seen_categories, f"duplicate category id {cat['id']!r}")
+        seen_categories.add(cat["id"])
 
     images, by_id = [], {}
     for idx, img in enumerate(raw["images"], start=1):

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -152,6 +153,37 @@ class TestInjectNoise:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "width, box, noise, rc",
+        [
+            # the displacement range 2 * 0.9 * 1e308 is past the float range
+            (1e308, [0, 0, 1.5e308, 10], "0.9", 1),
+            # a finite range, but a corner moved past the largest float
+            (1.7e308, [0, 0, 1.7e308, 10], "0.5", 0),
+        ],
+    )
+    def test_displacement_past_the_float_range(self, tmp_path, capsys, width, box, noise, rc):
+        src = tmp_path / "huge.json"
+        payload = {
+            "images": [{"id": "wide", "width": width, "height": 100}],
+            "categories": [{"id": 1, "name": "a"}],
+            "annotations": [{"id": 1, "image_id": "wide", "category_id": 1, "bbox": box}],
+        }
+        src.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["inject-noise", "--input", str(src), "--out", str(out),
+                         "--box-noise", noise])
+        err = capsys.readouterr().err
+        assert code == rc
+        if rc:
+            assert err.startswith("error: image 'wide': ") and "Traceback" not in err
+            assert not (out / "annotations.json").exists()
+        else:
+            x1, _, x2, _ = read_json(out / "annotations.json")["annotations"][0]["bbox_xyxy"]
+            assert 0 <= x1 <= x2 <= int(width)
+
 
 class TestCorrect:
     def test_no_detections_leaves_targets_unchanged(self, tmp_path):
@@ -231,6 +263,33 @@ class TestCorrect:
         assert len(anns) == 2
         assert anns[1].provenance == "mined"
         assert read_json(out / "report.json")["totals"]["mined"] == 1
+
+    def test_report_is_what_json_dumps_writes(self, tmp_path):
+        # ids that need escaping and sort differently from file order, an
+        # image without targets and one whose target no prediction backs
+        ids = ["b", "a10", "a9", 'q"uote', "é\\u2603", "empty"]
+        images = [
+            ImageRecord(
+                image_id=image_id, width=512, height=512,
+                annotations=[Annotation(box=Box(10 + k, 10, 60, 60), label=1)]
+                if image_id != "empty" else [],
+            )
+            for k, image_id in enumerate(ids)
+        ]
+        targets, dets = tmp_path / "targets.json", tmp_path / "dets.json"
+        write_dataset(targets, images)
+        detections_dataset(
+            dets,
+            {image_id: [Detection.from_prob(box=Box(12, 8, 62, 64), label=1, prob=0.9)]
+             for image_id in ids[:3]},
+        )
+        out = tmp_path / "out"
+        rc = main(["correct", "--targets", str(targets), "--detections", str(dets),
+                   "--out", str(out), "--profile", "nb20-ns50"])
+        assert rc == 0
+        text = (out / "report.json").read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+        assert list(json.loads(text)["images"]) == sorted(ids)
 
     def test_unknown_detection_ids_rejected(self, tmp_path, capsys):
         targets = tmp_path / "targets.json"

@@ -23,11 +23,14 @@ from oracles import RefFormatError, load_ref
 PROVENANCE_NAMES = ("original", "corrected", "mined")
 
 
-def base_file(rng: np.random.Generator) -> dict:
+def base_file(
+    rng: np.random.Generator, images_in: tuple = (1, 4), entries_in: tuple = (0, 9)
+) -> dict:
     """A valid file: str and int image ids, unsorted category ids, entries in
-    any image order with both box fields, scores with and without logits."""
+    any image order with both box fields, scores with and without logits.
+    The image and entry counts are drawn from the half-open ranges given."""
     images = []
-    for k in range(int(rng.integers(1, 4))):
+    for k in range(int(rng.integers(*images_in))):
         image_id = f"im{k}" if rng.random() < 0.6 else 100 + k
         width = int(rng.integers(20, 200))
         images.append({"id": image_id, "width": width if rng.random() < 0.8 else float(width),
@@ -35,7 +38,7 @@ def base_file(rng: np.random.Generator) -> dict:
     cat_ids = [7, 1, 3][: int(rng.integers(1, 4))]
     categories = [{"id": c, "name": f"c{c}"} for c in cat_ids]
     entries = []
-    for k in range(int(rng.integers(0, 9))):
+    for k in range(int(rng.integers(*entries_in))):
         img = images[int(rng.integers(len(images)))]
         w, h = img["width"], img["height"]
         x1, y1 = rng.uniform(-20.0, w + 5.0), rng.uniform(-20.0, h + 5.0)
@@ -207,3 +210,94 @@ def test_mutants_through_the_cli(tmp_path, capsys, n):
         err = capsys.readouterr().err
         assert "Traceback" not in err and "Warning" not in err
         assert rc == 0 or (rc == 1 and str(path) in err), err
+
+
+def long_mutants(seed: int, count: int):
+    """Files of about 2,000 entries over about 500 images, each a copy of
+    one of four valid files mutated one to three times within its last
+    tenth of images and entries."""
+    rng = np.random.default_rng(seed)
+    bases = [json.dumps(base_file(rng, (450, 551), (1800, 2201))) for _ in range(4)]
+    for n in range(count):
+        payload = json.loads(bases[n % len(bases)])
+        entries, images = payload["annotations"], payload["images"]
+        tail = {
+            "images": images[-len(images) // 10:],
+            "categories": payload["categories"],
+            "annotations": entries[-len(entries) // 10:],
+        }
+        for _ in range(int(rng.integers(1, 4))):
+            mutate(tail, rng)
+        # image mutations change the shared dicts; entries may be replaced
+        entries[-len(tail["annotations"]):] = tail["annotations"]
+        yield payload
+
+
+def test_long_mutants_load_like_the_oracle(tmp_path):
+    # long columns through the whole-column gather and, when an entry cannot
+    # be gathered, through the search for it and the gather of the prefix
+    kinds = {"ok": 0, "format": 0, "value": 0}
+    for n, payload in enumerate(long_mutants(811, 24)):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        want = outcome(load_ref, path)
+        assert outcome(loaded, path) == want, n
+        kinds[want[0]] += 1
+    assert kinds["ok"] >= 4 and kinds["format"] >= 12
+
+
+def mutate_categories(payload: dict, rng: np.random.Generator) -> None:
+    """One seeded change to the categories: a repeated id, equal as a Python
+    value (``1``, ``1.0``, ``true``); a new order; or a gap in the ids, the
+    entries of the moved class moved along."""
+    categories = payload["categories"]
+    kind = int(rng.integers(3))
+    source = categories[int(rng.integers(len(categories)))]["id"]
+    if kind == 0:
+        forms = [source, float(source)] + ([True] if source == 1 else [])
+        twin = {"id": forms[int(rng.integers(len(forms)))], "name": "twin"}
+        categories.insert(int(rng.integers(len(categories) + 1)), twin)
+    elif kind == 1:
+        rng.shuffle(categories)
+    else:
+        for cat in categories:
+            if cat["id"] == source:
+                cat["id"] = source + 100
+        for entry in payload["annotations"]:
+            if entry["category_id"] == source:
+                entry["category_id"] = source + 100
+
+
+def test_category_mutants_load_like_the_oracle(tmp_path):
+    kinds = {"ok": 0, "format": 0, "value": 0}
+    duplicates = 0
+    rng = np.random.default_rng(812)
+    for n in range(400):
+        payload = base_file(rng)
+        mutate_categories(payload, rng)
+        if rng.random() < 0.3:
+            mutate(payload, rng)
+        path = tmp_path / "categories.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        want = outcome(load_ref, path)
+        assert outcome(loaded, path) == want, (n, payload)
+        kinds[want[0]] += 1
+        duplicates += want[0] == "format" and "duplicate category id" in want[1]
+    assert kinds["ok"] > 150 and duplicates > 50
+
+
+@pytest.mark.parametrize("twin", [1, 1.0, True])
+def test_duplicate_category_ids_are_rejected(tmp_path, twin):
+    # without the check, the annotation would load as class b and a phantom
+    # class a would be written beside it
+    payload = {
+        "images": [{"id": "im", "width": 64, "height": 64}],
+        "categories": [{"id": 1, "name": "a"}, {"id": twin, "name": "b"}],
+        "annotations": [{"id": 1, "image_id": "im", "category_id": 1, "bbox": [1, 2, 3, 4]}],
+    }
+    path = tmp_path / "twins.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(DatasetFormatError) as exc:
+        load_annotations(path)
+    assert str(exc.value) == f"{path}: duplicate category id {twin!r}"
+    assert outcome(load_ref, path) == ("format", str(exc.value))

@@ -11,6 +11,7 @@ from boxrefine.noise import (
     MIN_BOX_SIDE,
     NoiseConfig,
     SuperfluousConfig,
+    _uniform,
     constrain_corners,
     corrupt_dataset,
     derive_rng,
@@ -324,3 +325,32 @@ class TestDeriveRng:
         c = derive_rng(43, "op", "img_1").uniform(0, 1, 5)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 512.0, 1e15, 1e150, 1e300])
+def test_unit_draws_equal_generator_uniform(scale):
+    # Generator.uniform's formula on unit draws must give its values bit for
+    # bit, zero spans and images without rows included, and leave each
+    # stream where uniform leaves it
+    master = np.random.default_rng(13)
+    for seed in range(40):
+        counts = master.integers(0, 6, size=int(master.integers(1, 8))) * 4
+        bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+        spans = master.uniform(0.0, 2.0, bounds[-1]) * scale
+        spans[master.random(bounds[-1]) < 0.2] = 0.0
+        fast = [derive_rng(seed, "d", g) for g in range(len(counts))]
+        slow = [derive_rng(seed, "d", g) for g in range(len(counts))]
+        want = [
+            rng.uniform(-spans[a:b], spans[a:b]) for rng, a, b in zip(slow, bounds, bounds[1:])
+        ]
+        got = _uniform(fast, bounds, spans)
+        assert got.tobytes() == np.concatenate(want).tobytes()
+        assert [r.random() for r in fast] == [r.random() for r in slow]
+
+
+def test_unit_draws_name_the_image_past_the_float_range():
+    spans = np.array([1.0, 2.0, 3.0, 4.0, 0.0, 0.0, 0.0, 0.0, 9e307, 1.0, 1.0, 1.0])
+    rngs = [np.random.default_rng(g) for g in range(4)]
+    with pytest.raises(OverflowError) as exc:
+        _uniform(rngs, [0, 4, 4, 8, 12], spans)
+    assert exc.value.args[0] == 3
