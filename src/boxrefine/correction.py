@@ -18,17 +18,19 @@ an existing same-class target, and appends the rest as new annotations.
 scores only the (prediction, target) pairs of one image and class that can
 decide an assignment: those in a window about each prediction (see
 ``geometry.x_windows``), and a prediction's whole row of targets where its
-window cannot settle its nearest one. :func:`correct_images` converts
-``(targets, predictions)`` pairs of objects to sets and back, and
-:func:`correct_targets`, :func:`correct_boxes` and :func:`mine_labels` are
-its one-image cases.
+window cannot settle its nearest one.
+
+:func:`correct_targets`, :func:`correct_boxes` and :func:`mine_labels` take
+one image's ``Annotation`` and ``Detection`` objects, convert them to sets
+once and run the same two stages: objects exist only at that edge. Unmoved
+targets come back as the input objects, moved ones as new ``corrected``
+annotations and mined ones with their prediction's own ``Box``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,9 +41,6 @@ from .datamodel import (
     PROVENANCE_CODES,
     PROVENANCE_CORRECTED,
     PROVENANCE_MINED,
-    annotation_set,
-    detection_set,
-    set_annotations,
 )
 # ``iou`` and ``nms`` are not called here; they stay bound because
 # bench/spans.py counts scalar IoU calls and traces nms through each
@@ -72,9 +71,7 @@ __all__ = [
     "correct_boxes",
     "mine_labels",
     "correct_targets",
-    "correct_images",
     "correct_sets",
-    "refined_annotations",
 ]
 
 DISTANCE_IOU = "iou"
@@ -405,7 +402,7 @@ def _mine_stage(targets: BoxSet, preds: BoxSet, cfg: CorrectionConfig) -> np.nda
         return np.zeros(0, dtype=np.intp)
     candidates = preds
     if len(confident) < len(preds):
-        candidates = preds.take(np.array(confident, dtype=np.intp), "labels", "probs")
+        candidates = preds.take(np.array(confident, dtype=np.intp))
     visit = grouped_nms(candidates, cfg.mining_nms_iou).tolist()
     # only a candidate that shares its image and class with a target can be a
     # duplicate, survivor or not
@@ -435,7 +432,6 @@ def correct_sets(
     which makes them ``corrected``; and a report per image. Where the
     targets have provenance codes, the refined targets' say ``corrected``
     for a moved target and ``mined`` for a mined box.
-    :func:`refined_annotations` turns the first two into objects.
     """
     reports = [CorrectionReport(assignment_sizes=[0] * n) for n in targets.counts.tolist()]
     moved = np.zeros(len(targets), dtype=bool)
@@ -444,7 +440,7 @@ def correct_sets(
     if cfg.mining_threshold is not None:
         rows = _mine_stage(targets, preds, cfg)
         if len(rows):
-            found = preds.take(rows, "labels", "int_edge")
+            found = preds.take(rows)
             found.provenance = np.full(len(rows), PROVENANCE_CODES[PROVENANCE_MINED], np.int8)
             for report, n in zip(reports, found.counts.tolist()):
                 report.mined = n
@@ -452,29 +448,55 @@ def correct_sets(
     return targets, moved, reports
 
 
-def refined_annotations(
-    refined: BoxSet, originals: Sequence[Sequence[Annotation]], moved: np.ndarray
-) -> list[list[Annotation]]:
-    """Refined targets with provenance codes as objects per image, built at
-    the edge.
+def _one_image(items: Sequence[Annotation] | Sequence[Detection], scores: bool = False) -> BoxSet:
+    """One image's targets, or with ``scores`` its predictions, as a set of
+    boxes, labels, probs and logits. It needs no int-edge mask: a moved box's
+    coordinates are floats, and every other box comes back as an input object."""
+    out = BoxSet(
+        np.array([i.box.as_tuple() for i in items], dtype=np.float64).reshape(-1, 4),
+        np.array((0, len(items))),
+        labels=np.array([i.label for i in items], dtype=np.int64),
+    )
+    if scores:
+        out.probs = np.array([d.prob for d in items], dtype=np.float64)
+        out.logits = np.array([d.logit for d in items], dtype=np.float64)
+    return out
 
-    Each image's rows of ``refined`` begin with its ``originals`` in order;
-    ``moved`` marks those that changed (image after image). An unmoved
-    target comes back as the original object; only the other rows are built.
+
+def _mined(
+    known: BoxSet, found: BoxSet, preds: Sequence[Detection], cfg: CorrectionConfig
+) -> list[Annotation]:
+    """What label mining adds; a mined box is its prediction's own box."""
+    rows = _mine_stage(known, found, cfg).tolist()
+    return [Annotation(preds[r].box, preds[r].label, PROVENANCE_MINED) for r in rows]
+
+
+def correct_targets(
+    targets: Sequence[Annotation],
+    preds: Sequence[Detection],
+    cfg: CorrectionConfig,
+) -> tuple[list[Annotation], CorrectionReport]:
+    """Box correction followed by label mining on one image, each stage optional.
+
+    A stage runs only when its switch is set: ``distance_limit`` for box
+    correction, ``mining_threshold`` for mining. Unmoved targets come back
+    as the input objects, moved ones as new ``corrected`` annotations, and
+    mined ones with their prediction's own box. With both stages unset the
+    input comes back untouched.
     """
-    bounds = refined.offsets.tolist()
-    changed = iter(moved.tolist())
-    kept: list[Annotation | None] = [None] * len(refined)
-    for start, anns in zip(bounds, originals):
-        for row, ann in enumerate(anns, start):
-            if not next(changed):
-                kept[row] = ann
-    build = [row for row, ann in enumerate(kept) if ann is None]
-    new = chain.from_iterable(set_annotations(refined.take(np.array(build, dtype=np.intp))))
-    return [
-        [kept[row] or next(new) for row in range(start, stop)]
-        for start, stop in zip(bounds, bounds[1:])
-    ]
+    known, found = _one_image(targets), _one_image(preds, scores=True)
+    report = CorrectionReport(assignment_sizes=[0] * len(targets))
+    out = list(targets)
+    if cfg.distance_limit is not None:
+        known, moved = _correct_stage(known, found, [report], cfg)
+        for k in moved.nonzero()[0].tolist():
+            box = Box(*known.boxes[k].tolist())
+            out[k] = Annotation(box, targets[k].label, PROVENANCE_CORRECTED)
+    if cfg.mining_threshold is not None:
+        mined = _mined(known, found, preds, cfg)
+        report.mined = len(mined)
+        out += mined
+    return out, report
 
 
 def correct_boxes(
@@ -482,22 +504,15 @@ def correct_boxes(
     preds: Sequence[Detection],
     cfg: CorrectionConfig,
 ) -> tuple[list[Annotation], CorrectionReport]:
-    """Refine target boxes against model predictions of the same class.
-
-    Targets whose box actually moved come back with ``corrected`` provenance;
-    untouched targets are returned as the same objects. With no predictions
-    at all the targets are returned unchanged.
+    """:func:`correct_targets` with mining off: refine target boxes against
+    model predictions of the same class.
 
     Raises:
         ConfigError: if ``cfg`` has no ``distance_limit``.
     """
     if cfg.distance_limit is None:
         raise ConfigError("box correction requires a distance_limit")
-    return correct_images([(targets, preds)], replace(cfg, mining_threshold=None))[0]
-
-
-def _corners(boxes: Sequence[Box]) -> np.ndarray:
-    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
+    return correct_targets(targets, preds, replace(cfg, mining_threshold=None))
 
 
 def mine_labels(
@@ -517,52 +532,4 @@ def mine_labels(
     """
     if cfg.mining_threshold is None:
         raise ConfigError("label mining requires a mining_threshold")
-    # mining reads boxes, labels and probs, and returns each mined
-    # prediction's own box: the sets need no int edges
-    found = BoxSet(
-        _corners([d.box for d in preds]),
-        np.array((0, len(preds))),
-        labels=np.array([d.label for d in preds], dtype=np.int64),
-        probs=np.array([d.prob for d in preds], dtype=np.float64),
-    )
-    known = BoxSet(
-        _corners([t.box for t in targets]),
-        np.array((0, len(targets))),
-        labels=np.array([t.label for t in targets], dtype=np.int64),
-    )
-    rows = _mine_stage(known, found, cfg).tolist()
-    # a mined box is its prediction's own box
-    return [*targets, *(Annotation(preds[r].box, preds[r].label, PROVENANCE_MINED) for r in rows)]
-
-
-def correct_targets(
-    targets: Sequence[Annotation],
-    preds: Sequence[Detection],
-    cfg: CorrectionConfig,
-) -> tuple[list[Annotation], CorrectionReport]:
-    """Box correction followed by label mining, each stage optional.
-
-    A stage runs only when its switch is set: ``distance_limit`` for box
-    correction, ``mining_threshold`` for mining. With both unset the input
-    comes back untouched.
-    """
-    return correct_images([(targets, preds)], cfg)[0]
-
-
-# one image's targets and predictions
-_Image = tuple[Sequence[Annotation], Sequence[Detection]]
-
-
-def correct_images(
-    images: Sequence[_Image], cfg: CorrectionConfig
-) -> list[tuple[list[Annotation], CorrectionReport]]:
-    """:func:`correct_targets` of every ``(targets, predictions)`` pair.
-
-    The pairs become one set on each side for :func:`correct_sets`, and its
-    result becomes objects again: unmoved targets are the input objects.
-    """
-    originals = [targets for targets, _ in images]
-    refined, moved, reports = correct_sets(
-        annotation_set(originals), detection_set([preds for _, preds in images]), cfg
-    )
-    return list(zip(refined_annotations(refined, originals, moved), reports))
+    return [*targets, *_mined(_one_image(targets), _one_image(preds, scores=True), preds, cfg)]

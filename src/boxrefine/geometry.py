@@ -252,23 +252,19 @@ class BoxSet:
             return np.zeros(len(self.boxes), dtype=np.intp)
         return np.arange(self.num_images).repeat(self.counts)
 
-    def take(self, rows: np.ndarray, *names: str) -> "BoxSet":
-        """The set of ``rows``, which come image by image in image order.
-
-        It has the boxes and the named columns, or every column when none is
-        named.
-        """
+    def take(self, rows: np.ndarray) -> "BoxSet":
+        """The set of ``rows``, which come image by image in image order."""
         if len(self.offsets) == 2:
             offsets = np.array((0, len(rows)), dtype=np.intp)
         else:
             # the taken rows ahead of each image
             offsets = self.image_index[rows].searchsorted(np.arange(len(self.offsets)))
-        return self._subset(rows, offsets, names)
+        return self._subset(rows, offsets)
 
     def select(self, images: Sequence[int]) -> "BoxSet":
         """The set of the listed images, in that order: image h of the result
         is image ``images[h]`` of this set, or has no rows where that is -1."""
-        return self._subset(*self.image_rows(images), ())
+        return self._subset(*self.image_rows(images))
 
     def image_rows(self, images: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """The rows of :meth:`select` ``(images)`` in this set, and its offsets."""
@@ -278,9 +274,9 @@ class BoxSet:
         starts = self.offsets[images] - offsets[:-1]
         return np.arange(offsets[-1]) + starts.repeat(counts), offsets
 
-    def _subset(self, rows: np.ndarray, offsets: np.ndarray, names: Sequence[str]) -> "BoxSet":
+    def _subset(self, rows: np.ndarray, offsets: np.ndarray) -> "BoxSet":
         out = BoxSet(self.boxes[rows], offsets)
-        for name in names or _COLUMNS:
+        for name in _COLUMNS:
             col = getattr(self, name)
             if col is not None:
                 setattr(out, name, col[rows])
@@ -586,7 +582,7 @@ def grouped_nms(found: BoxSet, iou_threshold: float) -> np.ndarray:
     repeats = {key for key, n in Counter(keys).items() if n > 1}
     # the boxes whose image and label repeat, in visit order
     rivals = [r for r in visit if keys[r] in repeats]
-    ranked = found.take(np.array(rivals, dtype=np.intp), "labels")
+    ranked = found.take(np.array(rivals, dtype=np.intp))
     clashes: list[tuple[int, int]] = []
     for i, j, overlap in grouped_iou(ranked, ranked):
         (hit,) = (overlap > iou_threshold).nonzero()

@@ -28,7 +28,7 @@ from .datamodel import (
 )
 from .evaluation import evaluate_ap50, mean_best_iou
 from .geometry import BoxSet, best_iou, iou, row_sizes, spanning  # noqa: F401
-from .noise import NoiseConfig, constrain_corners, corrupt_dataset, derive_rng
+from .noise import NoiseConfig, SuperfluousConfig, constrain_corners, corrupt_dataset, derive_rng
 
 __all__ = [
     "SimDetectorParams",
@@ -49,9 +49,6 @@ __all__ = [
     "run_loop",
 ]
 
-# spurious predictions reuse the superfluous-annotation size range
-SPURIOUS_MIN_SIDE = 16.0
-SPURIOUS_MAX_SIDE = 196.0
 # the side lengths of synthetic true boxes, in pixels
 TRUTH_MIN_SIDE = 28.0
 TRUTH_MAX_SIDE = 80.0
@@ -138,6 +135,8 @@ def draw_predictions(
     if num_classes < 1:
         raise ValueError(f"num_classes must be >= 1, got {num_classes}")
     recall, sigma, fp_rate = params.recall, params.localization_sigma, params.fp_rate
+    # spurious predictions reuse the superfluous-annotation size range
+    low, high = SuperfluousConfig.min_side, SuperfluousConfig.max_side
     # per drawn box: its true box's row, or -1 for a spurious one
     source: list[int] = []
     jitter: list[float] = []  # dx1, dx2, dy1, dy2 of each jittered true box
@@ -154,8 +153,8 @@ def draw_predictions(
             # one call draws the same four values as four scalar calls
             jitter += normal(0.0, sigma, 4).tolist()
         for _ in range(int(rng.poisson(fp_rate))):
-            w = rng.uniform(SPURIOUS_MIN_SIDE, SPURIOUS_MAX_SIDE)
-            h = rng.uniform(SPURIOUS_MIN_SIDE, SPURIOUS_MAX_SIDE)
+            w = rng.uniform(low, high)
+            h = rng.uniform(low, high)
             cx = rng.uniform(0.0, width)
             cy = rng.uniform(0.0, height)
             spurious_labels.append(int(rng.integers(1, num_classes + 1)))
@@ -263,11 +262,7 @@ class LoopConfig:
 
     iterations: int = 15
     keep_rate: float = 0.95
-    correction: CorrectionConfig = field(
-        default_factory=lambda: CorrectionConfig(
-            distance_limit=0.6, mining_threshold=0.8
-        )
-    )
+    correction: CorrectionConfig = field(default_factory=CorrectionConfig)
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     schedule: ImprovementSchedule = DEFAULT_SCHEDULE
 

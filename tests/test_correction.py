@@ -12,12 +12,17 @@ from boxrefine.correction import (
     ConfigError,
     CorrectionConfig,
     correct_boxes,
-    correct_images,
     correct_sets,
     correct_targets,
     mine_labels,
 )
-from boxrefine.datamodel import Annotation, Detection
+from boxrefine.datamodel import (
+    Annotation,
+    Detection,
+    annotation_set,
+    detection_set,
+    set_annotations,
+)
 from boxrefine.geometry import Box, BoxSet, iou
 
 from oracles import (
@@ -495,6 +500,23 @@ class TestCorrectTargets:
         assert out[2].provenance == "mined"
         assert iou(out[2].box, truth[2]) > 0.9
 
+    def test_mined_boxes_and_unmoved_targets_are_input_objects(self):
+        cfg = CorrectionConfig(distance_limit=0.6, mining_threshold=0.8)
+        targets = [ann(0, 0, 10, 10), ann(100, 100, 120, 120)]
+        preds = [
+            det(1, 1, 11, 11, logit=3.0),
+            det(300, 300, 340, 340, logit=2.5),
+            det(400.5, 50.25, 430.5, 80.25, label=2, logit=4.0),
+        ]
+        out, report = correct_targets(targets, preds, cfg)
+        assert out[0].provenance == "corrected"
+        assert out[1] is targets[1]
+        # visit order: descending probability; preds[0] duplicates the target it moved
+        assert report.mined == 2
+        assert [a.provenance for a in out[2:]] == ["mined", "mined"]
+        assert out[2].box is preds[2].box
+        assert out[3].box is preds[1].box
+
 
 def oracle_dataset(seed: int, n_images: int = 40) -> list[tuple[list, list]]:
     """Images of targets and predictions around them.
@@ -565,8 +587,22 @@ def reference_distance(cfg: CorrectionConfig):
     return lambda a, b: center_distance_ref(a, b, cfg.center_norm)
 
 
+def correct_batch(images, cfg: CorrectionConfig):
+    """``correct_sets`` over every ``(targets, predictions)`` image at once:
+    each image's refined rows as objects, which of its targets moved, and
+    its report."""
+    targets = annotation_set([t for t, _ in images])
+    refined, moved, reports = correct_sets(
+        targets, detection_set([p for _, p in images]), cfg
+    )
+    bounds = targets.offsets.tolist()
+    flags = [moved[start:stop].tolist() for start, stop in zip(bounds, bounds[1:])]
+    return set_annotations(refined), flags, reports
+
+
 class TestCorrectImagesOracle:
-    """The dataset-level pass equals a naive per-image, per-class loop exactly."""
+    """The dataset-level pass, ``correct_sets`` over the whole batch, equals a
+    naive per-image, per-class loop exactly."""
 
     # pairs per block of geometry.pair_blocks: one prediction's pairs per
     # block, a few predictions', the default, all of them in one block
@@ -579,10 +615,10 @@ class TestCorrectImagesOracle:
             monkeypatch.setattr(geometry, "_PAIR_BLOCK", budget)
         cfg = ORACLE_CONFIGS[name]
         images = oracle_dataset(37 + len(name))
-        results = correct_images(images, cfg)
-        assert len(results) == len(images)
+        refined, moved, reports = correct_batch(images, cfg)
+        assert len(refined) == len(reports) == len(images)
         stopped_early = 0
-        for (targets, preds), (out, report) in zip(images, results):
+        for (targets, preds), out, flags, report in zip(images, refined, moved, reports):
             boxes, iterations, converged, sizes = correct_ref(
                 [(t.box.as_tuple(), t.label) for t in targets],
                 [(p.box.as_tuple(), p.label, p.logit) for p in preds],
@@ -594,9 +630,10 @@ class TestCorrectImagesOracle:
                 cfg.fixed_size,
             )
             assert [a.box.as_tuple() for a in out] == boxes
+            assert flags == [box != t.box.as_tuple() for t, box in zip(targets, boxes)]
             for a, t, box in zip(out, targets, boxes):
                 if box == t.box.as_tuple():
-                    assert a is t
+                    assert a == t
                 else:
                     assert (a.label, a.provenance) == (t.label, "corrected")
             assert report.iterations == iterations
@@ -614,7 +651,7 @@ class TestCorrectImagesOracle:
         cfg = CorrectionConfig(distance_limit=0.6, mining_threshold=0.7, mining_nms_iou=0.4)
         images = oracle_dataset(38)
         mined_total = 0
-        for (targets, preds), (out, report) in zip(images, correct_images(images, cfg)):
+        for (targets, preds), out, _, report in zip(images, *correct_batch(images, cfg)):
             corrected, _ = correct_boxes(targets, preds, cfg)
             want = mine_ref(
                 [(t.box.as_tuple(), t.label) for t in corrected],
@@ -632,8 +669,14 @@ class TestCorrectImagesOracle:
     def test_one_image_entry_points_agree(self):
         cfg = CorrectionConfig(distance_limit=0.6, mining_threshold=0.7)
         images = oracle_dataset(39, n_images=12)
-        for (targets, preds), batched in zip(images, correct_images(images, cfg)):
-            assert correct_targets(targets, preds, cfg) == batched
+        moved_total = 0
+        for (targets, preds), rows, flags, report in zip(images, *correct_batch(images, cfg)):
+            out, one = correct_targets(targets, preds, cfg)
+            assert (out, one) == (rows, report)
+            for a, t, moved in zip(out, targets, flags):
+                assert (a is t) == (not moved)
+            moved_total += sum(flags)
+        assert moved_total > 0
 
 
 def flat_images(rng: np.random.Generator, scale: float, n_images: int = 80):
