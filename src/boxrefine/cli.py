@@ -13,48 +13,44 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
-import inspect
 import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass, fields
 from importlib import import_module
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Sequence
 
-# every subcommand reads datasets, and noise holds the seed default and the
-# noise section; the correction, evaluation and simloop modules are imported
-# only by the subcommands that run them
-from .datamodel import (
-    PROVENANCE_CODES,
-    PROVENANCE_CORRECTED,
-    Annotation,
-    Dataset,
-    ImageRecord,
-    LAYER_COLORS,
-    materialize_points,
-    render_svg,
-)
-from .noise import SPARSITY_EXTREME, NoiseConfig, SuperfluousConfig
-
 if TYPE_CHECKING:
     from .correction import CorrectionConfig
+    from .datamodel import Annotation, Dataset, ImageRecord
+    from .noise import NoiseConfig
     from .simloop import LoopConfig
 
 __all__ = ["RunConfig", "PROFILES", "main", "console_main"]
 
-# The work the subcommands run, by defining module. Each name is imported the
-# first time it is read from this module (``__getattr__``), so a process loads
-# only the modules its subcommand runs; a new work function goes here, not
-# into a top-level import. The subcommands call these as ``_cli.<name>``, so
-# a function replaced on this module is the one called: bench/spans.py traces
-# each one that way (``correct_targets`` too, which no subcommand calls).
+# Every name this module takes from the package, by defining module. Each is
+# imported the first time it is read from this module (``__getattr__``), so a
+# process loads only the modules its subcommand runs, and one that runs none
+# (``--help``, a usage error) loads none; a new name goes here, not into a
+# top-level import. The subcommands read these as ``_cli.<name>``, so a
+# function replaced on this module is the one called: bench/spans.py traces
+# each work function that way (``correct_targets`` too, which no subcommand
+# calls).
 _WORK = {
+    "Dataset": "datamodel",
+    "LAYER_COLORS": "datamodel",
+    "PROVENANCE_CODES": "datamodel",
+    "PROVENANCE_CORRECTED": "datamodel",
     "load_annotations": "datamodel",
+    "materialize_points": "datamodel",
+    "render_svg": "datamodel",
     "save_annotations": "datamodel",
+    "NoiseConfig": "noise",
+    "SPARSITY_EXTREME": "noise",
+    "SuperfluousConfig": "noise",
     "corrupt_dataset": "noise",
     "correct_sets": "correction",
     "correct_targets": "correction",
@@ -70,6 +66,11 @@ _WORK = {
 def __getattr__(name: str) -> object:
     if name not in _WORK:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # every subcommand reads datasets. Without a bytecode cache, compiling
+    # datamodel inside the import of a module that needs it (noise, which the
+    # seed default reads first) costs each stage process about 0.6 MB more
+    # peak RSS than compiling it first
+    import_module(".datamodel", __package__)
     value = getattr(import_module(f".{_WORK[name]}", __package__), name)
     globals()[name] = value
     return value
@@ -82,12 +83,14 @@ _cli = sys.modules[__name__]
 def _fields(cls, attr: str, *names: str) -> dict:
     """``attr`` (``default`` or ``type``) of the dataclass ``cls``'s fields:
     the named ones, or all of them."""
+    from dataclasses import fields
+
     return {f.name: getattr(f, attr) for f in fields(cls) if not names or f.name in names}
 
 
 class _Sections(Mapping):
-    """The settings tree by section, each section read from its module the
-    first time it is needed."""
+    """A mapping whose every value is read by its reader the first time it
+    is needed: the settings tree by section, each section from its module."""
 
     def __init__(self, **readers: Callable[[], object]) -> None:
         self._readers, self._read = readers, {}
@@ -116,6 +119,8 @@ _TRUTH_ARGS = {"images": "num_images", "boxes_per_image": "boxes_per_image",
 
 
 def _loop_fields(attr: str) -> dict:
+    import inspect
+
     from .simloop import LoopConfig, synthesize_truth
 
     params = inspect.signature(synthesize_truth).parameters
@@ -128,6 +133,8 @@ def _loop_fields(attr: str) -> dict:
 
 def _score_floor() -> float:
     """The evaluate option's default, which config files do not set."""
+    import inspect
+
     from .evaluation import error_breakdown
 
     return inspect.signature(error_breakdown).parameters["score_floor"].default
@@ -138,23 +145,19 @@ _POINT_SIDE = 60.0
 
 # every built-in default comes from the config dataclasses and synthesize_truth
 DEFAULTS: Mapping = _Sections(
-    seed=lambda: NoiseConfig.seed,
-    noise=lambda: _fields(NoiseConfig, "default", "box_noise", "sparsity", "superfluous"),
+    seed=lambda: _cli.NoiseConfig.seed,
+    noise=lambda: _fields(_cli.NoiseConfig, "default", "box_noise", "sparsity", "superfluous"),
     correction=lambda: _correction_fields("default"),
     loop=lambda: _loop_fields("default"),
 )
 
-# noise.superfluous is off (null) by default; a flag that sets one of its
-# fields switches it on with these defaults
-_SUPERFLUOUS = _fields(SuperfluousConfig, "default")
-
 # the type annotation of every setting a config file may give, from the same
 # sources; noise.superfluous holds SuperfluousConfig's fields or is null
 _TYPES: Mapping = _Sections(
-    seed=lambda: _fields(NoiseConfig, "type", "seed")["seed"],
+    seed=lambda: _fields(_cli.NoiseConfig, "type", "seed")["seed"],
     noise=lambda: {
-        **_fields(NoiseConfig, "type", "box_noise", "sparsity"),
-        "superfluous": _fields(SuperfluousConfig, "type"),
+        **_fields(_cli.NoiseConfig, "type", "box_noise", "sparsity"),
+        "superfluous": _fields(_cli.SuperfluousConfig, "type"),
     },
     correction=lambda: _correction_fields("type"),
     loop=lambda: _loop_fields("type"),
@@ -171,29 +174,37 @@ def _read_size(text: str) -> object:
     return [int(match[1]), int(match[2])] if match else text
 
 
+def _sparsity_type() -> tuple[str, Callable[[object], bool], Callable[[str], object]]:
+    extreme = _cli.SPARSITY_EXTREME
+    return (
+        f"a finite number or {extreme!r}",
+        lambda v: v == extreme or _is_number(v),
+        lambda t: extreme if t.lower() in ("extreme", "ex", "ex.") else float(t),
+    )
+
+
 # for a setting of each annotated type: the JSON values it may take, whether
 # a value is one (``type() is`` keeps true and false out of the numbers), and
-# how a flag's text reads as that value (a ValueError leaves the text as it is)
-_JSON_TYPES: dict[str, tuple[str, Callable[[object], bool], Callable[[str], object]]] = {
-    "int": ("an integer", lambda v: type(v) is int, int),
-    "float": ("a finite number", _is_number, float),
-    "float | None": (
-        "a finite number or null ('none' as a flag)",
-        lambda v: v is None or _is_number(v),
-        lambda t: None if t.lower() in ("none", "off") else float(t),
-    ),
-    "float | str": (
-        f"a finite number or {SPARSITY_EXTREME!r}",
-        lambda v: v == SPARSITY_EXTREME or _is_number(v),
-        lambda t: SPARSITY_EXTREME if t.lower() in ("extreme", "ex", "ex.") else float(t),
-    ),
-    "str": ("a string", lambda v: type(v) is str, str),
-    "tuple[int, int]": (
-        "a list of two integers (WIDTHxHEIGHT as a flag)",
-        lambda v: type(v) is list and len(v) == 2 and all(type(x) is int for x in v),
-        _read_size,
-    ),
-}
+# how a flag's text reads as that value (a ValueError leaves the text as it
+# is); the sparsity's entry names noise's word, so each is built when first read
+_JSON_TYPES: Mapping[str, tuple[str, Callable[[object], bool], Callable[[str], object]]] = (
+    _Sections(**{
+        "int": lambda: ("an integer", lambda v: type(v) is int, int),
+        "float": lambda: ("a finite number", _is_number, float),
+        "float | None": lambda: (
+            "a finite number or null ('none' as a flag)",
+            lambda v: v is None or _is_number(v),
+            lambda t: None if t.lower() in ("none", "off") else float(t),
+        ),
+        "float | str": _sparsity_type,
+        "str": lambda: ("a string", lambda v: type(v) is str, str),
+        "tuple[int, int]": lambda: (
+            "a list of two integers (WIDTHxHEIGHT as a flag)",
+            lambda v: type(v) is list and len(v) == 2 and all(type(x) is int for x in v),
+            _read_size,
+        ),
+    })
+)
 
 
 def _checked(value: object, annotation: str, name: str) -> object:
@@ -350,17 +361,20 @@ _FLAGS: tuple[_Flag, ...] = (
 )
 
 
-@dataclass
 class RunConfig:
     """A resolved run: subcommand, output directory, the config tree, and the
-    config objects built from its sections."""
+    config objects built from its sections.
 
-    command: str
-    out: Path
-    resolved: dict
+    A plain class, not a dataclass, so that a process that runs no
+    subcommand imports neither ``dataclasses`` nor ``inspect``.
+    """
+
     noise: NoiseConfig | None = None
     correction: CorrectionConfig | None = None
     loop: LoopConfig | None = None
+
+    def __init__(self, command: str, out: Path, resolved: dict) -> None:
+        self.command, self.out, self.resolved = command, out, resolved
 
     @property
     def seed(self) -> int:
@@ -396,7 +410,8 @@ def _apply_flag_overrides(resolved: dict, args: argparse.Namespace) -> None:
             section["superfluous"] = None
         else:
             if section["superfluous"] is None:
-                section["superfluous"] = dict(_SUPERFLUOUS)
+                # a flag that sets a field switches it on with the defaults
+                section["superfluous"] = _fields(_cli.SuperfluousConfig, "default")
             if field:
                 section["superfluous"][field] = _read_flag(
                     text, types[head][field], flag.option
@@ -496,10 +511,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if "noise" in sections:
         noise = resolved["noise"]
         sup = noise["superfluous"]
-        run.noise = NoiseConfig(
+        run.noise = _cli.NoiseConfig(
             box_noise=noise["box_noise"],
             sparsity=noise["sparsity"],
-            superfluous=SuperfluousConfig(**sup) if sup is not None else None,
+            superfluous=_cli.SuperfluousConfig(**sup) if sup is not None else None,
             seed=run.seed,
         )
     if "correction" in sections:
@@ -533,7 +548,7 @@ def _load_boxes_dataset(run: RunConfig, path: str) -> Dataset:
     fmt = run.resolved.get("format", "coco-json")
     dataset = _cli.load_annotations(path, fmt=fmt)
     if fmt == "point-csv":
-        dataset = materialize_points(dataset, run.resolved.get("point_side", _POINT_SIDE))
+        dataset = _cli.materialize_points(dataset, run.resolved.get("point_side", _POINT_SIDE))
     return dataset
 
 
@@ -567,12 +582,13 @@ def cmd_correct(run: RunConfig) -> None:
     refined, _, reports = _cli.correct_sets(targets_ds.annotations, detections, run.correction)
     refined = refined.clip(sizes)
     _cli.save_annotations(
-        Dataset.from_columns(list(targets_ds.class_names), image_ids, sizes, refined),
+        _cli.Dataset.from_columns(list(targets_ds.class_names), image_ids, sizes, refined),
         run.out / "corrected.json",
     )
+    corrected = _cli.PROVENANCE_CODES[_cli.PROVENANCE_CORRECTED]
     totals = {
         "images": len(image_ids),
-        "corrected": int((refined.provenance == PROVENANCE_CODES[PROVENANCE_CORRECTED]).sum()),
+        "corrected": int((refined.provenance == corrected).sum()),
         "mined": sum(report.mined for report in reports),
         "max_iterations": max((r.iterations for r in reports), default=0),
         "all_converged": all(r.converged for r in reports),
@@ -603,6 +619,8 @@ def _json_ints(values: list[int]) -> str:
 
 
 def cmd_evaluate(run: RunConfig) -> None:
+    from dataclasses import asdict
+
     inputs = run.resolved["inputs"]
     gt = _cli.load_annotations(inputs["ground-truth"])
     preds_ds = _cli.load_annotations(inputs["predictions"])
@@ -679,13 +697,15 @@ def _render_records(
             k += 1
         used.add(candidate)
         truth = truth_by_id.get(rec.image_id) if truth_by_id else None
-        svg = render_svg(
+        svg = _cli.render_svg(
             rec, layers=layers, ground_truth=truth, class_names=class_names
         )
         (out_dir / f"{candidate}.svg").write_text(svg, encoding="utf-8")
 
 
 def cmd_simulate(run: RunConfig) -> None:
+    from dataclasses import asdict
+
     loop = run.resolved["loop"]
     truth = _cli.synthesize_truth(
         **{arg: loop[key] for key, arg in _TRUTH_ARGS.items()}, seed=run.seed
@@ -694,15 +714,16 @@ def cmd_simulate(run: RunConfig) -> None:
     _cli.save_annotations(truth, run.out / "truth.json")
     names, image_ids, sizes = list(truth.class_names), truth.image_ids(), truth.image_sizes()
     _cli.save_annotations(
-        Dataset.from_columns(names, image_ids, sizes, scenario.targets), run.out / "targets.json"
+        _cli.Dataset.from_columns(names, image_ids, sizes, scenario.targets),
+        run.out / "targets.json",
     )
 
     def render(iteration, corrected, predictions):
         truth_by_id = {rec.image_id: rec.annotations for rec in truth.images}
         _render_records(
             run.out / "render" / f"iter_{iteration:03d}",
-            Dataset.from_columns(names, image_ids, sizes, corrected, predictions).images,
-            list(LAYER_COLORS),
+            _cli.Dataset.from_columns(names, image_ids, sizes, corrected, predictions).images,
+            list(_cli.LAYER_COLORS),
             truth_by_id,
             truth.class_names,
         )
@@ -714,7 +735,7 @@ def cmd_simulate(run: RunConfig) -> None:
         for record in trace:
             fh.write(json.dumps(asdict(record), sort_keys=True) + "\n")
     _cli.save_annotations(
-        Dataset.from_columns(names, image_ids, sizes, final.clip(sizes)),
+        _cli.Dataset.from_columns(names, image_ids, sizes, final.clip(sizes)),
         run.out / "corrected_final.json",
     )
 
@@ -735,12 +756,12 @@ def cmd_render(run: RunConfig) -> None:
     if "ground-truth" in inputs:
         gt_ds = _cli.load_annotations(inputs["ground-truth"])
         truth_by_id = {rec.image_id: rec.annotations for rec in gt_ds.images}
-    layers_text = run.resolved.get("layers", ",".join(LAYER_COLORS))
+    layers_text = run.resolved.get("layers", ",".join(_cli.LAYER_COLORS))
     layers = [part.strip() for part in layers_text.split(",") if part.strip()]
-    unknown_layers = [l for l in layers if l not in LAYER_COLORS]
+    unknown_layers = [l for l in layers if l not in _cli.LAYER_COLORS]
     if unknown_layers:
         raise CliError(
-            f"unknown layers: {unknown_layers}; valid: {sorted(LAYER_COLORS)}"
+            f"unknown layers: {unknown_layers}; valid: {sorted(_cli.LAYER_COLORS)}"
         )
     _render_records(run.out, dataset.images, layers, truth_by_id, dataset.class_names)
 
@@ -826,7 +847,7 @@ def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
         p.add_argument("--ground-truth", help="ground-truth overlay (optional)")
         p.add_argument(
             "--layers",
-            help=f"comma-separated subset of: {', '.join(LAYER_COLORS)}",
+            help=f"comma-separated subset of: {', '.join(_cli.LAYER_COLORS)}",
         )
 
 

@@ -402,7 +402,9 @@ def _mine_stage(targets: BoxSet, preds: BoxSet, cfg: CorrectionConfig) -> np.nda
         return np.zeros(0, dtype=np.intp)
     candidates = preds
     if len(confident) < len(preds):
-        candidates = preds.take(np.array(confident, dtype=np.intp))
+        # NMS and the duplicate check read only boxes, labels and probs
+        candidates = BoxSet(preds.boxes, preds.offsets, labels=preds.labels, probs=preds.probs)
+        candidates = candidates.take(np.array(confident, dtype=np.intp))
     visit = grouped_nms(candidates, cfg.mining_nms_iou).tolist()
     # only a candidate that shares its image and class with a target can be a
     # duplicate, survivor or not
@@ -440,7 +442,13 @@ def correct_sets(
     if cfg.mining_threshold is not None:
         rows = _mine_stage(targets, preds, cfg)
         if len(rows):
-            found = preds.take(rows)
+            # append keeps the columns both sets have, and int_edge if either has it
+            kept = {
+                n: getattr(preds, n)
+                for n in ("labels", "probs", "logits")
+                if getattr(targets, n) is not None
+            }
+            found = BoxSet(preds.boxes, preds.offsets, int_edge=preds.int_edge, **kept).take(rows)
             found.provenance = np.full(len(rows), PROVENANCE_CODES[PROVENANCE_MINED], np.int8)
             for report, n in zip(reports, found.counts.tolist()):
                 report.mined = n

@@ -1065,6 +1065,31 @@ def test_cli_import_stays_light():
     assert out.stdout.strip() == "[]"
 
 
+def run_cli(*argv: str) -> subprocess.CompletedProcess:
+    """A fresh ``python -m boxrefine.cli`` process, run to exit."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run(
+        [sys.executable, "-m", "boxrefine.cli", *argv], capture_output=True, text=True, env=env
+    )
+
+
+def test_help_process_prints_the_eager_help(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["--help"])
+    eager = capsys.readouterr().out
+    proc = run_cli("--help")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, eager, "")
+
+
+def test_missing_subcommand_is_a_usage_error():
+    proc = run_cli()
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (
+        build_parser().format_usage()
+        + "boxrefine: error: the following arguments are required: command\n"
+    )
+
+
 def count_built(monkeypatch, *classes) -> dict:
     """How many objects of each of ``classes`` are built from now on, as a
     dict that fills while the test runs."""

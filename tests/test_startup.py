@@ -1,9 +1,10 @@
 """What a CLI process loads: each subcommand imports only the modules it runs.
 
-The package imports none of its modules, and the CLI's parser adds a
-subcommand's arguments only when that subcommand is parsed. These tests pin
-both, and check that the lazy parser reads every command line and prints
-every help text as the parser built with all arguments does.
+The package imports none of its modules, the CLI imports none at module
+level, and the CLI's parser adds a subcommand's arguments only when that
+subcommand is parsed. These tests pin all three, and check that the lazy
+parser reads every command line and prints every help text as the parser
+built with all arguments does.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ RUN_BY = {
 }
 # subcommands that draw no random numbers: hashlib's OpenSSL and
 # numpy.random cost them startup and memory for nothing
-NO_RANDOM = {"correct", "evaluate", "render", "--help"}
+NO_RANDOM = {"correct", "evaluate", "render"}
 
 ARGV = {
     "inject-noise": ["inject-noise", "--input", "clean.json", "--box-noise", "0.2",
@@ -42,23 +43,29 @@ ARGV = {
     "render": ["render", "--dataset", "clean.json", "--detections", "dets.json",
                "--out", "svg"],
     "simulate": ["simulate", "--images", "2", "--iterations", "1", "--out", "sim"],
-    "--help": ["--help"],
 }
 
+# runs boxrefine.cli as ``python -m`` does, and at exit writes the names of
+# the loaded modules to the file named by its first argument; ``-X importtime``
+# would miss a module loaded by ``importlib.import_module``
+PROBE = """
+import atexit, pathlib, runpy, sys
+path = pathlib.Path(sys.argv.pop(1))
+atexit.register(lambda: path.write_text("\\n".join(sys.modules)))
+runpy.run_module("boxrefine.cli", run_name="__main__", alter_sys=True)
+"""
 
-def loaded_modules(argv: list[str], cwd) -> set[str]:
-    """The modules a fresh ``python -m boxrefine.cli`` process imports."""
+
+def loaded_modules(argv: list[str], cwd, code: int = 0) -> set[str]:
+    """The modules loaded at exit by a fresh ``python -m boxrefine.cli``
+    process, which exits with ``code``."""
+    path = cwd / "modules.txt"
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "boxrefine.cli", *argv],
+        [sys.executable, "-c", PROBE, str(path), *argv],
         cwd=cwd, env=ENV, capture_output=True, text=True,
     )
-    assert proc.returncode == 0, proc.stderr
-    # importtime lines end in "| <indent><module name>"
-    return {
-        line.rsplit("|", 1)[1].strip()
-        for line in proc.stderr.splitlines()
-        if line.startswith("import time:")
-    }
+    assert proc.returncode == code, proc.stderr
+    return set(path.read_text().split("\n"))
 
 
 def test_each_subcommand_loads_only_what_it_runs(tmp_path):
@@ -73,6 +80,16 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path):
             assert not loaded & {"_hashlib", "numpy.random"}, name
 
 
+@pytest.mark.parametrize(
+    "argv, code", [(["--help"], 0), ([], 2), (["bogus"], 2)], ids=["help", "none", "bogus"]
+)
+def test_no_subcommand_loads_no_work_module(tmp_path, argv, code):
+    loaded = loaded_modules(argv, tmp_path, code)
+    assert not {m for m in loaded if m.partition(".")[0] == "numpy"}
+    assert {m for m in loaded if m.startswith("boxrefine.")} <= {"boxrefine.cli"}
+    assert "_hashlib" not in loaded
+
+
 def help_text(parser, argv: list[str], capsys) -> str:
     with pytest.raises(SystemExit):
         parser.parse_args(argv)
@@ -80,7 +97,7 @@ def help_text(parser, argv: list[str], capsys) -> str:
 
 
 @pytest.mark.parametrize(
-    "argv", [["--help"]] + [[name, "--help"] for name in ARGV if name != "--help"]
+    "argv", [["--help"]] + [[name, "--help"] for name in ARGV]
 )
 def test_lazy_parser_prints_the_same_help(argv, capsys):
     eager = help_text(build_parser(), argv, capsys)
