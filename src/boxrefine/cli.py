@@ -15,6 +15,7 @@ import copy
 import csv
 import json
 import math
+import os
 import re
 import sys
 from importlib import import_module
@@ -897,7 +898,22 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    """Run ``main`` and end the process with its code (0 or 1), or with
+    argparse's (0 after ``--help``, 2 for a usage error), skipping the
+    interpreter's teardown, which costs each process tens of milliseconds.
+    Every file a subcommand writes is closed before ``main`` returns, and
+    both standard streams are flushed here; if a flush fails, or ``main``
+    raises anything else, the process ends through the interpreter."""
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import warnings
 
 import pytest
 
+from boxrefine import cli
 from boxrefine.cli import build_parser, main
 from boxrefine.correction import CorrectionConfig
 from boxrefine.datamodel import (
@@ -1066,8 +1068,11 @@ def test_cli_import_stays_light():
 
 
 def run_cli(*argv: str) -> subprocess.CompletedProcess:
-    """A fresh ``python -m boxrefine.cli`` process, run to exit."""
+    """A fresh ``python -m boxrefine.cli`` process, run to exit. Without
+    ``PYTHONUNBUFFERED`` its piped stdout is block-buffered, as for most
+    users, so text the process does not flush before it ends is lost."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run(
         [sys.executable, "-m", "boxrefine.cli", *argv], capture_output=True, text=True, env=env
     )
@@ -1088,6 +1093,114 @@ def test_missing_subcommand_is_a_usage_error():
         build_parser().format_usage()
         + "boxrefine: error: the following arguments are required: command\n"
     )
+
+
+class Exited(Exception):
+    """Raised in place of ``os._exit``: the exit code, and whether each
+    standard stream had been flushed after its last write."""
+
+    def __init__(self, code, flushed):
+        super().__init__(code)
+        self.code, self.flushed = code, flushed
+
+
+class Stream(io.StringIO):
+    """A standard stream that records how much of its text was flushed."""
+
+    flushed = None
+
+    def flush(self):
+        self.flushed = len(self.getvalue())
+        super().flush()
+
+
+def console_exit(monkeypatch, argv):
+    """Run ``console_main`` on ``argv``; return its ``Exited`` and streams."""
+    streams = {"stdout": Stream(), "stderr": Stream()}
+    for name, stream in streams.items():
+        monkeypatch.setattr(sys, name, stream)
+    monkeypatch.setattr(sys, "argv", ["boxrefine", *argv])
+
+    def hard_exit(code):
+        raise Exited(code, {name: s.flushed == len(s.getvalue()) for name, s in streams.items()})
+
+    monkeypatch.setattr(os, "_exit", hard_exit)
+    with pytest.raises(Exited) as info:
+        cli.console_main()
+    return info.value, streams["stdout"].getvalue(), streams["stderr"].getvalue()
+
+
+def test_console_main_flushes_then_exits_with_mains_code(tmp_path, monkeypatch):
+    """``console_main`` ends the process through ``os._exit`` with the code of
+    ``main`` or of argparse, after flushing both standard streams."""
+    from test_golden import write_inputs
+
+    write_inputs(tmp_path)
+    flushed = {"stdout": True, "stderr": True}
+    ok = ["inject-noise", "--input", str(tmp_path / "clean.json"),
+          "--out", str(tmp_path / "noisy")]
+    exited, out, err = console_exit(monkeypatch, ok)
+    assert (exited.code, exited.flushed, out, err) == (0, flushed, "", "")
+    assert (tmp_path / "noisy" / "annotations.json").is_file()
+
+    missing = tmp_path / "nope.json"
+    exited, out, err = console_exit(
+        monkeypatch, ["inject-noise", "--input", str(missing), "--out", str(tmp_path / "x")]
+    )
+    assert (exited.code, exited.flushed, out) == (1, flushed, "")
+    assert err == f"error: annotation file not found: {missing}\n"
+
+    exited, out, err = console_exit(monkeypatch, ["--help"])
+    assert (exited.code, exited.flushed, err) == (0, flushed, "")
+    assert out == build_parser().format_help()
+
+    exited, out, err = console_exit(monkeypatch, [])
+    assert (exited.code, exited.flushed, out) == (2, flushed, "")
+    assert err == (
+        build_parser().format_usage()
+        + "boxrefine: error: the following arguments are required: command\n"
+    )
+
+
+def test_console_main_falls_back_to_the_interpreter(monkeypatch):
+    """A failed flush, and an exception other than ``SystemExit`` from
+    ``main``, end the process through the interpreter as before: the code
+    reaches ``sys.exit`` and the exception propagates with its traceback."""
+
+    def hard_exit(code):
+        raise AssertionError("os._exit called")
+
+    class Gone(io.StringIO):
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(os, "_exit", hard_exit)
+    monkeypatch.setattr(sys, "stdout", Gone())
+    monkeypatch.setattr(sys, "argv", ["boxrefine", "--help"])
+    with pytest.raises(SystemExit) as info:
+        cli.console_main()
+    assert info.value.code == 0
+
+    def broken(argv=None):
+        raise RuntimeError("broken")
+
+    monkeypatch.setattr(cli, "main", broken)
+    with pytest.raises(RuntimeError, match="broken"):
+        cli.console_main()
+
+
+def test_stage_process_writes_what_main_writes(tmp_path):
+    """A stage run as its own process writes the files ``main`` writes in
+    process, byte for byte, and nothing to its standard streams."""
+    from test_golden import write_inputs
+
+    write_inputs(tmp_path)
+    argv = ["correct", "--targets", str(tmp_path / "clean.json"),
+            "--detections", str(tmp_path / "dets.json"), "--out"]
+    proc = run_cli(*argv, str(tmp_path / "process"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert main(argv + [str(tmp_path / "in-process")]) == 0
+    assert tree_bytes(tmp_path / "process") == tree_bytes(tmp_path / "in-process")
 
 
 def count_built(monkeypatch, *classes) -> dict:

@@ -45,13 +45,18 @@ ARGV = {
     "simulate": ["simulate", "--images", "2", "--iterations", "1", "--out", "sim"],
 }
 
-# runs boxrefine.cli as ``python -m`` does, and at exit writes the names of
+# runs boxrefine.cli as ``python -m`` does, and when it ends the process
+# with ``os._exit`` (which runs no ``atexit`` hook) first writes the names of
 # the loaded modules to the file named by its first argument; ``-X importtime``
 # would miss a module loaded by ``importlib.import_module``
 PROBE = """
-import atexit, pathlib, runpy, sys
+import os, pathlib, runpy, sys
 path = pathlib.Path(sys.argv.pop(1))
-atexit.register(lambda: path.write_text("\\n".join(sys.modules)))
+real_exit = os._exit
+def probe_exit(code):
+    path.write_text("\\n".join(sys.modules))
+    real_exit(code)
+os._exit = probe_exit
 runpy.run_module("boxrefine.cli", run_name="__main__", alter_sys=True)
 """
 
