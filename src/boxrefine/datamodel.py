@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass, field, replace
 from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii
-from operator import is_, itemgetter, not_
+from operator import gt, is_, itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -310,138 +310,217 @@ class Dataset:
 
 def _require(cond: bool, path: Path, msg: str) -> None:
     # for one-off checks only: the message is formatted even when ``cond``
-    # holds, so per-entry checks raise directly
+    # holds, so the rows of a list are checked by a rule table
     if not cond:
         raise DatasetFormatError(f"{path}: {msg}")
 
 
-def _not_finite(
-    shown: object, path: Path, entry: str, key: object, field: str
-) -> DatasetFormatError:
-    """The error for a ``field`` of ``entry`` ``key`` (such as ``annotation 7``)
-    that is not a finite number.
-
-    Non-finite values are refused at load: NaN compares false with
-    everything, so it would slip past every later range check.
-    """
-    return DatasetFormatError(
-        f"{path}: {entry} {key}: {field!r} must be a finite number, got {shown!r}"
-    )
-
-
-def _finite(value: object, path: Path, entry: str, key: object, field: str) -> float:
-    """``value`` as a float, unless it is not a finite number."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise _not_finite(value, path, entry, key, field) from None
-    if not math.isfinite(number):
-        raise _not_finite(value, path, entry, key, field)
-    return number
-
-
-def _check_entry(path: Path, k: int, entry: object, image_of: dict, label_of: dict) -> None:
-    """Raise the error of entry ``k`` of ``annotations``: its first failing check.
-
-    The loader checks whole columns at once and calls this only for the
-    first entry that fails one, to word the message.
-    """
-    if not isinstance(entry, dict):
-        raise DatasetFormatError(
-            f"{path}: annotation #{k} must be an object, got {type(entry).__name__}"
-        )
-    ann_id = entry["id"] if "id" in entry else f"#{k}"
-    if "image_id" not in entry:
-        raise DatasetFormatError(f"{path}: annotation {ann_id}: missing 'image_id'")
-    try:
-        known = entry["image_id"] in image_of
-    except TypeError:  # a list or object, which no image id equals
-        known = False
-    if not known:
-        raise DatasetFormatError(
-            f"{path}: annotation {ann_id}: unknown image_id {entry['image_id']!r}"
-        )
-    if "category_id" not in entry:
-        raise DatasetFormatError(f"{path}: annotation {ann_id}: missing 'category_id'")
-    try:
-        known = entry["category_id"] in label_of
-    except TypeError:
-        known = False
-    if not known:
-        raise DatasetFormatError(
-            f"{path}: annotation {ann_id}: unknown category_id {entry['category_id']!r}"
-        )
-    field = "bbox_xyxy" if entry.get("bbox_xyxy") is not None else "bbox"
-    values = entry.get(field)
-    if not (isinstance(values, list) and len(values) == 4):
-        raise DatasetFormatError(
-            f"{path}: annotation {ann_id}: {field} must be a list of 4 numbers"
-        )
-    try:
-        a, b, c, d = map(float, values)
-    except (TypeError, ValueError, OverflowError):
-        raise _not_finite(values, path, "annotation", ann_id, field) from None
-    if not all(map(math.isfinite, (a, b, c, d))):
-        raise _not_finite(values, path, "annotation", ann_id, field)
-    if field == "bbox_xyxy" and not (a <= c and b <= d):
-        raise DatasetFormatError(
-            f"{path}: annotation {ann_id}: bbox_xyxy corners not canonical"
-        )
-    if field == "bbox" and not (c >= 0.0 and d >= 0.0):
-        raise DatasetFormatError(f"{path}: annotation {ann_id}: negative bbox size {c}x{d}")
-    if "score" in entry:
-        score = _finite(entry["score"], path, "annotation", ann_id, "score")
-        if not 0.0 <= score <= 1.0:
-            raise DatasetFormatError(
-                f"{path}: annotation {ann_id}: score {score} outside [0, 1]"
-            )
-        if "logit" in entry:
-            _finite(entry["logit"], path, "annotation", ann_id, "logit")
-    elif entry.get("provenance", PROVENANCE_ORIGINAL) not in PROVENANCES:
-        raise DatasetFormatError(
-            f"{path}: annotation {ann_id}: unknown provenance {entry['provenance']!r}"
-        )
-    raise AssertionError(f"{path}: annotation #{k} passes every check")
-
-
-# what gathering raises for an entry whose fields cannot be gathered
+# what reading a column raises where a row lacks its field or has one of the wrong kind
 _UNGATHERED = (KeyError, TypeError, ValueError, OverflowError)
 
 
-def _gather(entries: list, image_of: dict, label_of: dict) -> tuple:
-    """The columns of ``entries``, each field gathered for all entries at once.
+def _holds(test: Callable, values: Iterable, arg: object) -> np.ndarray:
+    """Whether ``test(value, arg)`` holds for each of ``values``."""
+    # a bytearray of the bools is faster than np.fromiter
+    return np.frombuffer(bytearray(map(test, values, repeat(arg))), bool)
 
-    Per entry: its image row, its label, whether it is a detection (it has a
-    ``score``) and whether its box is a ``bbox`` size rather than corners;
-    the values of the ``bbox_xyxy`` boxes and of the ``bbox`` boxes, each
-    in entry order; the detections' scores, which of them give a logit, and
-    those logits; the annotations' provenance codes. Values go through
-    ``float()`` as the entry check takes them. Raises one of ``_UNGATHERED``
-    if some entry's fields cannot be gathered.
+
+def _floats(values: Iterable) -> np.ndarray:
+    return np.fromiter(map(float, values), np.float64)
+
+
+def _at(n: int, rows: np.ndarray, bad: np.ndarray) -> np.ndarray:
+    """A mask of ``n`` rows that is ``bad`` at ``rows`` and false elsewhere."""
+    mask = np.zeros(n, dtype=bool)
+    mask[rows] = bad
+    return mask
+
+
+class _Rows:
+    """The rows of a list in a file, ``entry``, and their columns.
+
+    A column is gathered for every row at once, by C-level iteration, when
+    it is first read as an attribute: ``columns`` maps its name to the
+    function that gathers it. Reading one raises one of ``_UNGATHERED`` if
+    some row has no such field, or one of the wrong kind. ``rows[name]`` is
+    the column's value in the last row, as a message shows it.
     """
-    image = map(image_of.__getitem__, map(itemgetter("image_id"), entries))
-    label = map(label_of.__getitem__, map(itemgetter("category_id"), entries))
-    is_det = list(map(dict.__contains__, entries, repeat("score")))
-    corners = list(map(dict.get, entries, repeat("bbox_xyxy")))
-    xywh = list(map(is_, corners, repeat(None)))
-    corners = list(compress(corners, map(not_, xywh)))
-    sized = list(map(itemgetter("bbox"), compress(entries, xywh)))
-    boxes = corners + sized
-    if not (set(map(type, boxes)) <= {list} and set(map(len, boxes)) <= {4}):
-        raise TypeError("a box is not a list of 4 values")
-    dets = list(compress(entries, is_det))
-    has_logit = list(map(dict.__contains__, dets, repeat("logit")))
-    provenance = map(dict.get, compress(entries, map(not_, is_det)), repeat("provenance"),
-                     repeat(PROVENANCE_ORIGINAL))
+
+    def __init__(self, entry: list, columns: dict, **context: object) -> None:
+        self.entry, self.columns = entry, columns
+        vars(self).update(context)
+
+    def __getattr__(self, name: str) -> object:
+        if name not in self.columns:
+            raise AttributeError(name)
+        value = self.columns[name](self)
+        setattr(self, name, value)
+        return value
+
+    def __getitem__(self, name: str) -> object:
+        value = getattr(self, name)[-1]
+        return value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
+
+    def __len__(self) -> int:
+        return len(self.entry)
+
+    def objects(self) -> np.ndarray:
+        return _holds(isinstance, self.entry, dict)
+
+    def has(self, key: str) -> np.ndarray:
+        return _holds(dict.__contains__, self.entry, key)
+
+    def get(self, key: str, default: object = None) -> Iterable:
+        return map(dict.get, self.entry, repeat(key), repeat(default))
+
+
+# the entries of ``images``; of ``categories``, only ``idx`` and ``id`` are read
+_IMAGE_COLUMNS = {
+    "idx": lambda c: range(1, len(c) + 1),
+    "id": lambda c: list(map(itemgetter("id"), c.entry)),
+    "width": lambda c: list(c.get("width")),
+    "height": lambda c: list(c.get("height")),
+    # the row of the first entry with each id
+    "first": lambda c: dict(zip(reversed(c.id), range(len(c) - 1, -1, -1))),
+}
+
+_BOX_FIELDS = np.array(["bbox_xyxy", "bbox"], dtype=object)
+# the entries of ``annotations``: annotations and detections (with a ``score``) alike
+_ENTRY_COLUMNS = {
+    "k": lambda c: range(len(c)),
+    # how messages name an entry: its id, else its number
+    "id": lambda c: [e["id"] if "id" in e else f"#{k}" for k, e in enumerate(c.entry)],
+    # the image row and the label, -1 and 0 where the id is unknown
+    "image": lambda c: np.fromiter(map(c.image_of.get, c.get("image_id"), repeat(-1)), np.intp),
+    "label": lambda c: np.fromiter(map(c.label_of.get, c.get("category_id"), repeat(0)), np.int64),
+    # the box is a bbox size where bbox_xyxy is null or absent
+    "xywh": lambda c: _holds(is_, c.get("bbox_xyxy"), None),
+    "field": lambda c: _BOX_FIELDS[c.xywh.astype(np.intp)].tolist(),
+    "box": lambda c: list(map(dict.get, c.entry, c.field)),
+    "values": lambda c: _floats(chain.from_iterable(c.box)).reshape(-1, 4),
+    "is_det": lambda c: c.has("score"),
+    "dets": lambda c: list(compress(c.entry, c.is_det.tolist())),
+    "score": lambda c: _floats(map(itemgetter("score"), c.dets)),
+    "has_logit": lambda c: _holds(dict.__contains__, c.dets, "logit"),
+    "logit": lambda c: _floats(map(itemgetter("logit"), compress(c.dets, c.has_logit.tolist()))),
+    "anns": lambda c: _Rows(list(compress(c.entry, (~c.is_det).tolist())), {}),
+    # the code of each annotation's provenance, -1 where the name is unknown
+    "provenance": lambda c: np.fromiter(map(
+        PROVENANCE_CODES.get, c.anns.get("provenance", PROVENANCE_ORIGINAL), repeat(-1)
+    ), np.int8),
+}
+
+# A rule table lists the rules of a row in the order an entry-by-entry reader
+# checks them (``tests/oracles.py::load_ref`` is that reader). A rule is a
+# predicate, the mask of the rows of a ``_Rows`` that break it, and the
+# message of such a row, formatted from its fields. A predicate raises one of
+# ``_UNGATHERED`` only where a row breaks it or an earlier rule.
+
+
+def _side_rules(side: str) -> tuple:
+    """The rules of an image's ``width`` or ``height``, a pixel count."""
+
+    def whole_not(c: _Rows) -> np.ndarray:
+        # true would load as 1 and 512.7 as 512
+        pixels = _floats(getattr(c, side))
+        return _holds(is_, map(type, getattr(c, side)), bool) | (pixels != np.trunc(pixels))
+
     return (
-        np.fromiter(image, np.intp), np.fromiter(label, np.int64), is_det, xywh,
-        np.fromiter(map(float, chain.from_iterable(corners)), np.float64),
-        np.fromiter(map(float, chain.from_iterable(sized)), np.float64),
-        np.fromiter(map(float, map(itemgetter("score"), dets)), np.float64),
-        has_logit,
-        np.fromiter(map(float, map(itemgetter("logit"), compress(dets, has_logit))), np.float64),
-        list(map(PROVENANCE_CODES.__getitem__, provenance)),
+        (lambda c: ~(_holds(isinstance, getattr(c, side), (int, float))
+                     & _holds(gt, getattr(c, side), 0)),
+         f"image {{id}}: missing or non-positive {side!r}"),
+        # NaN compares false with everything: it would slip past every check
+        (lambda c: ~np.isfinite(_floats(getattr(c, side))),
+         f"image {{id}}: {side!r} must be a finite number, got {{{side}!r}}"),
+        (whole_not, f"image {{id}}: {side!r} must be a whole number, got {{{side}!r}}"),
     )
+
+
+def _id_rules(kind: str) -> tuple:
+    """The rules of the ``id`` of an entry of ``images`` or ``categories``."""
+    return (
+        (lambda c: ~c.objects(),
+         kind + " entry {idx} must be an object, got {entry.__class__.__name__}"),
+        (lambda c: ~c.has("id"), kind + " entry {idx} missing 'id'"),
+        (lambda c: _holds(isinstance, c.id, (list, dict)),
+         kind + " entry {idx}: 'id' must not be a list or object, got {id!r}"),
+    )
+
+
+_IMAGE_RULES = (
+    *_id_rules("image"),
+    *_side_rules("width"),
+    *_side_rules("height"),
+    (lambda c: np.fromiter(map(c.first.__getitem__, c.id), np.intp) != np.arange(len(c)),
+     "duplicate image id {id}"),
+)
+
+
+_ENTRY_RULES = (
+    (lambda c: ~c.objects(), "annotation #{k} must be an object, got {entry.__class__.__name__}"),
+    (lambda c: ~c.has("image_id"), "annotation {id}: missing 'image_id'"),
+    (lambda c: c.image < 0, "annotation {id}: unknown image_id {entry[image_id]!r}"),
+    (lambda c: ~c.has("category_id"), "annotation {id}: missing 'category_id'"),
+    (lambda c: c.label == 0, "annotation {id}: unknown category_id {entry[category_id]!r}"),
+    # list.__len__ raises for a box that is not a list
+    (lambda c: np.fromiter(map(list.__len__, c.box), np.intp, len(c)) != 4,
+     "annotation {id}: {field} must be a list of 4 numbers"),
+    (lambda c: ~np.isfinite(c.values).all(axis=1),
+     "annotation {id}: {field!r} must be a finite number, got {box!r}"),
+    (lambda c: ~c.xywh & ~((c.values[:, 0] <= c.values[:, 2])
+                           & (c.values[:, 1] <= c.values[:, 3])),
+     "annotation {id}: bbox_xyxy corners not canonical"),
+    (lambda c: c.xywh & ~((c.values[:, 2] >= 0.0) & (c.values[:, 3] >= 0.0)),
+     "annotation {id}: negative bbox size {values[2]}x{values[3]}"),
+    (lambda c: _at(len(c), c.is_det, ~np.isfinite(c.score)),
+     "annotation {id}: 'score' must be a finite number, got {entry[score]!r}"),
+    (lambda c: _at(len(c), c.is_det, ~((c.score >= 0.0) & (c.score <= 1.0))),
+     "annotation {id}: score {score} outside [0, 1]"),
+    (lambda c: _at(len(c), c.is_det.nonzero()[0][c.has_logit], ~np.isfinite(c.logit)),
+     "annotation {id}: 'logit' must be a finite number, got {entry[logit]!r}"),
+    (lambda c: _at(len(c), ~c.is_det, c.provenance < 0),
+     "annotation {id}: unknown provenance {entry[provenance]!r}"),
+)
+
+
+def _checked(path: Path, entry: list, rules: tuple, columns: dict, **context: object) -> _Rows:
+    """The rows ``entry``, once every rule of ``rules`` holds on every row.
+
+    Otherwise raises the error of the first row that breaks a rule, worded by
+    the first rule it breaks. Only if a rule raises one of ``_UNGATHERED``
+    are heads of the rows checked, halving the search, to find that row.
+    """
+
+    def first_bad(rows: _Rows) -> int:
+        # the first row that breaks a rule, len(rows) if none does, -1 if unknown
+        bad = np.zeros(len(rows), dtype=bool)
+        try:
+            for breaks, _ in rules:
+                bad |= breaks(rows)
+        except _UNGATHERED:
+            return -1
+        return int(bad.argmax()) if bad.any() else len(rows)
+
+    whole = _Rows(entry, columns, **context)
+    row = first_bad(whole)
+    if row < 0:
+        lo, hi = 0, len(entry)  # every rule holds on entry[:lo], not on entry[:hi]
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            holds = first_bad(_Rows(entry[:mid], columns, **context)) == mid
+            lo, hi = (mid, hi) if holds else (lo, mid)
+        row = lo
+    if row == len(entry):
+        return whole
+    head = _Rows(entry[: row + 1], columns, **context)
+    for breaks, message in rules:
+        try:
+            broken = breaks(head)[-1]
+        except _UNGATHERED:
+            broken = True
+        if broken:
+            raise DatasetFormatError(f"{path}: " + message.format_map(head))
+    raise AssertionError(f"{path}: row {row} breaks no rule")
 
 
 # the type of each column of the loaded sets
@@ -459,38 +538,6 @@ def _grouped(image: np.ndarray, num_images: int, boxes: np.ndarray, **columns: o
     return s
 
 
-def _check_images(path: Path, images: list) -> None:
-    """Raise the error of the first failing entry of ``images``: its first
-    failing check. The loader checks the image table on its columns and
-    calls this only when a check fails, to word the message."""
-    seen: set = set()
-    for idx, img in enumerate(images, start=1):
-        if not (isinstance(img, dict) and "id" in img):
-            raise DatasetFormatError(f"{path}: image entry missing 'id'")
-        if isinstance(img["id"], (list, dict)):
-            raise DatasetFormatError(
-                f"{path}: image entry {idx}: 'id' must not be a list or object, "
-                f"got {img['id']!r}"
-            )
-        for fld in ("width", "height"):
-            size = img.get(fld)
-            if not (isinstance(size, (int, float)) and size > 0):
-                raise DatasetFormatError(
-                    f"{path}: image {img['id']}: missing or non-positive {fld!r}"
-                )
-            _finite(size, path, "image", img["id"], fld)
-            # a pixel count: true would load as 1 and 512.7 as 512
-            if isinstance(size, bool) or size != int(size):
-                raise DatasetFormatError(
-                    f"{path}: image {img['id']}: {fld!r} must be a whole number, "
-                    f"got {size!r}"
-                )
-        if img["id"] in seen:
-            raise DatasetFormatError(f"{path}: duplicate image id {img['id']}")
-        seen.add(img["id"])
-    raise AssertionError(f"{path}: every image passes every check")
-
-
 def _load_coco(path: Path) -> Dataset:
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -503,18 +550,7 @@ def _load_coco(path: Path) -> Dataset:
         _require(key in raw, path, f"missing required key {key!r}")
         _require(isinstance(raw[key], list), path, f"{key!r} must be a list")
 
-    for idx, cat in enumerate(raw["categories"], start=1):
-        _require(
-            isinstance(cat, dict),
-            path,
-            f"category entry {idx} must be an object, got {type(cat).__name__}",
-        )
-        _require("id" in cat, path, f"category entry {idx} missing 'id'")
-        _require(
-            not isinstance(cat["id"], (list, dict)),
-            path,
-            f"category entry {idx}: 'id' must not be a list or object, got {cat['id']!r}",
-        )
+    _checked(path, raw["categories"], _id_rules("category"), _IMAGE_COLUMNS)
     try:
         categories = sorted(raw["categories"], key=lambda c: c["id"])
     except TypeError:
@@ -530,58 +566,17 @@ def _load_coco(path: Path) -> Dataset:
         label_of[cat["id"]] = idx
         class_names.append(str(cat.get("name", f"class_{idx}")))
 
-    # the image table is checked on its columns; any failure is worded by
-    # the image-by-image check
-    images = raw["images"]
-    try:
-        ids = list(map(itemgetter("id"), images))
-        image_of = dict(zip(ids, range(len(ids))))
-        widths = list(map(dict.get, images, repeat("width")))
-        heights = list(map(dict.get, images, repeat("height")))
-        # exact types: a bool is no pixel count
-        fine = len(image_of) == len(ids) and set(map(type, widths + heights)) <= {int, float}
-        if fine:
-            sides = np.array(list(map(float, widths + heights)), dtype=np.float64)
-            fine = bool((np.isfinite(sides) & (sides > 0.0) & (sides == np.trunc(sides))).all())
-    except _UNGATHERED:
-        fine = False
-    if not fine:
-        _check_images(path, images)
-    image_ids = list(map(str, ids))
-    sizes = list(zip(map(int, widths), map(int, heights)))
-
-    # every field is gathered as one column; if some entry cannot be
-    # gathered, the entries before the first such one are
-    entries = raw["annotations"]
-    stop = len(entries)
-    try:
-        columns = _gather(entries, image_of, label_of)
-    except _UNGATHERED:
-        for stop, entry in enumerate(entries):
-            try:
-                _gather([entry], image_of, label_of)
-            except _UNGATHERED:
-                break
-        columns = _gather(entries[:stop], image_of, label_of)
-    image, labels, is_det, xywh, corners, sized, probs, has_logit, given, codes = columns
-
-    # the value checks run on the gathered columns, a row per entry
-    is_det, xywh = np.array(is_det, dtype=bool), np.array(xywh, dtype=bool)
-    boxes = np.empty((len(image), 4))
-    boxes[~xywh] = corners.reshape(-1, 4)
-    boxes[xywh] = sized.reshape(-1, 4)
-    x1, y1, c, d = boxes.T
-    bad = ~np.isfinite(boxes).all(axis=1)
-    bad |= np.where(xywh, ~((c >= 0.0) & (d >= 0.0)), ~((x1 <= c) & (y1 <= d)))
-    bad[is_det] |= ~((probs >= 0.0) & (probs <= 1.0))
-    has_logit = np.array(has_logit, dtype=bool)
+    images = _checked(path, raw["images"], _IMAGE_RULES, _IMAGE_COLUMNS)
+    image_ids = list(map(str, images.id))
+    sizes = list(zip(map(int, images.width), map(int, images.height)))
+    c = _checked(
+        path, raw["annotations"], _ENTRY_RULES, _ENTRY_COLUMNS,
+        image_of=images.first, label_of=label_of,
+    )
+    image, labels, is_det, xywh, boxes = c.image, c.label, c.is_det, c.xywh, c.values
+    probs, has_logit, codes = c.score, c.has_logit, c.provenance
     logits = np.zeros(len(probs))
-    logits[has_logit] = given
-    bad[is_det.nonzero()[0][has_logit]] |= ~np.isfinite(logits[has_logit])
-    (failing,) = bad.nonzero()
-    failed = int(failing[0]) if len(failing) else stop
-    if failed < len(entries):
-        _check_entry(path, failed, entries[failed], image_of, label_of)
+    logits[has_logit] = c.logit
 
     # x2 = x1 + w and y2 = y1 + h where the entry gives a size; a sum past
     # the largest float is inf and clips to the image, as in Python
@@ -597,10 +592,11 @@ def _load_coco(path: Path) -> Dataset:
         p = probs[missing].clip(PROB_CLAMP, 1.0 - PROB_CLAMP)
         logits[missing] = np.fromiter(map(math.log, p / (1.0 - p)), np.float64, len(p))
     annotations = _grouped(
-        image[~is_det], len(ids), boxes[~is_det], labels=labels[~is_det], provenance=codes
+        image[~is_det], len(image_ids), boxes[~is_det], labels=labels[~is_det], provenance=codes
     )
     detections = _grouped(
-        image[is_det], len(ids), boxes[is_det], labels=labels[is_det], probs=probs, logits=logits
+        image[is_det], len(image_ids), boxes[is_det], labels=labels[is_det], probs=probs,
+        logits=logits,
     )
     # ids unique in the file, such as 100 and "100", can load as one string
     if len(set(image_ids)) < len(image_ids):

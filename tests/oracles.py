@@ -449,7 +449,9 @@ def load_ref(path):
 
     images, by_id = [], {}
     for idx, img in enumerate(raw["images"], start=1):
-        require(isinstance(img, dict) and "id" in img, "image entry missing 'id'")
+        require(isinstance(img, dict),
+                f"image entry {idx} must be an object, got {type(img).__name__}")
+        require("id" in img, f"image entry {idx} missing 'id'")
         require(not isinstance(img["id"], (list, dict)),
                 f"image entry {idx}: 'id' must not be a list or object, got {img['id']!r}")
         for fld in ("width", "height"):

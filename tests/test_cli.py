@@ -381,6 +381,25 @@ class TestCorrect:
         assert str(src) in err and where in err and field in err
         assert not (out / "annotations.json").exists()
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("b", "image entry 2 must be an object, got str"),
+            ({"width": 512, "height": 512}, "image entry 2 missing 'id'"),
+        ],
+    )
+    def test_image_entry_errors_name_the_entry(self, tmp_path, capsys, entry, message):
+        src = tmp_path / "clean.json"
+        two_image_dataset(src)
+        payload = read_json(src)
+        payload["images"][1] = entry
+        src.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "out"
+        rc = main(["inject-noise", "--input", str(src), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {src}: {message}\n"
+        assert not (out / "annotations.json").exists()
+
 
 class TestEvaluate:
     def make_pair(self, tmp_path, pred_dets=None):
@@ -489,6 +508,54 @@ class TestEvaluate:
         assert rc == 1
         err = capsys.readouterr().err
         assert err == f"error: {gt}: duplicate image ids once read as text: ['100']\n"
+
+
+    def evaluate_against(self, tmp_path, truth, predictions):
+        """Exit code and metrics of ``evaluate`` on one box of class ``truck``
+        (category 3) in image 1, 100 x 100, predicted at score 0.9; each side
+        changed by its function."""
+        box = [10, 10, 30, 30]
+        paths = []
+        for name, change, extra in (("gt", truth, {}), ("preds", predictions, {"score": 0.9})):
+            payload = {
+                "images": [{"id": 1, "width": 100, "height": 100}],
+                "categories": [{"id": 1, "name": "car"}, {"id": 3, "name": "truck"}],
+                "annotations": [{"id": 1, "image_id": 1, "category_id": 3, "bbox": box, **extra}],
+            }
+            change(payload)
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "out"
+        rc = main(["evaluate", "--ground-truth", str(paths[0]), "--predictions", str(paths[1]),
+                   "--out", str(out)])
+        return rc, read_json(out / "metrics.json") if rc == 0 else None
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP direction 4")
+    def test_category_ids_hold_across_files(self, tmp_path):
+        # the predictions name only the truck; numbered on their own, their
+        # truck is class 1, the ground truth's car
+        def truck_only(payload):
+            payload["categories"] = [{"id": 3, "name": "truck"}]
+
+        rc, metrics = self.evaluate_against(tmp_path, lambda payload: None, truck_only)
+        assert rc == 0
+        assert metrics["ap50"]["map"] == 1.0
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP direction 4")
+    def test_category_name_mismatch_is_rejected(self, tmp_path):
+        def bus(payload):
+            payload["categories"][0]["name"] = "bus"
+
+        rc, _ = self.evaluate_against(tmp_path, lambda payload: None, bus)
+        assert rc == 1
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP direction 4")
+    def test_image_size_mismatch_is_rejected(self, tmp_path):
+        def smaller(payload):
+            payload["images"][0].update(width=50, height=50)
+
+        rc, _ = self.evaluate_against(tmp_path, lambda payload: None, smaller)
+        assert rc == 1
 
 
 class TestSimulate:

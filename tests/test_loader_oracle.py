@@ -10,7 +10,9 @@ value and ``int``/``float`` type alike, or raise its error with its message.
 
 from __future__ import annotations
 
+import copy
 import json
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -77,7 +79,8 @@ ENTRY_KEYS = ("image_id", "category_id", "bbox", "bbox_xyxy", "score", "logit", 
 def mutate(payload: dict, rng: np.random.Generator) -> None:
     """Apply one seeded mutation to ``payload`` in place."""
     entries, images = payload["annotations"], payload["images"]
-    odd = ODD_VALUES[int(rng.integers(len(ODD_VALUES)))]
+    # a copy: the file's lists and objects are changed in place later on
+    odd = copy.deepcopy(ODD_VALUES[int(rng.integers(len(ODD_VALUES)))])
     kind = int(rng.integers(9))
     if kind == 8 or not entries:
         target = images[int(rng.integers(len(images)))]
@@ -301,3 +304,135 @@ def test_duplicate_category_ids_are_rejected(tmp_path, twin):
         load_annotations(path)
     assert str(exc.value) == f"{path}: duplicate category id {twin!r}"
     assert outcome(load_ref, path) == ("format", str(exc.value))
+
+
+def test_mutants_leave_the_odd_values_unchanged():
+    # mutate writes into the lists and objects it has put in a file: were
+    # they the shared values, later mutants would start from changed ones,
+    # and a list could end up holding itself
+    before = repr(ODD_VALUES)
+    for seed, count in ((811, 1500), (2000, 500)):
+        for payload in mutants(seed, count):
+            json.dumps(payload)
+    assert repr(ODD_VALUES) == before
+
+
+DELETE = object()  # a field to remove, not to set
+BOX = "box"  # the box field of an entry, bbox_xyxy unless it is null
+
+# A way to break each rule of an entry of ``annotations``, numbered in the
+# loader's order: the words of its message, the field it sets (``(BOX, i)``
+# is a box's i-th value) and the values that break it. Where two rules read
+# one field, some values of the earlier rule break both.
+ENTRY_BREAKS = {
+    1: ("missing 'image_id'", "image_id", [DELETE]),
+    2: ("unknown image_id", "image_id", ["nope", ["im1"]]),
+    3: ("missing 'category_id'", "category_id", [DELETE]),
+    4: ("unknown category_id", "category_id", [99, {"a": 1}]),
+    5: ("must be a list of 4 numbers", BOX, [[1.0, 2.0, 3.0], "abcd", 7]),
+    6: ("must be a finite number, got [", (BOX, 3), [float("nan"), "x", 10**400]),
+    7: ("bbox_xyxy corners not canonical", (BOX, 0), [1000.0]),
+    8: ("negative bbox size", (BOX, 2), [-3.0]),
+    9: ("'score' must be a finite number", "score", [float("inf"), "x"]),
+    10: ("outside [0, 1]", "score", [1.5]),
+    11: ("'logit' must be a finite number", "logit", [float("nan"), "x"]),
+    12: ("unknown provenance", "provenance", ["bogus", ["a"]]),
+}
+# pairs no one entry breaks: a field both missing and unknown; a box that is
+# not a list of 4 and has values; corners and a size; a provenance beside a
+# score
+ENTRY_APART = {(1, 2), (3, 4), (5, 6), (5, 7), (5, 8), (7, 8), (9, 12), (10, 12), (11, 12)}
+
+IMAGE_BREAKS = {
+    2: ("missing 'id'", "id", [DELETE]),
+    3: ("must not be a list or object", "id", [[1], {"a": 1}]),
+    4: ("missing or non-positive 'width'", "width",
+        [DELETE, 0, "12", None, -4.5, False, float("-inf")]),
+    5: ("'width' must be a finite number", "width", [float("inf"), 10**400]),
+    6: ("'width' must be a whole number", "width", [12.5, True]),
+    7: ("missing or non-positive 'height'", "height", [DELETE, -1.5, False, -(10**400)]),
+    8: ("'height' must be a finite number", "height", [float("inf")]),
+    9: ("'height' must be a whole number", "height", [20.5, True]),
+    10: ("duplicate image id", "id", ["im0", 1.0]),
+}
+# an id both missing and a list, or either and repeated; a size that is not
+# finite yet breaks the whole-number rule alone
+IMAGE_APART = {(2, 3), (2, 10), (3, 10), (5, 6), (8, 9)}
+
+
+def broken(row: dict, field: object, value: object) -> None:
+    """Set ``field`` of ``row`` to a copy of ``value``, or delete it."""
+    index = None
+    if isinstance(field, tuple):
+        field, index = field
+    if field == BOX:
+        field = "bbox_xyxy" if row.get("bbox_xyxy") is not None else "bbox"
+    if index is not None:
+        row[field][index] = copy.deepcopy(value)
+    elif value is DELETE:
+        row.pop(field, None)
+    else:
+        row[field] = copy.deepcopy(value)
+
+
+def rule_pairs(breaks: dict, apart: set):
+    """Each pair of rules one row can break, and each way to break both: the
+    pair, the earlier rule's words and the changes to make, the earlier
+    rule's last (on one field, its value is the one kept)."""
+    for (a, (words, field_a, values_a)), (b, (_, field_b, values_b)) in combinations(
+        breaks.items(), 2
+    ):
+        if (a, b) not in apart:
+            for value_a, value_b in product(values_a, values_b):
+                yield (a, b), words, ((field_b, value_b), (field_a, value_a))
+
+
+def assert_reported_in_order(path, payload, pair, words):
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    want = outcome(load_ref, path)
+    assert want[0] == "format" and words in want[1], (pair, payload, want)
+    assert outcome(loaded, path) == want, (pair, payload)
+
+
+def test_every_pair_of_entry_rules_is_reported_in_order(tmp_path):
+    # the third entry breaks both rules of the pair; the earlier one is reported
+    for pair, words, changes in rule_pairs(ENTRY_BREAKS, ENTRY_APART):
+        entry = {"id": 5, "image_id": "im1", "category_id": 3, "bbox": [10.0, 12.0, 20.0, 28.0]}
+        if 8 not in pair:
+            entry["bbox_xyxy"] = [10.0, 12.0, 30.0, 40.0]
+        if {9, 10, 11} & set(pair):
+            entry["score"], entry["logit"] = 0.5, 0.25
+        if 12 in pair:
+            entry["provenance"] = "mined"
+        for field, value in changes:
+            broken(entry, field, value)
+        payload = {
+            "images": [{"id": "im0", "width": 64, "height": 64},
+                       {"id": "im1", "width": 64, "height": 48}],
+            "categories": [{"id": 3, "name": "c3"}, {"id": 1, "name": "c1"}],
+            "annotations": [
+                {"id": 1, "image_id": "im0", "category_id": 1, "bbox": [1, 2, 3, 4]},
+                {"id": 2, "image_id": "im1", "category_id": 3, "bbox": [1, 2, 3, 4],
+                 "score": 0.75},
+                entry,
+                {"id": 9, "image_id": "im1", "category_id": 1, "bbox_xyxy": [1, 2, 3, 4]},
+            ],
+        }
+        assert_reported_in_order(tmp_path / "pairs.json", payload, pair, words)
+
+
+def test_every_pair_of_image_rules_is_reported_in_order(tmp_path):
+    # the third image breaks both rules of the pair; the earlier one is reported
+    for pair, words, changes in rule_pairs(IMAGE_BREAKS, IMAGE_APART):
+        image = {"id": "im2", "width": 64, "height": 48}
+        for field, value in changes:
+            broken(image, field, value)
+        payload = {
+            "images": [{"id": "im0", "width": 64, "height": 64},
+                       {"id": 1, "width": 32, "height": 32},
+                       image,
+                       {"id": "im3", "width": 16, "height": 16}],
+            "categories": [{"id": 1, "name": "c1"}],
+            "annotations": [{"id": 1, "image_id": "im0", "category_id": 1, "bbox": [1, 2, 3, 4]}],
+        }
+        assert_reported_in_order(tmp_path / "pairs.json", payload, pair, words)
