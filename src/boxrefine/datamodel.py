@@ -325,8 +325,20 @@ def _holds(test: Callable, values: Iterable, arg: object) -> np.ndarray:
     return np.frombuffer(bytearray(map(test, values, repeat(arg))), bool)
 
 
-def _floats(values: Iterable) -> np.ndarray:
-    return np.fromiter(map(float, values), np.float64)
+# JSON reads a number as an int or a float; true is a bool and "1.5" a str
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _floats(values: Callable[[], Iterable]) -> np.ndarray:
+    """The values ``values()`` yields as floats, NaN where a value is not a
+    JSON number, so that a finite-number rule rejects it. numpy converts an
+    int as ``float`` does. ``values`` is called again to read the types:
+    a list of a whole column would raise the peak memory of a load."""
+    floats = np.fromiter(values(), np.float64)
+    if not {*map(type, values())} <= _NUMBER_TYPES:
+        numbers = map(_NUMBER_TYPES.__contains__, map(type, values()))
+        floats[~np.frombuffer(bytearray(numbers), bool)] = np.nan
+    return floats
 
 
 def _at(n: int, rows: np.ndarray, bad: np.ndarray) -> np.ndarray:
@@ -397,12 +409,14 @@ _ENTRY_COLUMNS = {
     "xywh": lambda c: _holds(is_, c.get("bbox_xyxy"), None),
     "field": lambda c: _BOX_FIELDS[c.xywh.astype(np.intp)].tolist(),
     "box": lambda c: list(map(dict.get, c.entry, c.field)),
-    "values": lambda c: _floats(chain.from_iterable(c.box)).reshape(-1, 4),
+    "values": lambda c: _floats(lambda: chain.from_iterable(c.box)).reshape(-1, 4),
     "is_det": lambda c: c.has("score"),
     "dets": lambda c: list(compress(c.entry, c.is_det.tolist())),
-    "score": lambda c: _floats(map(itemgetter("score"), c.dets)),
+    "score": lambda c: _floats(lambda: map(itemgetter("score"), c.dets)),
     "has_logit": lambda c: _holds(dict.__contains__, c.dets, "logit"),
-    "logit": lambda c: _floats(map(itemgetter("logit"), compress(c.dets, c.has_logit.tolist()))),
+    "logit": lambda c: _floats(
+        lambda: map(itemgetter("logit"), compress(c.dets, c.has_logit.tolist()))
+    ),
     "anns": lambda c: _Rows(list(compress(c.entry, (~c.is_det).tolist())), {}),
     # the code of each annotation's provenance, -1 where the name is unknown
     "provenance": lambda c: np.fromiter(map(
@@ -421,16 +435,17 @@ def _side_rules(side: str) -> tuple:
     """The rules of an image's ``width`` or ``height``, a pixel count."""
 
     def whole_not(c: _Rows) -> np.ndarray:
-        # true would load as 1 and 512.7 as 512
-        pixels = _floats(getattr(c, side))
-        return _holds(is_, map(type, getattr(c, side)), bool) | (pixels != np.trunc(pixels))
+        # 512.7 would load as 512
+        pixels = _floats(lambda: getattr(c, side))
+        return pixels != np.trunc(pixels)
 
     return (
         (lambda c: ~(_holds(isinstance, getattr(c, side), (int, float))
                      & _holds(gt, getattr(c, side), 0)),
          f"image {{id}}: missing or non-positive {side!r}"),
-        # NaN compares false with everything: it would slip past every check
-        (lambda c: ~np.isfinite(_floats(getattr(c, side))),
+        # NaN compares false with everything: it would slip past every check;
+        # true, which is not a JSON number, would load as 1
+        (lambda c: ~np.isfinite(_floats(lambda: getattr(c, side))),
          f"image {{id}}: {side!r} must be a finite number, got {{{side}!r}}"),
         (whole_not, f"image {{id}}: {side!r} must be a whole number, got {{{side}!r}}"),
     )

@@ -3,14 +3,15 @@
 Every operation draws from an explicit numpy PCG64 generator. Dataset-level
 corruption derives one independent substream per (seed, operation, image)
 via a short blake2b hash, which makes results identical whether images are
-processed serially or in parallel, and in any order.
+processed serially or in parallel, and in any order. :func:`derive_rngs`
+seeds the substreams of many keys at once (module ``seedseq``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -23,6 +24,8 @@ __all__ = [
     "SuperfluousConfig",
     "NoiseConfig",
     "derive_rng",
+    "derive_rngs",
+    "check_image_sizes",
     "constrain_corners",
     "displace_boxes",
     "sparsify",
@@ -55,6 +58,9 @@ class SuperfluousConfig:
             raise ValueError(f"trials must be >= 0, got {self.trials}")
         if not 0.0 <= self.success <= 1.0:
             raise ValueError(f"success must be in [0, 1], got {self.success}")
+        for name in ("min_side", "max_side"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 < self.min_side <= self.max_side:
             raise ValueError(
                 f"need 0 < min_side <= max_side, got {self.min_side}, {self.max_side}"
@@ -90,17 +96,50 @@ class NoiseConfig:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
-def derive_rng(seed: int, *keys: object) -> np.random.Generator:
-    """PCG64 generator for the substream named by ``keys`` under ``seed``."""
-    # imported here: hashlib loads OpenSSL, which only the noisy stages need
+def derive_rngs(
+    seed: int, prefix: Sequence[object], ids: Iterable[object]
+) -> list[np.random.Generator]:
+    """PCG64 generators, one per id: generator j is the substream named by
+    ``(*prefix, ids[j])`` under ``seed``, as :func:`derive_rng` names it.
+
+    A key is hashed with blake2b as the text of ``seed`` and its parts,
+    joined by ``|``, and the 8-byte digest, read as a big-endian int, seeds
+    ``PCG64``. numpy's ``SeedSequence`` runs on all the digests at once
+    (``seedseq.seed_states``), and each generator starts in the state that
+    ``PCG64(digest)`` would give it.
+    """
+    # imported here: hashlib loads OpenSSL, and seedseq numpy.random, which
+    # only the noisy stages need
     import hashlib
 
-    h = hashlib.blake2b(digest_size=8)
-    h.update(str(seed).encode())
-    for k in keys:
-        h.update(b"|")
-        h.update(str(k).encode())
-    return np.random.Generator(np.random.PCG64(int.from_bytes(h.digest(), "big")))
+    from numpy.random import PCG64, Generator
+
+    from .seedseq import HeldState, seed_states
+
+    head = hashlib.blake2b("|".join(map(str, (seed, *prefix))).encode(), digest_size=8)
+    digests = []
+    for key in ids:
+        h = head.copy()
+        h.update(("|" + str(key)).encode())
+        digests.append(h.digest())
+    states = seed_states(np.frombuffer(b"".join(digests), dtype=">u8"))
+    return [Generator(PCG64(HeldState(words))) for words in states]
+
+
+def derive_rng(seed: int, *keys: object) -> np.random.Generator:
+    """PCG64 generator for the substream named by ``keys`` under ``seed``:
+    the one-key case of :func:`derive_rngs`. Needs at least one key."""
+    if not keys:
+        raise TypeError("derive_rng needs at least one key")
+    return derive_rngs(seed, keys[:-1], keys[-1:])[0]
+
+
+def check_image_sizes(sizes: Iterable[tuple[float, float]]) -> None:
+    """Raise ValueError unless every width and height of ``sizes`` is finite:
+    a box drawn uniformly inside an image needs a finite image."""
+    for width, height in sizes:
+        if not (math.isfinite(width) and math.isfinite(height)):
+            raise ValueError(f"image size must be finite, got {width}x{height}")
 
 
 def constrain_corners(
@@ -258,16 +297,20 @@ def _superfluous(
     that draw order, clipped to the image; provenance ``original``."""
     if sizes and num_classes < 1:
         raise ValueError(f"num_classes must be >= 1, got {num_classes}")
+    check_image_sizes(sizes)
     corners: list[float] = []
     labels: list[int] = []
     counts: list[int] = []
+    low, span = cfg.min_side, cfg.max_side - cfg.min_side
     for (width, height), rng in zip(sizes, rngs):
         k = int(rng.binomial(cfg.trials, cfg.success))
+        random = rng.random
         for _ in range(k):
-            w = rng.uniform(cfg.min_side, cfg.max_side)
-            h = rng.uniform(cfg.min_side, cfg.max_side)
-            cx = rng.uniform(0.0, width)
-            cy = rng.uniform(0.0, height)
+            # uniform's own formula, low + (high - low) * u, bit for bit
+            w = low + span * random()
+            h = low + span * random()
+            cx = 0.0 + (width - 0.0) * random()
+            cy = 0.0 + (height - 0.0) * random()
             labels.append(int(rng.integers(1, num_classes + 1)))
             corners += (cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
         counts.append(k)
@@ -308,7 +351,7 @@ def corrupt_dataset(dataset: Dataset, cfg: NoiseConfig) -> tuple[Dataset, dict]:
     image_ids, sizes = dataset.image_ids(), dataset.image_sizes()
     anns = before = dataset.annotations
     if cfg.box_noise > 0.0:
-        rngs = [derive_rng(seed, "displace", image_id) for image_id in image_ids]
+        rngs = derive_rngs(seed, ("displace",), image_ids)
         try:
             anns = _displaced(anns, cfg.box_noise, sizes, rngs)
         except OverflowError as exc:
@@ -319,12 +362,11 @@ def corrupt_dataset(dataset: Dataset, cfg: NoiseConfig) -> tuple[Dataset, dict]:
 
     if cfg.sparsity == SPARSITY_EXTREME:
         bounds = anns.offsets.tolist()
+        rngs = derive_rngs(seed, ("sparsify",), image_ids)
         keep = [
             bounds[g] + i
-            for g, image_id in enumerate(image_ids)
-            for i in _survivor_indices(
-                bounds[g + 1] - bounds[g], SPARSITY_EXTREME, derive_rng(seed, "sparsify", image_id)
-            )
+            for g, rng in enumerate(rngs)
+            for i in _survivor_indices(bounds[g + 1] - bounds[g], SPARSITY_EXTREME, rng)
         ]
         anns = anns.take(np.array(keep, dtype=np.intp))
     elif cfg.sparsity > 0.0:
@@ -335,7 +377,7 @@ def corrupt_dataset(dataset: Dataset, cfg: NoiseConfig) -> tuple[Dataset, dict]:
 
     injected = 0
     if cfg.superfluous is not None:
-        rngs = [derive_rng(seed, "superfluous", image_id) for image_id in image_ids]
+        rngs = derive_rngs(seed, ("superfluous",), image_ids)
         added = _superfluous(sizes, rngs, cfg.superfluous, dataset.num_classes)
         injected = len(added)
         anns = anns.append(added)

@@ -10,6 +10,7 @@ the full system at negligible cost.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -24,11 +25,17 @@ from .datamodel import (
     Detection,
     annotation_set,
     set_detections,
-    sigmoid,
 )
 from .evaluation import evaluate_ap50, mean_best_iou
 from .geometry import BoxSet, best_iou, iou, row_sizes, spanning  # noqa: F401
-from .noise import NoiseConfig, SuperfluousConfig, constrain_corners, corrupt_dataset, derive_rng
+from .noise import (
+    NoiseConfig,
+    SuperfluousConfig,
+    check_image_sizes,
+    constrain_corners,
+    corrupt_dataset,
+    derive_rngs,
+)
 
 __all__ = [
     "SimDetectorParams",
@@ -129,43 +136,52 @@ def draw_predictions(
     generator ``rngs[g]``. Each generator is drawn from in the per-box
     order of one image at a time, since a recall draw decides which draws
     follow; clipping to the image and widening (``noise.constrain_corners``)
-    then run over all boxes at once. Returns boxes, labels and int edges: a
-    coordinate clipped to an ``int`` image bound is that bound.
+    then run over all boxes at once. Every draw takes the same bits as the
+    scalar ``uniform`` and ``normal`` calls of ``tests/oracles.py::draw_ref``:
+    a uniform is ``low + (high - low) * random()``, numpy's own formula, and
+    a jitter is ``0.0 + sigma * z`` for standard normals ``z``, which is
+    what ``normal(0.0, sigma, 4)`` computes. Returns boxes, labels and int
+    edges: a coordinate clipped to an ``int`` image bound is that bound.
     """
     if num_classes < 1:
         raise ValueError(f"num_classes must be >= 1, got {num_classes}")
+    check_image_sizes(sizes)
     recall, sigma, fp_rate = params.recall, params.localization_sigma, params.fp_rate
     # spurious predictions reuse the superfluous-annotation size range
     low, high = SuperfluousConfig.min_side, SuperfluousConfig.max_side
+    span = high - low
     # per drawn box: its true box's row, or -1 for a spurious one
     source: list[int] = []
-    jitter: list[float] = []  # dx1, dx2, dy1, dy2 of each jittered true box
+    # the standard normals of dx1, dx2, dy1, dy2 of each jittered true box
+    z = np.empty((len(truth), 4))
+    n_jittered = 0
     spurious: list[float] = []  # corners of each spurious box
     spurious_labels: list[int] = []
     counts: list[int] = []
     bounds = truth.offsets.tolist()
     for g, ((width, height), rng) in enumerate(zip(sizes, rngs)):
-        random, normal, before = rng.random, rng.normal, len(source)
+        random, standard_normal, before = rng.random, rng.standard_normal, len(source)
         for row in range(bounds[g], bounds[g + 1]):
             if random() >= recall:
                 continue
-            source.append(row)
             # one call draws the same four values as four scalar calls
-            jitter += normal(0.0, sigma, 4).tolist()
+            standard_normal(out=z[n_jittered])
+            n_jittered += 1
+            source.append(row)
         for _ in range(int(rng.poisson(fp_rate))):
-            w = rng.uniform(low, high)
-            h = rng.uniform(low, high)
-            cx = rng.uniform(0.0, width)
-            cy = rng.uniform(0.0, height)
+            w = low + span * random()
+            h = low + span * random()
+            cx = 0.0 + (width - 0.0) * random()
+            cy = 0.0 + (height - 0.0) * random()
             spurious_labels.append(int(rng.integers(1, num_classes + 1)))
             source.append(-1)
             spurious += (cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
         counts.append(len(source) - before)
 
+    d = 0.0 + sigma * z[:n_jittered]
     src = np.array(source, dtype=np.intp)
     jittered = src >= 0
     t = truth.boxes[src[jittered]]
-    d = np.array(jitter).reshape(-1, 4)
     raw = np.empty((len(src), 4))
     # the jitter comes dx1, dx2, dy1, dy2
     raw[jittered] = spanning(
@@ -191,8 +207,10 @@ def _score_predictions(drawn: BoxSet, truth: BoxSet, params: SimDetectorParams) 
     logit ``score_sharpness * (2q - 1)`` and its sigmoid."""
     quality, _ = best_iou(drawn, truth)
     logits = params.score_sharpness * (2.0 * quality - 1.0)
-    # math.exp per value, as Detection.from_logit: np.exp rounds differently
-    probs = np.array([sigmoid(x) for x in logits.tolist()], dtype=np.float64)
+    # datamodel.sigmoid's two branches, both of exp(-|x|); math.exp per
+    # value, as Detection.from_logit: np.exp rounds differently
+    e = np.fromiter(map(math.exp, (-np.abs(logits)).tolist()), np.float64, len(logits))
+    probs = np.where(logits >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
     return replace(drawn, logits=logits, probs=probs)
 
 
@@ -301,6 +319,8 @@ def check_truth_arg(name: str, value: object) -> None:
     :func:`synthesize_truth` can draw from: a count no smaller than its
     minimum, or an image size that every synthetic true box fits."""
     if name == "image_size":
+        if not all(map(math.isfinite, value)):
+            raise ValueError(f"image_size must be finite, got {value[0]}x{value[1]}")
         if min(value) < TRUTH_MAX_SIDE:
             side = f"{TRUTH_MAX_SIDE:g}"
             raise ValueError(
@@ -331,15 +351,18 @@ def synthesize_truth(
     image_ids = [f"img_{i:04d}" for i in range(num_images)]
     corners: list[float] = []
     labels: list[int] = []
-    for image_id in image_ids:
-        rng = derive_rng(seed, "truth", image_id)
+    low, span = TRUTH_MIN_SIDE, TRUTH_MAX_SIDE - TRUTH_MIN_SIDE
+    for rng in derive_rngs(seed, ("truth",), image_ids):
+        random = rng.random
         for _ in range(boxes_per_image):
-            w = rng.uniform(TRUTH_MIN_SIDE, TRUTH_MAX_SIDE)
-            h = rng.uniform(TRUTH_MIN_SIDE, TRUTH_MAX_SIDE)
-            cx = rng.uniform(w / 2.0, width - w / 2.0)
-            cy = rng.uniform(h / 2.0, height - h / 2.0)
+            # uniform's own formula, low + (high - low) * u, bit for bit
+            w = low + span * random()
+            h = low + span * random()
+            hw, hh = w / 2.0, h / 2.0
+            cx = hw + ((width - hw) - hw) * random()
+            cy = hh + ((height - hh) - hh) * random()
             labels.append(int(rng.integers(1, num_classes + 1)))
-            corners += (cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
+            corners += (cx - hw, cy - hh, cx + hw, cy + hh)
     boxes = BoxSet(
         np.array(corners, dtype=np.float64).reshape(-1, 4),
         np.arange(num_images + 1, dtype=np.intp) * boxes_per_image,
@@ -411,14 +434,15 @@ def run_loop(
 
     for it in range(cfg.iterations):
         teacher = SimDetectorParams.from_vector(state.teacher)
-        rngs = []
-        flipped = np.zeros(len(image_ids), dtype=bool)
-        for k, image_id in enumerate(image_ids):
-            rng = derive_rng(seed, "loop", it, image_id)
-            flipped[k] = rng.integers(2)
-            # value unused: the draw keeps this substream's later draws, and every output
-            rng.integers(2)
-            rngs.append(rng)
+        rngs = derive_rngs(seed, ("loop", it), image_ids)
+        # the flip is rng.integers(2), then a second integers(2) is drawn and
+        # not used, which keeps every later draw. integers(2) is the top bit
+        # of a 32-bit draw, and a fresh PCG64 serves two 32-bit draws from one
+        # 64-bit output, low half first: the pair is one raw output, whose
+        # bit 31 is the flip
+        flipped = np.array(
+            [rng.bit_generator.random_raw() >> 31 & 1 for rng in rngs], dtype=bool
+        )
         truth_view = _hflip(truth, widths, flipped)
         drawn = draw_predictions(truth_view, sizes, rngs, teacher, scenario.truth.num_classes)
         preds_view = _score_predictions(drawn, truth_view, teacher)

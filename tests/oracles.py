@@ -282,6 +282,12 @@ SPURIOUS_SIDES = (16.0, 196.0)
 MIN_SIDE = 1.0
 
 
+def clip_ref(box, width, height):
+    """Corners clipped to the image as ``Box.clip`` does: a corner past a
+    bound is the bound itself, an ``int`` for an ``int`` size."""
+    return tuple(min(max(v, 0.0), limit) for v, limit in zip(box, (width, height) * 2))
+
+
 def _expand_span_ref(lo, hi, limit):
     if hi - lo >= MIN_SIDE:
         return lo, hi
@@ -300,9 +306,7 @@ def constrain_ref(box, width, height):
     Clipping returns the bound itself, so an ``int`` width or height comes
     back as an ``int`` coordinate.
     """
-    x1, y1, x2, y2 = (
-        min(max(v, 0.0), limit) for v, limit in zip(box, (width, height, width, height))
-    )
+    x1, y1, x2, y2 = clip_ref(box, width, height)
     x1, x2 = _expand_span_ref(x1, x2, width)
     y1, y2 = _expand_span_ref(y1, y2, height)
     return (x1, y1, x2, y2)
@@ -333,6 +337,48 @@ def draw_ref(truth, sigma, recall, fp_rate, rng, width, height, num_classes):
         label = int(rng.integers(1, num_classes + 1))
         box = (cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
         out.append((constrain_ref(box, width, height), label))
+    return out
+
+
+def derive_rng_ref(seed, *keys):
+    """The substream named by ``keys`` under ``seed``, seeded one key at a
+    time: the blake2b digest of ``seed`` and the keys, joined by ``|``, read
+    as a big-endian int, seeds ``PCG64`` through numpy's own ``SeedSequence``.
+    """
+    import hashlib
+
+    import numpy as np
+
+    h = hashlib.blake2b(digest_size=8)
+    h.update(str(seed).encode())
+    for k in keys:
+        h.update(b"|")
+        h.update(str(k).encode())
+    return np.random.Generator(np.random.PCG64(int.from_bytes(h.digest(), "big")))
+
+
+def superfluous_ref(images, trials, success, sides, num_classes, seed, derive_rng):
+    """Superfluous boxes of each image, drawn box by box.
+
+    ``images`` holds ``(image_id, width, height)``. Image by image, from
+    ``derive_rng(seed, "superfluous", image_id)``: Binomial(``trials``,
+    ``success``) boxes, each drawn as width and height (uniform in
+    ``sides``), center x, center y (uniform in the image) and label, then
+    clipped by :func:`clip_ref`. Returns per image ``[(corners, label), ...]``.
+    """
+    out = []
+    for image_id, width, height in images:
+        rng = derive_rng(seed, "superfluous", image_id)
+        boxes = []
+        for _ in range(int(rng.binomial(trials, success))):
+            w = rng.uniform(*sides)
+            h = rng.uniform(*sides)
+            cx = rng.uniform(0.0, width)
+            cy = rng.uniform(0.0, height)
+            label = int(rng.integers(1, num_classes + 1))
+            box = (cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
+            boxes.append((clip_ref(box, width, height), label))
+        out.append(boxes)
     return out
 
 
@@ -375,6 +421,12 @@ def _ref_logit(p):
     return math.log(p / (1.0 - p))
 
 
+def _ref_number(value):
+    """Whether ``value`` is a JSON number: json reads one as an int or a
+    float, ``true`` as a bool and ``"1.5"`` as a str."""
+    return type(value) in (int, float)
+
+
 def _ref_float(value, path, entry, key, field):
     try:
         number = float(value)
@@ -382,7 +434,7 @@ def _ref_float(value, path, entry, key, field):
         raise RefFormatError(
             f"{path}: {entry} {key}: {field!r} must be a finite number, got {value!r}"
         ) from None
-    if not math.isfinite(number):
+    if not (_ref_number(value) and math.isfinite(number)):
         raise RefFormatError(
             f"{path}: {entry} {key}: {field!r} must be a finite number, got {value!r}"
         )
@@ -396,7 +448,7 @@ def _ref_four(values, path, ann_id, field):
         out = [float(v) for v in values]
     except (TypeError, ValueError, OverflowError):
         out = None
-    if out is None or not all(math.isfinite(v) for v in out):
+    if out is None or not all(_ref_number(v) and math.isfinite(f) for v, f in zip(values, out)):
         raise RefFormatError(
             f"{path}: annotation {ann_id}: {field!r} must be a finite number, got {values!r}"
         )
@@ -459,7 +511,7 @@ def load_ref(path):
             require(isinstance(size, (int, float)) and size > 0,
                     f"image {img['id']}: missing or non-positive {fld!r}")
             _ref_float(size, path, "image", img["id"], fld)
-            require(not isinstance(size, bool) and size == int(size),
+            require(size == int(size),
                     f"image {img['id']}: {fld!r} must be a whole number, got {size!r}")
         image = [str(img["id"]), int(img["width"]), int(img["height"]), [], None]
         require(img["id"] not in by_id, f"duplicate image id {img['id']}")
@@ -491,9 +543,7 @@ def load_ref(path):
             require(w >= 0.0 and h >= 0.0, f"annotation {ann_id}: negative bbox size {w}x{h}")
             x2, y2 = x1 + w, y1 + h
         width, height = image[1], image[2]
-        corners = tuple(
-            min(max(v, 0.0), limit) for v, limit in zip((x1, y1, x2, y2), (width, height) * 2)
-        )
+        corners = clip_ref((x1, y1, x2, y2), width, height)
         if "score" in entry:
             score = _ref_float(entry["score"], path, "annotation", ann_id, "score")
             require(0.0 <= score <= 1.0, f"annotation {ann_id}: score {score} outside [0, 1]")

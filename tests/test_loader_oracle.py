@@ -249,6 +249,59 @@ def test_long_mutants_load_like_the_oracle(tmp_path):
     assert kinds["ok"] >= 4 and kinds["format"] >= 12
 
 
+# values float() reads as numbers that JSON does not read as numbers
+NOT_NUMBERS = ("1_0", " 2 ", "3.5", "0.5", "nan", "-inf", "1e3", True, False)
+
+
+def test_values_that_are_not_json_numbers_are_rejected(tmp_path):
+    # each of these once loaded as the number float() makes of it
+    seen = set()
+    rng = np.random.default_rng(813)
+    for n in range(400):
+        payload = base_file(rng, entries_in=(1, 9))
+        value = NOT_NUMBERS[n % len(NOT_NUMBERS)]
+        entry = payload["annotations"][int(rng.integers(len(payload["annotations"])))]
+        field = ("box", "score", "logit", "width", "height")[int(rng.integers(5))]
+        if field == "box":
+            box = entry["bbox_xyxy" if "bbox_xyxy" in entry else "bbox"]
+            box[int(rng.integers(4))] = value
+        elif field in ("score", "logit"):
+            entry.setdefault("score", 0.5)
+            entry[field] = value
+        else:
+            payload["images"][int(rng.integers(len(payload["images"])))][field] = value
+        path = tmp_path / "numbers.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        want = outcome(load_ref, path)
+        assert want[0] == "format", (n, payload)
+        assert outcome(loaded, path) == want, (n, payload)
+        # a size is first a positive int or float: only true reaches the number rule
+        if "must be a finite number" in want[1]:
+            seen.add((field, value))
+    assert len(seen) == 3 * len(NOT_NUMBERS) + 2
+
+
+@pytest.mark.parametrize(
+    "field, value", [("bbox", ["1_0", " 2 ", True, "3.5"]), ("score", "0.5"), ("logit", False)]
+)
+def test_strings_and_booleans_are_not_numbers(tmp_path, field, value):
+    entry = {"id": 1, "image_id": "im", "category_id": 1, "bbox": [1, 2, 3, 4], "score": 0.25}
+    entry[field] = value
+    payload = {
+        "images": [{"id": "im", "width": 64, "height": 64}],
+        "categories": [{"id": 1, "name": "a"}],
+        "annotations": [entry],
+    }
+    path = tmp_path / "strings.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(DatasetFormatError) as exc:
+        load_annotations(path)
+    assert str(exc.value) == (
+        f"{path}: annotation 1: {field!r} must be a finite number, got {value!r}"
+    )
+    assert outcome(load_ref, path) == ("format", str(exc.value))
+
+
 def mutate_categories(payload: dict, rng: np.random.Generator) -> None:
     """One seeded change to the categories: a repeated id, equal as a Python
     value (``1``, ``1.0``, ``true``); a new order; or a gap in the ids, the
@@ -330,12 +383,12 @@ ENTRY_BREAKS = {
     3: ("missing 'category_id'", "category_id", [DELETE]),
     4: ("unknown category_id", "category_id", [99, {"a": 1}]),
     5: ("must be a list of 4 numbers", BOX, [[1.0, 2.0, 3.0], "abcd", 7]),
-    6: ("must be a finite number, got [", (BOX, 3), [float("nan"), "x", 10**400]),
+    6: ("must be a finite number, got [", (BOX, 3), [float("nan"), "x", 10**400, "1_0", True]),
     7: ("bbox_xyxy corners not canonical", (BOX, 0), [1000.0]),
     8: ("negative bbox size", (BOX, 2), [-3.0]),
-    9: ("'score' must be a finite number", "score", [float("inf"), "x"]),
+    9: ("'score' must be a finite number", "score", [float("inf"), "x", "0.5", True]),
     10: ("outside [0, 1]", "score", [1.5]),
-    11: ("'logit' must be a finite number", "logit", [float("nan"), "x"]),
+    11: ("'logit' must be a finite number", "logit", [float("nan"), "x", False, " 2 "]),
     12: ("unknown provenance", "provenance", ["bogus", ["a"]]),
 }
 # pairs no one entry breaks: a field both missing and unknown; a box that is
@@ -348,11 +401,11 @@ IMAGE_BREAKS = {
     3: ("must not be a list or object", "id", [[1], {"a": 1}]),
     4: ("missing or non-positive 'width'", "width",
         [DELETE, 0, "12", None, -4.5, False, float("-inf")]),
-    5: ("'width' must be a finite number", "width", [float("inf"), 10**400]),
-    6: ("'width' must be a whole number", "width", [12.5, True]),
+    5: ("'width' must be a finite number", "width", [float("inf"), 10**400, True]),
+    6: ("'width' must be a whole number", "width", [12.5]),
     7: ("missing or non-positive 'height'", "height", [DELETE, -1.5, False, -(10**400)]),
-    8: ("'height' must be a finite number", "height", [float("inf")]),
-    9: ("'height' must be a whole number", "height", [20.5, True]),
+    8: ("'height' must be a finite number", "height", [float("inf"), True]),
+    9: ("'height' must be a whole number", "height", [20.5]),
     10: ("duplicate image id", "id", ["im0", 1.0]),
 }
 # an id both missing and a list, or either and repeated; a size that is not

@@ -15,12 +15,14 @@ from boxrefine.noise import (
     constrain_corners,
     corrupt_dataset,
     derive_rng,
+    derive_rngs,
     displace_boxes,
     inject_superfluous,
     sparsify,
 )
+from boxrefine.seedseq import seed_states
 
-from oracles import constrain_ref
+from oracles import constrain_ref, derive_rng_ref, superfluous_ref
 
 
 def interior_annotations(rng, count, width=512.0, height=512.0, labels=3):
@@ -218,6 +220,52 @@ class TestInjectSuperfluous:
         with pytest.raises(ValueError):
             SuperfluousConfig(min_side=200.0, max_side=100.0)
 
+    @pytest.mark.parametrize("name", ["min_side", "max_side"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_sides_rejected(self, name, value):
+        # the draws use uniform's formula, which would give an infinite box
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            SuperfluousConfig(**{name: value})
+
+    def test_non_finite_image_rejected(self):
+        # a uniform center in an infinite image has no value
+        rec = ImageRecord(image_id="a", width=float("inf"), height=512)
+        with pytest.raises(ValueError, match="image size must be finite, got infx512"):
+            inject_superfluous(rec, SuperfluousConfig(), 3, np.random.default_rng(25))
+
+    @pytest.mark.parametrize("seed", [0, 3, 2**64 - 1])
+    @pytest.mark.parametrize("sizes", [(512, 300), (640.0, 97.5)])
+    def test_dataset_injection_equals_scalar_oracle(self, seed, sizes):
+        # the only check that injection keeps its bits: no benchmark run injects
+        width, height = sizes
+        cfg = SuperfluousConfig(trials=12, success=0.6, min_side=3.0, max_side=700.0)
+        recs = [
+            ImageRecord(image_id=f"img_{i}", width=width + i, height=height, annotations=[
+                Annotation(Box(1.0, 2.0, 30.0, 40.0), label=2)
+            ])
+            for i in range(40)
+        ]
+        out, summary = corrupt_dataset(
+            Dataset(["a", "b", "c"], recs), NoiseConfig(superfluous=cfg, seed=seed)
+        )
+        want = superfluous_ref(
+            [(r.image_id, r.width, r.height) for r in recs], cfg.trials, cfg.success,
+            (cfg.min_side, cfg.max_side), 3, seed, derive_rng_ref,
+        )
+        got = [
+            [(a.box.as_tuple(), a.label) for a in rec.annotations[1:]] for rec in out.images
+        ]
+
+        def typed(images):
+            return [[([(v, type(v)) for v in c], label) for c, label in i] for i in images]
+
+        assert typed(got) == typed(want)
+        assert summary["injected"] == sum(map(len, want)) > 100
+        # boxes cross every border, so clipping to int and float bounds is reached
+        assert any(type(v) is int for image in got for c, _ in image for v in c) == (
+            type(width) is int
+        )
+
 
 def small_dataset(seed=0, images=4, per_image=5):
     rng = np.random.default_rng(seed)
@@ -314,6 +362,43 @@ class TestConstrainBox:
 
 
 class TestDeriveRng:
+    def test_bulk_seeding_equals_seeding_one_key_at_a_time(self):
+        # 10,000 keys; a generator's state also holds its cached 32-bit half
+        keys = 0
+        for seed in (0, 1, 2**32 - 1, 2**32, 2**64 - 1):
+            for prefix in ((), ("displace",), ("loop", 14)):
+                ids = [f"img_{i:04d}" for i in range(600)] + list(range(67)) + [None, "", "a|b"]
+                for rng, image_id in zip(derive_rngs(seed, prefix, ids), ids, strict=True):
+                    want = derive_rng_ref(seed, *prefix, image_id)
+                    assert rng.bit_generator.state == want.bit_generator.state
+                    keys += 1
+        assert keys >= 10_000
+
+    def test_seed_states_equal_numpy_seed_sequence(self):
+        # hashing rarely gives a digest below 2**32, so the edges go in directly
+        edges = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
+        rng = np.random.default_rng(26)
+        drawn = rng.integers(0, 2**64, 3000, dtype=np.uint64, endpoint=False).tolist()
+        small = rng.integers(0, 2**32, 1000, dtype=np.uint64).tolist()
+        values = edges + drawn + small
+        got = seed_states(np.array(values, dtype=np.uint64))
+        want = [np.random.SeedSequence(v).generate_state(4, np.uint64) for v in values]
+        np.testing.assert_array_equal(got, np.array(want))
+        assert got.dtype == np.uint64 and got.shape == (len(values), 4)
+
+    def test_one_key_case_and_edges(self):
+        a = derive_rng(5, "sparsify")
+        assert a.bit_generator.state == derive_rng_ref(5, "sparsify").bit_generator.state
+        assert derive_rngs(5, ("op",), []) == []
+        # any iterable of ids
+        (b,) = derive_rngs(5, ["op"], (k for k in ["x"]))
+        assert b.random() == derive_rng(5, "op", "x").random()
+        with pytest.raises(TypeError, match="at least one key"):
+            derive_rng(5)
+        # the held state is only what PCG64 asks for
+        with pytest.raises(NotImplementedError):
+            b.bit_generator.seed_seq.generate_state(8)
+
     def test_same_keys_same_stream(self):
         a = derive_rng(42, "op", "img_1").uniform(0, 1, 5)
         b = derive_rng(42, "op", "img_1").uniform(0, 1, 5)

@@ -8,7 +8,7 @@ import pytest
 from boxrefine.correction import CorrectionConfig
 from boxrefine.datamodel import Annotation, ImageRecord
 from boxrefine.geometry import Box, BoxSet
-from boxrefine.noise import NoiseConfig, derive_rng
+from boxrefine.noise import NoiseConfig, derive_rng, derive_rngs
 from boxrefine.simloop import (
     DEFAULT_SCHEDULE,
     TRUTH_MAX_SIDE,
@@ -24,7 +24,7 @@ from boxrefine.simloop import (
     synthesize_truth,
 )
 
-from oracles import draw_ref, truth_ref
+from oracles import derive_rng_ref, draw_ref, truth_ref
 
 PERFECT = SimDetectorParams(
     localization_sigma=0.0, recall=1.0, fp_rate=0.0, score_sharpness=8.0
@@ -311,6 +311,14 @@ class TestSynthesizeTruth:
         ds = synthesize_truth(num_images=20, image_size=(side, side))
         assert all(a.box.x2 <= side for rec in ds.images for a in rec.annotations)
 
+    @pytest.mark.parametrize("size", [(float("inf"), 512), (512, float("nan"))])
+    def test_image_size_must_be_finite(self, size):
+        # a uniform draw up to an infinite side has no value
+        with pytest.raises(ValueError, match="image_size must be finite"):
+            synthesize_truth(image_size=size)
+        with pytest.raises(ValueError, match="image size must be finite"):
+            simulate_predictions([], PERFECT, np.random.default_rng(0), *size, 3)
+
     def test_seed_changes_output(self):
         a = synthesize_truth(seed=0)
         b = synthesize_truth(seed=1)
@@ -346,7 +354,7 @@ class TestTruthOracle:
     ):
         ds = synthesize_truth(num_images, boxes_per_image, num_classes, image_size, seed)
         names, images = truth_ref(
-            num_images, boxes_per_image, num_classes, image_size, seed, derive_rng
+            num_images, boxes_per_image, num_classes, image_size, seed, derive_rng_ref
         )
         assert ds.class_names == names
         assert ds.image_ids() == [image_id for image_id, _, _ in images]
@@ -488,3 +496,20 @@ class TestDeriveRngInLoop:
         a = derive_rng(0, "loop", 0, "img_0000").random(3)
         b = derive_rng(0, "loop", 1, "img_0000").random(3)
         assert not np.allclose(a, b)
+
+    def test_flip_draw_equals_two_integer_draws(self):
+        # the loop takes each image's flip and the unused draw after it as
+        # one raw output; every later draw must be the one two integers(2)
+        # draws leave, 32-bit label draws included
+        flips = set()
+        for seed in (0, 1, 2**64 - 1):
+            ids = [f"img_{i:04d}" for i in range(1500)]
+            pairs = zip(derive_rngs(seed, ("loop", 3), ids), derive_rngs(seed, ("loop", 3), ids))
+            for raw, two in pairs:
+                flip = raw.bit_generator.random_raw() >> 31 & 1
+                assert flip == two.integers(2)
+                two.integers(2)
+                assert raw.integers(1, 4, 3).tolist() == two.integers(1, 4, 3).tolist()
+                assert raw.random() == two.random()
+                flips.add(flip)
+        assert flips == {0, 1}
