@@ -11,11 +11,14 @@ the teacher-student training loop. See the individual modules:
 - ``correction``: iterative box correction and label mining
 - ``evaluation``: AP50, quality statistics, error breakdown
 - ``simloop``: simulated teacher-student refinement loop
-- ``cli``: reproducible command-line runs
+- ``cli``: the command line's front: its top-level parser and entry point
+- ``commands``: each subcommand's options, configuration and run
 
 Importing the package loads none of them: each name below is imported from
 its module the first time it is read, so a CLI process loads only the
-modules its subcommand runs.
+modules its subcommand runs. ``--help`` and a top-level usage error compile
+and load ``cli`` alone; a subcommand adds ``commands`` and the modules it
+runs.
 """
 
 from importlib import import_module

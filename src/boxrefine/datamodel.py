@@ -194,7 +194,8 @@ class ImageRecord:
     points: list[PointLabel] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
+        # NaN compares false with everything: it is not positive either
+        if not (self.width > 0 and self.height > 0):
             raise ValueError(
                 f"image {self.image_id!r} has non-positive size "
                 f"{self.width}x{self.height}"
@@ -254,6 +255,12 @@ class Dataset:
             seen.add(image_id)
         if dupes:
             raise ValueError(f"duplicate image ids: {sorted(set(dupes))}")
+        bad_sizes = [f"{image_id}:{w}x{h}" for image_id, (w, h) in zip(ids, self.image_sizes())
+                     if not (0 < w < math.inf and 0 < h < math.inf)]
+        if bad_sizes:
+            raise ValueError(
+                f"image sizes that are not positive and finite (image:WIDTHxHEIGHT): {bad_sizes}"
+            )
         n = len(self.class_names)
         # per image, its annotations and then its detections
         bad = sorted(
@@ -327,6 +334,15 @@ def _holds(test: Callable, values: Iterable, arg: object) -> np.ndarray:
 
 # JSON reads a number as an int or a float; true is a bool and "1.5" a str
 _NUMBER_TYPES = frozenset((int, float))
+# an image id is a str or an int: null and true would load as the text
+# "None" and "True", and an image_id of true would find the image whose id is 1
+_ID_TYPES = frozenset((str, int))
+
+
+def _typed(values: Iterable, types: frozenset) -> np.ndarray:
+    """Whether the type of each of ``values`` is one of ``types``, exactly:
+    a bool is not an int here."""
+    return np.frombuffer(bytearray(map(types.__contains__, map(type, values))), bool)
 
 
 def _floats(values: Callable[[], Iterable]) -> np.ndarray:
@@ -336,8 +352,7 @@ def _floats(values: Callable[[], Iterable]) -> np.ndarray:
     a list of a whole column would raise the peak memory of a load."""
     floats = np.fromiter(values(), np.float64)
     if not {*map(type, values())} <= _NUMBER_TYPES:
-        numbers = map(_NUMBER_TYPES.__contains__, map(type, values()))
-        floats[~np.frombuffer(bytearray(numbers), bool)] = np.nan
+        floats[~_typed(values(), _NUMBER_TYPES)] = np.nan
     return floats
 
 
@@ -468,6 +483,8 @@ _IMAGE_RULES = (
     *_side_rules("height"),
     (lambda c: np.fromiter(map(c.first.__getitem__, c.id), np.intp) != np.arange(len(c)),
      "duplicate image id {id}"),
+    (lambda c: ~_typed(c.id, _ID_TYPES),
+     "image entry {idx}: 'id' must be a string or an integer, got {id!r}"),
 )
 
 
@@ -495,6 +512,8 @@ _ENTRY_RULES = (
      "annotation {id}: 'logit' must be a finite number, got {entry[logit]!r}"),
     (lambda c: _at(len(c), ~c.is_det, c.provenance < 0),
      "annotation {id}: unknown provenance {entry[provenance]!r}"),
+    (lambda c: ~_typed(c.get("image_id"), _ID_TYPES),
+     "annotation {id}: 'image_id' must be a string or an integer, got {entry[image_id]!r}"),
 )
 
 

@@ -515,6 +515,8 @@ def load_ref(path):
                     f"image {img['id']}: {fld!r} must be a whole number, got {size!r}")
         image = [str(img["id"]), int(img["width"]), int(img["height"]), [], None]
         require(img["id"] not in by_id, f"duplicate image id {img['id']}")
+        require(type(img["id"]) in (str, int),
+                f"image entry {idx}: 'id' must be a string or an integer, got {img['id']!r}")
         by_id[img["id"]] = image
         images.append(image)
 
@@ -559,6 +561,9 @@ def load_ref(path):
             require(provenance in ("original", "corrected", "mined"),
                     f"annotation {ann_id}: unknown provenance {provenance!r}")
             image[3].append((*corners, label, provenance))
+        require(type(entry["image_id"]) in (str, int),
+                f"annotation {ann_id}: 'image_id' must be a string or an integer, "
+                f"got {entry['image_id']!r}")
 
     seen, dupes = set(), []
     for image in images:

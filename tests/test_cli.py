@@ -825,13 +825,13 @@ class TestConfigLayering:
         assert cfg["seed"] == 3 and cfg["correction"]["temperature"] == 1
 
     def test_every_setting_has_a_json_type(self):
-        from boxrefine import cli
+        commands = cli._commands()
 
         def leaves(tree):
             for value in tree.values():
                 yield from leaves(value) if isinstance(value, dict) else [value]
 
-        assert set(leaves(cli._TYPES)) <= set(cli._JSON_TYPES)
+        assert set(leaves(commands._TYPES)) <= set(commands._JSON_TYPES)
 
     @pytest.mark.parametrize("key, value", [("command", "evaluate"), ("profile", "nb0-ex")])
     def test_command_and_profile_not_config_keys(self, tmp_path, capsys, key, value):
@@ -915,11 +915,12 @@ class TestConfigLayering:
 
 
 def test_profiles_pass_the_config_check():
-    from boxrefine import cli
-
+    commands = cli._commands()
+    # the front exports the command layer's public names
+    assert (cli.PROFILES, cli.RunConfig) == (commands.PROFILES, commands.RunConfig)
     for name, profile in cli.PROFILES.items():
-        cli._check_config(name, profile, cli._TYPES)
-        CorrectionConfig(**{**cli.DEFAULTS["correction"], **profile.get("correction", {})})
+        commands._check_config(name, profile, commands._TYPES)
+        CorrectionConfig(**{**commands.DEFAULTS["correction"], **profile.get("correction", {})})
 
 
 # arguments each subcommand requires; no test below gets as far as reading them
@@ -1093,6 +1094,8 @@ def test_flag_surface():
     """Every subcommand keeps its option strings and their destinations."""
     parser = build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, p in sub.choices.items():
+        cli._commands()._add_arguments(p, name)
     got = {
         name: {(opt, action.dest) for action in p._actions for opt in action.option_strings}
         for name, p in sub.choices.items()

@@ -15,6 +15,7 @@ from boxrefine.datamodel import (
     Detection,
     ImageRecord,
     PointLabel,
+    annotation_set,
     load_annotations,
     materialize_points,
     points_to_boxes,
@@ -94,6 +95,22 @@ class TestRecords:
     def test_image_record_rejects_bad_size(self):
         with pytest.raises(ValueError):
             ImageRecord(image_id="a", width=0, height=10)
+
+    @pytest.mark.parametrize("size", [(math.nan, 10), (10, math.nan), (10, -math.inf),
+                                      (0, 10), (10, -3)])
+    def test_image_record_rejects_size_not_positive(self, size):
+        with pytest.raises(ValueError, match="non-positive size"):
+            ImageRecord("a", *size)
+
+    @pytest.mark.parametrize("size", [(math.nan, 10), (10, math.inf), (0, 10), (10, -3)])
+    def test_dataset_rejects_size_not_positive_and_finite(self, size):
+        # a record changed after it was built, and a dataset built from columns
+        rec = ImageRecord("a", 10, 10)
+        rec.width, rec.height = size
+        with pytest.raises(ValueError, match=r"not positive and finite .*'a:"):
+            Dataset(class_names=["c"], images=[ImageRecord("ok", 5, 5), rec])
+        with pytest.raises(ValueError, match=r"not positive and finite .*'a:"):
+            Dataset.from_columns(["c"], ["ok", "a"], [(5, 5), size], annotation_set([(), ()]))
 
 
 class TestCocoLoad:

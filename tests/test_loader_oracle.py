@@ -390,11 +390,14 @@ ENTRY_BREAKS = {
     10: ("outside [0, 1]", "score", [1.5]),
     11: ("'logit' must be a finite number", "logit", [float("nan"), "x", False, " 2 "]),
     12: ("unknown provenance", "provenance", ["bogus", ["a"]]),
+    # both find the image whose id is 1
+    13: ("'image_id' must be a string or an integer", "image_id", [True, 1.0]),
 }
-# pairs no one entry breaks: a field both missing and unknown; a box that is
-# not a list of 4 and has values; corners and a size; a provenance beside a
-# score
-ENTRY_APART = {(1, 2), (3, 4), (5, 6), (5, 7), (5, 8), (7, 8), (9, 12), (10, 12), (11, 12)}
+# pairs no one entry breaks: a field both missing and unknown, or missing and
+# of the wrong type; a box that is not a list of 4 and has values; corners
+# and a size; a provenance beside a score
+ENTRY_APART = {(1, 2), (1, 13), (3, 4), (5, 6), (5, 7), (5, 8), (7, 8), (9, 12), (10, 12),
+               (11, 12)}
 
 IMAGE_BREAKS = {
     2: ("missing 'id'", "id", [DELETE]),
@@ -407,10 +410,12 @@ IMAGE_BREAKS = {
     8: ("'height' must be a finite number", "height", [float("inf"), True]),
     9: ("'height' must be a whole number", "height", [20.5]),
     10: ("duplicate image id", "id", ["im0", 1.0]),
+    11: ("'id' must be a string or an integer", "id", [None, True, 1.5]),
 }
-# an id both missing and a list, or either and repeated; a size that is not
-# finite yet breaks the whole-number rule alone
-IMAGE_APART = {(2, 3), (2, 10), (3, 10), (5, 6), (8, 9)}
+# an id both missing and a list, or either and repeated, or missing and of
+# the wrong type; a size that is not finite yet breaks the whole-number rule
+# alone
+IMAGE_APART = {(2, 3), (2, 10), (2, 11), (3, 10), (5, 6), (8, 9)}
 
 
 def broken(row: dict, field: object, value: object) -> None:
@@ -461,7 +466,8 @@ def test_every_pair_of_entry_rules_is_reported_in_order(tmp_path):
             broken(entry, field, value)
         payload = {
             "images": [{"id": "im0", "width": 64, "height": 64},
-                       {"id": "im1", "width": 64, "height": 48}],
+                       {"id": "im1", "width": 64, "height": 48},
+                       {"id": 1, "width": 64, "height": 48}],
             "categories": [{"id": 3, "name": "c3"}, {"id": 1, "name": "c1"}],
             "annotations": [
                 {"id": 1, "image_id": "im0", "category_id": 1, "bbox": [1, 2, 3, 4]},
@@ -489,3 +495,31 @@ def test_every_pair_of_image_rules_is_reported_in_order(tmp_path):
             "annotations": [{"id": 1, "image_id": "im0", "category_id": 1, "bbox": [1, 2, 3, 4]}],
         }
         assert_reported_in_order(tmp_path / "pairs.json", payload, pair, words)
+
+
+@pytest.mark.parametrize("value", [None, True, 1.5])
+@pytest.mark.parametrize("field", ["id", "image_id"])
+def test_ids_must_be_strings_or_integers(tmp_path, field, value):
+    # each once loaded as the text str() makes of it; an image_id of true
+    # also found the image whose id is 1
+    payload = {
+        "images": [{"id": "im0", "width": 64, "height": 64},
+                   {"id": "im", "width": 64, "height": 64}],
+        "categories": [{"id": 1, "name": "a"}],
+        "annotations": [{"id": 7, "image_id": "im", "category_id": 1, "bbox": [1, 2, 3, 4]}],
+    }
+    if field == "id":
+        payload["images"][1]["id"] = value
+        payload["annotations"][0]["image_id"] = value
+        words = f"image entry 2: 'id' must be a string or an integer, got {value!r}"
+    else:
+        payload["images"][0]["id"] = 1
+        payload["annotations"][0]["image_id"] = value
+        words = (f"annotation 7: 'image_id' must be a string or an integer, got {value!r}"
+                 if value is True else f"annotation 7: unknown image_id {value!r}")
+    path = tmp_path / "ids.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(DatasetFormatError) as exc:
+        load_annotations(path)
+    assert str(exc.value) == f"{path}: {words}"
+    assert outcome(load_ref, path) == ("format", str(exc.value))

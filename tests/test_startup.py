@@ -1,10 +1,13 @@
 """What a CLI process loads: each subcommand imports only the modules it runs.
 
-The package imports none of its modules, the CLI imports none at module
-level, and the CLI's parser adds a subcommand's arguments only when that
-subcommand is parsed. These tests pin all three, and check that the lazy
-parser reads every command line and prints every help text as the parser
-built with all arguments does.
+The package imports none of its modules, the CLI's front imports none at
+module level, and the front's parser adds a subcommand's arguments, and
+loads the command layer, only when that subcommand is parsed. These tests
+pin all three, and check the help texts and usage errors against the ones
+recorded in ``help_texts.json`` (with Python 3.11: argparse lays out help
+differently in other versions). When a change alters them on purpose,
+re-record them with ``PYTHONPATH=src python tests/test_startup.py`` and say
+why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -13,12 +16,13 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from boxrefine.cli import build_parser
 
-from test_golden import RUNS, write_inputs
+from test_golden import write_inputs
 
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
 
@@ -70,14 +74,17 @@ def loaded_modules(argv: list[str], cwd, code: int = 0) -> set[str]:
         cwd=cwd, env=ENV, capture_output=True, text=True,
     )
     assert proc.returncode == code, proc.stderr
-    return set(path.read_text().split("\n"))
+    loaded = set(path.read_text().split("\n"))
+    # the front runs as __main__ and is not compiled a second time
+    assert "boxrefine.cli" not in loaded
+    return loaded
 
 
 def test_each_subcommand_loads_only_what_it_runs(tmp_path):
     write_inputs(tmp_path)
     for name, argv in ARGV.items():  # in order: correct reads inject-noise's output
         loaded = loaded_modules(argv, tmp_path)
-        assert "boxrefine.datamodel" in loaded, name
+        assert {"boxrefine.commands", "boxrefine.datamodel"} <= loaded, name
         for module, commands in RUN_BY.items():
             assert (module in loaded) == (name in commands), (name, module)
         assert "numpy.ma" not in loaded, name
@@ -89,30 +96,50 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path):
     "argv, code", [(["--help"], 0), ([], 2), (["bogus"], 2)], ids=["help", "none", "bogus"]
 )
 def test_no_subcommand_loads_no_work_module(tmp_path, argv, code):
+    # the front alone: no command layer, no work module, no numpy, and none
+    # of the standard modules that only the command layer uses
     loaded = loaded_modules(argv, tmp_path, code)
     assert not {m for m in loaded if m.partition(".")[0] == "numpy"}
-    assert {m for m in loaded if m.startswith("boxrefine.")} <= {"boxrefine.cli"}
-    assert "_hashlib" not in loaded
+    assert {m for m in loaded if m.partition(".")[0] == "boxrefine"} == {"boxrefine"}
+    assert not loaded & {"_hashlib", "json", "csv", "copy"}
 
 
-def help_text(parser, argv: list[str], capsys) -> str:
-    with pytest.raises(SystemExit):
-        parser.parse_args(argv)
-    return capsys.readouterr().out
+HELP_TEXTS = Path(__file__).with_name("help_texts.json")
+# every top-level and subcommand help text, and the usage error of each
+# subcommand and of a missing or unknown one
+RECORDED_ARGV = ([["--help"]] + [[name, "--help"] for name in ARGV] + [[], ["bogus"]]
+                 + [[name] for name in ARGV])
+
+
+def cli_process(argv: list[str]) -> dict:
+    """A fresh ``python -m boxrefine.cli`` process's exit code and output,
+    formatted for an 80-column terminal."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "boxrefine.cli", *argv],
+        env=dict(ENV, COLUMNS="80"), capture_output=True, text=True,
+    )
+    return {"argv": argv, "code": proc.returncode, "stdout": proc.stdout,
+            "stderr": proc.stderr}
 
 
 @pytest.mark.parametrize(
     "argv", [["--help"]] + [[name, "--help"] for name in ARGV]
 )
-def test_lazy_parser_prints_the_same_help(argv, capsys):
-    eager = help_text(build_parser(), argv, capsys)
-    assert help_text(build_parser(lazy=True), argv, capsys) == eager
-    assert eager.startswith("usage: boxrefine")
+def test_lazy_parser_prints_the_same_help(argv, capsys, monkeypatch):
+    """The parser prints each help text as recorded, byte for byte."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    recorded = json.loads(HELP_TEXTS.read_text(encoding="utf-8"))
+    (recorded,) = [r for r in recorded if r["argv"] == argv]
+    assert capsys.readouterr().out == recorded["stdout"]
 
 
-def test_lazy_parser_reads_every_golden_argv_alike():
-    for argv in RUNS:
-        assert build_parser(lazy=True).parse_args(argv) == build_parser().parse_args(argv)
+def test_processes_print_the_recorded_help_and_usage_errors():
+    recorded = json.loads(HELP_TEXTS.read_text(encoding="utf-8"))
+    assert [r["argv"] for r in recorded] == RECORDED_ARGV
+    for row in recorded:
+        assert cli_process(row["argv"]) == row
 
 
 def test_package_import_loads_no_module():
@@ -139,3 +166,8 @@ print(json.dumps({"fresh": fresh, "names": names, "modules": modules}))
     assert got["names"].pop("__version__")[2]
     for name, (home, defined, star) in got["names"].items():
         assert home.startswith("boxrefine.") and defined and star, name
+
+
+if __name__ == "__main__":
+    rows = [cli_process(argv) for argv in RECORDED_ARGV]
+    HELP_TEXTS.write_text(json.dumps(rows, indent=1) + "\n", encoding="utf-8")
