@@ -413,8 +413,13 @@ def _read_config_file(path: Path, sections: Sequence[str]) -> dict:
         raise CliError(f"config file not found: {path}")
     try:
         file_cfg = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: invalid JSON: {exc.msg}") from exc
+    # an integer of more digits than int() reads, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
+        raise CliError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(file_cfg, dict):
         raise CliError(f"{path}: config must be a JSON object")
     schema = {"seed": _TYPES["seed"], **{section: _TYPES[section] for section in sections}}
@@ -576,12 +581,10 @@ def _json_ints(values: list[int]) -> str:
     return "[\n        " + ",\n        ".join(map(int.__repr__, values)) + "\n      ]"
 
 
-def cmd_evaluate(run: RunConfig) -> None:
-    from dataclasses import asdict
-
-    inputs = run.resolved["inputs"]
-    gt = _cli.load_annotations(inputs["ground-truth"])
-    preds_ds = _cli.load_annotations(inputs["predictions"])
+def _scored(run: RunConfig, gt: Dataset, score_floor: float) -> tuple:
+    """AP50 and the error breakdown of the predictions file against ``gt``.
+    The predictions are dropped on return, before another file is read."""
+    preds_ds = _cli.load_annotations(run.resolved["inputs"]["predictions"])
     gt_ids = gt.image_ids()
     position = _positions(preds_ds)
     if set(gt_ids) != set(position):
@@ -593,9 +596,20 @@ def cmd_evaluate(run: RunConfig) -> None:
         )
     # in the ground truth's image order, which decides ranking ties
     predictions = preds_ds.detections.select([position[i] for i in gt_ids])
+    del preds_ds
+    return (
+        _cli.evaluate_ap50(gt.annotations, predictions),
+        _cli.error_breakdown(gt.annotations, predictions, score_floor),
+    )
+
+
+def cmd_evaluate(run: RunConfig) -> None:
+    from dataclasses import asdict
+
+    inputs = run.resolved["inputs"]
+    gt = _cli.load_annotations(inputs["ground-truth"])
     score_floor = run.resolved.get("score_floor", _score_floor())
-    result = _cli.evaluate_ap50(gt.annotations, predictions)
-    breakdown = _cli.error_breakdown(gt.annotations, predictions, score_floor)
+    result, breakdown = _scored(run, gt, score_floor)
     metrics: dict = {
         "ap50": {
             "map": result.map50,

@@ -11,14 +11,15 @@ written.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field, replace
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import gt, is_, itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -572,13 +573,34 @@ def _grouped(image: np.ndarray, num_images: int, boxes: np.ndarray, **columns: o
     return s
 
 
-def _load_coco(path: Path) -> Dataset:
+def _text(path: Path, newline: str | None = None) -> str:
+    """The text of the file at ``path``, read as ``open(path, newline=newline)``
+    reads it; a file that is not UTF-8 is a format error that names it."""
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        with path.open(encoding="utf-8", newline=newline) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _parsed(path: Path) -> object:
+    """The JSON value in the file at ``path``, whose text is freed on
+    return; a file that does not hold one is a format error that names it."""
+    text = _text(path)
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    # an integer of more digits than int() reads (sys.get_int_max_str_digits),
+    # or lists and objects nested past the recursion limit
+    except (ValueError, RecursionError) as exc:
+        raise DatasetFormatError(f"{path}: invalid JSON: {exc}") from None
+
+
+def _load_coco(path: Path) -> Dataset:
+    raw = _parsed(path)
     _require(isinstance(raw, dict), path, "top level must be a JSON object")
     for key in ("images", "categories", "annotations"):
         _require(key in raw, path, f"missing required key {key!r}")
@@ -611,6 +633,10 @@ def _load_coco(path: Path) -> Dataset:
     probs, has_logit, codes = c.score, c.has_logit, c.provenance
     logits = np.zeros(len(probs))
     logits[has_logit] = c.logit
+    # every column is gathered: the parsed file, several times the size of
+    # the columns, goes before the sets are built, and with it the rows that
+    # hold its lists
+    del raw, categories, images, c
 
     # x2 = x1 + w and y2 = y1 + h where the entry gives a size; a sum past
     # the largest float is inf and clips to the image, as in Python
@@ -643,7 +669,8 @@ def _load_coco(path: Path) -> Dataset:
 
 def _load_point_csv(path: Path, image_size: tuple[int, int]) -> Dataset:
     expected = ["image_id", "x", "y", "label"]
-    with path.open(newline="", encoding="utf-8") as fh:
+    # decoded whole, so that an error gives the byte's place in the file
+    with io.StringIO(_text(path, newline=""), newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -672,6 +699,12 @@ def _load_point_csv(path: Path, image_size: tuple[int, int]) -> Dataset:
                 label = int(row[3])
             except ValueError as exc:
                 raise DatasetFormatError(f"{path}: line {lineno}: {exc}") from exc
+            # float() reads "nan" and "inf" too
+            _require(
+                math.isfinite(x) and math.isfinite(y),
+                path,
+                f"line {lineno}: x and y must be finite numbers, got {row[1]!r}, {row[2]!r}",
+            )
             _require(label >= 1, path, f"line {lineno}: label must be >= 1")
             if image_id not in points:
                 points[image_id] = []
@@ -739,11 +772,30 @@ def _json_value(value: object, indent: str) -> str:
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + indent)
 
 
-def _json_list(entries: list[str]) -> str:
-    """A top-level key's list of already formatted entries, two deep."""
-    if not entries:
-        return "[]"
-    return "[\n" + ",\n".join(entries) + "\n  ]"
+def _json_list(write: Callable[[str], object], entries: Iterable[str]) -> None:
+    """Write a top-level key's list of already formatted entries, two deep,
+    entry by entry."""
+    sep = "[\n"
+    for text in entries:
+        write(sep)
+        write(text)
+        sep = ",\n"
+    write("[]" if sep == "[\n" else "\n  ]")
+
+
+# the rows of a set that save_annotations turns into Python values at a time:
+# a file is written as it is formatted, so the writer holds this many rows
+# and one entry, however large the file
+_WRITE_ROWS = 1 << 10
+
+
+def _written_rows(s: BoxSet, tails: Callable[[int, int], list[str]]) -> Iterator[tuple]:
+    """``(corners, label, tail)`` of each row of ``s``, converted a block of
+    rows at a time; ``tails(start, stop)`` are the formatted tails of rows
+    ``start:stop``."""
+    for start in range(0, len(s), _WRITE_ROWS):
+        stop = start + _WRITE_ROWS
+        yield from zip(s.corners(start, stop), s.labels[start:stop].tolist(), tails(start, stop))
 
 
 def save_annotations(dataset: Dataset, path: str | Path) -> None:
@@ -756,12 +808,13 @@ def save_annotations(dataset: Dataset, path: str | Path) -> None:
     The bytes are those of ``json.dumps(payload, sort_keys=True, indent=2)``
     plus a newline. Entries are formatted from fixed templates because
     json's C encoder is used only without ``indent``, and its pure-Python
-    fallback dominated the time of writing a file.
+    fallback dominated the time of writing a file. Each entry is written as
+    soon as it is formatted, so neither the text nor a list of the entries
+    is ever held whole; the file is closed when this returns.
     """
     value = _json_value
-    entries: list[str] = []
 
-    def entry(corners: list, label: object, image_id: str, tail: str) -> str:
+    def entry(k: int, corners: list, label: object, image_id: str, tail: str) -> str:
         x1, y1, x2, y2 = corners
         left, top = value(x1, "        "), value(y1, "        ")
         return (
@@ -779,50 +832,51 @@ def save_annotations(dataset: Dataset, path: str | Path) -> None:
             f'        {value(y2, "        ")}\n'
             "      ],\n"
             f'      "category_id": {value(label, "      ")},\n'
-            f'      "id": {len(entries) + 1},\n'
+            f'      "id": {k},\n'
             f'      "image_id": {image_id},\n'
             f"      {tail}\n"
             "    }"
         )
 
     anns, dets = dataset.annotations, dataset.detections
+    provenance = [f'"provenance": {value(name, "      ")}' for name in PROVENANCES]
     # Python scalars, the ints of clipping restored: a width is x2 - x1 of
     # those, so a box clipped wholly past an edge is 0 wide, an int
-    ann_corners, det_corners = anns.corners(), dets.corners()
-    ann_labels, det_labels = anns.labels.tolist(), dets.labels.tolist()
-    provenance = [f'"provenance": {value(name, "      ")}' for name in PROVENANCES]
-    ann_tails = [provenance[code] for code in anns.provenance.tolist()]
-    det_tails = [
+    ann_rows = _written_rows(
+        anns, lambda a, b: [provenance[code] for code in anns.provenance[a:b].tolist()]
+    )
+    det_rows = _written_rows(dets, lambda a, b: [
         f'"logit": {value(logit, "      ")},\n      "score": {value(prob, "      ")}'
-        for logit, prob in zip(dets.logits.tolist(), dets.probs.tolist())
-    ]
-    ann_bounds, det_bounds = anns.offsets.tolist(), dets.offsets.tolist()
+        for logit, prob in zip(dets.logits[a:b].tolist(), dets.probs[a:b].tolist())
+    ])
     image_ids, sizes = dataset.image_ids(), dataset.image_sizes()
-    for g, image_id in enumerate(image_ids):
-        shown = value(image_id, "      ")
-        for r in range(ann_bounds[g], ann_bounds[g + 1]):
-            entries.append(entry(ann_corners[r], ann_labels[r], shown, ann_tails[r]))
-        for r in range(det_bounds[g], det_bounds[g + 1]):
-            entries.append(entry(det_corners[r], det_labels[r], shown, det_tails[r]))
-    images = [
+
+    def entries() -> Iterator[str]:
+        k = 0
+        for image_id, n_anns, n_dets in zip(image_ids, anns.counts.tolist(), dets.counts.tolist()):
+            shown = value(image_id, "      ")
+            for corners, label, tail in chain(islice(ann_rows, n_anns), islice(det_rows, n_dets)):
+                k += 1
+                yield entry(k, corners, label, shown, tail)
+
+    images = (
         "    {\n"
         f'      "height": {value(height, "      ")},\n'
         f'      "id": {value(image_id, "      ")},\n'
         f'      "width": {value(width, "      ")}\n'
         "    }"
         for image_id, (width, height) in zip(image_ids, sizes)
-    ]
+    )
     categories = [
         {"id": i, "name": name} for i, name in enumerate(dataset.class_names, start=1)
     ]
-    text = (
-        "{\n"
-        f'  "annotations": {_json_list(entries)},\n'
-        f'  "categories": {value(categories, "  ")},\n'
-        f'  "images": {_json_list(images)}\n'
-        "}\n"
-    )
-    Path(path).write_text(text, encoding="utf-8")
+    with Path(path).open("w", encoding="utf-8") as fh:
+        write = fh.write
+        write('{\n  "annotations": ')
+        _json_list(write, entries())
+        write(f',\n  "categories": {value(categories, "  ")},\n  "images": ')
+        _json_list(write, images)
+        write("\n}\n")
 
 
 def points_to_boxes(

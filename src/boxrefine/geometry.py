@@ -317,11 +317,12 @@ class BoxSet:
             int_edge |= self.int_edge & ~(low | over)
         return replace(self, boxes=boxes, int_edge=int_edge if int_edge.any() else None)
 
-    def corners(self) -> list[list[float]]:
-        """Every row's corners as Python numbers: ``int`` where ``int_edge`` says."""
-        corners = self.boxes.tolist()
+    def corners(self, start: int = 0, stop: int | None = None) -> list[list[float]]:
+        """The corners of rows ``start:stop``, every row by default, as Python
+        numbers: ``int`` where ``int_edge`` says."""
+        corners = self.boxes[start:stop].tolist()
         if self.int_edge is not None:
-            for k, edges in enumerate(self.int_edge.tolist()):
+            for k, edges in enumerate(self.int_edge[start:stop].tolist()):
                 if True in edges:
                     corners[k] = [int(v) if e else v for v, e in zip(corners[k], edges)]
         return corners
@@ -376,9 +377,14 @@ def clip_values(v: np.ndarray, limit: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.where(over, limit, v), low, over
 
 
-# pairs per step of pair_blocks: temporaries stay at a few hundred kilobytes
-# however many boxes an image holds
-_PAIR_BLOCK = 1 << 13
+# pairs per step of pair_blocks: however many boxes an image holds, a block's
+# largest temporaries, the (4, K) float64 planes of its pairs, take 64 KiB.
+# That is half of glibc malloc's initial mmap threshold, so they come from
+# the heap even in a process that has freed no larger block (``simulate``
+# reads no file). At 8,192 pairs each was mapped, page-faulted and unmapped
+# anew: about 7,500 page faults in one loop of 100 images x 20 boxes x 15
+# iterations, against 500 now, and the loop ran slower.
+_PAIR_BLOCK = 1 << 11
 # at most this many pairs of one image, grouped_iou scores pairs one by one
 _SCALAR_PAIRS = 32
 

@@ -468,10 +468,15 @@ def load_ref(path):
     """
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise RefFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise RefFormatError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    # an integer past int()'s digit limit, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
+        raise RefFormatError(f"{path}: invalid JSON: {exc}") from exc
 
     def require(cond, msg):
         if not cond:

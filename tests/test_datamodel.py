@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from boxrefine import datamodel
 from boxrefine.datamodel import (
     Annotation,
     Dataset,
@@ -24,7 +26,7 @@ from boxrefine.datamodel import (
     save_annotations,
     sigmoid,
 )
-from boxrefine.geometry import Box
+from boxrefine.geometry import Box, BoxSet
 
 from oracles import save_ref
 
@@ -461,6 +463,75 @@ class TestWriterBytes:
                         annotations=[Annotation(box=Box(0, 0, 1, 1), label=1)]),
         ]
         self.check(tmp_path, Dataset(class_names=["a"], images=[rec, *others]))
+
+
+    def test_rows_converted_in_blocks(self, tmp_path, monkeypatch):
+        # blocks of 3 rows: an image's rows start and end anywhere in a block
+        monkeypatch.setattr(datamodel, "_WRITE_ROWS", 3)
+        rng = np.random.default_rng(43)
+        for _ in range(40):
+            self.check(tmp_path, awkward_dataset(rng))
+
+
+def traced_peak(fn) -> int:
+    """The peak of the memory Python and numpy allocate while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingMemory:
+    """What reading and writing a file holds beyond the file's own data."""
+
+    def test_writer_holds_a_small_part_of_the_file(self, tmp_path):
+        # 400 images of 20 annotations and 30 detections: 20,000 entries
+        rng = np.random.default_rng(61)
+        images, anns, dets = 400, 20, 30
+        sizes = [(512, 384)] * images
+
+        def boxes(n: int) -> np.ndarray:
+            x1y1 = rng.uniform(-10.0, 500.0, (n, 2))
+            return np.hstack((x1y1, x1y1 + rng.uniform(1.0, 60.0, (n, 2))))
+
+        truth = BoxSet(boxes(images * anns), np.arange(images + 1) * anns,
+                       labels=rng.integers(1, 4, images * anns),
+                       provenance=rng.integers(0, 3, images * anns).astype(np.int8))
+        found = BoxSet(boxes(images * dets), np.arange(images + 1) * dets,
+                       labels=rng.integers(1, 4, images * dets),
+                       probs=rng.uniform(0.0, 1.0, images * dets),
+                       logits=rng.normal(0.0, 3.0, images * dets))
+        ds = Dataset.from_columns(["a", "b", "c"], [f"img{g}" for g in range(images)], sizes,
+                                  truth.clip(sizes), found.clip(sizes))
+        path = tmp_path / "big.json"
+        save_annotations(ds, path)  # the set's cached columns are read once
+        peak = traced_peak(lambda: save_annotations(ds, path))
+        # once the entries, their text and its bytes were all held: 3.7 times the file
+        assert peak < path.stat().st_size / 10, (peak, path.stat().st_size)
+
+    def test_loader_holds_no_more_than_the_parse(self, tmp_path):
+        # the size of the wide benchmark's detections: 2,000 images, 18,000 entries
+        rng = np.random.default_rng(62)
+        images = [{"id": f"img{g}", "width": 512, "height": 512} for g in range(2000)]
+        entries = [
+            {"id": k + 1, "image_id": f"img{k % 2000}", "category_id": int(label),
+             "bbox": [round(v, 2) for v in box], "score": round(score, 4)}
+            for k, (box, label, score) in enumerate(zip(
+                rng.uniform(0.0, 400.0, (18000, 4)).tolist(), rng.integers(1, 5, 18000),
+                rng.uniform(0.0, 1.0, 18000).tolist(),
+            ))
+        ]
+        categories = [{"id": c, "name": f"class_{c}"} for c in range(1, 5)]
+        path = write_coco(tmp_path, {"images": images, "categories": categories,
+                                     "annotations": entries})
+        del images, entries
+        load_annotations(path)
+        parse = traced_peak(lambda: json.loads(path.read_text(encoding="utf-8")))
+        load = traced_peak(lambda: load_annotations(path))
+        # while the parsed file was held to the end: 1.25 times the parse
+        assert load <= parse * 1.05, (load, parse)
 
 
 class TestPoints:

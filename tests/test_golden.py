@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -169,14 +170,29 @@ RUNS: tuple[tuple[str, ...], ...] = (
 )
 
 
-def run_all(root: Path) -> dict[str, str]:
-    """Run every golden invocation in ``root``; SHA-256 of each output file."""
+# the subcommands that write annotation files
+WRITERS = ("inject-noise", "correct", "simulate")
+
+
+def run_all(root: Path, processes: bool = False) -> dict[str, str]:
+    """Run every golden invocation in ``root``; SHA-256 of each output file.
+
+    With ``processes``, each invocation of a subcommand that writes
+    annotations runs as its own ``python -m boxrefine.cli`` process, which
+    ends with ``os._exit``: bytes a writer left in a buffer would be lost.
+    """
     write_inputs(root)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     cwd = os.getcwd()
     os.chdir(root)
     try:
         for argv in RUNS:
-            assert main(list(argv)) == 0, argv
+            if processes and argv[0] in WRITERS:
+                proc = subprocess.run([sys.executable, "-m", "boxrefine.cli", *argv], env=env,
+                                      capture_output=True, text=True)
+                assert proc.returncode == 0, (argv, proc.stderr)
+            else:
+                assert main(list(argv)) == 0, argv
     finally:
         os.chdir(cwd)
     return {
@@ -307,11 +323,18 @@ GOLDEN: dict[str, str] = {
 }
 
 
-def test_outputs_match_recorded_digests(tmp_path):
-    got = run_all(tmp_path)
+def check_digests(got: dict[str, str]) -> None:
     assert sorted(got) == sorted(GOLDEN)
     changed = sorted(name for name in GOLDEN if got[name] != GOLDEN[name])
     assert not changed, f"outputs differ from the recorded digests: {changed}"
+
+
+def test_outputs_match_recorded_digests(tmp_path):
+    check_digests(run_all(tmp_path))
+
+
+def test_writers_as_processes_match_recorded_digests(tmp_path):
+    check_digests(run_all(tmp_path, processes=True))
 
 
 if __name__ == "__main__":

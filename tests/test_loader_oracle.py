@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import json
+import sys
 from itertools import combinations, product
 
 import numpy as np
@@ -523,3 +524,107 @@ def test_ids_must_be_strings_or_integers(tmp_path, field, value):
         load_annotations(path)
     assert str(exc.value) == f"{path}: {words}"
     assert outcome(load_ref, path) == ("format", str(exc.value))
+
+
+def _payload_text(image_id: str = '"im"', category_id: str = "1") -> str:
+    """A valid file's text, its image id and category id the JSON texts given."""
+    return (
+        '{"images": [{"id": ' + image_id + ', "width": 64, "height": 48}], '
+        '"categories": [{"id": ' + category_id + ', "name": "a"}], '
+        '"annotations": [{"id": 1, "image_id": ' + image_id + ', '
+        '"category_id": ' + category_id + ', "bbox": [1, 2, 3, 4]}]}'
+    )
+
+
+# one digit more than int() reads from text (0 would mean no limit)
+LONG_INT = "7" * (sys.get_int_max_str_digits() + 1)
+# A way to break a file as a whole, so that it holds no JSON value: the words
+# of the message after the file's name, and the file's bytes. The byte that
+# is not UTF-8 is named by its place in the file.
+FILE_BREAKS = {
+    "latin-1": (
+        "not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 in position 91",
+        _payload_text(category_id="1").replace('"a"', '"café"').encode("latin-1"),
+    ),
+    "utf-16": (
+        "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0",
+        _payload_text().encode("utf-16"),
+    ),
+    "long image id": (
+        f"invalid JSON: Exceeds the limit ({len(LONG_INT) - 1} digits) for integer string",
+        _payload_text(image_id=LONG_INT).encode(),
+    ),
+    "long category id": (
+        f"invalid JSON: Exceeds the limit ({len(LONG_INT) - 1} digits) for integer string",
+        _payload_text(category_id=LONG_INT).encode(),
+    ),
+    "nested": (
+        "invalid JSON: maximum recursion depth exceeded",
+        b'{"images": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    ),
+    "syntax": ("invalid JSON at line 1 column 15: Expecting value", b'{"images": [1,]}'),
+}
+
+
+@pytest.mark.parametrize("name", FILE_BREAKS)
+def test_files_without_a_json_value_name_the_file(tmp_path, name):
+    words, data = FILE_BREAKS[name]
+    path = tmp_path / "broken.json"
+    path.write_bytes(data)
+    want = outcome(load_ref, path)
+    assert want[0] == "format" and want[1].startswith(f"{path}: {words}"), want
+    assert outcome(loaded, path) == want
+
+
+@pytest.mark.parametrize("name", FILE_BREAKS)
+def test_files_without_a_json_value_name_the_file_through_the_cli(tmp_path, capsys, name):
+    # once as an input file, once as a --config file, which the command
+    # line reads before any input
+    words, data = FILE_BREAKS[name]
+    path = tmp_path / "broken.json"
+    path.write_bytes(data)
+    good = tmp_path / "good.json"
+    good.write_text(_payload_text(), encoding="utf-8")
+    kind = " ".join(words.split()[:2])
+    for argv in (
+        ["evaluate", "--ground-truth", str(path), "--predictions", str(good)],
+        ["evaluate", "--ground-truth", str(good), "--predictions", str(good),
+         "--config", str(path)],
+    ):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {kind}") and "Traceback" not in err, err
+    # the loader's own message, word for word
+    assert main(["evaluate", "--ground-truth", str(path), "--predictions", str(good),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: {words}")
+
+
+# A way to break a point CSV: the words of the message after the file's
+# name, and the file's bytes after its header. The byte that is not UTF-8
+# lies past the first 8 KiB, which a text file decodes as one chunk.
+POINT_BREAKS = {
+    "latin-1": (
+        "not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 in position 10022",
+        b"a,1,2,1\n" * 1250 + b"caf\xe9,1,2,1\n",
+    ),
+    "long label": (
+        "line 3: Exceeds the limit", b"a,1,2,1\na,1,2," + LONG_INT.encode() + b"\n",
+    ),
+    "nan": ("line 2: x and y must be finite numbers, got 'nan', '2'", b"a,nan,2,1\n"),
+    "inf": ("line 3: x and y must be finite numbers, got '1', '-inf'", b"a,1,2,1\na,1,-inf,1\n"),
+}
+
+
+@pytest.mark.parametrize("name", POINT_BREAKS)
+def test_point_files_that_cannot_be_read_name_the_file(tmp_path, capsys, name):
+    words, rows = POINT_BREAKS[name]
+    path = tmp_path / "points.csv"
+    path.write_bytes(b"image_id,x,y,label\n" + rows)
+    with pytest.raises(DatasetFormatError) as exc:
+        load_annotations(path, fmt="point-csv")
+    assert str(exc.value).startswith(f"{path}: {words}"), str(exc.value)
+    argv = ["render", "--dataset", str(path), "--format", "point-csv",
+            "--out", str(tmp_path / "svg")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
