@@ -416,7 +416,9 @@ def _read_config_file(path: Path, sections: Sequence[str]) -> dict:
     except UnicodeDecodeError as exc:
         raise CliError(f"{path}: not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise CliError(f"{path}: invalid JSON: {exc.msg}") from exc
+        raise CliError(
+            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from exc
     # an integer of more digits than int() reads, or nesting past the recursion limit
     except (ValueError, RecursionError) as exc:
         raise CliError(f"{path}: invalid JSON: {exc}") from None

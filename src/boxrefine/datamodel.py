@@ -14,7 +14,9 @@ import csv
 import io
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import gt, is_, itemgetter
@@ -415,9 +417,10 @@ _IMAGE_COLUMNS = {
 _BOX_FIELDS = np.array(["bbox_xyxy", "bbox"], dtype=object)
 # the entries of ``annotations``: annotations and detections (with a ``score``) alike
 _ENTRY_COLUMNS = {
-    "k": lambda c: range(len(c)),
+    # an entry's number in the file, from the ``start`` of the rows
+    "k": lambda c: range(c.start, c.start + len(c)),
     # how messages name an entry: its id, else its number
-    "id": lambda c: [e["id"] if "id" in e else f"#{k}" for k, e in enumerate(c.entry)],
+    "id": lambda c: [e["id"] if "id" in e else f"#{k}" for k, e in enumerate(c.entry, c.start)],
     # the image row and the label, -1 and 0 where the id is unknown
     "image": lambda c: np.fromiter(map(c.image_of.get, c.get("image_id"), repeat(-1)), np.intp),
     "label": lambda c: np.fromiter(map(c.label_of.get, c.get("category_id"), repeat(0)), np.int64),
@@ -489,12 +492,19 @@ _IMAGE_RULES = (
 )
 
 
+# the rules of an entry that read the image and category tables, which a
+# file may hold after its annotations
+_TABLE_RULES = (
+    (lambda c: c.image < 0, "annotation {id}: unknown image_id {entry[image_id]!r}"),
+    (lambda c: c.label == 0, "annotation {id}: unknown category_id {entry[category_id]!r}"),
+)
+
 _ENTRY_RULES = (
     (lambda c: ~c.objects(), "annotation #{k} must be an object, got {entry.__class__.__name__}"),
     (lambda c: ~c.has("image_id"), "annotation {id}: missing 'image_id'"),
-    (lambda c: c.image < 0, "annotation {id}: unknown image_id {entry[image_id]!r}"),
+    _TABLE_RULES[0],
     (lambda c: ~c.has("category_id"), "annotation {id}: missing 'category_id'"),
-    (lambda c: c.label == 0, "annotation {id}: unknown category_id {entry[category_id]!r}"),
+    _TABLE_RULES[1],
     # list.__len__ raises for a box that is not a list
     (lambda c: np.fromiter(map(list.__len__, c.box), np.intp, len(c)) != 4,
      "annotation {id}: {field} must be a list of 4 numbers"),
@@ -516,17 +526,19 @@ _ENTRY_RULES = (
     (lambda c: ~_typed(c.get("image_id"), _ID_TYPES),
      "annotation {id}: 'image_id' must be a string or an integer, got {entry[image_id]!r}"),
 )
+# the rules a block of entries is checked by as it is read
+_BLOCK_RULES = tuple(rule for rule in _ENTRY_RULES if rule not in _TABLE_RULES)
 
 
-def _checked(path: Path, entry: list, rules: tuple, columns: dict, **context: object) -> _Rows:
-    """The rows ``entry``, once every rule of ``rules`` holds on every row.
+def _first_bad(entry: list, rules: tuple, columns: dict, **context: object) -> tuple[int, _Rows]:
+    """The first row of ``entry`` that breaks a rule of ``rules``,
+    ``len(entry)`` if none does, and the rows of ``entry``.
 
-    Otherwise raises the error of the first row that breaks a rule, worded by
-    the first rule it breaks. Only if a rule raises one of ``_UNGATHERED``
-    are heads of the rows checked, halving the search, to find that row.
+    Only if a rule raises one of ``_UNGATHERED`` are heads of the rows
+    checked, halving the search, to find that row.
     """
 
-    def first_bad(rows: _Rows) -> int:
+    def first(rows: _Rows) -> int:
         # the first row that breaks a rule, len(rows) if none does, -1 if unknown
         bad = np.zeros(len(rows), dtype=bool)
         try:
@@ -537,14 +549,24 @@ def _checked(path: Path, entry: list, rules: tuple, columns: dict, **context: ob
         return int(bad.argmax()) if bad.any() else len(rows)
 
     whole = _Rows(entry, columns, **context)
-    row = first_bad(whole)
+    row = first(whole)
     if row < 0:
         lo, hi = 0, len(entry)  # every rule holds on entry[:lo], not on entry[:hi]
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            holds = first_bad(_Rows(entry[:mid], columns, **context)) == mid
+            holds = first(_Rows(entry[:mid], columns, **context)) == mid
             lo, hi = (mid, hi) if holds else (lo, mid)
         row = lo
+    return row, whole
+
+
+def _checked(path: Path, entry: list, rules: tuple, columns: dict, **context: object) -> _Rows:
+    """The rows ``entry``, once every rule of ``rules`` holds on every row.
+
+    Otherwise raises the error of the first row that breaks a rule, worded by
+    the first rule it breaks.
+    """
+    row, whole = _first_bad(entry, rules, columns, **context)
     if row == len(entry):
         return whole
     head = _Rows(entry[: row + 1], columns, **context)
@@ -583,10 +605,9 @@ def _text(path: Path, newline: str | None = None) -> str:
         raise DatasetFormatError(f"{path}: not UTF-8 text: {exc}") from None
 
 
-def _parsed(path: Path) -> object:
-    """The JSON value in the file at ``path``, whose text is freed on
-    return; a file that does not hold one is a format error that names it."""
-    text = _text(path)
+def _parsed(path: Path, text: str) -> object:
+    """The JSON value in ``text``, the text of the file at ``path``; text
+    that does not hold one is a format error that names the file."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -599,12 +620,203 @@ def _parsed(path: Path) -> object:
         raise DatasetFormatError(f"{path}: invalid JSON: {exc}") from None
 
 
+_DECODER = json.JSONDecoder()
+_WHITESPACE = json.decoder.WHITESPACE.match
+
+# The list ``annotations`` is parsed a block of entries at a time, from
+# windows of at most this many characters, and a block's parse tree is
+# dropped once its columns are gathered. The tree of a window of compact
+# entries is about 0.37 MB, below what reading a 2.6 MB file's text holds at
+# once; smaller windows only add blocks, each checked in numpy calls of its own.
+_READ_CHARS = (1 << 17) - 64
+
+
+def _skip(text: str, i: int) -> int:
+    """The index of the first character at or after ``text[i]`` that is not
+    JSON whitespace."""
+    return _WHITESPACE(text, i).end()
+
+
+def _after(text: str, i: int, char: str) -> int:
+    """The index past ``char`` at ``text[i]`` and the whitespace after it."""
+    if not text.startswith(char, i):
+        raise ValueError(f"expected {char!r} at {i}")
+    return _skip(text, i + 1)
+
+
+def _scanned(text: str, j: int) -> Iterator[tuple[object, int, bool]]:
+    """Each entry of a list from the one at ``text[j]`` on: the entry, the
+    index of the next one or, after the last, the index past the list, and
+    whether it was the last."""
+    closed = False
+    while not closed:
+        entry, i = _DECODER.raw_decode(text, j)
+        i = _skip(text, i)
+        closed = text.startswith("]", i)
+        j = i + 1 if closed else _after(text, i, ",")
+        yield entry, j, closed
+
+
+def _entries_at(text: str, j: int, n: int) -> list:
+    """The ``n`` entries of a list from the one at ``text[j]`` on."""
+    return [entry for entry, _, _ in islice(_scanned(text, j), n)]
+
+
+# the columns of the entries of ``annotations`` that a load keeps
+_GATHERED = ("xywh", "values", "is_det", "score", "has_logit", "logit", "provenance")
+
+
+class _Entries:
+    """The entries of ``annotations``, read, checked and gathered a block at
+    a time.
+
+    Each block is checked by ``_BLOCK_RULES`` as it is read, and its columns
+    and the raw ``image_id`` and ``category_id`` of each entry are kept; the
+    block itself is dropped. Blocks are gathered up to the first entry that
+    breaks one of those rules. :meth:`table_columns` looks the ids up once the
+    images and categories are read, and only where some entry breaks a rule
+    is the block that holds the first such entry read again, to word its
+    error.
+    """
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.bad: int | None = None  # the first entry that breaks a block rule
+        self.starts: list[int] = []  # the number of each block's first entry
+        self.rereads: list[Callable[[], list]] = []
+        self.parts: dict[str, list] = {name: [] for name in _GATHERED}
+        self.image_ids: list = []
+        self.category_ids: list = []
+        self.ids: dict = {}  # one object of each image id read
+
+    def add(self, block: list, reread: Callable[[], list]) -> None:
+        """Check and gather ``block``, the next entries; ``reread()`` reads it again."""
+        start = self.count
+        self.count += len(block)
+        self.starts.append(start)
+        self.rereads.append(reread)
+        if self.bad is not None:
+            return
+        row, rows = _first_bad(block, _BLOCK_RULES, _ENTRY_COLUMNS, start=start)
+        # the entries before ``row`` are objects that hold both ids, and
+        # their image ids are strings and integers, which no two types share
+        image_ids = list(map(itemgetter("image_id"), islice(block, row)))
+        self.image_ids += map(self.ids.setdefault, image_ids, image_ids)
+        self.category_ids += map(itemgetter("category_id"), islice(block, row))
+        if row < len(block):
+            self.bad = start + row
+            return
+        for name, part in self.parts.items():
+            part.append(getattr(rows, name))
+
+    def read(self, text: str, i: int) -> tuple["_Entries", int]:
+        """Read the list whose ``[`` is at ``text[i]``; returns this and the
+        index past the list.
+
+        A window ends at its last ``},``. Its text up to the ``}``, in
+        brackets, parses as a list only if that ``}`` ends an entry; where
+        the file's list closes inside the window, the parse ends at its
+        ``]``. A window that does not parse so is read an entry at a time.
+        Raises ``ValueError`` or ``RecursionError`` where the text is not a
+        JSON list.
+        """
+        j = _skip(text, i + 1)
+        closed = text.startswith("]", j)
+        if closed:  # one empty block, for empty columns
+            self.add([], list)
+            return self, j + 1
+        while not closed:
+            block: list = []
+            cut = text.rfind("},", j, j + _READ_CHARS)
+            if cut >= 0:
+                window = "[" + text[j : cut + 1] + "]"
+                try:
+                    block, end = _DECODER.raw_decode(window)
+                except (ValueError, RecursionError):
+                    pass
+            if block:
+                closed = end < len(window)
+                stop = j + end - 1 if closed else _skip(text, cut + 2)
+            else:
+                for entry, stop, closed in _scanned(text, j):
+                    block.append(entry)
+                    if closed or stop >= j + _READ_CHARS:
+                        break
+            self.add(block, partial(_entries_at, text, j, len(block)))
+            j = stop
+        return self, j
+
+    def table_columns(
+        self, path: Path, image_of: dict, label_of: dict
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The image row and the label of each entry, once every rule holds
+        on every entry; otherwise raises the error of the first entry that
+        breaks one."""
+        image = _looked_up(image_of, self.image_ids, -1)
+        label = _looked_up(label_of, self.category_ids, 0)
+        unknown = (image < 0) | (label == 0)
+        first = int(unknown.argmax()) if unknown.any() else len(image)
+        if first < self.count:
+            b = bisect_right(self.starts, first) - 1
+            _checked(path, self.rereads[b](), _ENTRY_RULES, _ENTRY_COLUMNS,
+                     image_of=image_of, label_of=label_of, start=self.starts[b])
+            raise AssertionError(f"{path}: annotation #{first} breaks no rule")
+        return image, label
+
+
+def _looked_up(table: dict, keys: list, missing: int) -> np.ndarray:
+    """The value ``table`` holds for each of ``keys``, ``missing`` where it
+    holds none or the key is a list or an object."""
+    try:
+        return np.fromiter(map(table.get, keys, repeat(missing)), np.int64, len(keys))
+    except TypeError:
+        return np.array(
+            [missing if isinstance(k, (list, dict)) else table.get(k, missing) for k in keys],
+            np.int64,
+        )
+
+
+def _walked(text: str) -> dict:
+    """The object at the top of ``text``, each ``annotations`` list in it
+    read by a new :class:`_Entries`. Raises ``ValueError`` or
+    ``RecursionError`` where the text is not one JSON object, and never
+    words a syntax error: ``json.loads`` does."""
+    top: dict = {}
+    i = _after(text, _skip(text, 0), "{")
+    more = not text.startswith("}", i)
+    while more:
+        if not text.startswith('"', i):
+            raise ValueError(f"expected a key at {i}")
+        key, i = json.decoder.scanstring(text, i + 1)
+        i = _after(text, _skip(text, i), ":")
+        if key == "annotations" and text.startswith("[", i):
+            top[key], i = _Entries().read(text, i)
+        else:
+            top[key], i = _DECODER.raw_decode(text, i)
+        i = _skip(text, i)
+        more = text.startswith(",", i)
+        if more:
+            i = _after(text, i, ",")
+    if _after(text, i, "}") != len(text):
+        raise ValueError("extra data")
+    return top
+
+
 def _load_coco(path: Path) -> Dataset:
-    raw = _parsed(path)
+    text = _text(path)
+    try:
+        raw = _walked(text)
+    except (ValueError, RecursionError):
+        # json.loads raises the error, unless the text holds another value
+        raw = _parsed(path, text)
+        if isinstance(raw, dict) and isinstance(raw.get("annotations"), list):
+            entries, raw["annotations"] = raw["annotations"], _Entries()
+            raw["annotations"].add(entries, lambda: entries)
     _require(isinstance(raw, dict), path, "top level must be a JSON object")
     for key in ("images", "categories", "annotations"):
         _require(key in raw, path, f"missing required key {key!r}")
-        _require(isinstance(raw[key], list), path, f"{key!r} must be a list")
+        kind = _Entries if key == "annotations" else list
+        _require(isinstance(raw[key], kind), path, f"{key!r} must be a list")
 
     _checked(path, raw["categories"], _id_rules("category"), _IMAGE_COLUMNS)
     try:
@@ -625,18 +837,18 @@ def _load_coco(path: Path) -> Dataset:
     images = _checked(path, raw["images"], _IMAGE_RULES, _IMAGE_COLUMNS)
     image_ids = list(map(str, images.id))
     sizes = list(zip(map(int, images.width), map(int, images.height)))
-    c = _checked(
-        path, raw["annotations"], _ENTRY_RULES, _ENTRY_COLUMNS,
-        image_of=images.first, label_of=label_of,
+    c = raw["annotations"]
+    image, labels = c.table_columns(path, images.first, label_of)
+    # every rule holds: the file's text, the parsed images and categories and
+    # the rows that hold their lists go before the columns are joined
+    parts = c.parts
+    del text, raw, categories, images, c
+    # each column's parts go once it is joined
+    xywh, boxes, is_det, probs, has_logit, logit, codes = (
+        np.concatenate(parts.pop(name)) for name in _GATHERED
     )
-    image, labels, is_det, xywh, boxes = c.image, c.label, c.is_det, c.xywh, c.values
-    probs, has_logit, codes = c.score, c.has_logit, c.provenance
     logits = np.zeros(len(probs))
-    logits[has_logit] = c.logit
-    # every column is gathered: the parsed file, several times the size of
-    # the columns, goes before the sets are built, and with it the rows that
-    # hold its lists
-    del raw, categories, images, c
+    logits[has_logit] = logit
 
     # x2 = x1 + w and y2 = y1 + h where the entry gives a size; a sum past
     # the largest float is inf and clips to the image, as in Python
@@ -658,6 +870,7 @@ def _load_coco(path: Path) -> Dataset:
         image[is_det], len(image_ids), boxes[is_det], labels=labels[is_det], probs=probs,
         logits=logits,
     )
+    del image, labels, boxes, probs, logit, logits
     # ids unique in the file, such as 100 and "100", can load as one string
     if len(set(image_ids)) < len(image_ids):
         dupes = sorted({i for i in image_ids if image_ids.count(i) > 1})

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -96,25 +96,10 @@ class NoiseConfig:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
-def derive_rngs(
-    seed: int, prefix: Sequence[object], ids: Iterable[object]
-) -> list[np.random.Generator]:
-    """PCG64 generators, one per id: generator j is the substream named by
-    ``(*prefix, ids[j])`` under ``seed``, as :func:`derive_rng` names it.
-
-    A key is hashed with blake2b as the text of ``seed`` and its parts,
-    joined by ``|``, and the 8-byte digest, read as a big-endian int, seeds
-    ``PCG64``. numpy's ``SeedSequence`` runs on all the digests at once
-    (``seedseq.seed_states``), and each generator starts in the state that
-    ``PCG64(digest)`` would give it.
-    """
-    # imported here: hashlib loads OpenSSL, and seedseq numpy.random, which
-    # only the noisy stages need
-    import hashlib
-
-    from numpy.random import PCG64, Generator
-
-    from .seedseq import HeldState, seed_states
+def _digests(seed: int, prefix: Sequence, ids: Iterable) -> np.ndarray:
+    """Each key ``(*prefix, id)`` under ``seed`` hashed: the 8-byte blake2b
+    digest of the text of ``seed`` and its parts joined by ``|``."""
+    import hashlib  # here: it loads OpenSSL, which only the noisy stages need
 
     head = hashlib.blake2b("|".join(map(str, (seed, *prefix))).encode(), digest_size=8)
     digests = []
@@ -122,16 +107,34 @@ def derive_rngs(
         h = head.copy()
         h.update(("|" + str(key)).encode())
         digests.append(h.digest())
-    states = seed_states(np.frombuffer(b"".join(digests), dtype=">u8"))
-    return [Generator(PCG64(HeldState(words))) for words in states]
+    return np.frombuffer(b"".join(digests), dtype=">u8")
+
+
+def _streams(seed: int, prefix: Sequence, ids: Iterable) -> Iterator[np.random.Generator]:
+    """The generators of :func:`derive_rngs`, each built as it is drawn."""
+    from numpy.random import PCG64, Generator  # here: only the noisy stages draw
+
+    from .seedseq import HeldState, seed_states
+
+    return (Generator(PCG64(HeldState(w))) for w in seed_states(_digests(seed, prefix, ids)))
+
+
+def derive_rngs(seed: int, prefix: Sequence, ids: Iterable) -> list[np.random.Generator]:
+    """PCG64 generators, one per id: generator j is the substream named by
+    ``(*prefix, ids[j])`` under ``seed``, in the state :func:`derive_rng`
+    gives it. numpy's ``SeedSequence`` runs on all the digests at once
+    (``seedseq.seed_states``)."""
+    return list(_streams(seed, prefix, ids))
 
 
 def derive_rng(seed: int, *keys: object) -> np.random.Generator:
-    """PCG64 generator for the substream named by ``keys`` under ``seed``:
-    the one-key case of :func:`derive_rngs`. Needs at least one key."""
+    """PCG64 generator for the substream named by ``keys`` under ``seed``: ``PCG64``
+    seeded with its digest, read as a big-endian int. Needs at least one key."""
     if not keys:
         raise TypeError("derive_rng needs at least one key")
-    return derive_rngs(seed, keys[:-1], keys[-1:])[0]
+    from numpy.random import PCG64, Generator
+
+    return Generator(PCG64(int(_digests(seed, keys[:-1], keys[-1:])[0])))
 
 
 def check_image_sizes(sizes: Iterable[tuple[float, float]]) -> None:
@@ -180,10 +183,11 @@ def constrain_corners(
 
 
 def _uniform(
-    rngs: Sequence[np.random.Generator], bounds: list[int], spans: np.ndarray
+    rngs: Iterable[np.random.Generator], bounds: list[int], spans: np.ndarray
 ) -> np.ndarray:
-    """``rngs[g].uniform(-spans[a:b], spans[a:b])`` for the rows ``a:b =
-    bounds[g]:bounds[g + 1]`` of each image g, bit for bit: one ``random``
+    """``rng.uniform(-spans[a:b], spans[a:b])`` for the rows ``a:b =
+    bounds[g]:bounds[g + 1]`` of each image g and its generator ``rng``, the
+    g-th of ``rngs``, bit for bit: one ``random``
     call per image, then ``uniform``'s own formula ``low + (high - low) * u``
     on all rows at once. Where ``uniform`` would raise, as ``high - low`` is
     past the float range, raises ``OverflowError(g, reason)``."""
@@ -195,8 +199,8 @@ def _uniform(
         g = int(np.searchsorted(bounds, wild[0], side="right")) - 1
         raise OverflowError(g, "box displacement range exceeds the float range")
     draws = [
-        rngs[g].random(stop - start)
-        for g, (start, stop) in enumerate(zip(bounds, bounds[1:]))
+        rng.random(stop - start)
+        for rng, start, stop in zip(rngs, bounds, bounds[1:])
         if stop > start
     ]
     return low + scale * (np.concatenate(draws) if draws else np.zeros(0))
@@ -206,10 +210,10 @@ def _displaced(
     s: BoxSet,
     box_noise: float,
     sizes: Sequence[tuple[float, float]],
-    rngs: Sequence[np.random.Generator],
+    rngs: Iterable[np.random.Generator],
 ) -> BoxSet:
-    """The boxes of ``s`` displaced, image g's with ``rngs[g]`` and clipped to
-    ``sizes[g]``.
+    """The boxes of ``s`` displaced, image g's with the g-th of ``rngs`` and
+    clipped to ``sizes[g]``.
 
     Each box's x1 and x2 move by uniform draws from [-w * box_noise,
     w * box_noise], w its width, and y1 and y2 alike with its height: one
@@ -287,12 +291,12 @@ def sparsify(
 
 def _superfluous(
     sizes: Sequence[tuple[float, float]],
-    rngs: Sequence[np.random.Generator],
+    rngs: Iterable[np.random.Generator],
     cfg: SuperfluousConfig,
     num_classes: int,
 ) -> BoxSet:
-    """Superfluous boxes for each image, image g's drawn from ``rngs[g]``
-    inside ``sizes[g]``: Binomial(trials, success) of them, each with
+    """Superfluous boxes for each image, image g's drawn from the g-th of
+    ``rngs`` inside ``sizes[g]``: Binomial(trials, success) of them, each with
     uniform sides, a uniform center in the image and a uniform label, in
     that draw order, clipped to the image; provenance ``original``."""
     if sizes and num_classes < 1:
@@ -351,7 +355,7 @@ def corrupt_dataset(dataset: Dataset, cfg: NoiseConfig) -> tuple[Dataset, dict]:
     image_ids, sizes = dataset.image_ids(), dataset.image_sizes()
     anns = before = dataset.annotations
     if cfg.box_noise > 0.0:
-        rngs = derive_rngs(seed, ("displace",), image_ids)
+        rngs = _streams(seed, ("displace",), image_ids)
         try:
             anns = _displaced(anns, cfg.box_noise, sizes, rngs)
         except OverflowError as exc:
@@ -362,7 +366,7 @@ def corrupt_dataset(dataset: Dataset, cfg: NoiseConfig) -> tuple[Dataset, dict]:
 
     if cfg.sparsity == SPARSITY_EXTREME:
         bounds = anns.offsets.tolist()
-        rngs = derive_rngs(seed, ("sparsify",), image_ids)
+        rngs = _streams(seed, ("sparsify",), image_ids)
         keep = [
             bounds[g] + i
             for g, rng in enumerate(rngs)
@@ -377,7 +381,7 @@ def corrupt_dataset(dataset: Dataset, cfg: NoiseConfig) -> tuple[Dataset, dict]:
 
     injected = 0
     if cfg.superfluous is not None:
-        rngs = derive_rngs(seed, ("superfluous",), image_ids)
+        rngs = _streams(seed, ("superfluous",), image_ids)
         added = _superfluous(sizes, rngs, cfg.superfluous, dataset.num_classes)
         injected = len(added)
         anns = anns.append(added)

@@ -13,11 +13,12 @@ from __future__ import annotations
 import copy
 import json
 import sys
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
 
+from boxrefine import datamodel
 from boxrefine.cli import main
 from boxrefine.datamodel import DatasetFormatError, load_annotations
 
@@ -585,7 +586,6 @@ def test_files_without_a_json_value_name_the_file_through_the_cli(tmp_path, caps
     path.write_bytes(data)
     good = tmp_path / "good.json"
     good.write_text(_payload_text(), encoding="utf-8")
-    kind = " ".join(words.split()[:2])
     for argv in (
         ["evaluate", "--ground-truth", str(path), "--predictions", str(good)],
         ["evaluate", "--ground-truth", str(good), "--predictions", str(good),
@@ -593,11 +593,8 @@ def test_files_without_a_json_value_name_the_file_through_the_cli(tmp_path, caps
     ):
         assert main([*argv, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: {kind}") and "Traceback" not in err, err
-    # the loader's own message, word for word
-    assert main(["evaluate", "--ground-truth", str(path), "--predictions", str(good),
-                 "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {path}: {words}")
+        # the loader's message, word for word, and the config reader's alike
+        assert err.startswith(f"error: {path}: {words}") and "Traceback" not in err, err
 
 
 # A way to break a point CSV: the words of the message after the file's
@@ -628,3 +625,195 @@ def test_point_files_that_cannot_be_read_name_the_file(tmp_path, capsys, name):
             "--out", str(tmp_path / "svg")]
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+
+# Text the block reader of ``annotations`` cuts its windows at, or that
+# looks like the end of a list or an entry: in strings and in nested objects.
+TRICKY_STRINGS = ("x},{y", "]", "{", '"},', 'a}, {"id": 1}', "}\n,", "},]", "\\\"},")
+NESTED = ({"a": {"b": 1}, "c": [{"d": "},"}]}, {"annotations": [{"e": {}}]}, [{}, {"f": []}])
+
+# the whitespace of a file: none, after separators, indented, Windows line ends, tabs
+LAYOUTS = {
+    "compact": lambda value: json.dumps(value, separators=(",", ":")),
+    "spaced": json.dumps,
+    "indent": lambda value: json.dumps(value, indent=2),
+    "crlf": lambda value: json.dumps(value, indent=2).replace("\n", "\r\n"),
+    "tabs": lambda value: json.dumps(value, indent="\t"),
+}
+
+
+def file_text(pairs: list, layout: str) -> str:
+    """The text of an object of ``pairs``, ``(key, value)`` in order, in
+    ``layout``; a key may repeat."""
+    text = LAYOUTS[layout]({f"@{n}@": value for n, (_, value) in enumerate(pairs)})
+    for n, (key, _) in enumerate(pairs):
+        text = text.replace(json.dumps(f"@{n}@"), json.dumps(key), 1)
+    return text
+
+
+def tricky(payload: dict, rng: np.random.Generator) -> None:
+    """Give some image ids, category names and entries of ``payload``
+    strings that hold ``},``, ``]`` or ``{``, and some entries unknown fields
+    that hold nested objects."""
+    renamed = {}
+    for image in payload["images"]:
+        if isinstance(image["id"], str) and rng.random() < 0.5:
+            suffix = TRICKY_STRINGS[int(rng.integers(len(TRICKY_STRINGS)))]
+            renamed[image["id"]] = image["id"] = image["id"] + suffix
+    for category in payload["categories"]:
+        category["name"] += TRICKY_STRINGS[int(rng.integers(len(TRICKY_STRINGS)))]
+    for entry in payload["annotations"]:
+        entry["image_id"] = renamed.get(entry["image_id"], entry["image_id"])
+        if rng.random() < 0.4:
+            entry["note"] = TRICKY_STRINGS[int(rng.integers(len(TRICKY_STRINGS)))]
+        if rng.random() < 0.4:
+            entry["extra"] = copy.deepcopy(NESTED[int(rng.integers(len(NESTED)))])
+
+
+def shuffled_pairs(payload: dict, rng: np.random.Generator) -> list:
+    """The keys of ``payload`` in any order, with an unknown key, and at times
+    an earlier value for one of them, which the later one overrides."""
+    pairs = [(key, payload[key]) for key in ("images", "categories", "annotations")]
+    pairs.append(("info", copy.deepcopy(NESTED[int(rng.integers(len(NESTED)))])))
+    order = rng.permutation(len(pairs))
+    pairs = [pairs[k] for k in order]
+    if rng.random() < 0.4:
+        k = int(rng.integers(len(pairs)))
+        key = pairs[k][0]
+        decoy = ([{"id": 1}, "x"], [], "not a list", {"images": []})[int(rng.integers(4))]
+        pairs.insert(int(rng.integers(k + 1)), (key, decoy))
+    return pairs
+
+
+@pytest.fixture
+def blocks_read(monkeypatch):
+    """The size of each block of entries the loader reads, in order; a test
+    clears it before a load."""
+    read = []
+    add = datamodel._Entries.add
+
+    def counted(entries, block, reread):
+        read.append(len(block))
+        return add(entries, block, reread)
+
+    monkeypatch.setattr(datamodel._Entries, "add", counted)
+    return read
+
+
+@pytest.mark.parametrize("chars", [48, 400, None])
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_mutants_load_in_blocks_like_the_oracle(tmp_path, monkeypatch, blocks_read, layout, chars):
+    # windows of 48 characters hold no whole entry, of 400 one to four, and
+    # the loader's own hold every file whole
+    if chars is not None:
+        monkeypatch.setattr(datamodel, "_READ_CHARS", chars)
+    rng = np.random.default_rng(814)
+    kinds = {"ok": 0, "format": 0, "value": 0}
+    several = 0
+    for n in range(150):
+        payload = base_file(rng, entries_in=(4, 16))
+        tricky(payload, rng)
+        for _ in range(int(rng.integers(0, 3))):
+            mutate(payload, rng)
+        path = tmp_path / "blocks.json"
+        path.write_text(file_text(shuffled_pairs(payload, rng), layout), encoding="utf-8")
+        want = outcome(load_ref, path)
+        blocks_read.clear()
+        assert outcome(loaded, path) == want, (n, path.read_text(encoding="utf-8"))
+        kinds[want[0]] += 1
+        several += len(blocks_read) > 1
+    assert kinds["ok"] > 60 and kinds["format"] > 30
+    if chars is not None:  # nearly every file spans several blocks
+        assert several >= 140, several
+
+
+@pytest.mark.parametrize("chars", [48, 400])
+def test_long_mutants_load_in_blocks_like_the_oracle(tmp_path, monkeypatch, blocks_read, chars):
+    # the broken entry, if any, lies in the last tenth: in a late block
+    monkeypatch.setattr(datamodel, "_READ_CHARS", chars)
+    kinds = {"ok": 0, "format": 0, "value": 0}
+    for n, payload in enumerate(long_mutants(815, 8)):
+        path = tmp_path / "long.json"
+        layout = list(LAYOUTS)[n % len(LAYOUTS)]
+        path.write_text(file_text(list(payload.items()), layout), encoding="utf-8")
+        want = outcome(load_ref, path)
+        blocks_read.clear()
+        assert outcome(loaded, path) == want, n
+        assert len(blocks_read) > 200
+        kinds[want[0]] += 1
+    assert kinds["ok"] >= 1 and kinds["format"] >= 4
+
+
+@pytest.mark.parametrize("chars", [48, 400, None])
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_empty_and_one_entry_lists_in_every_place(tmp_path, monkeypatch, layout, chars):
+    if chars is not None:
+        monkeypatch.setattr(datamodel, "_READ_CHARS", chars)
+    payload = base_file(np.random.default_rng(816), entries_in=(1, 2))
+    for entries, order in product(([], payload["annotations"]), permutations(range(3))):
+        pairs = [("images", payload["images"]), ("categories", payload["categories"]),
+                 ("annotations", entries)]
+        path = tmp_path / "short.json"
+        path.write_text(file_text([pairs[k] for k in order], layout), encoding="utf-8")
+        want = outcome(load_ref, path)
+        assert want[0] == "ok"
+        assert outcome(loaded, path) == want, path.read_text(encoding="utf-8")
+
+
+# Ways to break the text of a file, whose error json.loads words: each
+# replaces a match of a text, in the last two thirds of the file where one is
+SYNTAX_BREAKS = (
+    ("}]", "},]"),  # a comma before the list's end
+    ("},", "}"),  # no comma between entries
+    ("},", "},,"),  # two commas
+    ('"annotations":', '"annotations" '),  # no colon
+    ("}]", "}"),  # the list left open
+    ("}]", "}]]"),  # a list closed twice
+    ('"image_id"', "image_id"),  # a key without quotes
+    ("}]", "}], "),  # a comma before the object's end
+)
+
+
+@pytest.mark.parametrize("chars", [48, 400, None])
+@pytest.mark.parametrize("layout", ["compact", "indent"])
+def test_syntax_errors_are_worded_by_json(tmp_path, monkeypatch, layout, chars):
+    if chars is not None:
+        monkeypatch.setattr(datamodel, "_READ_CHARS", chars)
+    rng = np.random.default_rng(817)
+    for n in range(40):
+        payload = base_file(rng, entries_in=(3, 12))
+        pairs = [(key, payload[key]) for key in ("images", "categories", "annotations")]
+        pairs = [pairs[k] for k in rng.permutation(3)]
+        text = file_text(pairs, layout)
+        old, new = SYNTAX_BREAKS[n % len(SYNTAX_BREAKS)]
+        start = text.find(old, len(text) // 3)
+        at = start if start >= 0 else text.find(old)
+        path = tmp_path / "syntax.json"
+        path.write_text(text[:at] + new + text[at + len(old):], encoding="utf-8")
+        want = outcome(load_ref, path)
+        assert want[0] == "format" and "invalid JSON at line" in want[1], (n, want)
+        assert outcome(loaded, path) == want, n
+    # a list of a lone comma, text after the object, a comma before its end
+    for text in ('{"annotations": [,], "images": [], "categories": []}',
+                 '{"annotations": [], "images": [], "categories": []} x',
+                 '{"annotations": [{}], "images": [], "categories": [],}'):
+        path = tmp_path / "syntax.json"
+        path.write_text(text, encoding="utf-8")
+        assert outcome(loaded, path) == outcome(load_ref, path)
+
+
+def test_files_the_block_reader_refuses_load_whole(tmp_path, monkeypatch):
+    # json.loads reads what the block reader refuses: a JSON object is then
+    # checked as one block
+    def refuse(text):
+        raise ValueError("refused")
+
+    monkeypatch.setattr(datamodel, "_walked", refuse)
+    kinds = {"ok": 0, "format": 0, "value": 0}
+    for n, payload in enumerate(mutants(818, 200)):
+        path = tmp_path / "whole.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        want = outcome(load_ref, path)
+        assert outcome(loaded, path) == want, (n, payload)
+        kinds[want[0]] += 1
+    assert kinds["ok"] > 20 and kinds["format"] > 80

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from boxrefine.datamodel import Annotation, Dataset, ImageRecord
-from boxrefine.geometry import Box
+from boxrefine.geometry import Box, BoxSet
 from boxrefine.noise import (
     MIN_BOX_SIDE,
     NoiseConfig,
@@ -334,6 +336,29 @@ class TestCorruptDataset:
         assert solo.images[0].annotations == batch.images[2].annotations
 
 
+    def test_each_generator_is_built_as_it_draws(self):
+        # 2,000 images, whose generators took 1.7 MB when all were held at once
+        n = 2000
+        x1y1 = np.random.default_rng(9).uniform(0.0, 400.0, (n, 2))
+        anns = BoxSet(np.hstack((x1y1, x1y1 + 30.0)), np.arange(n + 1),
+                      labels=np.ones(n, np.int64), provenance=np.zeros(n, np.int8))
+        ds = Dataset.from_columns(["c1"], [f"img_{i}" for i in range(n)], [(512, 512)] * n, anns)
+        cfg = NoiseConfig(sparsity="extreme", superfluous=SuperfluousConfig(trials=1), seed=3)
+
+        def traced_peak(fn) -> int:
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        corrupt_dataset(ds, cfg)  # numpy's first draws set up what they keep
+        held = traced_peak(lambda: derive_rngs(3, ("sparsify",), ds.image_ids()))
+        peak = traced_peak(lambda: corrupt_dataset(ds, cfg))
+        assert peak < held / 2, (peak, held)
+
+
 class TestConstrainBox:
     """One box clipped and widened by ``constrain_corners``."""
 
@@ -398,6 +423,13 @@ class TestDeriveRng:
         # the held state is only what PCG64 asks for
         with pytest.raises(NotImplementedError):
             b.bit_generator.seed_seq.generate_state(8)
+
+    def test_one_key_seeds_as_many_keys_do(self):
+        # one key is seeded through numpy's SeedSequence, many through seedseq
+        ids = [f"img_{i}" for i in range(390)] + list(range(10))
+        for rng, image_id in zip(derive_rngs(11, ("loop", 3), ids), ids, strict=True):
+            one = derive_rng(11, "loop", 3, image_id)
+            assert one.bit_generator.state == rng.bit_generator.state
 
     def test_same_keys_same_stream(self):
         a = derive_rng(42, "op", "img_1").uniform(0, 1, 5)
