@@ -6,7 +6,7 @@ benchmarking, evaluates detection quality, and runs a desk-scale surrogate of
 the teacher-student training loop. See the individual modules:
 
 - ``geometry``: boxes, overlap distances, NMS
-- ``datamodel``: records, COCO-subset and point-CSV I/O, SVG rendering
+- ``datamodel``: datasets in columns, COCO-subset and point-CSV I/O, SVG rendering
 - ``noise``: displacement, sparsification, superfluous-box injection
 - ``correction``: iterative box correction and label mining
 - ``evaluation``: AP50, quality statistics, error breakdown

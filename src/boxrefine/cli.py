@@ -30,7 +30,6 @@ _WORK = {
     "PROVENANCE_CODES": "datamodel",
     "PROVENANCE_CORRECTED": "datamodel",
     "load_annotations": "datamodel",
-    "materialize_points": "datamodel",
     "render_svg": "datamodel",
     "save_annotations": "datamodel",
     "NoiseConfig": "noise",

@@ -24,7 +24,7 @@ import re
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from types import ModuleType
@@ -93,17 +93,15 @@ def _loop_fields(attr: str) -> dict:
     }
 
 
-def _score_floor() -> float:
-    """The evaluate option's default, which config files do not set."""
+def _default(module: str, function: str, name: str) -> object:
+    """The default of the parameter ``name`` of ``function`` in ``module``:
+    an option that config files do not set takes it from there."""
     import inspect
+    from importlib import import_module
 
-    from .evaluation import error_breakdown
+    work = getattr(import_module(f".{module}", __package__), function)
+    return inspect.signature(work).parameters[name].default
 
-    return inspect.signature(error_breakdown).parameters["score_floor"].default
-
-
-# the default of the point-input option, which config files do not set
-_POINT_SIDE = 60.0
 
 # every built-in default comes from the config dataclasses and synthesize_truth
 DEFAULTS: Mapping = _Sections(
@@ -471,7 +469,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     run = RunConfig(command=args.command, out=Path(args.out), resolved=resolved)
     if "point_side" in resolved and resolved.get("format") != "point-csv":
         raise CliError("--point-side applies only with --format point-csv")
-    if resolved.get("point_side", _POINT_SIDE) <= 0:
+    if "point_side" in resolved and resolved["point_side"] <= 0:
         raise CliError(f"--point-side must be positive, got {resolved['point_side']}")
     if "noise" in sections:
         noise = resolved["noise"]
@@ -510,11 +508,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _load_boxes_dataset(run: RunConfig, path: str) -> Dataset:
-    fmt = run.resolved.get("format", "coco-json")
-    dataset = _cli.load_annotations(path, fmt=fmt)
-    if fmt == "point-csv":
-        dataset = _cli.materialize_points(dataset, run.resolved.get("point_side", _POINT_SIDE))
-    return dataset
+    """The dataset at ``path``, in the run's ``--format``; the side of a
+    point's square is passed only where ``--point-side`` gives it."""
+    side = {"point_side": run.resolved["point_side"]} if "point_side" in run.resolved else {}
+    return _cli.load_annotations(path, fmt=run.resolved.get("format", "coco-json"), **side)
 
 
 def cmd_inject_noise(run: RunConfig) -> None:
@@ -610,7 +607,9 @@ def cmd_evaluate(run: RunConfig) -> None:
 
     inputs = run.resolved["inputs"]
     gt = _cli.load_annotations(inputs["ground-truth"])
-    score_floor = run.resolved.get("score_floor", _score_floor())
+    score_floor = run.resolved.get(
+        "score_floor", _default("evaluation", "error_breakdown", "score_floor")
+    )
     result, breakdown = _scored(run, gt, score_floor)
     metrics: dict = {
         "ap50": {
@@ -656,7 +655,7 @@ def _sanitize(image_id: str) -> str:
 
 def _render_records(
     out_dir: Path,
-    records: Sequence[ImageRecord],
+    records: Iterable[ImageRecord],
     layers: Sequence[str],
     truth_by_id: dict[str, list[Annotation]] | None,
     class_names: Sequence[str],
@@ -717,15 +716,16 @@ def cmd_simulate(run: RunConfig) -> None:
 def cmd_render(run: RunConfig) -> None:
     inputs = run.resolved["inputs"]
     dataset = _load_boxes_dataset(run, inputs["dataset"])
-    by_id = dataset.by_id()
+    # records of its own, whose detections the --detections overlay replaces
+    records = {rec.image_id: rec for rec in dataset.images}
     if "detections" in inputs:
         det_ds = _cli.load_annotations(inputs["detections"])
-        unknown = sorted(set(det_ds.image_ids()) - set(by_id))
+        unknown = sorted(set(det_ds.image_ids()) - set(records))
         if unknown:
             raise CliError(f"detections reference unknown image ids: {unknown}")
         for rec in det_ds.images:
             if rec.detections:
-                by_id[rec.image_id].detections = list(rec.detections)
+                records[rec.image_id].detections = rec.detections
     truth_by_id = None
     if "ground-truth" in inputs:
         gt_ds = _cli.load_annotations(inputs["ground-truth"])
@@ -737,7 +737,7 @@ def cmd_render(run: RunConfig) -> None:
         raise CliError(
             f"unknown layers: {unknown_layers}; valid: {sorted(_cli.LAYER_COLORS)}"
         )
-    _render_records(run.out, dataset.images, layers, truth_by_id, dataset.class_names)
+    _render_records(run.out, records.values(), layers, truth_by_id, dataset.class_names)
 
 
 COMMANDS = {
@@ -776,7 +776,8 @@ def _add_format_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--point-side",
-        help=f"square side when materialising point annotations (default {_POINT_SIDE:g})",
+        help="square side when materialising point annotations "
+        f"(default {_default('datamodel', 'load_annotations', 'point_side'):g})",
     )
 
 
@@ -797,9 +798,10 @@ def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
         p.add_argument(
             "--annotations", help="annotation set for quality statistics (optional)"
         )
+        floor = _default("evaluation", "error_breakdown", "score_floor")
         p.add_argument(
             "--score-floor", dest="score_floor",
-            help=f"confidence floor for the error breakdown (default {_score_floor()})",
+            help=f"confidence floor for the error breakdown (default {floor})",
         )
     elif command == "simulate":
         p.add_argument(

@@ -1,11 +1,15 @@
-"""Dataset records and I/O: detections, annotations, COCO-subset JSON, point CSV, SVG.
+"""Datasets in columns and their I/O: COCO-subset JSON, point CSV, SVG.
+
+A :class:`Dataset` is held in columns only; records and their boxes are
+built at the edge.
 
 The interchange format is a COCO-style JSON subset. On top of the standard
 ``bbox: [x, y, w, h]`` field the writer emits ``bbox_xyxy: [x1, y1, x2, y2]``;
 the reader prefers it when present because the width/height encoding does not
 round-trip every float exactly. Entries carrying a ``score`` are detections,
 all others are annotations. Unknown fields are ignored on read and never
-written.
+written. A point CSV's rows are boxed as they are read: each point becomes a
+fixed-size square centred on it, clipped to its image.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import io
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring_ascii
@@ -42,13 +46,10 @@ __all__ = [
     "detection_set",
     "set_annotations",
     "set_detections",
-    "PointLabel",
     "ImageRecord",
     "Dataset",
     "load_annotations",
     "save_annotations",
-    "points_to_boxes",
-    "materialize_points",
     "render_svg",
 ]
 
@@ -176,15 +177,6 @@ def set_detections(s: BoxSet) -> list[list[Detection]]:
     return _per_image(rows, s.offsets)
 
 
-@dataclass(frozen=True)
-class PointLabel:
-    """A single-point annotation, the raw form of center-click labelling."""
-
-    x: float
-    y: float
-    label: int
-
-
 @dataclass
 class ImageRecord:
     """Everything known about one image: dimensions, targets, optional extras."""
@@ -194,7 +186,6 @@ class ImageRecord:
     height: int
     annotations: list[Annotation] = field(default_factory=list)
     detections: list[Detection] | None = None
-    points: list[PointLabel] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         # NaN compares false with everything: it is not positive either
@@ -216,16 +207,18 @@ class Dataset:
     and two box sets in its order: ``annotations`` with labels,
     provenance codes and int edges, and ``detections`` with labels, probs
     and logits. The loader builds them (:meth:`from_columns`) and every
-    stage reads them. ``Dataset(class_names, images)`` builds a dataset from
-    ``ImageRecord`` objects, read afresh whenever its columns are; ``images``
-    gives the records, built once from the columns of a dataset that has no
-    records. Objects exist only at this edge.
+    stage reads them. ``Dataset(class_names, images)`` converts
+    ``ImageRecord`` objects into columns once and keeps no reference to
+    them; ``images`` builds fresh records from the columns. Objects exist
+    only at this edge.
     """
 
     def __init__(self, class_names: list[str], images: list[ImageRecord]) -> None:
         self.class_names = class_names
-        self._records: list[ImageRecord] | None = images
-        self._columns: tuple | None = None
+        self._image_ids = [rec.image_id for rec in images]
+        self._sizes = [(rec.width, rec.height) for rec in images]
+        self.annotations = annotation_set([rec.annotations for rec in images])
+        self.detections = detection_set([rec.detections or () for rec in images])
         self._check()
 
     @classmethod
@@ -243,8 +236,8 @@ class Dataset:
             detections = detection_set([()] * len(image_ids))
         dataset = cls.__new__(cls)
         dataset.class_names = class_names
-        dataset._records = None
-        dataset._columns = (image_ids, sizes, annotations, detections)
+        dataset._image_ids, dataset._sizes = image_ids, sizes
+        dataset.annotations, dataset.detections = annotations, detections
         dataset._check()
         return dataset
 
@@ -280,42 +273,23 @@ class Dataset:
         return len(self.class_names)
 
     def image_ids(self) -> list[str]:
-        if self._columns is None:
-            return [rec.image_id for rec in self._records]
-        return self._columns[0]
+        return self._image_ids
 
     def image_sizes(self) -> list[tuple[int, int]]:
         """(width, height) of each image."""
-        if self._columns is None:
-            return [(rec.width, rec.height) for rec in self._records]
-        return self._columns[1]
-
-    @property
-    def annotations(self) -> BoxSet:
-        if self._columns is None:
-            return annotation_set([rec.annotations for rec in self._records])
-        return self._columns[2]
-
-    @property
-    def detections(self) -> BoxSet:
-        if self._columns is None:
-            return detection_set([rec.detections or () for rec in self._records])
-        return self._columns[3]
+        return self._sizes
 
     @property
     def images(self) -> list[ImageRecord]:
-        if self._records is None:
-            ids, sizes, anns, dets = self._columns
-            self._records = [
-                ImageRecord(image_id, width, height, a, d or None)
-                for image_id, (width, height), a, d in zip(
-                    ids, sizes, set_annotations(anns), set_detections(dets)
-                )
-            ]
-        return self._records
-
-    def by_id(self) -> dict[str, ImageRecord]:
-        return {rec.image_id: rec for rec in self.images}
+        """A fresh record of each image, built from the columns: editing one
+        leaves the dataset as it is."""
+        return [
+            ImageRecord(image_id, width, height, a, d or None)
+            for image_id, (width, height), a, d in zip(
+                self._image_ids, self._sizes,
+                set_annotations(self.annotations), set_detections(self.detections),
+            )
+        ]
 
 
 def _require(cond: bool, path: Path, msg: str) -> None:
@@ -880,8 +854,16 @@ def _load_coco(path: Path) -> Dataset:
     )
 
 
-def _load_point_csv(path: Path, image_size: tuple[int, int]) -> Dataset:
+def _load_point_csv(path: Path, image_size: tuple[int, int], point_side: float) -> Dataset:
+    """Each point as a ``point_side`` square centred on it, clipped to its image."""
+    if not point_side > 0.0:
+        raise ValueError(f"point_side must be positive, got {point_side}")
     expected = ["image_id", "x", "y", "label"]
+    width, height = image_size
+    image_of: dict[str, int] = {}  # each image's row, in the order first seen
+    image: list[int] = []
+    centres: list[tuple[float, float]] = []
+    labels: list[int] = []
     # decoded whole, so that an error gives the byte's place in the file
     with io.StringIO(_text(path, newline=""), newline="") as fh:
         reader = csv.reader(fh)
@@ -894,9 +876,6 @@ def _load_point_csv(path: Path, image_size: tuple[int, int]) -> Dataset:
             path,
             f"header must be {','.join(expected)}, got {','.join(header)}",
         )
-        order: list[str] = []
-        points: dict[str, list[PointLabel]] = {}
-        max_label = 0
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -919,29 +898,32 @@ def _load_point_csv(path: Path, image_size: tuple[int, int]) -> Dataset:
                 f"line {lineno}: x and y must be finite numbers, got {row[1]!r}, {row[2]!r}",
             )
             _require(label >= 1, path, f"line {lineno}: label must be >= 1")
-            if image_id not in points:
-                points[image_id] = []
-                order.append(image_id)
-            points[image_id].append(PointLabel(x=x, y=y, label=label))
-            max_label = max(max_label, label)
-    width, height = image_size
-    records = [
-        ImageRecord(
-            image_id=image_id,
-            width=width,
-            height=height,
-            points=points[image_id],
-        )
-        for image_id in order
-    ]
-    class_names = [f"class_{i}" for i in range(1, max_label + 1)]
-    return Dataset(class_names=class_names, images=records)
+            # its square would clip to a box of no area; the border is inside
+            _require(
+                0.0 <= x <= width and 0.0 <= y <= height,
+                path,
+                f"line {lineno}: point ({x}, {y}) is outside the {width}x{height} image",
+            )
+            image.append(image_of.setdefault(image_id, len(image_of)))
+            centres.append((x, y))
+            labels.append(label)
+    _require(bool(labels), path, "no points after the header")
+    half = point_side / 2.0
+    centre = np.array(centres, dtype=np.float64)
+    sizes = [(width, height)] * len(image_of)
+    annotations = _grouped(
+        np.array(image, dtype=np.intp), len(image_of), np.hstack((centre - half, centre + half)),
+        labels=labels, provenance=np.zeros(len(labels)),
+    )
+    class_names = [f"class_{i}" for i in range(1, max(labels) + 1)]
+    return Dataset.from_columns(class_names, list(image_of), sizes, annotations.clip(sizes))
 
 
 def load_annotations(
     path: str | Path,
     fmt: str = "coco-json",
     image_size: tuple[int, int] = (512, 512),
+    point_side: float = 60.0,
 ) -> Dataset:
     """Load a dataset from disk.
 
@@ -950,11 +932,14 @@ def load_annotations(
         fmt: ``coco-json`` or ``point-csv``.
         image_size: (width, height) assumed for every image in point-csv
             input, which carries no image dimensions of its own.
+        point_side: the side of the square each point of point-csv input
+            becomes, centred on the point and clipped to its image.
 
     Raises:
         DatasetFormatError: on malformed input, naming the offending
             file, line, or field.
         FileNotFoundError: if ``path`` does not exist.
+        ValueError: if ``point_side`` is not positive, for point-csv input.
     """
     path = Path(path)
     if not path.exists():
@@ -962,7 +947,7 @@ def load_annotations(
     if fmt == "coco-json":
         return _load_coco(path)
     if fmt == "point-csv":
-        return _load_point_csv(path, image_size)
+        return _load_point_csv(path, image_size, point_side)
     raise ValueError(f"unknown format: {fmt!r} (use 'coco-json' or 'point-csv')")
 
 
@@ -1090,50 +1075,6 @@ def save_annotations(dataset: Dataset, path: str | Path) -> None:
         write(f',\n  "categories": {value(categories, "  ")},\n  "images": ')
         _json_list(write, images)
         write("\n}\n")
-
-
-def points_to_boxes(
-    points: Sequence[PointLabel],
-    side: float,
-    image_size: tuple[int, int] | None = None,
-) -> list[Annotation]:
-    """Materialise point labels as fixed-size square annotations.
-
-    Each point becomes a ``side`` x ``side`` box centred on it, clipped to
-    ``image_size`` when given, so boxes at the border may come out smaller.
-
-    Raises:
-        ValueError: if ``side`` is not strictly positive.
-    """
-    if side <= 0.0:
-        raise ValueError(f"side must be positive, got {side}")
-    half = side / 2.0
-    out: list[Annotation] = []
-    for p in points:
-        box = Box(p.x - half, p.y - half, p.x + half, p.y + half)
-        if image_size is not None:
-            box = box.clip(image_size[0], image_size[1])
-        out.append(Annotation(box=box, label=p.label))
-    return out
-
-
-def materialize_points(dataset: Dataset, side: float) -> Dataset:
-    """Dataset copy with every image's points converted to box annotations.
-
-    Converted boxes are appended after any existing annotations; the points
-    lists are emptied.
-    """
-    images = []
-    for rec in dataset.images:
-        boxes = points_to_boxes(rec.points, side, (rec.width, rec.height))
-        images.append(
-            replace(
-                rec,
-                annotations=list(rec.annotations) + boxes,
-                points=[],
-            )
-        )
-    return Dataset(class_names=list(dataset.class_names), images=images)
 
 
 LAYER_COLORS = {

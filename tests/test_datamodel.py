@@ -1,4 +1,4 @@
-"""Records, COCO-subset and point-CSV I/O, SVG rendering."""
+"""Datasets and records, COCO-subset and point-CSV I/O, SVG rendering."""
 
 from __future__ import annotations
 
@@ -16,11 +16,8 @@ from boxrefine.datamodel import (
     DatasetFormatError,
     Detection,
     ImageRecord,
-    PointLabel,
     annotation_set,
     load_annotations,
-    materialize_points,
-    points_to_boxes,
     prob_to_logit,
     render_svg,
     save_annotations,
@@ -113,6 +110,61 @@ class TestRecords:
             Dataset(class_names=["c"], images=[ImageRecord("ok", 5, 5), rec])
         with pytest.raises(ValueError, match=r"not positive and finite .*'a:"):
             Dataset.from_columns(["c"], ["ok", "a"], [(5, 5), size], annotation_set([(), ()]))
+
+
+class TestOneForm:
+    """A dataset built from records is the dataset of the same columns."""
+
+    def records(self) -> list[ImageRecord]:
+        return [
+            ImageRecord("a", 100, 80, [
+                Annotation(Box(1.5, 2.0, 30.0, 80), label=2),
+                Annotation(Box(0.0, 5.25, 9.0, 10.0), label=1, provenance="corrected"),
+            ], [Detection(Box(4.0, 4.0, 20.5, 30.0), label=1, prob=0.75, logit=1.25)]),
+            ImageRecord("b", 50, 60),
+            ImageRecord("c", 64, 64, [Annotation(Box(3.0, 3.0, 64, 7.5), 1, "mined")], []),
+        ]
+
+    def columns(self) -> Dataset:
+        annotations = BoxSet(
+            np.array([[1.5, 2.0, 30.0, 80.0], [0.0, 5.25, 9.0, 10.0], [3.0, 3.0, 64.0, 7.5]]),
+            np.array([0, 2, 2, 3]),
+            labels=np.array([2, 1, 1]),
+            int_edge=np.array([[0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 1, 0]], dtype=bool),
+            provenance=np.array([0, 1, 2], dtype=np.int8),
+        )
+        detections = BoxSet(
+            np.array([[4.0, 4.0, 20.5, 30.0]]), np.array([0, 1, 1, 1]),
+            labels=np.array([1]), probs=np.array([0.75]), logits=np.array([1.25]),
+        )
+        return Dataset.from_columns(
+            ["x", "y"], ["a", "b", "c"], [(100, 80), (50, 60), (64, 64)], annotations, detections
+        )
+
+    def test_records_and_columns_save_the_same_bytes(self, tmp_path):
+        from_records = Dataset(["x", "y"], self.records())
+        from_columns = self.columns()
+        save_annotations(from_records, tmp_path / "records.json")
+        save_annotations(from_columns, tmp_path / "columns.json")
+        assert (tmp_path / "records.json").read_bytes() == (tmp_path / "columns.json").read_bytes()
+        assert from_records.images == from_columns.images
+        # records come back built from the columns: no detections is None
+        assert from_records.images[2].detections is None
+        assert type(from_records.images[0].annotations[0].box.y2) is int
+
+    def test_editing_records_leaves_the_dataset(self, tmp_path):
+        records = self.records()
+        ds = Dataset(["x", "y"], records)
+        save_annotations(ds, tmp_path / "before.json")
+        records[0].annotations.clear()
+        records[1].detections = records[0].detections
+        records[2].image_id = "renamed"
+        records.append(ImageRecord("d", 10, 10))
+        ds.images[0].annotations.clear()
+        save_annotations(ds, tmp_path / "after.json")
+        assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
+        assert ds.image_ids() == ["a", "b", "c"]
+        assert ds.images == self.columns().images
 
 
 class TestCocoLoad:
@@ -296,7 +348,10 @@ class TestMalformedInput:
             load_annotations(write_coco(tmp_path, payload))
 
 
-def random_dataset(rng: np.random.Generator, max_images: int = 4) -> Dataset:
+def random_records(
+    rng: np.random.Generator, max_images: int = 4
+) -> tuple[list[str], list[ImageRecord]]:
+    """The class names and the image records of a random dataset."""
     n_classes = int(rng.integers(1, 4))
     images = []
     for i in range(int(rng.integers(1, max_images + 1))):
@@ -338,6 +393,11 @@ def random_dataset(rng: np.random.Generator, max_images: int = 4) -> Dataset:
             )
         )
     names = [f"class {i}" for i in range(1, n_classes + 1)]
+    return names, images
+
+
+def random_dataset(rng: np.random.Generator, max_images: int = 4) -> Dataset:
+    names, images = random_records(rng, max_images)
     return Dataset(class_names=names, images=images)
 
 
@@ -399,9 +459,10 @@ ODD_TEXT = ("plain", "ñandú", 'say "hi"', "back\\slash", "tab\there", "🐱 ca
 
 
 def awkward_dataset(rng: np.random.Generator) -> Dataset:
-    """``random_dataset`` plus what the writer must escape or keep as ints."""
-    ds = random_dataset(rng, max_images=6)
-    for k, rec in enumerate(ds.images):
+    """``random_dataset`` plus what the writer must escape or keep as ints,
+    edited into its records before the dataset is built from them."""
+    names, records = random_records(rng, max_images=6)
+    for k, rec in enumerate(records):
         rec.image_id = f"{ODD_TEXT[int(rng.integers(len(ODD_TEXT)))]}/{k}"
         if rng.random() < 0.5:
             # clipping returns the int image size as a coordinate
@@ -413,11 +474,11 @@ def awkward_dataset(rng: np.random.Generator) -> Dataset:
             rec.annotations.append(Annotation(box=box, label=1, provenance="mined"))
         if rng.random() < 0.2:
             rec.annotations, rec.detections = [], None
-    ds.class_names = [
+    names = [
         f"{ODD_TEXT[int(rng.integers(len(ODD_TEXT)))]} {i}"
-        for i in range(1, ds.num_classes + 1)
+        for i in range(1, len(names) + 1)
     ]
-    return ds
+    return Dataset(class_names=names, images=records)
 
 
 class TestWriterBytes:
@@ -536,45 +597,60 @@ class TestWorkingMemory:
         assert load <= parse * 0.6, (load, parse)
 
 
+def load_points(tmp_path, rows: str, **kwargs) -> Dataset:
+    """The dataset of a point CSV of ``rows``, written to ``points.csv``."""
+    path = tmp_path / "points.csv"
+    path.write_text("image_id,x,y,label\n" + rows, encoding="utf-8")
+    return load_annotations(path, fmt="point-csv", **kwargs)
+
+
 class TestPoints:
-    def test_point_becomes_square(self):
-        anns = points_to_boxes([PointLabel(100.0, 100.0, 1)], 60.0)
-        assert anns[0].box == Box(70, 70, 130, 130)
-        assert anns[0].provenance == "original"
+    def test_point_becomes_square(self, tmp_path):
+        (ann,) = load_points(tmp_path, "t1,100,100,1\n", point_side=60.0).images[0].annotations
+        assert ann.box == Box(70, 70, 130, 130)
+        assert ann.provenance == "original"
 
-    def test_border_point_clipped(self):
-        anns = points_to_boxes([PointLabel(10.0, 10.0, 1)], 60.0, image_size=(512, 512))
-        assert anns[0].box == Box(0, 0, 40, 40)
+    def test_border_point_clipped(self, tmp_path):
+        # a point on the border is inside its image; a corner clipped onto
+        # the int size is that int
+        ds = load_points(tmp_path, "t1,10,10,1\nt1,512,0,1\nt1,0,512,1\n",
+                         image_size=(512, 512), point_side=60.0)
+        boxes = [a.box for a in ds.images[0].annotations]
+        assert boxes == [Box(0, 0, 40, 40), Box(482, 0, 512, 30), Box(0, 482, 30, 512)]
+        assert [type(v) for v in boxes[1].as_tuple()] == [float, float, int, float]
+        assert [type(v) for v in boxes[2].as_tuple()] == [float, float, float, int]
 
-    def test_interior_points_keep_full_size(self):
+    def test_interior_points_keep_full_size(self, tmp_path):
         rng = np.random.default_rng(23)
-        for _ in range(200):
-            x = float(rng.uniform(30, 482))
-            y = float(rng.uniform(30, 482))
-            (ann,) = points_to_boxes([PointLabel(x, y, 1)], 60.0, image_size=(512, 512))
+        rows = "".join(
+            f"t1,{float(rng.uniform(30, 482))!r},{float(rng.uniform(30, 482))!r},1\n"
+            for _ in range(200)
+        )
+        ds = load_points(tmp_path, rows, image_size=(512, 512), point_side=60.0)
+        anns = ds.images[0].annotations
+        assert len(anns) == 200
+        for ann in anns:
             assert ann.box.width == pytest.approx(60.0, abs=1e-9)
             assert ann.box.height == pytest.approx(60.0, abs=1e-9)
 
-    def test_non_positive_side_rejected(self):
-        with pytest.raises(ValueError):
-            points_to_boxes([PointLabel(1.0, 1.0, 1)], 0.0)
+    def test_non_positive_side_rejected(self, tmp_path):
+        for side in (0.0, -5.0, math.nan):
+            with pytest.raises(ValueError, match="point_side"):
+                load_points(tmp_path, "t1,1,1,1\n", point_side=side)
 
     def test_point_csv_load_and_materialize(self, tmp_path):
-        path = tmp_path / "points.csv"
-        path.write_text(
-            "image_id,x,y,label\n"
-            "t1,100,100,1\n"
-            "t1,200,50,2\n"
-            "t2,30,400,1\n",
-            encoding="utf-8",
+        ds = load_points(
+            tmp_path, "t1,100,100,1\nt2,30,400,1\nt1,200,50,2\n", image_size=(512, 512)
         )
-        ds = load_annotations(path, fmt="point-csv", image_size=(512, 512))
         assert ds.image_ids() == ["t1", "t2"]
+        assert ds.image_sizes() == [(512, 512), (512, 512)]
         assert ds.class_names == ["class_1", "class_2"]
-        assert len(ds.images[0].points) == 2
-        boxed = materialize_points(ds, 60.0)
-        assert boxed.images[0].annotations[0].box == Box(70, 70, 130, 130)
-        assert boxed.images[0].points == []
+        # the default side is 60; each image keeps its points' file order
+        assert [(a.box, a.label) for a in ds.images[0].annotations] == [
+            (Box(70, 70, 130, 130), 1), (Box(170, 20, 230, 80), 2)
+        ]
+        assert [a.box for a in ds.images[1].annotations] == [Box(0, 370, 60, 430)]
+        assert len(ds.detections) == 0
 
     def test_point_csv_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -72,6 +72,7 @@ def write_inputs(root: Path, seed: int = 2022) -> None:
     }
     (root / "odd.json").write_text(json.dumps(odd), encoding="utf-8")
     write_order_inputs(root, rng)
+    write_point_inputs(root, clean, rng)
 
 
 def write_order_inputs(root: Path, rng: np.random.Generator) -> None:
@@ -130,6 +131,24 @@ def write_order_inputs(root: Path, rng: np.random.Generator) -> None:
         (root / name).write_text(json.dumps(payload), encoding="utf-8")
 
 
+def write_point_inputs(root: Path, clean: list[dict], rng: np.random.Generator) -> None:
+    """A point CSV of the clean set's centres, rows interleaved across images
+    and images first seen out of order, with points on the image border."""
+    rows = []
+    for entry in clean:
+        if rng.random() < 0.3:
+            x, y, w, h = entry["bbox"]
+            rows.append(f"{entry['image_id']},{x + w / 2!r},{y + h / 2!r},{entry['category_id']}")
+    order = rng.permutation(len(rows)).tolist()
+    rows = [rows[k] for k in order]
+    # on the right border: the square is clipped to the int width; on the top
+    # border: clipped to 0.0; in a corner: both
+    rows[3:3] = [f"img0,{IMAGE_SIDE},200.25,1", "img2,100.5,0,3", f"img1,0,{IMAGE_SIDE},2"]
+    rows.insert(len(rows) // 2, "")  # a blank line, skipped
+    text = "image_id,x,y,label\n" + "\n".join(rows) + "\n"
+    (root / "points.csv").write_text(text, encoding="utf-8")
+
+
 RUNS: tuple[tuple[str, ...], ...] = (
     ("inject-noise", "--profile", "nb20-ns50", "--seed", "3",
      "--input", "clean.json", "--out", "noisy"),
@@ -167,6 +186,13 @@ RUNS: tuple[tuple[str, ...], ...] = (
      "--detections", "order-dets.json", "--out", "order-corrected"),
     ("evaluate", "--ground-truth", "order-gt.json", "--predictions", "order-dets.json",
      "--annotations", "order-corrected/corrected.json", "--out", "order-metrics"),
+    # point input, each point boxed as a square clipped to its 512x512 image
+    ("inject-noise", "--profile", "nb20-ns50", "--seed", "4", "--format", "point-csv",
+     "--point-side", "47.5", "--input", "points.csv", "--out", "points-noisy"),
+    ("correct", "--profile", "nb20-ns50", "--format", "point-csv", "--point-side", "47.5",
+     "--targets", "points.csv", "--detections", "dets.json", "--out", "points-corrected"),
+    ("render", "--format", "point-csv", "--point-side", "33", "--dataset", "points.csv",
+     "--detections", "dets.json", "--ground-truth", "clean.json", "--out", "points-svg"),
 )
 
 
@@ -206,7 +232,8 @@ def run_all(root: Path, processes: bool = False) -> dict[str, str]:
 # render and ``simulate --render`` outputs were recorded before SVG escaping
 # moved into the package, the ``*-default`` outputs before the CLI derived its
 # defaults from the config dataclasses, ``sim-edges`` before the loop kept its
-# boxes in columns, the ``order-*`` outputs before datasets were held in columns
+# boxes in columns, the ``order-*`` outputs before datasets were held in columns,
+# the ``points-*`` outputs before point labels were boxed as they are read
 GOLDEN: dict[str, str] = {
     "corrected-default/config.json":
         "51b8c2827cde5cbc754f38bf2ea77ad342f92c3f366382c590e09fa853f759ad",
@@ -256,6 +283,26 @@ GOLDEN: dict[str, str] = {
         "397f3194501448f38f37a5710ed7520ace30374ccfff692f5f31a8fff6fc4718",
     "order-metrics/per_class_ap.csv":
         "7e7eb50f1bcddb81f48be7f79b3105b490eaf69525d94fb75296b76ade2256fa",
+    "points-corrected/config.json":
+        "22fc0a8d665075058ba0c40fc62159e01977dcb8cefac2d860259860ffc37846",
+    "points-corrected/corrected.json":
+        "bec72f7ff874057fd0d79f64594e1cdfff4593c1d522e54bef385757b0769f10",
+    "points-corrected/report.json":
+        "3d6e4fa13bba957a41d18c5f95679d20d3896e6b7c0fb12fe20b72e51f73ddff",
+    "points-noisy/annotations.json":
+        "c7ebdef57b58e94803f07831af4c62cfb1ace29658925db0e3a025364271d4b7",
+    "points-noisy/config.json":
+        "00069f3a21d3728115f77221df0c5dcd531b3e49d1ed7fcab61d0d1cd9fc02c8",
+    "points-noisy/summary.json":
+        "13db7b859bd59a896be0825ac45b8da01c9c22543b714e9208429baca8101f57",
+    "points-svg/config.json":
+        "2dcb95c14d84c8956f796c834d87e0ef453e60b7b118df8b685256149e3bba12",
+    "points-svg/img0.svg":
+        "74533bc7191a5c30d9077aafc924d8e6c8247ef250cec3435c61c761ead67f81",
+    "points-svg/img1.svg":
+        "15ed4073d284417fa2fa914b8a524c53888cc8674839f861191bcb0bd9403731",
+    "points-svg/img2.svg":
+        "122a8a9d554c66485ecf1c2ba443bc8e3582058388343d7766fab5f86e0f5a42",
     "sim-default/config.json":
         "4513c134175eeb7b61ce15a7bf73b00cae0b0d4465277c9958cf3bfb23b61f98",
     "sim-default/corrected_final.json":

@@ -610,6 +610,15 @@ POINT_BREAKS = {
     ),
     "nan": ("line 2: x and y must be finite numbers, got 'nan', '2'", b"a,nan,2,1\n"),
     "inf": ("line 3: x and y must be finite numbers, got '1', '-inf'", b"a,1,2,1\na,1,-inf,1\n"),
+    # a point outside its image would clip to a box of no area; one on the border is inside
+    "past an edge": ("line 2: point (600.0, 100.0) is outside the 512x512 image",
+                     b"a,600,100,1\n"),
+    "before the origin": ("line 3: point (-50.0, -50.0) is outside the 512x512 image",
+                          b"a,512,0,1\nb,-50,-50,2\n"),
+    "past the bottom": ("line 2: point (100.0, 512.5) is outside the 512x512 image",
+                        b"c,100,512.5,1\n"),
+    # no point: a dataset of no categories, which every reader of its output would reject
+    "header only": ("no points after the header", b""),
 }
 
 
