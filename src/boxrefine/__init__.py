@@ -25,6 +25,11 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
+# the master seed of a run that names none: NoiseConfig's, synthesize_truth's
+# and the CLI's. It lives here, which every process loads, so that a
+# subcommand that draws no noise reads it without loading ``noise``
+DEFAULT_SEED = 0
+
 _EXPORTS = {
     "correction": ("CorrectionConfig", "CorrectionReport", "correct_boxes", "correct_targets",
                    "mine_labels"),

@@ -36,6 +36,7 @@ _WORK = {
     "SPARSITY_EXTREME": "noise",
     "SuperfluousConfig": "noise",
     "corrupt_dataset": "noise",
+    "DISTANCES": "correction",
     "correct_sets": "correction",
     "correct_targets": "correction",
     "evaluate_ap50": "evaluation",
@@ -56,8 +57,8 @@ def __getattr__(name: str) -> object:
     if name not in _WORK:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     # every subcommand reads datasets. Without a bytecode cache, compiling
-    # datamodel inside the import of a module that needs it (noise, which the
-    # seed default reads first) costs each stage process about 0.6 MB more
+    # datamodel inside the import of a module that needs it (noise, whose
+    # settings inject-noise reads first) costs each stage process about 0.6 MB more
     # peak RSS than compiling it first
     import_module(".datamodel", __package__)
     value = getattr(import_module(f".{_WORK[name]}", __package__), name)
@@ -120,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         run = commands.resolve_config(args)
         run.write_config()
-        commands.COMMANDS[run.command](run)
+        commands.COMMANDS[run.command].run(run)
     # CliError, ConfigError and DatasetFormatError are ValueErrors
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

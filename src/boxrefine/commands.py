@@ -26,6 +26,8 @@ from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
+from . import DEFAULT_SEED
+
 if TYPE_CHECKING:
     from types import ModuleType
 
@@ -42,12 +44,13 @@ if TYPE_CHECKING:
 _cli: ModuleType
 
 
-def _fields(cls, attr: str, *names: str) -> dict:
-    """``attr`` (``default`` or ``type``) of the dataclass ``cls``'s fields:
-    the named ones, or all of them."""
+def _fields(cls, *names: str) -> tuple[dict, dict]:
+    """The defaults and the type annotations of the dataclass ``cls``'s
+    fields: the named ones, or all of them."""
     from dataclasses import fields
 
-    return {f.name: getattr(f, attr) for f in fields(cls) if not names or f.name in names}
+    chosen = [f for f in fields(cls) if not names or f.name in names]
+    return {f.name: f.default for f in chosen}, {f.name: f.type for f in chosen}
 
 
 class _Sections(Mapping):
@@ -62,6 +65,9 @@ class _Sections(Mapping):
             self._read[section] = self._readers[section]()
         return self._read[section]
 
+    def __contains__(self, section: object) -> bool:
+        return section in self._readers  # without reading it
+
     def __iter__(self) -> Iterator[str]:
         return iter(self._readers)
 
@@ -69,10 +75,17 @@ class _Sections(Mapping):
         return len(self._readers)
 
 
-def _correction_fields(attr: str) -> dict:
+def _noise_settings() -> tuple[dict, dict]:
+    defaults, types = _fields(_cli.NoiseConfig, "box_noise", "sparsity", "superfluous")
+    # noise.superfluous holds SuperfluousConfig's fields or is null
+    types["superfluous"] = _fields(_cli.SuperfluousConfig)[1]
+    return defaults, types
+
+
+def _correction_settings() -> tuple[dict, dict]:
     from .correction import CorrectionConfig
 
-    return _fields(CorrectionConfig, attr)
+    return _fields(CorrectionConfig)
 
 
 # the loop section's keys for the arguments of ``synthesize_truth``
@@ -80,47 +93,33 @@ _TRUTH_ARGS = {"images": "num_images", "boxes_per_image": "boxes_per_image",
                "classes": "num_classes", "image_size": "image_size"}
 
 
-def _loop_fields(attr: str) -> dict:
+def _loop_settings() -> tuple[dict, dict]:
+    from .simloop import LoopConfig
+
+    defaults, types = _fields(LoopConfig, "iterations", "keep_rate")
+    for key, arg in _TRUTH_ARGS.items():
+        defaults[key], types[key] = _parameter("synthesize_truth", arg)
+    return defaults, types
+
+
+def _parameter(function: str, name: str) -> tuple[object, object]:
+    """The default and the type annotation of the parameter ``name`` of the
+    work function ``function``: an option that config files do not set
+    takes both from there."""
     import inspect
 
-    from .simloop import LoopConfig, synthesize_truth
-
-    params = inspect.signature(synthesize_truth).parameters
-    param_attr = "annotation" if attr == "type" else attr
-    return {
-        **_fields(LoopConfig, attr, "iterations", "keep_rate"),
-        **{key: getattr(params[arg], param_attr) for key, arg in _TRUTH_ARGS.items()},
-    }
+    param = inspect.signature(getattr(_cli, function)).parameters[name]
+    return param.default, param.annotation
 
 
-def _default(module: str, function: str, name: str) -> object:
-    """The default of the parameter ``name`` of ``function`` in ``module``:
-    an option that config files do not set takes it from there."""
-    import inspect
-    from importlib import import_module
-
-    work = getattr(import_module(f".{module}", __package__), function)
-    return inspect.signature(work).parameters[name].default
-
-
-# every built-in default comes from the config dataclasses and synthesize_truth
-DEFAULTS: Mapping = _Sections(
-    seed=lambda: _cli.NoiseConfig.seed,
-    noise=lambda: _fields(_cli.NoiseConfig, "default", "box_noise", "sparsity", "superfluous"),
-    correction=lambda: _correction_fields("default"),
-    loop=lambda: _loop_fields("default"),
-)
-
-# the type annotation of every setting a config file may give, from the same
-# sources; noise.superfluous holds SuperfluousConfig's fields or is null
-_TYPES: Mapping = _Sections(
-    seed=lambda: _fields(_cli.NoiseConfig, "type", "seed")["seed"],
-    noise=lambda: {
-        **_fields(_cli.NoiseConfig, "type", "box_noise", "sparsity"),
-        "superfluous": _fields(_cli.SuperfluousConfig, "type"),
-    },
-    correction=lambda: _correction_fields("type"),
-    loop=lambda: _loop_fields("type"),
+# every setting a config file may give, as its built-in default and its type
+# annotation: the master seed, and each section's, read in one pass from the
+# config dataclasses and synthesize_truth when the section is first needed
+_SETTINGS: Mapping[str, tuple] = _Sections(
+    seed=lambda: (DEFAULT_SEED, "int"),
+    noise=_noise_settings,
+    correction=_correction_settings,
+    loop=_loop_settings,
 )
 
 
@@ -264,18 +263,34 @@ def _merge(base: dict, extra: dict) -> None:
             base[key] = value
 
 
-class _Flag(NamedTuple):
-    """A hyperparameter flag: ``--<key>`` sets ``<section>.<key>``.
+class _Option(NamedTuple):
+    """An option, ``--<key>`` with ``_`` and ``.`` as ``-``, and where its
+    value goes.
 
-    Its text is read and checked as the config-file value of the setting's
-    type (:func:`_read_flag`). ``{}`` in ``help`` becomes the default.
-    ``choices`` may be a function, called when the flag is added.
+    ``kind`` is a section of the settings, whose ``<key>`` it sets (a
+    ``superfluous.<field>`` key sets a field of noise.superfluous);
+    ``inputs``, for a file recorded under ``inputs`` by its option's name;
+    ``top``, for a value recorded at the top level; or ``run``, for one that
+    defines no result and is not recorded. A section's option belongs to
+    every subcommand with the section, any other to those ``commands``
+    names, space-separated (all, if it names none).
+
+    Its text is read and checked as the config-file value of its type
+    (:func:`_read_flag`): a setting's, or the annotation of the parameter
+    ``key`` of the function ``param`` names; an option of no type keeps its
+    text, and a ``switch`` takes none and records true. ``{}`` in ``help``
+    becomes the default. ``help`` and ``choices`` may be functions, called
+    when the option is added.
     """
 
-    section: str
+    kind: str
     key: str
-    help: str | None = None
+    help: str | Callable[[], str] | None = None
+    commands: str | None = None
     choices: tuple[str, ...] | Callable[[], tuple[str, ...]] | None = None
+    required: bool = False
+    param: str | None = None
+    switch: bool = False
 
     @property
     def option(self) -> str:
@@ -283,42 +298,83 @@ class _Flag(NamedTuple):
 
     @property
     def dest(self) -> str:
-        return self.key.replace(".", "_")
+        return self.option[2:].replace("-", "_")
 
 
-def _distances() -> tuple[str, ...]:
-    from .correction import DISTANCE_CENTER, DISTANCE_GIOU, DISTANCE_IOU
+def _setting(option: _Option) -> tuple[object, object]:
+    """The built-in default of ``option``'s value and the type it is read as."""
+    if option.param is not None:
+        return _parameter(option.param, option.key)
+    if option.kind in _SETTINGS:
+        defaults, types = _SETTINGS[option.kind]
+        head, _, field = option.key.partition(".")
+        return defaults.get(option.key), types[head][field] if field else types[head]
+    return _SETTINGS[option.key] if option.key in _SETTINGS else (None, None)
 
-    return (DISTANCE_IOU, DISTANCE_GIOU, DISTANCE_CENTER)
 
+# the subcommands that read boxes, which a point CSV may give
+_BOX_READERS = "inject-noise correct render"
 
-# every hyperparameter flag, declared and applied from this one table; a
-# ``superfluous.<field>`` key sets a field of noise.superfluous
-_FLAGS: tuple[_Flag, ...] = (
-    _Flag("noise", "box_noise", "displacement fraction N_b"),
-    _Flag("noise", "sparsity", "removal fraction N_s or 'extreme'"),
-    _Flag("noise", "superfluous",
-          "inject superfluous boxes (Binomial count, uniform geometry)", ("on", "off")),
-    _Flag("noise", "superfluous.trials"),
-    _Flag("noise", "superfluous.success"),
-    _Flag("noise", "superfluous.min_side"),
-    _Flag("noise", "superfluous.max_side"),
-    _Flag("correction", "distance", "assignment distance", _distances),
-    _Flag("correction", "center_norm", "center-distance scale, or 'none'"),
-    _Flag("correction", "distance_limit", "assignment radius d, or 'none' to disable"),
-    _Flag("correction", "temperature", "softmax temperature"),
-    _Flag("correction", "mining_threshold", "mining confidence tau, or 'none' to disable"),
-    _Flag("correction", "mining_nms_iou"),
-    _Flag("correction", "dedup_iou"),
-    _Flag("correction", "max_iterations"),
-    _Flag("correction", "fixed_size", "square side for the fixed-size variant, or 'none'"),
-    _Flag("loop", "iterations", "loop iterations (default {})"),
-    _Flag("loop", "keep_rate", "EMA keep rate"),
-    _Flag("loop", "images", "synthetic images (default {})"),
-    _Flag("loop", "boxes_per_image"),
-    _Flag("loop", "classes", "number of classes (default {})"),
-    _Flag("loop", "image_size", "WIDTHxHEIGHT"),
+# every option of every subcommand, declared, added and applied from this one
+# table, in the order of the help
+_OPTIONS: tuple[_Option, ...] = (
+    _Option("run", "out", "output directory", required=True),
+    _Option("run", "config", "JSON config file; flags override it"),
+    _Option("top", "profile", f"named hyperparameter preset: {', '.join(sorted(PROFILES))}"),
+    _Option("top", "seed", "master seed (default {})"),
+    _Option("top", "format", "input format", _BOX_READERS, ("coco-json", "point-csv")),
+    _Option("top", "point_side", "square side when materialising point annotations "
+            "(default {:g})", _BOX_READERS, param="load_annotations"),
+    _Option("noise", "box_noise", "displacement fraction N_b"),
+    _Option("noise", "sparsity", "removal fraction N_s or 'extreme'"),
+    _Option("noise", "superfluous", "inject superfluous boxes (Binomial count, uniform "
+            "geometry)", choices=("on", "off")),
+    _Option("noise", "superfluous.trials"),
+    _Option("noise", "superfluous.success"),
+    _Option("noise", "superfluous.min_side"),
+    _Option("noise", "superfluous.max_side"),
+    _Option("correction", "distance", "assignment distance", choices=lambda: _cli.DISTANCES),
+    _Option("correction", "center_norm", "center-distance scale, or 'none'"),
+    _Option("correction", "distance_limit", "assignment radius d, or 'none' to disable"),
+    _Option("correction", "temperature", "softmax temperature"),
+    _Option("correction", "mining_threshold", "mining confidence tau, or 'none' to disable"),
+    _Option("correction", "mining_nms_iou"),
+    _Option("correction", "dedup_iou"),
+    _Option("correction", "max_iterations"),
+    _Option("correction", "fixed_size", "square side for the fixed-size variant, or 'none'"),
+    _Option("loop", "iterations", "loop iterations (default {})"),
+    _Option("loop", "keep_rate", "EMA keep rate"),
+    _Option("loop", "images", "synthetic images (default {})"),
+    _Option("loop", "boxes_per_image"),
+    _Option("loop", "classes", "number of classes (default {})"),
+    _Option("loop", "image_size", "WIDTHxHEIGHT"),
+    _Option("inputs", "input", "clean annotations file", "inject-noise", required=True),
+    _Option("inputs", "targets", "noisy annotations file", "correct", required=True),
+    _Option("inputs", "detections", "model detections file", "correct", required=True),
+    _Option("inputs", "ground_truth", None, "evaluate", required=True),
+    _Option("inputs", "predictions", None, "evaluate", required=True),
+    _Option("inputs", "annotations", "annotation set for quality statistics (optional)",
+            "evaluate"),
+    _Option("top", "score_floor", "confidence floor for the error breakdown (default {})",
+            "evaluate", param="error_breakdown"),
+    _Option("top", "render", "write per-iteration SVG renders", "simulate", switch=True),
+    _Option("inputs", "dataset", "annotations to draw", "render", required=True),
+    _Option("inputs", "detections", "detections overlay (optional)", "render"),
+    _Option("inputs", "ground_truth", "ground-truth overlay (optional)", "render"),
+    _Option("top", "layers", lambda: f"comma-separated subset of: {', '.join(_cli.LAYER_COLORS)}",
+            "render"),
 )
+
+
+def _options(command: str) -> Iterator[_Option]:
+    """The rows of ``command``'s options, in table order."""
+    sections = COMMANDS[command].sections
+    for option in _OPTIONS:
+        if option.kind in _SETTINGS:
+            if option.kind in sections:
+                yield option
+        elif option.commands is None or command in option.commands.split():
+            yield option
 
 
 class RunConfig:
@@ -347,40 +403,25 @@ def _write_json(path: Path, payload: object) -> None:
     )
 
 
-def _apply_flag_overrides(resolved: dict, args: argparse.Namespace) -> None:
-    for name, annotation in (("seed", _TYPES["seed"]), ("point_side", "float"),
-                             ("score_floor", "float")):
-        text = getattr(args, name, None)
-        if text is not None:
-            resolved[name] = _read_flag(text, annotation, "--" + name.replace("_", "-"))
-    # table order applies --superfluous on/off before the superfluous fields
-    for flag in _FLAGS:
-        text = getattr(args, flag.dest, None)
-        if text is None:
-            continue
-        section, types = resolved[flag.section], _TYPES[flag.section]
-        head, _, field = flag.key.partition(".")
-        if head != "superfluous":
-            section[head] = _read_flag(text, types[head], flag.option)
-        elif text == "off":
-            section["superfluous"] = None
-        else:
-            if section["superfluous"] is None:
-                # a flag that sets a field switches it on with the defaults
-                section["superfluous"] = _fields(_cli.SuperfluousConfig, "default")
-            if field:
-                section["superfluous"][field] = _read_flag(
-                    text, types[head][field], flag.option
-                )
-
-
-_SECTIONS = {
-    "inject-noise": ("noise",),
-    "correct": ("correction",),
-    "evaluate": (),
-    "simulate": ("noise", "correction", "loop"),
-    "render": (),
-}
+def _apply(resolved: dict, option: _Option, text: object) -> None:
+    """Record the value of ``option``, given on the command line as ``text``."""
+    if option.kind == "inputs":
+        resolved.setdefault("inputs", {})[option.option[2:]] = text
+        return
+    head, _, field = option.key.partition(".")
+    target = resolved if option.kind == "top" else resolved[option.kind]
+    if head == "superfluous":
+        if text == "off":
+            target[head] = None
+            return
+        if target[head] is None:
+            # a flag that sets a field switches it on with the defaults
+            target[head] = _fields(_cli.SuperfluousConfig)[0]
+        if not field:
+            return
+        target, head = target[head], field
+    annotation = _setting(option)[1]
+    target[head] = text if annotation is None else _read_flag(text, annotation, option.option)
 
 
 def _check_config(path: Path, cfg: dict, schema: dict, prefix: str = "") -> None:
@@ -402,8 +443,8 @@ def _check_config(path: Path, cfg: dict, schema: dict, prefix: str = "") -> None
         _checked(value, expected, f"{path}: {name!r}")
 
 
-def _read_config_file(path: Path, sections: Sequence[str]) -> dict:
-    """The config file at ``path``, checked against the settings of ``sections``.
+def _read_config_file(path: Path, settings: Sequence[str]) -> dict:
+    """The config file at ``path``, checked against ``settings``.
 
     ``command`` and ``profile`` are not settings: the command line names both.
     """
@@ -422,47 +463,36 @@ def _read_config_file(path: Path, sections: Sequence[str]) -> dict:
         raise CliError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(file_cfg, dict):
         raise CliError(f"{path}: config must be a JSON object")
-    schema = {"seed": _TYPES["seed"], **{section: _TYPES[section] for section in sections}}
-    _check_config(path, file_cfg, schema)
+    _check_config(path, file_cfg, {key: _SETTINGS[key][1] for key in settings})
     return file_cfg
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Layer defaults, profile, config file, and flags into a RunConfig."""
-    sections = _SECTIONS[args.command]
-    resolved: dict = {"command": args.command, "seed": DEFAULTS["seed"]}
-    for section in sections:
-        resolved[section] = copy.deepcopy(DEFAULTS[section])
+    sections = COMMANDS[args.command].sections
+    settings = ("seed", *sections)
+    resolved: dict = {"command": args.command}
+    for key in settings:
+        resolved[key] = copy.deepcopy(_SETTINGS[key][0])
 
-    profile_name = getattr(args, "profile", None)
-    if profile_name is not None:
-        profile = PROFILES.get(profile_name)
+    if args.profile is not None:
+        profile = PROFILES.get(args.profile)
         if profile is None:
             raise CliError(
-                f"unknown profile {profile_name!r}; "
+                f"unknown profile {args.profile!r}; "
                 f"available: {', '.join(sorted(PROFILES))}"
             )
-        resolved["profile"] = profile_name
         _merge(resolved, {k: v for k, v in profile.items() if k in resolved})
 
-    config_path = getattr(args, "config", None)
-    if config_path is not None:
-        _merge(resolved, _read_config_file(Path(config_path), sections))
+    if args.config is not None:
+        _merge(resolved, _read_config_file(Path(args.config), settings))
 
-    _apply_flag_overrides(resolved, args)
-
-    inputs = {}
-    for name in ("input", "targets", "detections", "ground_truth", "predictions",
-                 "annotations", "dataset"):
-        value = getattr(args, name, None)
-        if value is not None:
-            inputs[name.replace("_", "-")] = str(value)
-    if inputs:
-        resolved["inputs"] = inputs
-    for name in ("format", "layers", "render"):
-        value = getattr(args, name, None)
-        if value is not None:
-            resolved[name] = value
+    # every option given is recorded (profile too) but out and config; table
+    # order applies --superfluous on/off before the superfluous fields
+    for option in _options(args.command):
+        text = getattr(args, option.dest)
+        if text is not None and option.kind != "run":
+            _apply(resolved, option, text)
 
     # the config objects check their ranges here, before config.json is
     # written, as the values' types were checked above
@@ -608,7 +638,7 @@ def cmd_evaluate(run: RunConfig) -> None:
     inputs = run.resolved["inputs"]
     gt = _cli.load_annotations(inputs["ground-truth"])
     score_floor = run.resolved.get(
-        "score_floor", _default("evaluation", "error_breakdown", "score_floor")
+        "score_floor", _parameter("error_breakdown", "score_floor")[0]
     )
     result, breakdown = _scored(run, gt, score_floor)
     metrics: dict = {
@@ -740,80 +770,29 @@ def cmd_render(run: RunConfig) -> None:
     _render_records(run.out, records.values(), layers, truth_by_id, dataset.class_names)
 
 
+class _Command(NamedTuple):
+    """A subcommand: the function that runs it, and its sections of settings."""
+
+    run: Callable[[RunConfig], None]
+    sections: tuple[str, ...] = ()
+
+
 COMMANDS = {
-    "inject-noise": cmd_inject_noise,
-    "correct": cmd_correct,
-    "evaluate": cmd_evaluate,
-    "simulate": cmd_simulate,
-    "render": cmd_render,
+    "inject-noise": _Command(cmd_inject_noise, ("noise",)),
+    "correct": _Command(cmd_correct, ("correction",)),
+    "evaluate": _Command(cmd_evaluate),
+    "simulate": _Command(cmd_simulate, ("noise", "correction", "loop")),
+    "render": _Command(cmd_render),
 }
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument(
-        "--profile",
-        help=f"named hyperparameter preset: {', '.join(sorted(PROFILES))}",
-    )
-    parser.add_argument("--seed", help=f"master seed (default {DEFAULTS['seed']})")
-
-
-def _add_hyperparameter_flags(parser: argparse.ArgumentParser, command: str) -> None:
-    for flag in _FLAGS:
-        if flag.section in _SECTIONS[command]:
-            default = DEFAULTS[flag.section].get(flag.key)
-            parser.add_argument(
-                flag.option,
-                choices=flag.choices() if callable(flag.choices) else flag.choices,
-                help=flag.help and flag.help.format(default),
-            )
-
-
-def _add_format_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format", choices=("coco-json", "point-csv"), help="input format"
-    )
-    parser.add_argument(
-        "--point-side",
-        help="square side when materialising point annotations "
-        f"(default {_default('datamodel', 'load_annotations', 'point_side'):g})",
-    )
-
-
-
-def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
-    _add_common(p)
-    if command in ("inject-noise", "correct", "render"):
-        _add_format_flags(p)
-    _add_hyperparameter_flags(p, command)
-    if command == "inject-noise":
-        p.add_argument("--input", required=True, help="clean annotations file")
-    elif command == "correct":
-        p.add_argument("--targets", required=True, help="noisy annotations file")
-        p.add_argument("--detections", required=True, help="model detections file")
-    elif command == "evaluate":
-        p.add_argument("--ground-truth", required=True)
-        p.add_argument("--predictions", required=True)
-        p.add_argument(
-            "--annotations", help="annotation set for quality statistics (optional)"
-        )
-        floor = _default("evaluation", "error_breakdown", "score_floor")
-        p.add_argument(
-            "--score-floor", dest="score_floor",
-            help=f"confidence floor for the error breakdown (default {floor})",
-        )
-    elif command == "simulate":
-        p.add_argument(
-            "--render", action="store_const", const=True,
-            help="write per-iteration SVG renders",
-        )
-    else:  # render
-        p.add_argument("--dataset", required=True, help="annotations to draw")
-        p.add_argument("--detections", help="detections overlay (optional)")
-        p.add_argument("--ground-truth", help="ground-truth overlay (optional)")
-        p.add_argument(
-            "--layers",
-            help=f"comma-separated subset of: {', '.join(_cli.LAYER_COLORS)}",
-        )
-
+def _add_arguments(parser: argparse.ArgumentParser, command: str) -> None:
+    for option in _options(command):
+        help_text, choices = option.help, option.choices
+        if callable(help_text):
+            help_text = help_text()
+        elif help_text and "{" in help_text:
+            help_text = help_text.format(_setting(option)[0])
+        kind = ({"action": "store_const", "const": True} if option.switch
+                else {"choices": choices() if callable(choices) else choices})
+        parser.add_argument(option.option, required=option.required, help=help_text, **kind)

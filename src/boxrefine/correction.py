@@ -65,6 +65,7 @@ __all__ = [
     "DISTANCE_IOU",
     "DISTANCE_GIOU",
     "DISTANCE_CENTER",
+    "DISTANCES",
     "ConfigError",
     "CorrectionConfig",
     "CorrectionReport",
@@ -77,7 +78,7 @@ __all__ = [
 DISTANCE_IOU = "iou"
 DISTANCE_GIOU = "giou"
 DISTANCE_CENTER = "center-normalized"
-_DISTANCES = (DISTANCE_IOU, DISTANCE_GIOU, DISTANCE_CENTER)
+DISTANCES = (DISTANCE_IOU, DISTANCE_GIOU, DISTANCE_CENTER)
 
 
 class ConfigError(ValueError):
@@ -109,9 +110,9 @@ class CorrectionConfig:
 
     def __post_init__(self) -> None:
         # each check is written so that NaN fails it
-        if self.distance not in _DISTANCES:
+        if self.distance not in DISTANCES:
             raise ConfigError(
-                f"unknown distance {self.distance!r}; valid: {list(_DISTANCES)}"
+                f"unknown distance {self.distance!r}; valid: {list(DISTANCES)}"
             )
         if self.distance == DISTANCE_CENTER and not (
             self.center_norm is not None and self.center_norm > 0.0

@@ -854,6 +854,10 @@ def _load_coco(path: Path) -> Dataset:
     )
 
 
+# the largest label of a point CSV, whose classes are class_1 up to its largest label
+POINT_LABEL_MAX = 10_000
+
+
 def _load_point_csv(path: Path, image_size: tuple[int, int], point_side: float) -> Dataset:
     """Each point as a ``point_side`` square centred on it, clipped to its image."""
     if not point_side > 0.0:
@@ -897,7 +901,11 @@ def _load_point_csv(path: Path, image_size: tuple[int, int], point_side: float) 
                 path,
                 f"line {lineno}: x and y must be finite numbers, got {row[1]!r}, {row[2]!r}",
             )
-            _require(label >= 1, path, f"line {lineno}: label must be >= 1")
+            _require(
+                1 <= label <= POINT_LABEL_MAX,
+                path,
+                f"line {lineno}: label {label} is not in [1, {POINT_LABEL_MAX}]",
+            )
             # its square would clip to a box of no area; the border is inside
             _require(
                 0.0 <= x <= width and 0.0 <= y <= height,

@@ -15,6 +15,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import DEFAULT_SEED
 from .datamodel import Annotation, Dataset, ImageRecord, annotation_set, set_annotations
 from .geometry import BoxSet, clip_values, row_sizes, spanning
 
@@ -79,7 +80,7 @@ class NoiseConfig:
     box_noise: float = 0.0
     sparsity: float | str = 0.0
     superfluous: SuperfluousConfig | None = None
-    seed: int = 0
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
         if self.box_noise < 0.0:

@@ -16,6 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import DEFAULT_SEED
+
 # ``correct_targets`` and ``iou`` are not called here; they stay bound because
 # bench/spans.py traces and counts calls through each module's own names
 from .correction import CorrectionConfig, correct_sets, correct_targets  # noqa: F401
@@ -336,7 +338,7 @@ def synthesize_truth(
     boxes_per_image: int = 6,
     num_classes: int = 3,
     image_size: tuple[int, int] = (512, 512),
-    seed: int = 0,
+    seed: int = DEFAULT_SEED,
 ) -> Dataset:
     """Random ground truth: boxes fully inside the image, uniform labels.
 

@@ -831,7 +831,10 @@ class TestConfigLayering:
             for value in tree.values():
                 yield from leaves(value) if isinstance(value, dict) else [value]
 
-        assert set(leaves(commands._TYPES)) <= set(commands._JSON_TYPES)
+        types = {key: setting[1] for key, setting in commands._SETTINGS.items()}
+        # and every option that reads a parameter's type
+        types.update({o.key: commands._setting(o)[1] for o in commands._OPTIONS if o.param})
+        assert set(leaves(types)) <= set(commands._JSON_TYPES)
 
     @pytest.mark.parametrize("key, value", [("command", "evaluate"), ("profile", "nb0-ex")])
     def test_command_and_profile_not_config_keys(self, tmp_path, capsys, key, value):
@@ -918,9 +921,11 @@ def test_profiles_pass_the_config_check():
     commands = cli._commands()
     # the front exports the command layer's public names
     assert (cli.PROFILES, cli.RunConfig) == (commands.PROFILES, commands.RunConfig)
+    types = {key: setting[1] for key, setting in commands._SETTINGS.items()}
+    defaults = commands._SETTINGS["correction"][0]
     for name, profile in cli.PROFILES.items():
-        commands._check_config(name, profile, commands._TYPES)
-        CorrectionConfig(**{**commands.DEFAULTS["correction"], **profile.get("correction", {})})
+        commands._check_config(name, profile, types)
+        CorrectionConfig(**{**defaults, **profile.get("correction", {})})
 
 
 # arguments each subcommand requires; no test below gets as far as reading them
@@ -1101,6 +1106,96 @@ def test_flag_surface():
         for name, p in sub.choices.items()
     }
     assert got == FLAG_SURFACE
+
+
+# for every option: a valid text (None for a switch), and the dotted place in
+# the resolved config where its value lands with the value found there (None
+# for an option that is not recorded); each value differs from the default
+OPTION_PLACES = {
+    "--out": ("elsewhere", None, None),
+    "--config": ("cfg.json", None, None),
+    "--profile": ("nb0-ex", "profile", "nb0-ex"),
+    "--seed": ("5", "seed", 5),
+    "--format": ("coco-json", "format", "coco-json"),
+    "--point-side": ("30", "point_side", 30.0),
+    "--box-noise": ("0.1", "noise.box_noise", 0.1),
+    "--sparsity": ("ex", "noise.sparsity", "extreme"),
+    "--superfluous": ("on", "noise.superfluous",
+                      {"trials": 10, "success": 0.5, "min_side": 16.0, "max_side": 196.0}),
+    "--superfluous-trials": ("3", "noise.superfluous.trials", 3),
+    "--superfluous-success": ("0.25", "noise.superfluous.success", 0.25),
+    "--superfluous-min-side": ("10", "noise.superfluous.min_side", 10.0),
+    "--superfluous-max-side": ("50", "noise.superfluous.max_side", 50.0),
+    "--distance": ("giou", "correction.distance", "giou"),
+    "--center-norm": ("40", "correction.center_norm", 40.0),
+    "--distance-limit": ("0.7", "correction.distance_limit", 0.7),
+    "--temperature": ("0.3", "correction.temperature", 0.3),
+    "--mining-threshold": ("0.85", "correction.mining_threshold", 0.85),
+    "--mining-nms-iou": ("0.4", "correction.mining_nms_iou", 0.4),
+    "--dedup-iou": ("0.45", "correction.dedup_iou", 0.45),
+    "--max-iterations": ("7", "correction.max_iterations", 7),
+    "--fixed-size": ("30", "correction.fixed_size", 30.0),
+    "--iterations": ("2", "loop.iterations", 2),
+    "--keep-rate": ("0.9", "loop.keep_rate", 0.9),
+    "--images": ("2", "loop.images", 2),
+    "--boxes-per-image": ("3", "loop.boxes_per_image", 3),
+    "--classes": ("2", "loop.classes", 2),
+    "--image-size": ("300x200", "loop.image_size", [300, 200]),
+    "--input": ("in.json", "inputs.input", "in.json"),
+    "--targets": ("t.json", "inputs.targets", "t.json"),
+    "--detections": ("d.json", "inputs.detections", "d.json"),
+    "--ground-truth": ("g.json", "inputs.ground-truth", "g.json"),
+    "--predictions": ("p.json", "inputs.predictions", "p.json"),
+    "--annotations": ("a.json", "inputs.annotations", "a.json"),
+    "--score-floor": ("0.25", "score_floor", 0.25),
+    "--render": (None, "render", True),
+    "--dataset": ("data.json", "inputs.dataset", "data.json"),
+    "--layers": ("original", "layers", "original"),
+}
+# options that act only with another
+COMPANIONS = {"--point-side": ["--format", "point-csv"]}
+ABSENT = object()
+
+
+def placed(tree, place):
+    for part in place.split("."):
+        if not isinstance(tree, dict) or part not in tree:
+            return ABSENT
+        tree = tree[part]
+    return tree
+
+
+def test_each_option_lands_where_its_row_files_it(tmp_path, monkeypatch):
+    """Each row of the option table, set alone, records its value in a
+    section setting, under inputs or at the top level, or nowhere."""
+    commands = cli._commands()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text("{}", encoding="utf-8")
+    for command in commands.COMMANDS:
+        rows = list(commands._options(command))
+        required = [a for row in rows if row.required
+                    for a in (row.option, OPTION_PLACES[row.option][0])]
+
+        def resolved(*argv):
+            args = build_parser().parse_args([command, *required, *argv])
+            return commands.resolve_config(args).resolved
+
+        baseline = resolved()
+        for row in rows:
+            text, place, value = OPTION_PLACES[row.option]
+            if row.required:
+                got = baseline
+            else:
+                given = [row.option] if text is None else [row.option, text]
+                got = resolved(*COMPANIONS.get(row.option, []), *given)
+            if place is None:
+                assert row.dest not in got, (command, row.option)
+                if not row.required:
+                    assert got == baseline, (command, row.option)
+                continue
+            assert placed(got, place) == value, (command, row.option)
+            if not row.required:
+                assert placed(baseline, place) != value, (command, row.option)
 
 
 class TestPointInputs:

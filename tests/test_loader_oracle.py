@@ -619,6 +619,13 @@ POINT_BREAKS = {
                         b"c,100,512.5,1\n"),
     # no point: a dataset of no categories, which every reader of its output would reject
     "header only": ("no points after the header", b""),
+    # the classes are class_1 up to the largest label: a label past int64, one
+    # past the bound (a label of 10^9 would make 10^9 names), and one below 1
+    "label past int64": ("line 2: label 100000000000000000000 is not in [1, 10000]",
+                         b"a,10,10,100000000000000000000\n"),
+    "label past the bound": ("line 3: label 10001 is not in [1, 10000]",
+                             b"a,10,10,1\nb,10,10,10001\n"),
+    "label 0": ("line 2: label 0 is not in [1, 10000]", b"a,10,10,0\n"),
 }
 
 
@@ -634,6 +641,13 @@ def test_point_files_that_cannot_be_read_name_the_file(tmp_path, capsys, name):
             "--out", str(tmp_path / "svg")]
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+
+def test_point_label_at_the_bound_loads(tmp_path):
+    path = tmp_path / "points.csv"
+    path.write_text(f"image_id,x,y,label\na,10,10,{datamodel.POINT_LABEL_MAX}\n")
+    names = load_annotations(path, fmt="point-csv").class_names
+    assert len(names) == datamodel.POINT_LABEL_MAX and names[-1] == "class_10000"
 
 
 # Text the block reader of ``annotations`` cuts its windows at, or that

@@ -30,6 +30,7 @@ ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
 RUN_BY = {
     "boxrefine.correction": {"correct", "simulate"},
     "boxrefine.evaluation": {"evaluate", "simulate"},
+    "boxrefine.noise": {"inject-noise", "simulate"},
     "boxrefine.simloop": {"simulate"},
 }
 # subcommands that draw no random numbers: hashlib's OpenSSL and
