@@ -30,6 +30,7 @@ _WORK = {
     "PROVENANCE_CODES": "datamodel",
     "PROVENANCE_CORRECTED": "datamodel",
     "load_annotations": "datamodel",
+    "match_images": "datamodel",
     "render_svg": "datamodel",
     "save_annotations": "datamodel",
     "NoiseConfig": "noise",

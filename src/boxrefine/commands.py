@@ -411,7 +411,7 @@ def _apply(resolved: dict, option: _Option, text: object) -> None:
     head, _, field = option.key.partition(".")
     target = resolved if option.kind == "top" else resolved[option.kind]
     if head == "superfluous":
-        if text == "off":
+        if not field and text == "off":
             target[head] = None
             return
         if target[head] is None:
@@ -553,10 +553,6 @@ def cmd_inject_noise(run: RunConfig) -> None:
     )
 
 
-def _positions(dataset: Dataset) -> dict[str, int]:
-    return {image_id: g for g, image_id in enumerate(dataset.image_ids())}
-
-
 def cmd_correct(run: RunConfig) -> None:
     inputs = run.resolved["inputs"]
     targets_ds = _load_boxes_dataset(run, inputs["targets"])
@@ -565,12 +561,9 @@ def cmd_correct(run: RunConfig) -> None:
         raise CliError(f"detections file not found: {detections_path}")
     detections_ds = _cli.load_annotations(detections_path)
     image_ids, sizes = targets_ds.image_ids(), targets_ds.image_sizes()
-    position = _positions(detections_ds)
-    unknown = sorted(set(position) - set(image_ids))
-    if unknown:
-        raise CliError(f"detections reference unknown image ids: {unknown}")
+    rows = _cli.match_images(image_ids, detections_ds.image_ids(), "detections")
     # each target image's detections, in the targets' image order
-    detections = detections_ds.detections.select([position.get(i, -1) for i in image_ids])
+    detections = detections_ds.detections.select(rows)
     refined, _, reports = _cli.correct_sets(targets_ds.annotations, detections, run.correction)
     refined = refined.clip(sizes)
     _cli.save_annotations(
@@ -614,17 +607,10 @@ def _scored(run: RunConfig, gt: Dataset, score_floor: float) -> tuple:
     """AP50 and the error breakdown of the predictions file against ``gt``.
     The predictions are dropped on return, before another file is read."""
     preds_ds = _cli.load_annotations(run.resolved["inputs"]["predictions"])
-    gt_ids = gt.image_ids()
-    position = _positions(preds_ds)
-    if set(gt_ids) != set(position):
-        missing = sorted(set(gt_ids) - set(position))
-        extra = sorted(set(position) - set(gt_ids))
-        raise CliError(
-            f"image id mismatch: missing from predictions {missing}, "
-            f"unknown to ground truth {extra}"
-        )
+    rows = _cli.match_images(gt.image_ids(), preds_ds.image_ids(), "predictions", every=True,
+                             sizes=(gt.image_sizes(), preds_ds.image_sizes()))
     # in the ground truth's image order, which decides ranking ties
-    predictions = preds_ds.detections.select([position[i] for i in gt_ids])
+    predictions = preds_ds.detections.select(rows)
     del preds_ds
     return (
         _cli.evaluate_ap50(gt.annotations, predictions),
@@ -687,19 +673,18 @@ def _render_records(
     out_dir: Path,
     records: Iterable[ImageRecord],
     layers: Sequence[str],
-    truth_by_id: dict[str, list[Annotation]] | None,
+    truths: Iterable[list[Annotation] | None],
     class_names: Sequence[str],
 ) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     used: set[str] = set()
-    for rec in records:
+    for rec, truth in zip(records, truths):
         stem = _sanitize(rec.image_id)
         candidate, k = stem, 1
         while candidate in used:
             candidate = f"{stem}_{k}"
             k += 1
         used.add(candidate)
-        truth = truth_by_id.get(rec.image_id) if truth_by_id else None
         svg = _cli.render_svg(
             rec, layers=layers, ground_truth=truth, class_names=class_names
         )
@@ -722,12 +707,11 @@ def cmd_simulate(run: RunConfig) -> None:
     )
 
     def render(iteration, corrected, predictions):
-        truth_by_id = {rec.image_id: rec.annotations for rec in truth.images}
         _render_records(
             run.out / "render" / f"iter_{iteration:03d}",
             _cli.Dataset.from_columns(names, image_ids, sizes, corrected, predictions).images,
             list(_cli.LAYER_COLORS),
-            truth_by_id,
+            [rec.annotations for rec in truth.images],
             truth.class_names,
         )
 
@@ -747,19 +731,21 @@ def cmd_render(run: RunConfig) -> None:
     inputs = run.resolved["inputs"]
     dataset = _load_boxes_dataset(run, inputs["dataset"])
     # records of its own, whose detections the --detections overlay replaces
-    records = {rec.image_id: rec for rec in dataset.images}
+    records = dataset.images
+    truths = [None] * len(records)
     if "detections" in inputs:
         det_ds = _cli.load_annotations(inputs["detections"])
-        unknown = sorted(set(det_ds.image_ids()) - set(records))
-        if unknown:
-            raise CliError(f"detections reference unknown image ids: {unknown}")
-        for rec in det_ds.images:
-            if rec.detections:
-                records[rec.image_id].detections = rec.detections
-    truth_by_id = None
+        rows = _cli.match_images(dataset.image_ids(), det_ds.image_ids(), "detections")
+        overlay = det_ds.images
+        for rec, row in zip(records, rows):
+            if row >= 0 and overlay[row].detections:
+                rec.detections = overlay[row].detections
     if "ground-truth" in inputs:
         gt_ds = _cli.load_annotations(inputs["ground-truth"])
-        truth_by_id = {rec.image_id: rec.annotations for rec in gt_ds.images}
+        rows = _cli.match_images(
+            dataset.image_ids(), gt_ds.image_ids(), "ground-truth annotations")
+        truth = gt_ds.images
+        truths = [truth[row].annotations if row >= 0 else None for row in rows]
     layers_text = run.resolved.get("layers", ",".join(_cli.LAYER_COLORS))
     layers = [part.strip() for part in layers_text.split(",") if part.strip()]
     unknown_layers = [l for l in layers if l not in _cli.LAYER_COLORS]
@@ -767,7 +753,7 @@ def cmd_render(run: RunConfig) -> None:
         raise CliError(
             f"unknown layers: {unknown_layers}; valid: {sorted(_cli.LAYER_COLORS)}"
         )
-    _render_records(run.out, records.values(), layers, truth_by_id, dataset.class_names)
+    _render_records(run.out, records, layers, truths, dataset.class_names)
 
 
 class _Command(NamedTuple):

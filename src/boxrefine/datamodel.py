@@ -48,6 +48,7 @@ __all__ = [
     "set_detections",
     "ImageRecord",
     "Dataset",
+    "match_images",
     "load_annotations",
     "save_annotations",
     "render_svg",
@@ -290,6 +291,33 @@ class Dataset:
                 set_annotations(self.annotations), set_detections(self.detections),
             )
         ]
+
+
+def match_images(reference: Sequence[str], other: Sequence[str], name: str,
+                 every: bool = False, sizes: tuple[Sequence, Sequence] | None = None) -> list[int]:
+    """For each image id of a reference file, the row of that id among the
+    image ids ``other`` of the file named ``name``, or -1 where it has none.
+
+    Raises ValueError if ``other`` names an image the reference lacks; with
+    ``every``, also if ``other`` lacks one of the reference's; with both
+    files' ``sizes``, also if a matched image's (width, height) differs. The
+    last two errors name the reference the ground truth.
+    """
+    row_of = {image_id: row for row, image_id in enumerate(other)}
+    rows = [row_of.pop(image_id, -1) for image_id in reference]
+    unknown = sorted(row_of)  # the ids left are not the reference's
+    if every and (unknown or -1 in rows):
+        missing = sorted(i for i, row in zip(reference, rows) if row < 0)
+        raise ValueError(f"image id mismatch: missing from {name} {missing}, "
+                         f"unknown to ground truth {unknown}")
+    if unknown:
+        raise ValueError(f"{name} reference unknown image ids: {unknown}")
+    for image_id, size, row in zip(reference, sizes[0] if sizes else (), rows):
+        if row >= 0 and sizes[1][row] != size:
+            (width, height), (ref_width, ref_height) = sizes[1][row], size
+            raise ValueError(f"image size mismatch: image {image_id!r} is {width}x{height} in "
+                             f"{name}, {ref_width}x{ref_height} in ground truth")
+    return rows
 
 
 def _require(cond: bool, path: Path, msg: str) -> None:
@@ -854,7 +882,8 @@ def _load_coco(path: Path) -> Dataset:
     )
 
 
-# the largest label of a point CSV, whose classes are class_1 up to its largest label
+# the largest label of a point CSV, whose classes are class_1 up to its largest
+# label, and the most classes simloop.synthesize_truth draws
 POINT_LABEL_MAX = 10_000
 
 

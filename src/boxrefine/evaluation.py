@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .datamodel import Dataset, Detection, detection_set
+from .datamodel import Dataset, Detection, detection_set, match_images
 # ``iou`` is not called here; it stays bound because bench/spans.py counts
 # scalar IoU calls through each module's own name
 from .geometry import BoxSet, best_iou, class_groups, grouped_iou, iou  # noqa: F401
@@ -111,11 +111,9 @@ def _sets(
     annotations, and the mapping's detections in the dataset's image order."""
     if not isinstance(ground_truth, Dataset):
         return ground_truth, predictions
-    image_ids = ground_truth.image_ids()
-    unknown = sorted(set(predictions) - set(image_ids))
-    if unknown:
-        raise ValueError(f"predictions reference unknown image ids: {unknown}")
-    dets = detection_set([predictions.get(image_id, ()) for image_id in image_ids])
+    groups = list(predictions.values())
+    rows = match_images(ground_truth.image_ids(), list(predictions), "predictions")
+    dets = detection_set([groups[row] if row >= 0 else () for row in rows])
     return ground_truth.annotations, dets
 
 
@@ -249,23 +247,18 @@ def quality_stats(ground_truth: Dataset, annotations: Dataset) -> QualityStats:
     """Measure how well an annotation set covers ground truth, and vice versa.
 
     Matching is purely geometric; class labels are ignored. The two datasets
-    must describe the same images. Each direction's mean is summed in its
-    own dataset's image order.
+    must describe the same images, at the same sizes. Each direction's mean
+    is summed in its own dataset's image order.
 
     Raises:
-        ValueError: if the image id sets differ, listing the offenders.
+        ValueError: if the image id sets differ, listing the offenders, or
+            an image's size differs.
     """
-    gt_ids, ann_ids = ground_truth.image_ids(), annotations.image_ids()
-    if set(gt_ids) != set(ann_ids):
-        missing = sorted(set(gt_ids) - set(ann_ids))
-        extra = sorted(set(ann_ids) - set(gt_ids))
-        raise ValueError(
-            f"image id mismatch: missing from annotations {missing}, "
-            f"unknown to ground truth {extra}"
-        )
+    images = match_images(ground_truth.image_ids(), annotations.image_ids(), "annotations",
+                          every=True,
+                          sizes=(ground_truth.image_sizes(), annotations.image_sizes()))
     gts, anns = ground_truth.annotations, annotations.annotations
-    position = {image_id: g for g, image_id in enumerate(ann_ids)}
-    rows, offsets = anns.image_rows([position[image_id] for image_id in gt_ids])
+    rows, offsets = anns.image_rows(images)
     forward, backward = best_iou(gts, BoxSet(anns.boxes[rows], offsets))
     # back in the annotations' own order
     reverse = np.empty_like(backward)

@@ -222,8 +222,10 @@ def _displaced(
     swap, and :func:`constrain_corners` clips and widens the result.
     """
     b = s.boxes
-    dx = (b[:, 2] - b[:, 0]) * box_noise
-    dy = (b[:, 3] - b[:, 1]) * box_noise
+    # a span past the largest float is inf, which _uniform rejects
+    with np.errstate(over="ignore"):
+        dx = (b[:, 2] - b[:, 0]) * box_noise
+        dy = (b[:, 3] - b[:, 1]) * box_noise
     spans = np.stack([dx, dx, dy, dy], axis=1).ravel()
     # the same values, in the same order, as a scalar uniform call each
     d = _uniform(rngs, (s.offsets * 4).tolist(), spans).reshape(-1, 4)

@@ -22,6 +22,7 @@ from . import DEFAULT_SEED
 # bench/spans.py traces and counts calls through each module's own names
 from .correction import CorrectionConfig, correct_sets, correct_targets  # noqa: F401
 from .datamodel import (
+    POINT_LABEL_MAX,
     Annotation,
     Dataset,
     Detection,
@@ -319,7 +320,8 @@ _TRUTH_MINIMA = {"num_images": 0, "boxes_per_image": 0, "num_classes": 1}
 def check_truth_arg(name: str, value: object) -> None:
     """Raise ValueError unless ``value`` is an argument ``name`` that
     :func:`synthesize_truth` can draw from: a count no smaller than its
-    minimum, or an image size that every synthetic true box fits."""
+    minimum, a class count no larger than a point CSV's, or an image size
+    that every synthetic true box fits."""
     if name == "image_size":
         if not all(map(math.isfinite, value)):
             raise ValueError(f"image_size must be finite, got {value[0]}x{value[1]}")
@@ -331,6 +333,8 @@ def check_truth_arg(name: str, value: object) -> None:
             )
     elif value < _TRUTH_MINIMA[name]:
         raise ValueError(f"{name} must be at least {_TRUTH_MINIMA[name]}, got {value}")
+    elif name == "num_classes" and value > POINT_LABEL_MAX:
+        raise ValueError(f"{name} must be at most {POINT_LABEL_MAX}, got {value}")
 
 
 def synthesize_truth(
@@ -343,8 +347,9 @@ def synthesize_truth(
     """Random ground truth: boxes fully inside the image, uniform labels.
 
     Raises:
-        ValueError: if a count is negative, ``num_classes`` is below 1, or
-            ``image_size`` is smaller than ``TRUTH_MAX_SIDE`` on a side.
+        ValueError: if a count is negative, ``num_classes`` is not in [1,
+            POINT_LABEL_MAX], or ``image_size`` is smaller than
+            ``TRUTH_MAX_SIDE`` on a side.
     """
     for name, value in (("num_images", num_images), ("boxes_per_image", boxes_per_image),
                         ("num_classes", num_classes), ("image_size", image_size)):

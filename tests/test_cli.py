@@ -162,6 +162,8 @@ class TestInjectNoise:
             (1e308, [0, 0, 1.5e308, 10], "0.9", 1),
             # a finite range, but a corner moved past the largest float
             (1.7e308, [0, 0, 1.7e308, 10], "0.5", 0),
+            # a span 10 * 1e308 past the float range, with no numpy warning first
+            (100, [10, 10, 20, 20], "1e308", 1),
         ],
     )
     def test_displacement_past_the_float_range(self, tmp_path, capsys, width, box, noise, rc):
@@ -549,13 +551,28 @@ class TestEvaluate:
         rc, _ = self.evaluate_against(tmp_path, lambda payload: None, bus)
         assert rc == 1
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP direction 4")
     def test_image_size_mismatch_is_rejected(self, tmp_path):
         def smaller(payload):
             payload["images"][0].update(width=50, height=50)
 
         rc, _ = self.evaluate_against(tmp_path, lambda payload: None, smaller)
         assert rc == 1
+
+    @pytest.mark.parametrize("flag", ["--predictions", "--annotations"])
+    def test_image_size_mismatch_names_the_image_and_both_files(self, tmp_path, capsys, flag):
+        gt, preds = self.make_pair(tmp_path)
+        other = tmp_path / "other.json"
+        write_dataset(other, [ImageRecord(image_id="a", width=512, height=300)])
+        files = {"--predictions": preds, "--annotations": gt, flag: other}
+        out = tmp_path / "out"
+        rc = main(["evaluate", "--ground-truth", str(gt), "--out", str(out),
+                   *(arg for pair in files.items() for arg in map(str, pair))])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: image size mismatch: image 'a' is 512x300 in {flag[2:]}, "
+            "512x512 in ground truth\n"
+        )
+        assert not (out / "metrics.json").exists()
 
 
 class TestSimulate:
@@ -629,6 +646,19 @@ class TestRender:
         )
         assert rc == 1
         assert "bogus" in capsys.readouterr().err
+
+    def test_unknown_ground_truth_ids_rejected(self, tmp_path, capsys):
+        src = tmp_path / "data.json"
+        two_image_dataset(src)
+        gt = tmp_path / "gt.json"
+        write_dataset(gt, [ImageRecord(image_id="ghost", width=512, height=512)])
+        out = tmp_path / "out"
+        rc = main(["render", "--dataset", str(src), "--ground-truth", str(gt), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: ground-truth annotations reference unknown image ids: ['ghost']\n"
+        )
+        assert not list(out.glob("*.svg"))
 
     def test_image_id_sanitised_for_filenames(self, tmp_path):
         src = tmp_path / "data.json"
@@ -754,6 +784,18 @@ class TestConfigLayering:
         assert rc == 1
         err = capsys.readouterr().err
         assert str(cfg_file) in err and repr(key) in err
+        assert not (out / "config.json").exists()
+
+    def test_class_count_in_a_config_file_is_bounded(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"loop": {"classes": 10001}}), encoding="utf-8")
+        out = tmp_path / "out"
+        rc = main(["simulate", "--images", "1", "--iterations", "1", "--out", str(out),
+                   "--config", str(cfg_file)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: --classes: num_classes must be at most 10000, got 10001\n"
+        )
         assert not (out / "config.json").exists()
 
     def test_nested_config_keys_accepted(self, tmp_path):
@@ -998,6 +1040,11 @@ def test_flag_values_keep_their_types(tmp_path):
         ("inject-noise", ["--format", "coco-json", "--point-side", "30"], "--format point-csv"),
         ("correct", ["--point-side", "30"], "--format point-csv"),
         ("render", ["--point-side", "30"], "--point-side"),
+        # only --superfluous takes off; a field takes a number
+        ("inject-noise", ["--superfluous-trials", "off"], "--superfluous-trials"),
+        ("inject-noise", ["--superfluous-trials", "off", "--superfluous-success", "0.3"],
+         "--superfluous-trials"),
+        ("simulate", ["--classes", "10001"], "--classes"),
     ],
 )
 def test_range_checks_run_before_config_is_written(tmp_path, capsys, command, args, name):

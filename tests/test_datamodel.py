@@ -18,6 +18,7 @@ from boxrefine.datamodel import (
     ImageRecord,
     annotation_set,
     load_annotations,
+    match_images,
     prob_to_logit,
     render_svg,
     save_annotations,
@@ -165,6 +166,32 @@ class TestOneForm:
         assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
         assert ds.image_ids() == ["a", "b", "c"]
         assert ds.images == self.columns().images
+
+
+class TestMatchImages:
+    """The row of each reference image in another file, and the errors of
+    each kind of caller, in the words the commands print."""
+
+    SIZES = ([(10, 20), (30, 40)], [(30, 40), (10, 21)])
+
+    def test_rows_in_the_reference_order(self):
+        assert match_images(["a", "b", "c"], ["c", "a"], "detections") == [1, -1, 0]
+        sizes = ([(10, 20), (30, 40)], [(30, 40), (10, 20)])
+        assert match_images(["a", "b"], ["b", "a"], "predictions", True, sizes) == [1, 0]
+
+    @pytest.mark.parametrize("other, every, sizes, message", [
+        (["e", "a", "d"], False, None, "detections reference unknown image ids: ['d', 'e']"),
+        (["e", "a", "d"], True, None,
+         "image id mismatch: missing from detections ['b'], unknown to ground truth ['d', 'e']"),
+        (["a"], True, None,
+         "image id mismatch: missing from detections ['b'], unknown to ground truth []"),
+        (["b", "a"], True, SIZES,
+         "image size mismatch: image 'a' is 10x21 in detections, 10x20 in ground truth"),
+    ])
+    def test_errors(self, other, every, sizes, message):
+        with pytest.raises(ValueError) as err:
+            match_images(["a", "b"], other, "detections", every, sizes)
+        assert str(err.value) == message
 
 
 class TestCocoLoad:

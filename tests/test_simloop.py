@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from boxrefine.correction import CorrectionConfig
-from boxrefine.datamodel import Annotation, ImageRecord
+from boxrefine.datamodel import POINT_LABEL_MAX, Annotation, ImageRecord
 from boxrefine.geometry import Box, BoxSet
 from boxrefine.noise import NoiseConfig, derive_rng, derive_rngs
 from boxrefine.simloop import (
@@ -17,6 +17,7 @@ from boxrefine.simloop import (
     LoopConfig,
     SimDetectorParams,
     build_scenario,
+    check_truth_arg,
     draw_predictions,
     ema_update,
     run_loop,
@@ -318,6 +319,12 @@ class TestSynthesizeTruth:
             synthesize_truth(image_size=size)
         with pytest.raises(ValueError, match="image size must be finite"):
             simulate_predictions([], PERFECT, np.random.default_rng(0), *size, 3)
+
+    def test_class_count_is_bounded(self):
+        # one class name is made per class: a count past a point CSV's is refused
+        check_truth_arg("num_classes", POINT_LABEL_MAX)
+        with pytest.raises(ValueError, match="num_classes must be at most 10000, got 10001"):
+            check_truth_arg("num_classes", POINT_LABEL_MAX + 1)
 
     def test_seed_changes_output(self):
         a = synthesize_truth(seed=0)
