@@ -1,36 +1,30 @@
 """Synthetic annotation corruption: displacement, sparsification, superfluous boxes.
 
-Every operation draws from an explicit numpy PCG64 generator. Dataset-level
-corruption derives one independent substream per (seed, operation, image)
-via a short blake2b hash, which makes results identical whether images are
-processed serially or in parallel, and in any order. :func:`derive_rngs`
-seeds the substreams of many keys at once (module ``seedseq``).
+Every draw is a uniform of a keyed stream (module ``streams``).
+:func:`corrupt_dataset` names one stream per (seed, operation, image) and
+gives each box fixed draw slots in it, so each operation is one array
+expression over every image, and an image's result does not depend on which
+other images the dataset holds or in what order. The record-level functions
+take a caller's numpy ``Generator`` instead, whose ``random(n)`` fills the
+same slots, and apply the same variates to them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import DEFAULT_SEED
 from .datamodel import Annotation, Dataset, ImageRecord, annotation_set, set_annotations
 from .geometry import BoxSet, clip_values, row_sizes, spanning
+from .streams import binomials, draws, integers, stream_keys, uniforms
 
 __all__ = [
-    "SPARSITY_EXTREME",
-    "MIN_BOX_SIDE",
-    "SuperfluousConfig",
-    "NoiseConfig",
-    "derive_rng",
-    "derive_rngs",
-    "check_image_sizes",
-    "constrain_corners",
-    "displace_boxes",
-    "sparsify",
-    "inject_superfluous",
+    "SPARSITY_EXTREME", "MIN_BOX_SIDE", "MAX_TRIALS", "SuperfluousConfig", "NoiseConfig",
+    "constrain_corners", "random_boxes", "displace_boxes", "sparsify", "inject_superfluous",
     "corrupt_dataset",
 ]
 
@@ -38,6 +32,9 @@ SPARSITY_EXTREME = "extreme"
 
 # a displaced or simulated box never ends up thinner than this, in pixels
 MIN_BOX_SIDE = 1.0
+
+# the most superfluous-box trials per image: each is a draw of every image
+MAX_TRIALS = 10_000
 
 
 @dataclass(frozen=True)
@@ -55,8 +52,8 @@ class SuperfluousConfig:
     max_side: float = 196.0
 
     def __post_init__(self) -> None:
-        if self.trials < 0:
-            raise ValueError(f"trials must be >= 0, got {self.trials}")
+        if not 0 <= self.trials <= MAX_TRIALS:
+            raise ValueError(f"trials must be in [0, {MAX_TRIALS}], got {self.trials}")
         if not 0.0 <= self.success <= 1.0:
             raise ValueError(f"success must be in [0, 1], got {self.success}")
         for name in ("min_side", "max_side"):
@@ -97,55 +94,6 @@ class NoiseConfig:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
-def _digests(seed: int, prefix: Sequence, ids: Iterable) -> np.ndarray:
-    """Each key ``(*prefix, id)`` under ``seed`` hashed: the 8-byte blake2b
-    digest of the text of ``seed`` and its parts joined by ``|``."""
-    import hashlib  # here: it loads OpenSSL, which only the noisy stages need
-
-    head = hashlib.blake2b("|".join(map(str, (seed, *prefix))).encode(), digest_size=8)
-    digests = []
-    for key in ids:
-        h = head.copy()
-        h.update(("|" + str(key)).encode())
-        digests.append(h.digest())
-    return np.frombuffer(b"".join(digests), dtype=">u8")
-
-
-def _streams(seed: int, prefix: Sequence, ids: Iterable) -> Iterator[np.random.Generator]:
-    """The generators of :func:`derive_rngs`, each built as it is drawn."""
-    from numpy.random import PCG64, Generator  # here: only the noisy stages draw
-
-    from .seedseq import HeldState, seed_states
-
-    return (Generator(PCG64(HeldState(w))) for w in seed_states(_digests(seed, prefix, ids)))
-
-
-def derive_rngs(seed: int, prefix: Sequence, ids: Iterable) -> list[np.random.Generator]:
-    """PCG64 generators, one per id: generator j is the substream named by
-    ``(*prefix, ids[j])`` under ``seed``, in the state :func:`derive_rng`
-    gives it. numpy's ``SeedSequence`` runs on all the digests at once
-    (``seedseq.seed_states``)."""
-    return list(_streams(seed, prefix, ids))
-
-
-def derive_rng(seed: int, *keys: object) -> np.random.Generator:
-    """PCG64 generator for the substream named by ``keys`` under ``seed``: ``PCG64``
-    seeded with its digest, read as a big-endian int. Needs at least one key."""
-    if not keys:
-        raise TypeError("derive_rng needs at least one key")
-    from numpy.random import PCG64, Generator
-
-    return Generator(PCG64(int(_digests(seed, keys[:-1], keys[-1:])[0])))
-
-
-def check_image_sizes(sizes: Iterable[tuple[float, float]]) -> None:
-    """Raise ValueError unless every width and height of ``sizes`` is finite:
-    a box drawn uniformly inside an image needs a finite image."""
-    for width, height in sizes:
-        if not (math.isfinite(width) and math.isfinite(height)):
-            raise ValueError(f"image size must be finite, got {width}x{height}")
-
-
 def constrain_corners(
     corners: np.ndarray, sizes: np.ndarray, int_sizes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -183,52 +131,31 @@ def constrain_corners(
     return boxes, int_edge
 
 
-def _uniform(
-    rngs: Iterable[np.random.Generator], bounds: list[int], spans: np.ndarray
-) -> np.ndarray:
-    """``rng.uniform(-spans[a:b], spans[a:b])`` for the rows ``a:b =
-    bounds[g]:bounds[g + 1]`` of each image g and its generator ``rng``, the
-    g-th of ``rngs``, bit for bit: one ``random``
-    call per image, then ``uniform``'s own formula ``low + (high - low) * u``
-    on all rows at once. Where ``uniform`` would raise, as ``high - low`` is
-    past the float range, raises ``OverflowError(g, reason)``."""
-    low = -spans
-    with np.errstate(over="ignore"):
-        scale = spans - low
-    wild = np.flatnonzero(~np.isfinite(scale))
-    if len(wild):
-        g = int(np.searchsorted(bounds, wild[0], side="right")) - 1
-        raise OverflowError(g, "box displacement range exceeds the float range")
-    draws = [
-        rng.random(stop - start)
-        for rng, start, stop in zip(rngs, bounds, bounds[1:])
-        if stop > start
-    ]
-    return low + scale * (np.concatenate(draws) if draws else np.zeros(0))
-
-
 def _displaced(
-    s: BoxSet,
-    box_noise: float,
-    sizes: Sequence[tuple[float, float]],
-    rngs: Iterable[np.random.Generator],
+    s: BoxSet, box_noise: float, sizes: Sequence[tuple[float, float]], u: np.ndarray
 ) -> BoxSet:
-    """The boxes of ``s`` displaced, image g's with the g-th of ``rngs`` and
-    clipped to ``sizes[g]``.
+    """The boxes of ``s`` displaced by the uniforms ``u``, a row of four per
+    box, and clipped to their images' ``sizes``.
 
     Each box's x1 and x2 move by uniform draws from [-w * box_noise,
-    w * box_noise], w its width, and y1 and y2 alike with its height: one
-    call per image draws x1, x2, y1, y2 of each box in turn. Crossed corners
-    swap, and :func:`constrain_corners` clips and widens the result.
+    w * box_noise], w its width, and y1 and y2 alike with its height, from
+    the box's x1, x2, y1, y2 uniforms by ``low + (high - low) * u``. Crossed
+    corners swap, and :func:`constrain_corners` clips and widens the result.
+    Where ``high - low`` is past the float range, raises
+    ``OverflowError(g, reason)`` for the first such box's image g.
     """
     b = s.boxes
-    # a span past the largest float is inf, which _uniform rejects
+    # a span past the largest float is inf, which is refused below
     with np.errstate(over="ignore"):
         dx = (b[:, 2] - b[:, 0]) * box_noise
         dy = (b[:, 3] - b[:, 1]) * box_noise
-    spans = np.stack([dx, dx, dy, dy], axis=1).ravel()
-    # the same values, in the same order, as a scalar uniform call each
-    d = _uniform(rngs, (s.offsets * 4).tolist(), spans).reshape(-1, 4)
+        spans = np.stack([dx, dx, dy, dy], axis=1)
+        scale = spans - -spans
+    wild = np.flatnonzero(~np.isfinite(scale).all(axis=1))
+    if len(wild):
+        g = int(s.image_index[wild[0]])
+        raise OverflowError(g, "box displacement range exceeds the float range")
+    d = -spans + scale * u
     # the offsets come x1, x2, y1, y2; a corner moved past the largest float
     # is inf and clips to the image
     with np.errstate(over="ignore"):
@@ -247,34 +174,24 @@ def displace_boxes(
 
     x1 and x2 each move by a uniform draw from [-w * box_noise, +w * box_noise]
     where w is the box's own width; y1 and y2 analogously with the height.
-    Draw order per box is x1, x2, y1, y2. Crossed corners are re-canonicalised,
-    the result is clipped to the image and kept at least ``MIN_BOX_SIDE`` wide.
-    ``box_noise`` 0 returns boxes bit-identical to the input.
+    The uniforms are ``rng.random((len(anns), 4))``, x1, x2, y1, y2 per box.
+    Crossed corners are re-canonicalised, the result is clipped to the image
+    and kept at least ``MIN_BOX_SIDE`` wide. ``box_noise`` 0 returns boxes
+    bit-identical to the input.
     """
     if box_noise < 0.0:
         raise ValueError(f"box_noise must be >= 0, got {box_noise}")
-    return set_annotations(_displaced(annotation_set([anns]), box_noise, [image_size], [rng]))[0]
+    u = rng.random((len(anns), 4))
+    return set_annotations(_displaced(annotation_set([anns]), box_noise, [image_size], u))[0]
 
 
-def _removal_count(total: int, fraction: float) -> int:
-    # round half away from zero, e.g. 5 annotations at 0.5 -> 3 removed
-    return int(math.floor(total * fraction + 0.5))
-
-
-def _survivor_indices(
-    total: int, sparsity: float | str, rng: np.random.Generator
-) -> list[int]:
-    if sparsity == SPARSITY_EXTREME:
-        if total == 0:
-            return []
-        return [int(rng.integers(total))]
-    if not 0.0 <= sparsity <= 1.0:
-        raise ValueError(f"sparsity must be in [0, 1], got {sparsity}")
-    n_remove = _removal_count(total, sparsity)
-    if n_remove <= 0:
-        return list(range(total))
-    dropped = set(rng.choice(total, size=n_remove, replace=False).tolist())
-    return [i for i in range(total) if i not in dropped]
+def _survivors(u: np.ndarray, fraction: float) -> np.ndarray:
+    """The rows, in order, that removing round(fraction * len(u)) rows
+    uniformly at random keeps, half rounded away from zero (5 rows at 0.5
+    lose 3): the rows of the smallest uniforms ``u`` go, ties to the earlier."""
+    keep = np.ones(len(u), dtype=bool)
+    keep[np.argsort(u, kind="stable")[: int(math.floor(len(u) * fraction + 0.5))]] = False
+    return np.flatnonzero(keep)
 
 
 def sparsify(
@@ -285,49 +202,52 @@ def sparsify(
     """Remove annotations uniformly at random, preserving order.
 
     A fractional ``sparsity`` removes exactly round(fraction * len(anns))
-    annotations, half rounded away from zero. ``"extreme"`` keeps exactly one
-    annotation (none if the input is empty).
+    annotations, half rounded away from zero: those of the smallest of
+    ``rng.random(len(anns))``. ``"extreme"`` keeps exactly one annotation,
+    drawn from ``rng.random(1)`` (none if the input is empty).
     """
-    keep = _survivor_indices(len(anns), sparsity, rng)
+    total = len(anns)
+    if sparsity == SPARSITY_EXTREME:
+        keep = integers(total, rng.random(1)) if total else []
+    elif not 0.0 <= sparsity <= 1.0:
+        raise ValueError(f"sparsity must be in [0, 1], got {sparsity}")
+    else:
+        keep = _survivors(rng.random(total), sparsity)
     return [anns[i] for i in keep]
 
 
-def _superfluous(
+def random_boxes(
     sizes: Sequence[tuple[float, float]],
-    rngs: Iterable[np.random.Generator],
-    cfg: SuperfluousConfig,
+    counts: np.ndarray,
+    u: np.ndarray,
+    sides: tuple[float, float],
     num_classes: int,
 ) -> BoxSet:
-    """Superfluous boxes for each image, image g's drawn from the g-th of
-    ``rngs`` inside ``sizes[g]``: Binomial(trials, success) of them, each with
-    uniform sides, a uniform center in the image and a uniform label, in
-    that draw order, clipped to the image; provenance ``original``."""
+    """``counts[g]`` boxes in each image g of ``sizes``, from the uniforms
+    ``u``, a row of five per box: width and height uniform in ``sides``,
+    centre x and y uniform in the image, and a label uniform in 1 ..
+    ``num_classes``; unclipped, provenance ``original``. Raises ValueError
+    unless every image size is finite (a uniform centre in an infinite
+    image has no value) and, given an image, ``num_classes`` is positive."""
     if sizes and num_classes < 1:
         raise ValueError(f"num_classes must be >= 1, got {num_classes}")
-    check_image_sizes(sizes)
-    corners: list[float] = []
-    labels: list[int] = []
-    counts: list[int] = []
-    low, span = cfg.min_side, cfg.max_side - cfg.min_side
-    for (width, height), rng in zip(sizes, rngs):
-        k = int(rng.binomial(cfg.trials, cfg.success))
-        random = rng.random
-        for _ in range(k):
-            # uniform's own formula, low + (high - low) * u, bit for bit
-            w = low + span * random()
-            h = low + span * random()
-            cx = 0.0 + (width - 0.0) * random()
-            cy = 0.0 + (height - 0.0) * random()
-            labels.append(int(rng.integers(1, num_classes + 1)))
-            corners += (cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
-        counts.append(k)
-    added = BoxSet(
-        np.array(corners, dtype=np.float64).reshape(-1, 4),
+    for width, height in sizes:
+        if not (math.isfinite(width) and math.isfinite(height)):
+            raise ValueError(f"image size must be finite, got {width}x{height}")
+    image = np.repeat(np.arange(len(counts)), counts)
+    size = np.array(sizes, dtype=np.float64).reshape(-1, 2)[image]
+    low, span = sides[0], sides[1] - sides[0]
+    # uniform's formula, low + (high - low) * u
+    w = low + span * u[:, 0]
+    h = low + span * u[:, 1]
+    cx = size[:, 0] * u[:, 2]
+    cy = size[:, 1] * u[:, 3]
+    return BoxSet(
+        np.stack([cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0], axis=1),
         np.concatenate(([0], np.cumsum(counts, dtype=np.intp))),
-        labels=np.array(labels, dtype=np.int64),
-        provenance=np.zeros(len(labels), dtype=np.int8),
+        labels=1 + integers(num_classes, u[:, 4]),
+        provenance=np.zeros(len(image), dtype=np.int8),
     )
-    return added.clip(sizes)
 
 
 def inject_superfluous(
@@ -338,29 +258,42 @@ def inject_superfluous(
 ) -> list[Annotation]:
     """Existing annotations plus freshly sampled superfluous boxes.
 
-    The additions carry ``original`` provenance: downstream consumers cannot
-    tell them from genuine labels, which is the point.
+    Binomial(trials, success) boxes are added: as many of
+    ``rng.random(cfg.trials)`` as fall below ``success``, and then a row of
+    ``rng.random((count, 5))`` for each box. The additions carry
+    ``original`` provenance: downstream consumers cannot tell them from
+    genuine labels, which is the point.
     """
-    added = _superfluous([(record.width, record.height)], [rng], cfg, num_classes)
+    count = int((rng.random(cfg.trials) < cfg.success).sum())
+    size = [(record.width, record.height)]
+    sides = (cfg.min_side, cfg.max_side)
+    added = random_boxes(size, [count], rng.random((count, 5)), sides, num_classes).clip(size)
     return list(record.annotations) + set_annotations(added)[0]
 
 
 def corrupt_dataset(dataset: Dataset, cfg: NoiseConfig) -> tuple[Dataset, dict]:
     """Apply displacement, sparsification, and injection to a whole dataset.
 
-    Operations run in that order. Displacement and injection use per-image
-    substreams; fractional sparsification removes an exact dataset-wide count
-    from one global substream, while ``"extreme"`` keeps one annotation per
-    image from per-image substreams. Returns the corrupted dataset and a
-    summary dict of counts.
+    Operations run in that order, each from its own streams:
+    - displacement: stream ``("displace", image)``, draws 4j .. 4j + 3 for
+      box j of the image (x1, x2, y1, y2);
+    - fractional sparsification removes an exact dataset-wide count, the
+      rows of the smallest draws of stream ``("sparsify",)``, one draw per
+      row; ``"extreme"`` keeps the row that draw 0 of stream
+      ``("sparsify", image)`` picks;
+    - injection: Binomial(trials, success) boxes, draws 0 .. trials - 1 of
+      stream ``("superfluous", image)`` compared with ``success``; box k
+      takes draws 5k .. 5k + 4 of stream ``("superfluous-box", image)``.
+
+    Returns the corrupted dataset and a summary dict of counts.
     """
     seed = cfg.seed
     image_ids, sizes = dataset.image_ids(), dataset.image_sizes()
     anns = before = dataset.annotations
     if cfg.box_noise > 0.0:
-        rngs = _streams(seed, ("displace",), image_ids)
+        u = draws(stream_keys(seed, ("displace",), image_ids), anns.counts, 4)
         try:
-            anns = _displaced(anns, cfg.box_noise, sizes, rngs)
+            anns = _displaced(anns, cfg.box_noise, sizes, u)
         except OverflowError as exc:
             g, reason = exc.args
             raise ValueError(
@@ -368,24 +301,22 @@ def corrupt_dataset(dataset: Dataset, cfg: NoiseConfig) -> tuple[Dataset, dict]:
             ) from None
 
     if cfg.sparsity == SPARSITY_EXTREME:
-        bounds = anns.offsets.tolist()
-        rngs = _streams(seed, ("sparsify",), image_ids)
-        keep = [
-            bounds[g] + i
-            for g, rng in enumerate(rngs)
-            for i in _survivor_indices(bounds[g + 1] - bounds[g], SPARSITY_EXTREME, rng)
-        ]
-        anns = anns.take(np.array(keep, dtype=np.intp))
+        (some,) = anns.counts.nonzero()
+        u = uniforms(stream_keys(seed, ("sparsify",), [image_ids[g] for g in some]), 0)
+        anns = anns.take(anns.offsets[some] + integers(anns.counts[some], u))
     elif cfg.sparsity > 0.0:
         # rows run image after image, as the dataset-wide count is drawn
-        keep = _survivor_indices(len(anns), cfg.sparsity, derive_rng(seed, "sparsify"))
-        anns = anns.take(np.array(keep, dtype=np.intp))
+        u = uniforms(stream_keys(seed, (), ["sparsify"]), np.arange(len(anns)))
+        anns = anns.take(_survivors(u, cfg.sparsity))
     removed = len(before) - len(anns)
 
     injected = 0
     if cfg.superfluous is not None:
-        rngs = _streams(seed, ("superfluous",), image_ids)
-        added = _superfluous(sizes, rngs, cfg.superfluous, dataset.num_classes)
+        sup = cfg.superfluous
+        counts = binomials(stream_keys(seed, ("superfluous",), image_ids), sup.trials, sup.success)
+        u = draws(stream_keys(seed, ("superfluous-box",), image_ids), counts, 5)
+        sides = (sup.min_side, sup.max_side)
+        added = random_boxes(sizes, counts, u, sides, dataset.num_classes).clip(sizes)
         injected = len(added)
         anns = anns.append(added)
 

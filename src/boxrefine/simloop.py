@@ -34,11 +34,11 @@ from .geometry import BoxSet, best_iou, iou, row_sizes, spanning  # noqa: F401
 from .noise import (
     NoiseConfig,
     SuperfluousConfig,
-    check_image_sizes,
     constrain_corners,
     corrupt_dataset,
-    derive_rngs,
+    random_boxes,
 )
+from .streams import draws, integers, normals, poissons, stream_keys, uniforms
 
 __all__ = [
     "SimDetectorParams",
@@ -119,88 +119,61 @@ def simulate_predictions(
     spurious boxes are added with uniform size, position, and label. Every
     prediction is scored by its best IoU against the true boxes, so with zero
     jitter and full recall the output reproduces the truth with probability
-    above one half.
+    above one half. The uniforms of :func:`draw_predictions` come from
+    ``rng.random``: one for the count of spurious boxes, then a row of five
+    per true box, then a row of five per spurious box.
     """
     truth = annotation_set([true_boxes])
-    drawn = draw_predictions(truth, [(width, height)], [rng], params, num_classes)
+    count_u = rng.random(1)
+    drawn = draw_predictions(
+        truth, [(width, height)], params, num_classes, rng.random((len(truth), 5)), count_u,
+        lambda counts: rng.random((int(counts.sum()), 5)),
+    )
     return set_detections(_score_predictions(drawn, truth, params))[0]
 
 
 def draw_predictions(
     truth: BoxSet,
     sizes: Sequence[tuple[float, float]],
-    rngs: Sequence[np.random.Generator],
     params: SimDetectorParams,
     num_classes: int,
+    box_u: np.ndarray,
+    count_u: np.ndarray,
+    spurious_u: Callable[[np.ndarray], np.ndarray],
 ) -> BoxSet:
     """The random part of :func:`simulate_predictions`, for every image of a set.
 
-    Image g's true boxes are ``truth``'s, its size ``sizes[g]`` and its
-    generator ``rngs[g]``. Each generator is drawn from in the per-box
-    order of one image at a time, since a recall draw decides which draws
-    follow; clipping to the image and widening (``noise.constrain_corners``)
-    then run over all boxes at once. Every draw takes the same bits as the
-    scalar ``uniform`` and ``normal`` calls of ``tests/oracles.py::draw_ref``:
-    a uniform is ``low + (high - low) * random()``, numpy's own formula, and
-    a jitter is ``0.0 + sigma * z`` for standard normals ``z``, which is
-    what ``normal(0.0, sigma, 4)`` computes. Returns boxes, labels and int
+    Image g's true boxes are ``truth``'s and its size ``sizes[g]``. The
+    uniforms: ``box_u``, a row per true box, which is kept when the first is
+    below ``recall`` and jittered by ``sigma`` times the normals of the other
+    four (x1, x2, y1, y2); ``count_u``, one per image, its Poisson(``fp_rate``)
+    count of spurious boxes; ``spurious_u(counts)``, a row per spurious box,
+    drawn as ``noise.random_boxes`` draws. Each image's kept true boxes come
+    first, then its spurious boxes, all clipped to the image and widened
+    (``noise.constrain_corners``) at once. Returns boxes, labels and int
     edges: a coordinate clipped to an ``int`` image bound is that bound.
     """
-    if num_classes < 1:
-        raise ValueError(f"num_classes must be >= 1, got {num_classes}")
-    check_image_sizes(sizes)
-    recall, sigma, fp_rate = params.recall, params.localization_sigma, params.fp_rate
+    counts = poissons(params.fp_rate, count_u)
     # spurious predictions reuse the superfluous-annotation size range
-    low, high = SuperfluousConfig.min_side, SuperfluousConfig.max_side
-    span = high - low
-    # per drawn box: its true box's row, or -1 for a spurious one
-    source: list[int] = []
-    # the standard normals of dx1, dx2, dy1, dy2 of each jittered true box
-    z = np.empty((len(truth), 4))
-    n_jittered = 0
-    spurious: list[float] = []  # corners of each spurious box
-    spurious_labels: list[int] = []
-    counts: list[int] = []
-    bounds = truth.offsets.tolist()
-    for g, ((width, height), rng) in enumerate(zip(sizes, rngs)):
-        random, standard_normal, before = rng.random, rng.standard_normal, len(source)
-        for row in range(bounds[g], bounds[g + 1]):
-            if random() >= recall:
-                continue
-            # one call draws the same four values as four scalar calls
-            standard_normal(out=z[n_jittered])
-            n_jittered += 1
-            source.append(row)
-        for _ in range(int(rng.poisson(fp_rate))):
-            w = low + span * random()
-            h = low + span * random()
-            cx = 0.0 + (width - 0.0) * random()
-            cy = 0.0 + (height - 0.0) * random()
-            spurious_labels.append(int(rng.integers(1, num_classes + 1)))
-            source.append(-1)
-            spurious += (cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
-        counts.append(len(source) - before)
-
-    d = 0.0 + sigma * z[:n_jittered]
-    src = np.array(source, dtype=np.intp)
-    jittered = src >= 0
-    t = truth.boxes[src[jittered]]
-    raw = np.empty((len(src), 4))
-    # the jitter comes dx1, dx2, dy1, dy2
-    raw[jittered] = spanning(
-        t[:, 0] + d[:, 0], t[:, 1] + d[:, 2], t[:, 2] + d[:, 1], t[:, 3] + d[:, 3]
-    )
-    raw[~jittered] = np.array(spurious).reshape(-1, 4)
-    labels = np.empty(len(src), dtype=np.int64)
-    labels[jittered] = truth.labels[src[jittered]]
-    labels[~jittered] = spurious_labels
-
-    image = np.repeat(np.arange(len(counts)), counts)
-    boxes, int_edge = constrain_corners(raw, *row_sizes(sizes, image))
+    sides = (SuperfluousConfig.min_side, SuperfluousConfig.max_side)
+    spurious = random_boxes(sizes, counts, spurious_u(counts), sides, num_classes)
+    (kept,) = (box_u[:, 0] < params.recall).nonzero()
+    d = params.localization_sigma * normals(box_u[kept, 1:])
+    t = truth.boxes[kept]
+    # the jitter comes dx1, dx2, dy1, dy2; each image's kept true boxes come
+    # before its spurious ones
+    raw = np.concatenate((
+        spanning(t[:, 0] + d[:, 0], t[:, 1] + d[:, 2], t[:, 2] + d[:, 1], t[:, 3] + d[:, 3]),
+        spurious.boxes,
+    ))
+    image = np.concatenate((truth.image_index[kept], spurious.image_index))
+    order = np.argsort(image, kind="stable")
+    image = image[order]
+    boxes, int_edge = constrain_corners(raw[order], *row_sizes(sizes, image))
     return BoxSet(
         boxes,
-        np.concatenate(([0], np.cumsum(counts, dtype=np.intp))),
-        labels=labels,
+        np.searchsorted(image, np.arange(len(sizes) + 1)),
+        labels=np.concatenate((truth.labels[kept], spurious.labels))[order],
         int_edge=int_edge if int_edge.any() else None,
     )
 
@@ -356,25 +329,20 @@ def synthesize_truth(
         check_truth_arg(name, value)
     width, height = image_size
     image_ids = [f"img_{i:04d}" for i in range(num_images)]
-    corners: list[float] = []
-    labels: list[int] = []
+    # box j of an image takes draws 5j .. 5j + 4 of its stream: width,
+    # height, centre x, centre y and label
+    u = draws(stream_keys(seed, ("truth",), image_ids), [boxes_per_image] * num_images, 5)
     low, span = TRUTH_MIN_SIDE, TRUTH_MAX_SIDE - TRUTH_MIN_SIDE
-    for rng in derive_rngs(seed, ("truth",), image_ids):
-        random = rng.random
-        for _ in range(boxes_per_image):
-            # uniform's own formula, low + (high - low) * u, bit for bit
-            w = low + span * random()
-            h = low + span * random()
-            hw, hh = w / 2.0, h / 2.0
-            cx = hw + ((width - hw) - hw) * random()
-            cy = hh + ((height - hh) - hh) * random()
-            labels.append(int(rng.integers(1, num_classes + 1)))
-            corners += (cx - hw, cy - hh, cx + hw, cy + hh)
+    # uniform's formula, low + (high - low) * u; the centre keeps the box inside
+    hw = (low + span * u[:, 0]) / 2.0
+    hh = (low + span * u[:, 1]) / 2.0
+    cx = hw + ((width - hw) - hw) * u[:, 2]
+    cy = hh + ((height - hh) - hh) * u[:, 3]
     boxes = BoxSet(
-        np.array(corners, dtype=np.float64).reshape(-1, 4),
+        np.stack([cx - hw, cy - hh, cx + hw, cy + hh], axis=1),
         np.arange(num_images + 1, dtype=np.intp) * boxes_per_image,
-        labels=np.array(labels, dtype=np.int64),
-        provenance=np.zeros(len(labels), dtype=np.int8),
+        labels=1 + integers(num_classes, u[:, 4]),
+        provenance=np.zeros(len(u), dtype=np.int8),
     )
     names = [f"class_{i}" for i in range(1, num_classes + 1)]
     return Dataset.from_columns(names, image_ids, [(width, height)] * num_images, boxes)
@@ -417,9 +385,10 @@ def run_loop(
     Every box set of an iteration (truth, targets, predictions, refined
     targets) is one ``BoxSet`` over all images: each iteration draws every
     image's predictions first, then scores, refines (``correct_sets``) and
-    evaluates all images together. Every random draw comes from a substream
-    keyed by (seed, iteration, image), and reduction order is fixed, so
-    results do not depend on image order.
+    evaluates all images together. Every random draw comes from a stream
+    keyed by (seed, purpose, iteration, image) with fixed slots per image
+    and box, and reduction order is fixed, so results do not depend on
+    image order.
 
     A refined target that did not move (the moved mask of ``correct_sets``)
     keeps its exact original corners and int edges; only boxes the
@@ -441,17 +410,18 @@ def run_loop(
 
     for it in range(cfg.iterations):
         teacher = SimDetectorParams.from_vector(state.teacher)
-        rngs = derive_rngs(seed, ("loop", it), image_ids)
-        # the flip is rng.integers(2), then a second integers(2) is drawn and
-        # not used, which keeps every later draw. integers(2) is the top bit
-        # of a 32-bit draw, and a fresh PCG64 serves two 32-bit draws from one
-        # 64-bit output, low half first: the pair is one raw output, whose
-        # bit 31 is the flip
-        flipped = np.array(
-            [rng.bit_generator.random_raw() >> 31 & 1 for rng in rngs], dtype=bool
-        )
+        # stream ("loop", it, image): draw 0 is the flip, draw 1 the count of
+        # spurious boxes, and true box j takes draws 2 + 5j .. 6 + 5j; spurious
+        # box k takes draws 5k .. 5k + 4 of stream ("spurious", it, image)
+        keys = stream_keys(seed, ("loop", it), image_ids)
+        spurious_keys = stream_keys(seed, ("spurious", it), image_ids)
+        flipped = uniforms(keys, 0) < 0.5
         truth_view = _hflip(truth, widths, flipped)
-        drawn = draw_predictions(truth_view, sizes, rngs, teacher, scenario.truth.num_classes)
+        drawn = draw_predictions(
+            truth_view, sizes, teacher, scenario.truth.num_classes,
+            draws(keys, truth.counts, 5, first=2), uniforms(keys, 1),
+            lambda counts: draws(spurious_keys, counts, 5),
+        )
         preds_view = _score_predictions(drawn, truth_view, teacher)
         refined, moved, reports = correct_sets(
             _hflip(target_set, widths, flipped), preds_view, cfg.correction

@@ -580,3 +580,182 @@ def load_ref(path):
             f"{path}: duplicate image ids once read as text: {sorted(set(dupes))}"
         )
     return class_names, [tuple(image) for image in images]
+
+
+# Keyed streams, one draw at a time: SplitMix64 in Python integers, and the
+# package's variates written out for one value each.
+
+GAMMA_REF = 0x9E3779B97F4A7C15
+MASK64 = 2**64 - 1
+
+
+def splitmix64_ref(state):
+    """SplitMix64 seeded with ``state``: its outputs, one after another."""
+    while True:
+        state = (state + GAMMA_REF) & MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        yield z ^ (z >> 31)
+
+
+def stream_key_ref(seed, *keys):
+    """The key of the stream named by ``keys`` under ``seed``: the blake2b
+    digest of ``seed`` and the keys, joined by ``|``, read as a big-endian int."""
+    import hashlib
+
+    h = hashlib.blake2b(digest_size=8)
+    h.update(str(seed).encode())
+    for k in keys:
+        h.update(b"|")
+        h.update(str(k).encode())
+    return int.from_bytes(h.digest(), "big")
+
+
+def keyed_uniforms_ref(key):
+    """The uniforms of the stream with ``key``: each output's top 53 bits
+    times 2**-53."""
+    return ((x >> 11) * 2.0**-53 for x in splitmix64_ref(key))
+
+
+# AS 241 (Wichura 1988), as the ``statistics`` module writes it
+def normal_quantile_ref(q, tail):
+    """The standard normal quantile of ``p = 0.5 + q``, given ``q`` and
+    ``tail = min(p, 1 - p)``."""
+    if abs(q) <= 0.425:
+        r = 0.180625 - q * q
+        num = (((((((2.5090809287301226727e+3 * r +
+                     3.3430575583588128105e+4) * r +
+                     6.7265770927008700853e+4) * r +
+                     4.5921953931549871457e+4) * r +
+                     1.3731693765509461125e+4) * r +
+                     1.9715909503065514427e+3) * r +
+                     1.3314166789178437745e+2) * r +
+                     3.3871328727963666080e+0) * q
+        den = (((((((5.2264952788528545610e+3 * r +
+                     2.8729085735721942674e+4) * r +
+                     3.9307895800092710610e+4) * r +
+                     2.1213794301586595867e+4) * r +
+                     5.3941960214247511077e+3) * r +
+                     6.8718700749205790830e+2) * r +
+                     4.2313330701600911252e+1) * r +
+                     1.0)
+        return num / den
+    r = math.sqrt(-math.log(tail))
+    if r <= 5.0:
+        r = r - 1.6
+        num = (((((((7.74545014278341407640e-4 * r +
+                     2.27238449892691845833e-2) * r +
+                     2.41780725177450611770e-1) * r +
+                     1.27045825245236838258e+0) * r +
+                     3.64784832476320460504e+0) * r +
+                     5.76949722146069140550e+0) * r +
+                     4.63033784615654529590e+0) * r +
+                     1.42343711074968357734e+0)
+        den = (((((((1.05075007164441684324e-9 * r +
+                     5.47593808499534494600e-4) * r +
+                     1.51986665636164571966e-2) * r +
+                     1.48103976427480074590e-1) * r +
+                     6.89767334985100004550e-1) * r +
+                     1.67638483018380384940e+0) * r +
+                     2.05319162663775882187e+0) * r +
+                     1.0)
+    else:
+        r = r - 5.0
+        num = (((((((2.01033439929228813265e-7 * r +
+                     2.71155556874348757815e-5) * r +
+                     1.24266094738807843860e-3) * r +
+                     2.65321895265761230930e-2) * r +
+                     2.96560571828504891230e-1) * r +
+                     1.78482653991729133580e+0) * r +
+                     5.46378491116411436990e+0) * r +
+                     6.65790464350110377720e+0)
+        den = (((((((2.04426310338993978564e-15 * r +
+                     1.42151175831644588870e-7) * r +
+                     1.84631831751005468180e-5) * r +
+                     7.86869131145613259100e-4) * r +
+                     1.48753612908506148525e-2) * r +
+                     1.36929880922735805310e-1) * r +
+                     5.99832206555887937690e-1) * r +
+                     1.0)
+    x = num / den
+    return -x if q < 0.0 else x
+
+
+class StreamRef:
+    """Scalar variates of a sequence of uniforms, one draw each, as the
+    package defines them; ``Generator``-like methods, so that the oracles
+    above that take an ``rng`` can draw from it."""
+
+    def __init__(self, uniforms):
+        self._uniforms = iter(uniforms)
+
+    def random(self):
+        return next(self._uniforms)
+
+    def uniform(self, low, high):
+        return low + (high - low) * self.random()
+
+    def integers(self, low, high):
+        n = high - low
+        return low + min(math.floor(n * self.random()), n - 1)
+
+    def normal(self):
+        """A standard normal: the quantile of ``u + 2**-54``."""
+        q = (self.random() - 0.5) + 2.0**-54
+        return normal_quantile_ref(q, 0.5 - abs(q))
+
+    def binomial(self, n, p):
+        return sum(self.random() < p for _ in range(n))
+
+    def poisson(self, lam):
+        """Inversion, summing the probabilities up from 0: for ``lam`` below
+        about 700, where ``exp(-lam)`` does not underflow."""
+        u = self.random()
+        k, p = 0, math.exp(-lam)
+        cdf = p
+        while u >= cdf:
+            k += 1
+            p *= lam / k
+            cdf += p
+        return k
+
+
+def stream_ref(seed, *keys, skip=0):
+    """The stream named by ``keys`` under ``seed``, from its draw ``skip`` on."""
+    uniforms = keyed_uniforms_ref(stream_key_ref(seed, *keys))
+    for _ in range(skip):
+        next(uniforms)
+    return StreamRef(uniforms)
+
+
+def draw_slots_ref(truth, sigma, recall, fp_rate, stream, spurious, width, height,
+                   num_classes):
+    """One image's simulated-detector draw in fixed slots, box by box.
+
+    ``truth`` holds ``(corners, label)`` pairs. From ``stream``: the Poisson
+    count of spurious boxes, then five draws per true box: it is kept when
+    the first is below ``recall``, and jittered by ``sigma`` times the
+    normals of the other four (x1, x2, y1, y2). From ``spurious``: per
+    spurious box, width, height, center x, center y and label, as
+    :func:`draw_ref`. Returns ``(corners, label)`` pairs, every box clipped
+    and widened by :func:`constrain_ref`.
+    """
+    out = []
+    count = stream.poisson(fp_rate)
+    for (x1, y1, x2, y2), label in truth:
+        kept = stream.random() < recall
+        dx1, dx2, dy1, dy2 = (sigma * stream.normal() for _ in range(4))
+        if kept:
+            xa, ya, xb, yb = x1 + dx1, y1 + dy1, x2 + dx2, y2 + dy2
+            jittered = (min(xa, xb), min(ya, yb), max(xa, xb), max(ya, yb))
+            out.append((constrain_ref(jittered, width, height), label))
+    for _ in range(count):
+        w = spurious.uniform(*SPURIOUS_SIDES)
+        h = spurious.uniform(*SPURIOUS_SIDES)
+        cx = spurious.uniform(0.0, width)
+        cy = spurious.uniform(0.0, height)
+        label = spurious.integers(1, num_classes + 1)
+        box = (cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
+        out.append((constrain_ref(box, width, height), label))
+    return out

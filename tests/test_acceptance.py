@@ -27,7 +27,6 @@ from boxrefine.geometry import Box, iou
 from boxrefine.noise import (
     NoiseConfig,
     SuperfluousConfig,
-    derive_rng,
     displace_boxes,
     inject_superfluous,
     sparsify,
@@ -41,7 +40,7 @@ from boxrefine.simloop import (
     synthesize_truth,
 )
 
-from oracles import average_precision_ref, mine_ref, softmax_average_ref
+from oracles import average_precision_ref, derive_rng_ref, mine_ref, softmax_average_ref
 
 
 @pytest.fixture
@@ -159,7 +158,7 @@ def test_correction_recovers_displaced_targets(report):
     gains = []
     cfg = CorrectionConfig(distance_limit=0.6)
     for i in range(200):
-        rng = derive_rng(7, "recovery", i)
+        rng = derive_rng_ref(7, "recovery", i)
         truth = []
         for cell in range(6):
             col, row = cell % 3, cell // 3

@@ -233,40 +233,44 @@ def run_all(root: Path, processes: bool = False) -> dict[str, str]:
 # moved into the package, the ``*-default`` outputs before the CLI derived its
 # defaults from the config dataclasses, ``sim-edges`` before the loop kept its
 # boxes in columns, the ``order-*`` outputs before datasets were held in columns,
-# the ``points-*`` outputs before point labels were boxed as they are read
+# the ``points-*`` outputs before point labels were boxed as they are read. Every
+# drawn output (``noisy``, ``points-noisy``, ``sim*``) and the ``correct``,
+# ``evaluate`` and ``render`` outputs that read ``noisy`` were recorded when noise
+# moved to the package's own keyed streams; fed the earlier ``noisy`` files, those
+# three commands wrote the earlier bytes
 GOLDEN: dict[str, str] = {
     "corrected-default/config.json":
         "51b8c2827cde5cbc754f38bf2ea77ad342f92c3f366382c590e09fa853f759ad",
     "corrected-default/corrected.json":
-        "35e9322fbcae8262f5324ef5dc8ea1bbda0310b3cad24977dd6889ac61fafe4c",
+        "e60da5790c8d629360098a00ec484ce0396d06a568f01df86d789e903073f80d",
     "corrected-default/report.json":
-        "58066a6b218e66c04de089d5dacdef03c83c90f6d7a6500e3cac2a9b122893a4",
+        "3d80f68509dbf4ee573ad7921bcc9c35bf393557db95f727497c4d882fb9ccfa",
     "corrected-edmonton/config.json":
         "246aa4a76a30670dfa3aecfe2342043db8b041a68b6b1bfbdaf73a31b300d431",
     "corrected-edmonton/corrected.json":
-        "3fe7b0fda1c0ac34a7f1f92e90715a98f74ad5b8c109e4e99f3844f29d69e25c",
+        "e6c9b7f35c16d12b96410bcab603cc15fdb4b30f90115003d5fa18b05302cf91",
     "corrected-edmonton/report.json":
-        "fb7b6f48529854875c2657af085bb5cf300a73e67248d3e70ee4c59ec7bab98f",
+        "dced6244dd7bcd2ef2710bf8f3a15a7a539c3a58f4657d6e1750bc58568c2f6d",
     "corrected-giou/config.json":
         "44b6f3d87e1c813856dddf4db25039da9de33c858e67ef4df99722dc844d609e",
     "corrected-giou/corrected.json":
-        "e5d8f14b710324cb2061da9725bb1a51cb0042a1fe30d47aa480726de83b6eb0",
+        "688593f06186d650f8d09f50511c496eaf5a9d8410235f3dab272a6b00a8fade",
     "corrected-giou/report.json":
-        "79fe68956d99b6f822924e80cda61357df0f9cfe2fcde2de86079405c9ec34df",
+        "f6933c671bbc1cae7b04e038e957187319a472127c595117a054ece67d8a89e0",
     "corrected-iou/config.json":
         "9ca1def26039aa919b5ea086f81d73cf9c940784e483c0c3a478573339b93998",
     "corrected-iou/corrected.json":
-        "f4dc9ca201bd21a799829ca3d58698e0ceb699c172058fe2820ed200b33dd6a6",
+        "920b46ca18e46a028330c90c468e9525f8e4047ea708aa8d21823bc9afdd7eba",
     "corrected-iou/report.json":
-        "ec0990b3bc6b64647c6acfa86f631e5647cddee23641cba5929cc5296aafdc91",
+        "5e689ead1276b02083d4362caeaf2d03634ba3b74c322da2385d6bf5b11a6d5c",
     "metrics/config.json":
         "8eb604426a69b359b103458523a23128516a061fbaaba3e5d3ad60daef0ec060",
     "metrics/metrics.json":
-        "d4807d06e1bfddbc526b80e570d97116802904f7bdbdbb1653c3d301cf5666e4",
+        "f18b1991527ceefa2604244ef9eeb8318059483e70e856cf35bc211aaa859b2d",
     "metrics/per_class_ap.csv":
         "9cb06fddf3017c127bbb15479524c5ec19e855651f9e5ee6acb3df7a7a5985db",
     "noisy/annotations.json":
-        "35e9322fbcae8262f5324ef5dc8ea1bbda0310b3cad24977dd6889ac61fafe4c",
+        "e60da5790c8d629360098a00ec484ce0396d06a568f01df86d789e903073f80d",
     "noisy/config.json":
         "5814ed13d0fc8f59fe6205c6b02c8ebca59b08c0cc92e2bac29406aa526b54d2",
     "noisy/summary.json":
@@ -290,7 +294,7 @@ GOLDEN: dict[str, str] = {
     "points-corrected/report.json":
         "3d6e4fa13bba957a41d18c5f95679d20d3896e6b7c0fb12fe20b72e51f73ddff",
     "points-noisy/annotations.json":
-        "c7ebdef57b58e94803f07831af4c62cfb1ace29658925db0e3a025364271d4b7",
+        "fbfe218e5b52cf821dc0f71af0d67d4c7934d7eb0445dbee035d86ba48157258",
     "points-noisy/config.json":
         "00069f3a21d3728115f77221df0c5dcd531b3e49d1ed7fcab61d0d1cd9fc02c8",
     "points-noisy/summary.json":
@@ -306,55 +310,55 @@ GOLDEN: dict[str, str] = {
     "sim-default/config.json":
         "4513c134175eeb7b61ce15a7bf73b00cae0b0d4465277c9958cf3bfb23b61f98",
     "sim-default/corrected_final.json":
-        "279ee59f09eecc8cc1cdce9064bb9ea2069f34261321db7dbdec7bed9d2bcebd",
+        "539cf71fc676fcea4d0e258652904569415cced3802abc33dba9ae11b8aa043e",
     "sim-default/targets.json":
-        "279ee59f09eecc8cc1cdce9064bb9ea2069f34261321db7dbdec7bed9d2bcebd",
+        "539cf71fc676fcea4d0e258652904569415cced3802abc33dba9ae11b8aa043e",
     "sim-default/trace.jsonl":
-        "8e22044a9477708ca352b89c4fff63c419cbe42eef3808b429c86cd2f8e47ca2",
+        "cbe57f2508f8bb2de0b5969c4e3b47f97105184d12725b859d90dde0b4eb16ed",
     "sim-default/truth.json":
-        "da0cecbc9ba263762f108faeb8bdf28ee2386c3a28eb0f18d85eee3cf81186b8",
+        "9dc36c61da93955fb08ad7670935a7e7b3c5a7b1df4103feb25c9ec9dde95c17",
     "sim-edges/config.json":
         "8414a3b0d33a20385d23aad61133e991954bb7fe1dd4c70f2daa5e3a7f89a666",
     "sim-edges/corrected_final.json":
-        "991767273ccb5f93a309e3d3288c3cbe42154a69400ecee8ee12c5fef64c65d3",
+        "7076ba6d29dab5b3d760ca5dd7309e85eb0b6fe586cc2817559e441363fccf75",
     "sim-edges/targets.json":
-        "75b813d1ed4bcd3f2b8ad0319df3f96e7c6075647e8420d8b5a01139a44bda6d",
+        "4b0c94dd42e65b10c6a5b60dee7e324eb4098c4f9c7ca6ebd37df0a317059a77",
     "sim-edges/trace.jsonl":
-        "8264d7ba7a17159924c56c7e775cf69d2051831e9bf9dc607cecf4382e3ffcb5",
+        "9ee78721d78b51ba286d8be80f0d2ae0dd4f2bdaf5ada382afdf73843d5644a7",
     "sim-edges/truth.json":
-        "ec6329fb13c25bc9acdc40e303662dd035916584aea13ca215bb7e96f9e3184f",
+        "92ae7518e0d36e52a00d52e62cd65a8f5caea5cc89136b4d8419bed1c93ae708",
     "sim-render/config.json":
         "00a274fb9e7fc90121b0071e1ee77e0724662878657a9b65cb759dd87a4fb815",
     "sim-render/corrected_final.json":
-        "ed0f6a9c3001af6cb778f67c7b054dc285330d3cb5f71b5cc094f3fa423bed42",
+        "9db9b924da5ea0a703731fc3a7c6d1d450013daf0f23ae850bc0ed7a4d47b351",
     "sim-render/render/iter_000/img_0000.svg":
-        "a60ef3c9dd4c77a8a49ea4cb4396d38498df0e0a969edcca724f80cbfe1ec5f4",
+        "2437ef3ec00081011ad0a6f699420ba410a9159bc70e99e7b6f9f99647b4edfc",
     "sim-render/render/iter_000/img_0001.svg":
-        "af881f64121e4711a6ccccdaed697b44bbcea688fe8ee267362a1488d028cc91",
+        "953e141dff518f6efadd8545cccb791165efc42509ae0ee0ab7fc78d0c84e936",
     "sim-render/render/iter_000/img_0002.svg":
-        "3b90b483b2728b6752105ec30addcadcaa6e924256c777f574220fd2a2fead9e",
+        "7a923448ad26c2e0342074b1c42516f47bfaafeb69e8454ce7d5c2a1a616b5f8",
     "sim-render/render/iter_001/img_0000.svg":
-        "0adee81a30217c1677db6bbd77285b9999c1c6e3352811422b8ae4ec89de6812",
+        "f89c72f2bf9c80f870434b8b4a42c2a9b3f2b570b53569dfd98d5b3f9e3fab09",
     "sim-render/render/iter_001/img_0001.svg":
-        "c766bf1ebf4c30fb93be9007f322f78e444ac72f72ae38c88f379846438e6681",
+        "28a334ffa187a3ec96b49cee1d7c569c897de978f344b872b282b5402519d757",
     "sim-render/render/iter_001/img_0002.svg":
-        "c839ef0336cb2d8d85b00f4d87819e52fcf6fa95f9581dac78fea470767b702e",
+        "84a419e81ee0eb4d5af8fc71144f07eaee4fdf82686445f96add7a01018b77e0",
     "sim-render/targets.json":
-        "a13604172a3b5ea08392696a2138ef304c964ca781b98fb08e9eb3db68d34593",
+        "f8f07282983aa5b64856b0de3aacbf3f0c1b54a57427d724aa4992880d263644",
     "sim-render/trace.jsonl":
-        "63fef9b5e5a519805f8bccded33343011132e3f7be745de0199eb144b3825a04",
+        "3d144b9894c9bf2172581ae8f5ef9ac8cb7a2db2ccc0a6494aa433421794e248",
     "sim-render/truth.json":
-        "378b0235537b3ce7457aa0b580ffed2625de036e5b5d03ed49bd1b6352b83ffe",
+        "b0a879d6836be26b5a070e8db76351dd0b5e87f6195e351d3a6a26f8e22f032a",
     "sim/config.json":
         "34e5f09cd42ed5ef713415aa00877f215edf0df5d82e4c152af55e6df0f83ef5",
     "sim/corrected_final.json":
-        "7768ab36ee58b731653bdc540e781aa8273c0679bb026845326c0023f8a8bc83",
+        "983beb3ff04e70db9850a3fc8118d71ef802f3ea320fc557f5f47fe60254b141",
     "sim/targets.json":
-        "d9cf992fdefc95a29068070023dd4916ef03d5ea1b8dac537a5c202c359f80a6",
+        "b8eb9fe1ecc29198c6172ca58441e7a9fbeb568721525ee0b1ea29a696ae4422",
     "sim/trace.jsonl":
-        "983f682c5b844c2fd11b70b27e61d70689c331ab1c2ef6469c24c7e51d153a81",
+        "dbb555424e8092c9ad36a4b397fff770c909baf879bc7a0a38700e4491474f5c",
     "sim/truth.json":
-        "3437ef6e2321bc082d77682c342045701df14321eed6e953cc9c667f482976d5",
+        "77bc4e279ac3ae74523dd2512416fe2b7ccf4b3b16119fdbad55704d27e09ea9",
     "svg-odd/a_b__c___d_.svg":
         "a533bc4d36dfe2e3d0a1cf0758957a3c0a69e755f31654a8ea63800ba63445d6",
     "svg-odd/config.json":
@@ -362,11 +366,11 @@ GOLDEN: dict[str, str] = {
     "svg/config.json":
         "897052287cae9c6e7ed28f550edc15b72839d89379e7fb034a055b8a351a1cde",
     "svg/img0.svg":
-        "d187363f532519506f4301ed850b96d32818f1d7077a62de38ad23418ae14b89",
+        "89a53e064a1946f3efc0dca0933e38a0865532a4d5e59bae4efb2d1be2df9efc",
     "svg/img1.svg":
-        "46612e4d4d82f8fb740a16b9c386430eed69cf9df3b50aa28060349977693dc9",
+        "90a9d536bbe3feaa0c1a74efc2612823971794f7b5929b2ca92edc4f8b2b83f5",
     "svg/img2.svg":
-        "38e43f99b47114d72e6f8a8e7a08be2a3787955f5222f4aa99e22d7d58745a8f",
+        "e379beee4d3471d17880b63d34fcb59fe23d77e25aca13e9e62fd863e356efab",
 }
 
 

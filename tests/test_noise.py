@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -10,21 +11,27 @@ import pytest
 from boxrefine.datamodel import Annotation, Dataset, ImageRecord
 from boxrefine.geometry import Box, BoxSet
 from boxrefine.noise import (
+    MAX_TRIALS,
     MIN_BOX_SIDE,
     NoiseConfig,
     SuperfluousConfig,
-    _uniform,
+    _displaced,
     constrain_corners,
     corrupt_dataset,
-    derive_rng,
-    derive_rngs,
     displace_boxes,
     inject_superfluous,
     sparsify,
 )
-from boxrefine.seedseq import seed_states
+from boxrefine.streams import draws, stream_keys, uniforms
 
-from oracles import constrain_ref, derive_rng_ref, superfluous_ref
+from oracles import (
+    StreamRef,
+    constrain_ref,
+    keyed_uniforms_ref,
+    stream_key_ref,
+    stream_ref,
+    superfluous_ref,
+)
 
 
 def interior_annotations(rng, count, width=512.0, height=512.0, labels=3):
@@ -42,6 +49,28 @@ def interior_annotations(rng, count, width=512.0, height=512.0, labels=3):
             )
         )
     return anns
+
+
+def scalar_displace(anns, level, size, rng):
+    """The displaced boxes, box by box: four ``uniform`` calls each, x1, x2,
+    y1, y2."""
+    out = []
+    for ann in anns:
+        b = ann.box
+        dx, dy = b.width * level, b.height * level
+        x1 = b.x1 + rng.uniform(-dx, dx)
+        x2 = b.x2 + rng.uniform(-dx, dx)
+        y1 = b.y1 + rng.uniform(-dy, dy)
+        y2 = b.y2 + rng.uniform(-dy, dy)
+        box = Box(*constrain_ref(Box.spanning(x1, y1, x2, y2).as_tuple(), *size))
+        out.append(Annotation(box=box, label=ann.label, provenance=ann.provenance))
+    return out
+
+
+def generator_stream(seed: int, n: int = 10_000) -> StreamRef:
+    """The oracle over the uniforms of ``np.random.default_rng(seed)``: a
+    caller's generator, as the record-level functions draw from it."""
+    return StreamRef(np.random.default_rng(seed).random(n).tolist())
 
 
 class TestDisplaceBoxes:
@@ -82,10 +111,10 @@ class TestDisplaceBoxes:
 
     def test_same_seed_reproduces(self):
         anns = interior_annotations(np.random.default_rng(7), 30)
-        a = displace_boxes(anns, 0.4, (512.0, 512.0), derive_rng(9, "d", "img"))
-        b = displace_boxes(anns, 0.4, (512.0, 512.0), derive_rng(9, "d", "img"))
+        a = displace_boxes(anns, 0.4, (512.0, 512.0), np.random.default_rng(9))
+        b = displace_boxes(anns, 0.4, (512.0, 512.0), np.random.default_rng(9))
         assert a == b
-        c = displace_boxes(anns, 0.4, (512.0, 512.0), derive_rng(10, "d", "img"))
+        c = displace_boxes(anns, 0.4, (512.0, 512.0), np.random.default_rng(10))
         assert a != c
 
     def test_negative_noise_rejected(self):
@@ -93,31 +122,28 @@ class TestDisplaceBoxes:
             displace_boxes([], -0.1, (10.0, 10.0), np.random.default_rng(0))
 
     def test_draws_equal_four_scalar_calls_per_box(self):
-        # one vector draw per image must give the scalar loop's boxes, bit for
-        # bit, and leave the stream where the scalar loop leaves it
-        def scalar_displace(anns, level, size, rng):
-            out = []
-            for ann in anns:
-                b = ann.box
-                dx, dy = b.width * level, b.height * level
-                x1 = b.x1 + rng.uniform(-dx, dx)
-                x2 = b.x2 + rng.uniform(-dx, dx)
-                y1 = b.y1 + rng.uniform(-dy, dy)
-                y2 = b.y2 + rng.uniform(-dy, dy)
-                box = Box(*constrain_ref(Box.spanning(x1, y1, x2, y2).as_tuple(), *size))
-                out.append(Annotation(box=box, label=ann.label, provenance=ann.provenance))
-            return out
-
+        # the keyed draw of every image at once, and the draw from a caller's
+        # generator, must give the scalar loop's boxes bit for bit: box j of
+        # an image takes draws 4j .. 4j + 3 of stream ("displace", image)
         master = np.random.default_rng(12)
-        for seed in range(300):
-            anns = interior_annotations(master, int(master.integers(0, 25)))
-            anns += [Annotation(box=Box(0, 0, 512, 4), label=2, provenance="mined"),
-                     Annotation(box=Box(500.0, 7.5, 500.0, 7.5), label=1)][: seed % 3]
+        for seed in range(100):
+            images = []
+            for g in range(3):
+                anns = interior_annotations(master, int(master.integers(0, 25)))
+                anns += [Annotation(box=Box(0, 0, 512, 4), label=2, provenance="mined"),
+                         Annotation(box=Box(500.0, 7.5, 500.0, 7.5), label=1)][: (seed + g) % 3]
+                images.append(ImageRecord(image_id=f"img_{g}", width=512, height=512,
+                                          annotations=anns))
+            ds = Dataset(["a", "b", "c"], images)
             for level in (0.05, 0.2, 0.4, 0.9):
-                fast, slow = derive_rng(seed, "d", level), derive_rng(seed, "d", level)
-                got = displace_boxes(anns, level, (512.0, 512.0), fast)
-                assert got == scalar_displace(anns, level, (512.0, 512.0), slow)
-                assert fast.random() == slow.random()
+                out, _ = corrupt_dataset(ds, NoiseConfig(box_noise=level, seed=seed))
+                for rec, got in zip(ds.images, out.images):
+                    stream = stream_ref(seed, "displace", rec.image_id)
+                    assert got.annotations == scalar_displace(
+                        rec.annotations, level, (512, 512), stream
+                    )
+                got = displace_boxes(anns, level, (512.0, 512.0), np.random.default_rng(seed))
+                assert got == scalar_displace(anns, level, (512.0, 512.0), generator_stream(seed))
 
 
 class TestSparsify:
@@ -217,6 +243,10 @@ class TestInjectSuperfluous:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SuperfluousConfig(trials=-1)
+        # every trial is a draw per image: a billion would exhaust memory
+        SuperfluousConfig(trials=MAX_TRIALS)
+        with pytest.raises(ValueError, match=r"^trials must be in \[0, 10000\], got 1000000000$"):
+            SuperfluousConfig(trials=10**9)
         with pytest.raises(ValueError):
             SuperfluousConfig(success=1.5)
         with pytest.raises(ValueError):
@@ -250,9 +280,16 @@ class TestInjectSuperfluous:
         out, summary = corrupt_dataset(
             Dataset(["a", "b", "c"], recs), NoiseConfig(superfluous=cfg, seed=seed)
         )
+        def stream(seed, purpose, image_id):
+            # the count compares draws 0 .. trials - 1 of stream ("superfluous",
+            # image); box k takes draws 5k .. 5k + 4 of ("superfluous-box", image)
+            count = keyed_uniforms_ref(stream_key_ref(seed, purpose, image_id))
+            boxes = keyed_uniforms_ref(stream_key_ref(seed, "superfluous-box", image_id))
+            return StreamRef(itertools.chain(itertools.islice(count, cfg.trials), boxes))
+
         want = superfluous_ref(
             [(r.image_id, r.width, r.height) for r in recs], cfg.trials, cfg.success,
-            (cfg.min_side, cfg.max_side), 3, seed, derive_rng_ref,
+            (cfg.min_side, cfg.max_side), 3, seed, stream,
         )
         got = [
             [(a.box.as_tuple(), a.label) for a in rec.annotations[1:]] for rec in out.images
@@ -337,7 +374,9 @@ class TestCorruptDataset:
 
 
     def test_each_generator_is_built_as_it_draws(self):
-        # 2,000 images, whose generators took 1.7 MB when all were held at once
+        # 2,000 images: the draws hold no object per image, where holding a
+        # scalar stream per image (as per-image generators were) takes more
+        # than twice the whole corruption's peak
         n = 2000
         x1y1 = np.random.default_rng(9).uniform(0.0, 400.0, (n, 2))
         anns = BoxSet(np.hstack((x1y1, x1y1 + 30.0)), np.arange(n + 1),
@@ -353,8 +392,8 @@ class TestCorruptDataset:
             finally:
                 tracemalloc.stop()
 
-        corrupt_dataset(ds, cfg)  # numpy's first draws set up what they keep
-        held = traced_peak(lambda: derive_rngs(3, ("sparsify",), ds.image_ids()))
+        corrupt_dataset(ds, cfg)  # numpy's first calls set up what they keep
+        held = traced_peak(lambda: [stream_ref(3, "sparsify", i) for i in ds.image_ids()])
         peak = traced_peak(lambda: corrupt_dataset(ds, cfg))
         assert peak < held / 2, (peak, held)
 
@@ -387,87 +426,95 @@ class TestConstrainBox:
 
 
 class TestDeriveRng:
+    """The keyed streams: a key per (seed, purpose, iteration, image id)."""
+
     def test_bulk_seeding_equals_seeding_one_key_at_a_time(self):
-        # 10,000 keys; a generator's state also holds its cached 32-bit half
+        # 10,000 keys, hashed in bulk, and their first draws, against the
+        # scalar oracle one key at a time
         keys = 0
         for seed in (0, 1, 2**32 - 1, 2**32, 2**64 - 1):
             for prefix in ((), ("displace",), ("loop", 14)):
                 ids = [f"img_{i:04d}" for i in range(600)] + list(range(67)) + [None, "", "a|b"]
-                for rng, image_id in zip(derive_rngs(seed, prefix, ids), ids, strict=True):
-                    want = derive_rng_ref(seed, *prefix, image_id)
-                    assert rng.bit_generator.state == want.bit_generator.state
+                bulk = stream_keys(seed, prefix, ids)
+                first = uniforms(bulk[:, None], np.arange(3)).tolist()
+                for key, drawn, image_id in zip(bulk.tolist(), first, ids, strict=True):
+                    want = stream_key_ref(seed, *prefix, image_id)
+                    assert key == want
+                    assert drawn == list(itertools.islice(keyed_uniforms_ref(want), 3))
                     keys += 1
         assert keys >= 10_000
 
-    def test_seed_states_equal_numpy_seed_sequence(self):
-        # hashing rarely gives a digest below 2**32, so the edges go in directly
+    def test_seed_states_equal_scalar_splitmix64(self):
+        # hashing rarely gives an edge key, so the edges go in directly
         edges = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
         rng = np.random.default_rng(26)
-        drawn = rng.integers(0, 2**64, 3000, dtype=np.uint64, endpoint=False).tolist()
-        small = rng.integers(0, 2**32, 1000, dtype=np.uint64).tolist()
-        values = edges + drawn + small
-        got = seed_states(np.array(values, dtype=np.uint64))
-        want = [np.random.SeedSequence(v).generate_state(4, np.uint64) for v in values]
-        np.testing.assert_array_equal(got, np.array(want))
-        assert got.dtype == np.uint64 and got.shape == (len(values), 4)
+        drawn = rng.integers(0, 2**64, 1000, dtype=np.uint64, endpoint=False).tolist()
+        values = edges + drawn
+        got = uniforms(np.array(values, dtype=np.uint64)[:, None], np.arange(40))
+        want = [list(itertools.islice(keyed_uniforms_ref(v), 40)) for v in values]
+        assert got.tolist() == want
+        assert got.dtype == np.float64 and got.shape == (len(values), 40)
 
     def test_one_key_case_and_edges(self):
-        a = derive_rng(5, "sparsify")
-        assert a.bit_generator.state == derive_rng_ref(5, "sparsify").bit_generator.state
-        assert derive_rngs(5, ("op",), []) == []
+        (a,) = stream_keys(5, (), ["sparsify"]).tolist()
+        assert a == stream_key_ref(5, "sparsify")
+        assert stream_keys(5, ("op",), []).shape == (0,)
         # any iterable of ids
-        (b,) = derive_rngs(5, ["op"], (k for k in ["x"]))
-        assert b.random() == derive_rng(5, "op", "x").random()
-        with pytest.raises(TypeError, match="at least one key"):
-            derive_rng(5)
-        # the held state is only what PCG64 asks for
-        with pytest.raises(NotImplementedError):
-            b.bit_generator.seed_seq.generate_state(8)
+        (b,) = stream_keys(5, ["op"], (k for k in ["x"])).tolist()
+        assert b == stream_key_ref(5, "op", "x")
+        # a stream without rows draws nothing
+        assert draws(np.array([a, b], np.uint64), [0, 0], 5).shape == (0, 5)
+        got = draws(np.array([a, b], np.uint64), [2, 1], 3, first=4)
+        assert got.tolist() == [
+            list(itertools.islice(keyed_uniforms_ref(a), 4, 7)),
+            list(itertools.islice(keyed_uniforms_ref(a), 7, 10)),
+            list(itertools.islice(keyed_uniforms_ref(b), 4, 7)),
+        ]
 
     def test_one_key_seeds_as_many_keys_do(self):
-        # one key is seeded through numpy's SeedSequence, many through seedseq
         ids = [f"img_{i}" for i in range(390)] + list(range(10))
-        for rng, image_id in zip(derive_rngs(11, ("loop", 3), ids), ids, strict=True):
-            one = derive_rng(11, "loop", 3, image_id)
-            assert one.bit_generator.state == rng.bit_generator.state
+        bulk = stream_keys(11, ("loop", 3), ids).tolist()
+        assert bulk == [stream_keys(11, ("loop", 3), [i])[0] for i in ids]
 
     def test_same_keys_same_stream(self):
-        a = derive_rng(42, "op", "img_1").uniform(0, 1, 5)
-        b = derive_rng(42, "op", "img_1").uniform(0, 1, 5)
+        a = uniforms(stream_keys(42, ("op",), ["img_1"]), np.arange(5))
+        b = uniforms(stream_keys(42, ("op",), ["img_1"]), np.arange(5))
         np.testing.assert_array_equal(a, b)
 
     def test_different_keys_differ(self):
-        a = derive_rng(42, "op", "img_1").uniform(0, 1, 5)
-        b = derive_rng(42, "op", "img_2").uniform(0, 1, 5)
-        c = derive_rng(43, "op", "img_1").uniform(0, 1, 5)
+        a = uniforms(stream_keys(42, ("op",), ["img_1"]), np.arange(5))
+        b = uniforms(stream_keys(42, ("op",), ["img_2"]), np.arange(5))
+        c = uniforms(stream_keys(43, ("op",), ["img_1"]), np.arange(5))
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 512.0, 1e15, 1e150, 1e300])
 def test_unit_draws_equal_generator_uniform(scale):
-    # Generator.uniform's formula on unit draws must give its values bit for
-    # bit, zero spans and images without rows included, and leave each
-    # stream where uniform leaves it
+    # uniform's formula on the keyed draws must give the scalar oracle's
+    # uniform bit for bit at every scale, zero-wide boxes and images without
+    # boxes included
     master = np.random.default_rng(13)
+    side = 1e5 * scale
     for seed in range(40):
-        counts = master.integers(0, 6, size=int(master.integers(1, 8))) * 4
-        bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
-        spans = master.uniform(0.0, 2.0, bounds[-1]) * scale
-        spans[master.random(bounds[-1]) < 0.2] = 0.0
-        fast = [derive_rng(seed, "d", g) for g in range(len(counts))]
-        slow = [derive_rng(seed, "d", g) for g in range(len(counts))]
-        want = [
-            rng.uniform(-spans[a:b], spans[a:b]) for rng, a, b in zip(slow, bounds, bounds[1:])
-        ]
-        got = _uniform(fast, bounds, spans)
-        assert got.tobytes() == np.concatenate(want).tobytes()
-        assert [r.random() for r in fast] == [r.random() for r in slow]
+        images = []
+        for g in range(int(master.integers(1, 8))):
+            anns = []
+            for _ in range(int(master.integers(0, 6))):
+                x, y = (master.uniform(0.2, 0.8, 2) * side).tolist()
+                w, h = (master.uniform(0.0, 2.0, 2) * scale * (master.random() >= 0.2)).tolist()
+                anns.append(Annotation(box=Box(x, y, x + w, y + h), label=1))
+            images.append(ImageRecord(image_id=g, width=side, height=side, annotations=anns))
+        out, _ = corrupt_dataset(Dataset(["a"], images), NoiseConfig(box_noise=0.5, seed=seed))
+        for rec, got in zip(images, out.images):
+            stream = stream_ref(seed, "displace", rec.image_id)
+            want = scalar_displace(rec.annotations, 0.5, (side, side), stream)
+            assert got.annotations == want
 
 
 def test_unit_draws_name_the_image_past_the_float_range():
-    spans = np.array([1.0, 2.0, 3.0, 4.0, 0.0, 0.0, 0.0, 0.0, 9e307, 1.0, 1.0, 1.0])
-    rngs = [np.random.default_rng(g) for g in range(4)]
+    boxes = np.array([[0.0, 0.0, 1.0, 1.0]] * 3 + [[0.0, 0.0, 1.5e308, 1.0]])
+    s = BoxSet(boxes, np.array([0, 2, 2, 3, 4]))
     with pytest.raises(OverflowError) as exc:
-        _uniform(rngs, [0, 4, 4, 8, 12], spans)
+        _displaced(s, 1.0, [(512, 512)] * 4, np.zeros((4, 4)))
     assert exc.value.args[0] == 3

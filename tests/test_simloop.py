@@ -8,7 +8,7 @@ import pytest
 from boxrefine.correction import CorrectionConfig
 from boxrefine.datamodel import POINT_LABEL_MAX, Annotation, ImageRecord
 from boxrefine.geometry import Box, BoxSet
-from boxrefine.noise import NoiseConfig, derive_rng, derive_rngs
+from boxrefine.noise import NoiseConfig
 from boxrefine.simloop import (
     DEFAULT_SCHEDULE,
     TRUTH_MAX_SIDE,
@@ -24,8 +24,9 @@ from boxrefine.simloop import (
     simulate_predictions,
     synthesize_truth,
 )
+from boxrefine.streams import draws, stream_keys, uniforms
 
-from oracles import derive_rng_ref, draw_ref, truth_ref
+from oracles import StreamRef, draw_slots_ref, stream_ref, truth_ref
 
 PERFECT = SimDetectorParams(
     localization_sigma=0.0, recall=1.0, fp_rate=0.0, score_sharpness=8.0
@@ -177,6 +178,17 @@ class TestDrawOracle:
             yield width, height, truth
             yield width, height, flipped(truth, width)
 
+    @staticmethod
+    def want(k: int, g: int, params: SimDetectorParams, width, height, truth) -> list:
+        """Image g's draw box by box, from the streams the loop's iteration 0
+        uses under seed k: the count and the true boxes' slots follow the
+        flip (draw 0) of stream ("loop", 0, g)."""
+        return draw_slots_ref(
+            truth, params.localization_sigma, params.recall, params.fp_rate,
+            stream_ref(k, "loop", 0, g, skip=1), stream_ref(k, "spurious", 0, g),
+            width, height, 3,
+        )
+
     @pytest.mark.parametrize("k", range(4))
     def test_columnar_draw_equals_box_by_box(self, k):
         params = self.PARAMS[k]
@@ -186,16 +198,18 @@ class TestDrawOracle:
             [len(t) for _, _, t in images],
             labels=[label for _, _, t in images for _, label in t],
         )
-        rngs = [np.random.default_rng([k, g]) for g in range(len(images))]
-        drawn = draw_predictions(truth, [(w, h) for w, h, _ in images], rngs, params, 3)
+        keys = stream_keys(k, ("loop", 0), range(len(images)))
+        spurious = stream_keys(k, ("spurious", 0), range(len(images)))
+        drawn = draw_predictions(
+            truth, [(w, h) for w, h, _ in images], params, 3,
+            draws(keys, truth.counts, 5, first=2), uniforms(keys, 1),
+            lambda counts: draws(spurious, counts, 5),
+        )
         boxes = drawn.to_boxes()
         labels = drawn.labels.tolist()
         bounds = drawn.offsets.tolist()
         for g, (width, height, t) in enumerate(images):
-            want = draw_ref(
-                t, params.localization_sigma, params.recall, params.fp_rate,
-                np.random.default_rng([k, g]), width, height, 3,
-            )
+            want = self.want(k, g, params, width, height, t)
             got = [(boxes[r].as_tuple(), labels[r]) for r in range(bounds[g], bounds[g + 1])]
             assert [(typed(c), label) for c, label in got] == [
                 (typed(c), label) for c, label in want
@@ -206,10 +220,7 @@ class TestDrawOracle:
         seen = set()
         for k, params in enumerate(self.PARAMS):
             for g, (width, height, t) in enumerate(self.cases(60 + k)):
-                for corners, _ in draw_ref(
-                    t, params.localization_sigma, params.recall, params.fp_rate,
-                    np.random.default_rng([k, g]), width, height, 3,
-                ):
+                for corners, _ in self.want(k, g, params, width, height, t):
                     for v, limit in zip(corners, (width, height, width, height)):
                         if v == limit:
                             seen.add((limit, type(v)))
@@ -221,9 +232,12 @@ class TestDrawOracle:
         assert (0.5, float) in seen
 
     def test_simulate_predictions_keeps_int_edges(self):
+        # a caller's generator: its random() gives the count, then five
+        # draws per true box, then five per spurious box
         truth = flipped(border_truth(np.random.default_rng(70), 512, 300), 512)
-        params = SimDetectorParams(0.0, 1.0, 1.0, 3.0)
-        want = draw_ref(truth, 0.0, 1.0, 1.0, np.random.default_rng(71), 512, 300, 3)
+        params = SimDetectorParams(0.0, 1.0, 3.0, 3.0)
+        stream = StreamRef(np.random.default_rng(71).random(1000).tolist())
+        want = draw_slots_ref(truth, 0.0, 1.0, 3.0, stream, stream, 512, 300, 3)
         got = simulate_predictions(
             [Annotation(Box.spanning(*c), label) for c, label in truth],
             params, np.random.default_rng(71), 512, 300, 3,
@@ -232,6 +246,7 @@ class TestDrawOracle:
             (typed(c), label) for c, label in want
         ]
         assert any(type(v) is int for p in got for v in p.box.as_tuple())
+        assert len(got) > len(truth)
 
 
 class TestEma:
@@ -361,7 +376,7 @@ class TestTruthOracle:
     ):
         ds = synthesize_truth(num_images, boxes_per_image, num_classes, image_size, seed)
         names, images = truth_ref(
-            num_images, boxes_per_image, num_classes, image_size, seed, derive_rng_ref
+            num_images, boxes_per_image, num_classes, image_size, seed, stream_ref
         )
         assert ds.class_names == names
         assert ds.image_ids() == [image_id for image_id, _, _ in images]
@@ -500,23 +515,35 @@ class TestRunLoop:
 
 class TestDeriveRngInLoop:
     def test_substreams_differ_by_iteration(self):
-        a = derive_rng(0, "loop", 0, "img_0000").random(3)
-        b = derive_rng(0, "loop", 1, "img_0000").random(3)
+        a = uniforms(stream_keys(0, ("loop", 0), ["img_0000"]), np.arange(3))
+        b = uniforms(stream_keys(0, ("loop", 1), ["img_0000"]), np.arange(3))
         assert not np.allclose(a, b)
 
-    def test_flip_draw_equals_two_integer_draws(self):
-        # the loop takes each image's flip and the unused draw after it as
-        # one raw output; every later draw must be the one two integers(2)
-        # draws leave, 32-bit label draws included
+    def test_flip_and_draws_follow_the_loop_stream(self):
+        # iteration 0 flips image g's view when draw 0 of stream ("loop", 0,
+        # g) is below one half, and draws its predictions on that view from
+        # the slots that follow; the hook sees them flipped back
+        truth = synthesize_truth(num_images=40, boxes_per_image=5, seed=2)
+        cfg = small_loop_cfg(iterations=1, noise=NoiseConfig(seed=9))
+        preds = []
+        run_loop(build_scenario(truth, cfg.noise), cfg, hook=lambda it, c, p: preds.append(p))
+        (drawn,) = preds
+        corners, labels, bounds = drawn.corners(), drawn.labels.tolist(), drawn.offsets.tolist()
+        start = cfg.schedule.start
         flips = set()
-        for seed in (0, 1, 2**64 - 1):
-            ids = [f"img_{i:04d}" for i in range(1500)]
-            pairs = zip(derive_rngs(seed, ("loop", 3), ids), derive_rngs(seed, ("loop", 3), ids))
-            for raw, two in pairs:
-                flip = raw.bit_generator.random_raw() >> 31 & 1
-                assert flip == two.integers(2)
-                two.integers(2)
-                assert raw.integers(1, 4, 3).tolist() == two.integers(1, 4, 3).tolist()
-                assert raw.random() == two.random()
-                flips.add(flip)
-        assert flips == {0, 1}
+        for g, rec in enumerate(truth.images):
+            flip = stream_ref(9, "loop", 0, rec.image_id).random() < 0.5
+            flips.add(flip)
+            view = [(a.box.as_tuple(), a.label) for a in rec.annotations]
+            want = self.want(9, rec, start, flipped(view, rec.width) if flip else view)
+            got = [(tuple(corners[r]), labels[r]) for r in range(bounds[g], bounds[g + 1])]
+            assert got == (flipped(want, rec.width) if flip else want)
+        assert flips == {False, True}
+
+    @staticmethod
+    def want(seed, rec, params, view):
+        return draw_slots_ref(
+            view, params.localization_sigma, params.recall, params.fp_rate,
+            stream_ref(seed, "loop", 0, rec.image_id, skip=1),
+            stream_ref(seed, "spurious", 0, rec.image_id), rec.width, rec.height, 3,
+        )

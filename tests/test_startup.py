@@ -32,10 +32,12 @@ RUN_BY = {
     "boxrefine.evaluation": {"evaluate", "simulate"},
     "boxrefine.noise": {"inject-noise", "simulate"},
     "boxrefine.simloop": {"simulate"},
+    "boxrefine.streams": {"inject-noise", "simulate"},
 }
-# subcommands that draw no random numbers: hashlib's OpenSSL and
-# numpy.random cost them startup and memory for nothing
-NO_RANDOM = {"correct", "evaluate", "render"}
+# no subcommand loads numpy.random, whose streams may change between numpy
+# releases, nor OpenSSL (through hashlib, or secrets, which numpy.random
+# loads): noise is drawn from the package's own streams
+NO_RANDOM = {"_hashlib", "numpy.random", "secrets"}
 
 ARGV = {
     "inject-noise": ["inject-noise", "--input", "clean.json", "--box-noise", "0.2",
@@ -89,8 +91,7 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path):
         for module, commands in RUN_BY.items():
             assert (module in loaded) == (name in commands), (name, module)
         assert "numpy.ma" not in loaded, name
-        if name in NO_RANDOM:
-            assert not loaded & {"_hashlib", "numpy.random"}, name
+        assert not loaded & NO_RANDOM, name
 
 
 @pytest.mark.parametrize(
