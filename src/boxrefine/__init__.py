@@ -25,10 +25,12 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# the master seed of a run that names none: NoiseConfig's, synthesize_truth's
-# and the CLI's. It lives here, which every process loads, so that a
-# subcommand that draws no noise reads it without loading ``noise``
+# the master seed of a run that names none (NoiseConfig's, synthesize_truth's
+# and the CLI's), and the sparsity that keeps one annotation per image. They
+# live here, which every process loads, so that a subcommand that draws no
+# noise reads them without loading ``noise``
 DEFAULT_SEED = 0
+SPARSITY_EXTREME = "extreme"
 
 _EXPORTS = {
     "correction": ("CorrectionConfig", "CorrectionReport", "correct_boxes", "correct_targets",

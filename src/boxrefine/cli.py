@@ -31,18 +31,22 @@ _WORK = {
     "PROVENANCE_CORRECTED": "datamodel",
     "load_annotations": "datamodel",
     "match_images": "datamodel",
+    "parse_json": "datamodel",
+    "read_text": "datamodel",
     "render_svg": "datamodel",
     "save_annotations": "datamodel",
     "NoiseConfig": "noise",
-    "SPARSITY_EXTREME": "noise",
     "SuperfluousConfig": "noise",
     "corrupt_dataset": "noise",
+    "CorrectionConfig": "correction",
     "DISTANCES": "correction",
     "correct_sets": "correction",
     "correct_targets": "correction",
     "evaluate_ap50": "evaluation",
     "error_breakdown": "evaluation",
     "quality_stats": "evaluation",
+    "LoopConfig": "simloop",
+    "check_truth_arg": "simloop",
     "synthesize_truth": "simloop",
     "build_scenario": "simloop",
     "run_loop": "simloop",

@@ -21,12 +21,13 @@ import csv
 import json
 import math
 import re
+from functools import cache
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from . import DEFAULT_SEED
+from . import DEFAULT_SEED, SPARSITY_EXTREME
 
 if TYPE_CHECKING:
     from types import ModuleType
@@ -53,39 +54,11 @@ def _fields(cls, *names: str) -> tuple[dict, dict]:
     return {f.name: f.default for f in chosen}, {f.name: f.type for f in chosen}
 
 
-class _Sections(Mapping):
-    """A mapping whose every value is read by its reader the first time it
-    is needed: the settings tree by section, each section from its module."""
-
-    def __init__(self, **readers: Callable[[], object]) -> None:
-        self._readers, self._read = readers, {}
-
-    def __getitem__(self, section: str) -> object:
-        if section not in self._read:
-            self._read[section] = self._readers[section]()
-        return self._read[section]
-
-    def __contains__(self, section: object) -> bool:
-        return section in self._readers  # without reading it
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._readers)
-
-    def __len__(self) -> int:
-        return len(self._readers)
-
-
 def _noise_settings() -> tuple[dict, dict]:
     defaults, types = _fields(_cli.NoiseConfig, "box_noise", "sparsity", "superfluous")
     # noise.superfluous holds SuperfluousConfig's fields or is null
     types["superfluous"] = _fields(_cli.SuperfluousConfig)[1]
     return defaults, types
-
-
-def _correction_settings() -> tuple[dict, dict]:
-    from .correction import CorrectionConfig
-
-    return _fields(CorrectionConfig)
 
 
 # the loop section's keys for the arguments of ``synthesize_truth``
@@ -94,9 +67,7 @@ _TRUTH_ARGS = {"images": "num_images", "boxes_per_image": "boxes_per_image",
 
 
 def _loop_settings() -> tuple[dict, dict]:
-    from .simloop import LoopConfig
-
-    defaults, types = _fields(LoopConfig, "iterations", "keep_rate")
+    defaults, types = _fields(_cli.LoopConfig, "iterations", "keep_rate")
     for key, arg in _TRUTH_ARGS.items():
         defaults[key], types[key] = _parameter("synthesize_truth", arg)
     return defaults, types
@@ -112,15 +83,21 @@ def _parameter(function: str, name: str) -> tuple[object, object]:
     return param.default, param.annotation
 
 
-# every setting a config file may give, as its built-in default and its type
-# annotation: the master seed, and each section's, read in one pass from the
-# config dataclasses and synthesize_truth when the section is first needed
-_SETTINGS: Mapping[str, tuple] = _Sections(
-    seed=lambda: (DEFAULT_SEED, "int"),
-    noise=_noise_settings,
-    correction=_correction_settings,
-    loop=_loop_settings,
-)
+# the reader of every setting a config file may give, as its built-in default
+# and its type annotation: the master seed, and each section's, read in one
+# pass from the config dataclasses and synthesize_truth
+_SECTIONS: dict[str, Callable[[], tuple]] = {
+    "seed": lambda: (DEFAULT_SEED, "int"),
+    "noise": _noise_settings,
+    "correction": lambda: _fields(_cli.CorrectionConfig),
+    "loop": _loop_settings,
+}
+
+
+@cache
+def _settings(section: str) -> tuple:
+    """The ``_SECTIONS`` entry ``section``, read the first time it is needed."""
+    return _SECTIONS[section]()
 
 
 def _is_number(value: object) -> bool:
@@ -133,37 +110,29 @@ def _read_size(text: str) -> object:
     return [int(match[1]), int(match[2])] if match else text
 
 
-def _sparsity_type() -> tuple[str, Callable[[object], bool], Callable[[str], object]]:
-    extreme = _cli.SPARSITY_EXTREME
-    return (
-        f"a finite number or {extreme!r}",
-        lambda v: v == extreme or _is_number(v),
-        lambda t: extreme if t.lower() in ("extreme", "ex", "ex.") else float(t),
-    )
-
-
 # for a setting of each annotated type: the JSON values it may take, whether
 # a value is one (``type() is`` keeps true and false out of the numbers), and
-# how a flag's text reads as that value (a ValueError leaves the text as it
-# is); the sparsity's entry names noise's word, so each is built when first read
-_JSON_TYPES: Mapping[str, tuple[str, Callable[[object], bool], Callable[[str], object]]] = (
-    _Sections(**{
-        "int": lambda: ("an integer", lambda v: type(v) is int, int),
-        "float": lambda: ("a finite number", _is_number, float),
-        "float | None": lambda: (
-            "a finite number or null ('none' as a flag)",
-            lambda v: v is None or _is_number(v),
-            lambda t: None if t.lower() in ("none", "off") else float(t),
-        ),
-        "float | str": _sparsity_type,
-        "str": lambda: ("a string", lambda v: type(v) is str, str),
-        "tuple[int, int]": lambda: (
-            "a list of two integers (WIDTHxHEIGHT as a flag)",
-            lambda v: type(v) is list and len(v) == 2 and all(type(x) is int for x in v),
-            _read_size,
-        ),
-    })
-)
+# how a flag's text reads as that value (a ValueError leaves the text as it is)
+_JSON_TYPES: dict[str, tuple[str, Callable[[object], bool], Callable[[str], object]]] = {
+    "int": ("an integer", lambda v: type(v) is int, int),
+    "float": ("a finite number", _is_number, float),
+    "float | None": (
+        "a finite number or null ('none' as a flag)",
+        lambda v: v is None or _is_number(v),
+        lambda t: None if t.lower() in ("none", "off") else float(t),
+    ),
+    "float | str": (
+        f"a finite number or {SPARSITY_EXTREME!r}",
+        lambda v: v == SPARSITY_EXTREME or _is_number(v),
+        lambda t: SPARSITY_EXTREME if t.lower() in ("extreme", "ex", "ex.") else float(t),
+    ),
+    "str": ("a string", lambda v: type(v) is str, str),
+    "tuple[int, int]": (
+        "a list of two integers (WIDTHxHEIGHT as a flag)",
+        lambda v: type(v) is list and len(v) == 2 and all(type(x) is int for x in v),
+        _read_size,
+    ),
+}
 
 
 def _checked(value: object, annotation: str, name: str) -> object:
@@ -305,11 +274,11 @@ def _setting(option: _Option) -> tuple[object, object]:
     """The built-in default of ``option``'s value and the type it is read as."""
     if option.param is not None:
         return _parameter(option.param, option.key)
-    if option.kind in _SETTINGS:
-        defaults, types = _SETTINGS[option.kind]
+    if option.kind in _SECTIONS:
+        defaults, types = _settings(option.kind)
         head, _, field = option.key.partition(".")
         return defaults.get(option.key), types[head][field] if field else types[head]
-    return _SETTINGS[option.key] if option.key in _SETTINGS else (None, None)
+    return _settings(option.key) if option.key in _SECTIONS else (None, None)
 
 
 # the subcommands that read boxes, which a point CSV may give
@@ -370,7 +339,7 @@ def _options(command: str) -> Iterator[_Option]:
     """The rows of ``command``'s options, in table order."""
     sections = COMMANDS[command].sections
     for option in _OPTIONS:
-        if option.kind in _SETTINGS:
+        if option.kind in _SECTIONS:
             if option.kind in sections:
                 yield option
         elif option.commands is None or command in option.commands.split():
@@ -450,20 +419,11 @@ def _read_config_file(path: Path, settings: Sequence[str]) -> dict:
     """
     if not path.exists():
         raise CliError(f"config file not found: {path}")
-    try:
-        file_cfg = json.loads(path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise CliError(f"{path}: not UTF-8 text: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise CliError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    # an integer of more digits than int() reads, or nesting past the recursion limit
-    except (ValueError, RecursionError) as exc:
-        raise CliError(f"{path}: invalid JSON: {exc}") from None
+    # read as the loader reads a dataset, with its errors
+    file_cfg = _cli.parse_json(path, _cli.read_text(path))
     if not isinstance(file_cfg, dict):
         raise CliError(f"{path}: config must be a JSON object")
-    _check_config(path, file_cfg, {key: _SETTINGS[key][1] for key in settings})
+    _check_config(path, file_cfg, {key: _settings(key)[1] for key in settings})
     return file_cfg
 
 
@@ -473,7 +433,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     settings = ("seed", *sections)
     resolved: dict = {"command": args.command}
     for key in settings:
-        resolved[key] = copy.deepcopy(_SETTINGS[key][0])
+        resolved[key] = copy.deepcopy(_settings(key)[0])
 
     if args.profile is not None:
         profile = PROFILES.get(args.profile)
@@ -511,28 +471,23 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             seed=run.seed,
         )
     if "correction" in sections:
-        from .correction import CorrectionConfig
-
-        run.correction = CorrectionConfig(**resolved["correction"])
+        run.correction = _cli.CorrectionConfig(**resolved["correction"])
     if "loop" in sections:
-        from .simloop import DEFAULT_SCHEDULE, LoopConfig, check_truth_arg
-
         loop = resolved["loop"]
         for key, arg in _TRUTH_ARGS.items():
             try:
-                check_truth_arg(arg, loop[key])
+                _cli.check_truth_arg(arg, loop[key])
             except ValueError as exc:
                 raise CliError(f"--{key.replace('_', '-')}: {exc}") from exc
         for key in ("images", "boxes_per_image"):
             # AP and target quality are undefined without a true box
             if loop[key] == 0:
                 raise CliError(f"--{key.replace('_', '-')} must be at least 1 to simulate, got 0")
-        run.loop = LoopConfig(
+        run.loop = _cli.LoopConfig(
             iterations=loop["iterations"],
             keep_rate=loop["keep_rate"],
             correction=run.correction,
             noise=run.noise,
-            schedule=DEFAULT_SCHEDULE,
         )
     return run
 

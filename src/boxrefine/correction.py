@@ -444,12 +444,7 @@ def correct_sets(
         rows = _mine_stage(targets, preds, cfg)
         if len(rows):
             # append keeps the columns both sets have, and int_edge if either has it
-            kept = {
-                n: getattr(preds, n)
-                for n in ("labels", "probs", "logits")
-                if getattr(targets, n) is not None
-            }
-            found = BoxSet(preds.boxes, preds.offsets, int_edge=preds.int_edge, **kept).take(rows)
+            found = preds.take(rows)
             found.provenance = np.full(len(rows), PROVENANCE_CODES[PROVENANCE_MINED], np.int8)
             for report, n in zip(reports, found.counts.tolist()):
                 report.mined = n

@@ -49,6 +49,8 @@ __all__ = [
     "ImageRecord",
     "Dataset",
     "match_images",
+    "read_text",
+    "parse_json",
     "load_annotations",
     "save_annotations",
     "render_svg",
@@ -66,7 +68,9 @@ PROB_CLAMP = 1e-6
 
 
 class DatasetFormatError(ValueError):
-    """Raised when an annotation file cannot be parsed or validated."""
+    """Raised when an annotation file cannot be parsed or validated, or a
+    config file cannot be read as JSON text (:func:`read_text`,
+    :func:`parse_json`)."""
 
 
 def sigmoid(x: float) -> float:
@@ -597,7 +601,7 @@ def _grouped(image: np.ndarray, num_images: int, boxes: np.ndarray, **columns: o
     return s
 
 
-def _text(path: Path, newline: str | None = None) -> str:
+def read_text(path: Path, newline: str | None = None) -> str:
     """The text of the file at ``path``, read as ``open(path, newline=newline)``
     reads it; a file that is not UTF-8 is a format error that names it."""
     try:
@@ -607,7 +611,7 @@ def _text(path: Path, newline: str | None = None) -> str:
         raise DatasetFormatError(f"{path}: not UTF-8 text: {exc}") from None
 
 
-def _parsed(path: Path, text: str) -> object:
+def parse_json(path: Path, text: str) -> object:
     """The JSON value in ``text``, the text of the file at ``path``; text
     that does not hold one is a format error that names the file."""
     try:
@@ -805,12 +809,12 @@ def _walked(text: str) -> dict:
 
 
 def _load_coco(path: Path) -> Dataset:
-    text = _text(path)
+    text = read_text(path)
     try:
         raw = _walked(text)
     except (ValueError, RecursionError):
         # json.loads raises the error, unless the text holds another value
-        raw = _parsed(path, text)
+        raw = parse_json(path, text)
         if isinstance(raw, dict) and isinstance(raw.get("annotations"), list):
             entries, raw["annotations"] = raw["annotations"], _Entries()
             raw["annotations"].add(entries, lambda: entries)
@@ -898,7 +902,7 @@ def _load_point_csv(path: Path, image_size: tuple[int, int], point_side: float) 
     centres: list[tuple[float, float]] = []
     labels: list[int] = []
     # decoded whole, so that an error gives the byte's place in the file
-    with io.StringIO(_text(path, newline=""), newline="") as fh:
+    with io.StringIO(read_text(path, newline=""), newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -912,35 +916,28 @@ def _load_point_csv(path: Path, image_size: tuple[int, int], point_side: float) 
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            _require(
-                len(row) == 4,
-                path,
-                f"line {lineno}: expected 4 fields, got {len(row)}",
-            )
+            if len(row) != 4:
+                raise DatasetFormatError(
+                    f"{path}: line {lineno}: expected 4 fields, got {len(row)}")
             image_id = row[0].strip()
-            _require(bool(image_id), path, f"line {lineno}: empty image_id")
+            if not image_id:
+                raise DatasetFormatError(f"{path}: line {lineno}: empty image_id")
             try:
                 x, y = float(row[1]), float(row[2])
                 label = int(row[3])
             except ValueError as exc:
                 raise DatasetFormatError(f"{path}: line {lineno}: {exc}") from exc
             # float() reads "nan" and "inf" too
-            _require(
-                math.isfinite(x) and math.isfinite(y),
-                path,
-                f"line {lineno}: x and y must be finite numbers, got {row[1]!r}, {row[2]!r}",
-            )
-            _require(
-                1 <= label <= POINT_LABEL_MAX,
-                path,
-                f"line {lineno}: label {label} is not in [1, {POINT_LABEL_MAX}]",
-            )
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise DatasetFormatError(f"{path}: line {lineno}: x and y must be finite "
+                                         f"numbers, got {row[1]!r}, {row[2]!r}")
+            if not 1 <= label <= POINT_LABEL_MAX:
+                raise DatasetFormatError(
+                    f"{path}: line {lineno}: label {label} is not in [1, {POINT_LABEL_MAX}]")
             # its square would clip to a box of no area; the border is inside
-            _require(
-                0.0 <= x <= width and 0.0 <= y <= height,
-                path,
-                f"line {lineno}: point ({x}, {y}) is outside the {width}x{height} image",
-            )
+            if not (0.0 <= x <= width and 0.0 <= y <= height):
+                raise DatasetFormatError(f"{path}: line {lineno}: point ({x}, {y}) is outside "
+                                         f"the {width}x{height} image")
             image.append(image_of.setdefault(image_id, len(image_of)))
             centres.append((x, y))
             labels.append(label)

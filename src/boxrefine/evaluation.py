@@ -14,7 +14,7 @@ first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -129,11 +129,17 @@ def _average_precision(tp_flags: np.ndarray, n_gt: int) -> float:
     # recall rises exactly at the true positives
     steps = np.flatnonzero(tp_flags)
     rises = recalls[steps] - np.concatenate(([0.0], recalls[steps[:-1]]))
-    ap = 0.0
     # summed one step at a time, in rank order
-    for term in (rises * envelope[steps]).tolist():
-        ap += term
-    return ap
+    return _sum((rises * envelope[steps]).tolist())
+
+
+def _sum(values: Iterable[float]) -> float:
+    """The sum of ``values``, added left to right as every Python version
+    adds them: the builtin ``sum`` compensates floats from Python 3.12 on."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def _same_class_hits(
@@ -220,15 +226,12 @@ def evaluate_ap50(
         if n_gt > 0:
             per_class_ap[label] = _average_precision(tp_flags, n_gt)
 
-    map50 = (
-        sum(per_class_ap.values()) / len(per_class_ap) if per_class_ap else 0.0
-    )
+    map50 = _mean(list(per_class_ap.values()))
     return EvalResult(per_class_ap=per_class_ap, map50=map50, counts=counts)
 
 
 def _mean(values: list[float]) -> float:
-    # summed one box at a time, as a plain sum
-    return sum(values) / len(values) if values else 0.0
+    return _sum(values) / len(values) if values else 0.0
 
 
 def mean_best_iou(sources: BoxSet, references: BoxSet) -> tuple[float, float]:

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import DEFAULT_SEED
+from . import DEFAULT_SEED, SPARSITY_EXTREME
 from .datamodel import Annotation, Dataset, ImageRecord, annotation_set, set_annotations
 from .geometry import BoxSet, clip_values, row_sizes, spanning
 from .streams import binomials, draws, integers, stream_keys, uniforms
@@ -27,8 +27,6 @@ __all__ = [
     "constrain_corners", "random_boxes", "displace_boxes", "sparsify", "inject_superfluous",
     "corrupt_dataset",
 ]
-
-SPARSITY_EXTREME = "extreme"
 
 # a displaced or simulated box never ends up thinner than this, in pixels
 MIN_BOX_SIDE = 1.0
@@ -132,7 +130,11 @@ def constrain_corners(
 
 
 def _displaced(
-    s: BoxSet, box_noise: float, sizes: Sequence[tuple[float, float]], u: np.ndarray
+    s: BoxSet,
+    box_noise: float,
+    sizes: Sequence[tuple[float, float]],
+    u: np.ndarray,
+    image_ids: Sequence[object] | None = None,
 ) -> BoxSet:
     """The boxes of ``s`` displaced by the uniforms ``u``, a row of four per
     box, and clipped to their images' ``sizes``.
@@ -141,8 +143,8 @@ def _displaced(
     w * box_noise], w its width, and y1 and y2 alike with its height, from
     the box's x1, x2, y1, y2 uniforms by ``low + (high - low) * u``. Crossed
     corners swap, and :func:`constrain_corners` clips and widens the result.
-    Where ``high - low`` is past the float range, raises
-    ``OverflowError(g, reason)`` for the first such box's image g.
+    Where ``high - low`` is past the float range, raises ValueError, which
+    names the first such box's image where ``image_ids`` are given.
     """
     b = s.boxes
     # a span past the largest float is inf, which is refused below
@@ -153,8 +155,10 @@ def _displaced(
         scale = spans - -spans
     wild = np.flatnonzero(~np.isfinite(scale).all(axis=1))
     if len(wild):
-        g = int(s.image_index[wild[0]])
-        raise OverflowError(g, "box displacement range exceeds the float range")
+        where = "" if image_ids is None else f"image {image_ids[s.image_index[wild[0]]]!r}: "
+        raise ValueError(
+            f"{where}box displacement range exceeds the float range at box_noise {box_noise}"
+        )
     d = -spans + scale * u
     # the offsets come x1, x2, y1, y2; a corner moved past the largest float
     # is inf and clips to the image
@@ -177,7 +181,8 @@ def displace_boxes(
     The uniforms are ``rng.random((len(anns), 4))``, x1, x2, y1, y2 per box.
     Crossed corners are re-canonicalised, the result is clipped to the image
     and kept at least ``MIN_BOX_SIDE`` wide. ``box_noise`` 0 returns boxes
-    bit-identical to the input.
+    bit-identical to the input. A box whose displacement range is past the
+    float range raises ValueError.
     """
     if box_noise < 0.0:
         raise ValueError(f"box_noise must be >= 0, got {box_noise}")
@@ -292,13 +297,7 @@ def corrupt_dataset(dataset: Dataset, cfg: NoiseConfig) -> tuple[Dataset, dict]:
     anns = before = dataset.annotations
     if cfg.box_noise > 0.0:
         u = draws(stream_keys(seed, ("displace",), image_ids), anns.counts, 4)
-        try:
-            anns = _displaced(anns, cfg.box_noise, sizes, u)
-        except OverflowError as exc:
-            g, reason = exc.args
-            raise ValueError(
-                f"image {image_ids[g]!r}: {reason} at box_noise {cfg.box_noise}"
-            ) from None
+        anns = _displaced(anns, cfg.box_noise, sizes, u, image_ids)
 
     if cfg.sparsity == SPARSITY_EXTREME:
         (some,) = anns.counts.nonzero()

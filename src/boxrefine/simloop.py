@@ -87,8 +87,9 @@ class SimDetectorParams:
             )
         if not 0.0 <= self.recall <= 1.0:
             raise ValueError(f"recall must be in [0, 1], got {self.recall}")
-        if self.fp_rate < 0.0:
-            raise ValueError(f"fp_rate must be >= 0, got {self.fp_rate}")
+        # the Poisson draw of the spurious count takes rates up to 2**32
+        if not 0.0 <= self.fp_rate <= 2.0**32:
+            raise ValueError(f"fp_rate must be in [0, 2**32], got {self.fp_rate}")
         if self.score_sharpness <= 0.0:
             raise ValueError(
                 f"score_sharpness must be > 0, got {self.score_sharpness}"

@@ -873,7 +873,7 @@ class TestConfigLayering:
             for value in tree.values():
                 yield from leaves(value) if isinstance(value, dict) else [value]
 
-        types = {key: setting[1] for key, setting in commands._SETTINGS.items()}
+        types = {key: commands._settings(key)[1] for key in commands._SECTIONS}
         # and every option that reads a parameter's type
         types.update({o.key: commands._setting(o)[1] for o in commands._OPTIONS if o.param})
         assert set(leaves(types)) <= set(commands._JSON_TYPES)
@@ -963,8 +963,8 @@ def test_profiles_pass_the_config_check():
     commands = cli._commands()
     # the front exports the command layer's public names
     assert (cli.PROFILES, cli.RunConfig) == (commands.PROFILES, commands.RunConfig)
-    types = {key: setting[1] for key, setting in commands._SETTINGS.items()}
-    defaults = commands._SETTINGS["correction"][0]
+    types = {key: commands._settings(key)[1] for key in commands._SECTIONS}
+    defaults = commands._settings("correction")[0]
     for name, profile in cli.PROFILES.items():
         commands._check_config(name, profile, types)
         CorrectionConfig(**{**defaults, **profile.get("correction", {})})

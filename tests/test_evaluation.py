@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from boxrefine import evaluation
 from boxrefine.datamodel import Annotation, Dataset, Detection, ImageRecord
 from boxrefine.evaluation import (
     TP_IOU,
@@ -323,3 +326,40 @@ class TestTiesAndAgreement:
             assert error_breakdown(gt, preds, score_floor=0.0).true_positives == tp
             total_tp += tp
         assert total_tp > 30
+
+
+class TestSummationOrder:
+    """Means add left to right. The builtin ``sum`` compensates floats from
+    Python 3.12 on: ``sum([1e16, 1.0, -1e16])`` is 1.0 there, 0.0 before."""
+
+    def test_values_are_added_left_to_right(self):
+        values = [1e16, 1.0, -1e16]
+        assert math.fsum(values) == 1.0
+        assert evaluation._sum(values) == 0.0
+        assert evaluation._mean(values) == 0.0
+
+    def test_a_compensated_builtin_sum_changes_no_metric(self, monkeypatch):
+        # many overlaps and classes, so that some sums round differently
+        rng = np.random.default_rng(71)
+        gt, anns, preds = {}, {}, {}
+        for image_id in ("a", "b", "c"):
+            corners = rng.uniform(0, 400, (60, 2))
+            sides = rng.uniform(20, 80, (60, 2))  # wider than the moves can cross
+            labels = rng.integers(1, 13, 60).tolist()
+            boxes = np.hstack((corners, corners + sides)).tolist()
+            moved = (np.array(boxes) + rng.uniform(-9, 9, (60, 4))).tolist()
+            gt[image_id] = [ann(*b, label=k) for b, k in zip(boxes, labels)]
+            anns[image_id] = [ann(*b, label=k) for b, k in zip(moved, labels)]
+            preds[image_id] = [det(*b, label=k, prob=p)
+                               for b, k, p in zip(moved, labels, rng.uniform(0.1, 1, 60))]
+        gt, anns = dataset(gt, 12), dataset(anns, 12)
+
+        def metrics():
+            stats = quality_stats(gt, anns)
+            return (evaluate_ap50(gt, preds).map50, stats.gt_to_annotations,
+                    stats.annotations_to_gt)
+
+        plain = metrics()
+        # the builtin sum as Python 3.12 computes it, for this module's reads
+        monkeypatch.setattr(evaluation, "sum", math.fsum, raising=False)
+        assert metrics() == plain

@@ -515,6 +515,17 @@ def test_unit_draws_equal_generator_uniform(scale):
 def test_unit_draws_name_the_image_past_the_float_range():
     boxes = np.array([[0.0, 0.0, 1.0, 1.0]] * 3 + [[0.0, 0.0, 1.5e308, 1.0]])
     s = BoxSet(boxes, np.array([0, 2, 2, 3, 4]))
-    with pytest.raises(OverflowError) as exc:
-        _displaced(s, 1.0, [(512, 512)] * 4, np.zeros((4, 4)))
-    assert exc.value.args[0] == 3
+    with pytest.raises(ValueError) as exc:
+        _displaced(s, 1.0, [(512, 512)] * 4, np.zeros((4, 4)), ["a", "b", "c", "d"])
+    assert str(exc.value) == (
+        "image 'd': box displacement range exceeds the float range at box_noise 1.0"
+    )
+
+
+def test_record_displacement_past_the_float_range_is_a_value_error():
+    # a record has no image id to name
+    anns = [Annotation(Box(0.0, 0.0, 1e308, 1e308), 1)]
+    with pytest.raises(ValueError) as exc:
+        displace_boxes(anns, 0.9, (512, 512), np.random.default_rng(0))
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == "box displacement range exceeds the float range at box_noise 0.9"

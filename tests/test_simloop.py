@@ -55,6 +55,13 @@ class TestSimDetectorParams:
         with pytest.raises(ValueError, match="score_sharpness"):
             SimDetectorParams(1.0, 0.5, 1.0, 0.0)
 
+    def test_fp_rate_is_bounded_before_any_draw(self):
+        # the Poisson draw of the spurious count takes rates up to 2**32
+        for rate in (2**33, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=r"fp_rate must be in \[0, 2\*\*32\]"):
+                SimDetectorParams(1.0, 0.5, rate, 3.0)
+        assert SimDetectorParams(1.0, 0.5, 2**32, 3.0).fp_rate == 2**32
+
     def test_vector_round_trip(self):
         p = SimDetectorParams(2.0, 0.8, 0.5, 4.0)
         assert SimDetectorParams.from_vector(p.to_vector()) == p

@@ -12,6 +12,7 @@ why in CHANGES.md.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -20,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+import boxrefine
 from boxrefine.cli import build_parser
 
 from test_golden import write_inputs
@@ -104,6 +106,29 @@ def test_no_subcommand_loads_no_work_module(tmp_path, argv, code):
     assert not {m for m in loaded if m.partition(".")[0] == "numpy"}
     assert {m for m in loaded if m.partition(".")[0] == "boxrefine"} == {"boxrefine"}
     assert not loaded & {"_hashlib", "json", "csv", "copy"}
+
+
+def test_command_layer_reaches_the_package_through_the_front():
+    """commands.py imports a package module only for type checking. It
+    reads every other package name as ``_cli.<name>``, through the front's
+    table, except the constants that the package root itself assigns."""
+    package = Path(boxrefine.__file__).parent
+    root = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    constants = {t.id for node in root.body if isinstance(node, ast.Assign)
+                 for t in node.targets if isinstance(t, ast.Name) and t.id.isupper()}
+    tree = ast.parse((package / "commands.py").read_text(encoding="utf-8"))
+    typing_only = {id(node) for guard in ast.walk(tree)
+                   if isinstance(guard, ast.If) and ast.unparse(guard.test) == "TYPE_CHECKING"
+                   for node in ast.walk(guard)}
+    for node in ast.walk(tree):
+        if id(node) in typing_only:
+            continue
+        if isinstance(node, ast.Import):
+            assert all(a.name.partition(".")[0] != "boxrefine" for a in node.names), node.lineno
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").partition(".")[0] == "boxrefine"):
+            assert (node.level, node.module) == (1, None), ast.unparse(node)
+            assert {a.name for a in node.names} <= constants, ast.unparse(node)
 
 
 HELP_TEXTS = Path(__file__).with_name("help_texts.json")
